@@ -14,8 +14,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from lowrisk.discretize import LABEL_FAULTY, ItemVector
+from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY, ItemVector
 from lowrisk.errors import ImbalanceUnachievableWarning, InsufficientMinorityError
+
+_ATTRIBUTE_BITS = tuple(1 << a for a in range(len(ATTRIBUTE_ITEMS)))
 
 
 @dataclass(frozen=True)
@@ -32,23 +34,59 @@ class BalanceConfig:
             raise ValueError("k_neighbors must be at least 1")
 
 
-def _nearest_neighbors(vectors: Sequence[ItemVector], k: int) -> list[list[int]]:
-    """Indices of each vector's k nearest peers by Hamming distance;
-    ties break on index order."""
-    masks = []
-    for v in vectors:
-        mask = 0
-        for idx, on in enumerate(v.items):
-            if on:
-                mask |= 1 << idx
-        masks.append(mask)
-    n = len(vectors)
+def _nearest_neighbors(masks: Sequence[int], k: int) -> list[list[int]]:
+    """Indices of each mask's k nearest peers by Hamming distance; ties
+    break on index order.
+
+    Exact, and equal to sorting all (distance, index) pairs per mask. Each
+    distinct mask is queried once: the distances to all distinct masks are
+    summed, one attribute at a time, into a bit-sliced counter (plane p holds
+    bit p of every distance), and distance levels are then read off the
+    planes from 0 upward until k + 1 indices are found.
+    """
+    if not masks:
+        return []
+    groups: dict[int, list[int]] = {}
+    for idx, mask in enumerate(masks):
+        groups.setdefault(mask, []).append(idx)
+    distinct = list(groups)
+    members = list(groups.values())
+    everyone = (1 << len(distinct)) - 1
+    columns = []  # per attribute: the distinct masks that have it, and those that lack it
+    for a in range(max(distinct).bit_length()):
+        has = 0
+        for u, mask in enumerate(distinct):
+            if mask >> a & 1:
+                has |= 1 << u
+        columns.append((has, everyone ^ has))
+    n_planes = len(columns).bit_length()
+    wanted = min(k + 1, len(masks))
+    nearest: dict[int, list[int]] = {}
+    for mask in distinct:
+        planes = [0] * n_planes
+        for a, (has, lacks) in enumerate(columns):
+            carry = lacks if mask >> a & 1 else has  # differs from mask at attribute a
+            p = 0
+            while carry:
+                planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                p += 1
+        found: list[int] = []
+        for distance in range(len(columns) + 1):
+            level = everyone
+            for p, plane in enumerate(planes):
+                level &= plane if distance >> p & 1 else everyone ^ plane
+            tied: list[int] = []
+            while level:
+                low = level & -level
+                tied.extend(members[low.bit_length() - 1])
+                level ^= low
+            found.extend(sorted(tied))
+            if len(found) >= wanted:
+                break
+        nearest[mask] = found[:wanted]
     out = []
-    for i in range(n):
-        mi = masks[i]
-        dists = [((mi ^ masks[j]).bit_count(), j) for j in range(n) if j != i]
-        dists.sort()
-        out.append([j for _, j in dists[:k]])
+    for i, mask in enumerate(masks):
+        out.append([j for j in nearest[mask] if j != i][:k])
     return out
 
 
@@ -78,17 +116,19 @@ def balance(training: Sequence[ItemVector], cfg: BalanceConfig) -> list[ItemVect
     n_synthetic = (cfg.percent_over * m) // 100
     per_seed, extra = divmod(n_synthetic, m)
     extra_seeds = set(rng.sample(range(m), extra)) if extra else set()
-    neighbors = _nearest_neighbors(minority, cfg.k_neighbors)
+    masks = [v.items for v in minority]
+    neighbors = _nearest_neighbors(masks, cfg.k_neighbors)
 
     synthetic: list[ItemVector] = []
     for idx, seed_vec in enumerate(minority):
         rounds = per_seed + (1 if idx in extra_seeds else 0)
-        sources = [seed_vec] + [minority[j] for j in neighbors[idx]]
+        sources = [masks[idx]] + [masks[j] for j in neighbors[idx]]
+        n_sources = len(sources)
         for _ in range(rounds):
-            items = tuple(
-                sources[rng.randrange(len(sources))].items[a]
-                for a in range(len(seed_vec.items))
-            )
+            # One draw per attribute, in attribute order.
+            items = 0
+            for bit in _ATTRIBUTE_BITS:
+                items |= sources[rng.randrange(n_sources)] & bit
             synthetic.append(ItemVector(items, seed_vec.label_item))
 
     n_majority = (cfg.percent_under * len(synthetic)) // 100

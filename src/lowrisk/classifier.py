@@ -11,7 +11,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from lowrisk.discretize import VOCABULARY, ItemVector
 from lowrisk.errors import NoAdmissibleRulesWarning, VocabularyMismatchError
@@ -39,34 +40,40 @@ def order_rules(rules: Iterable[AssociationRule]) -> list[AssociationRule]:
     return sorted(rules, key=AssociationRule.sort_key)
 
 
-def _matches(rule: AssociationRule, items: AbstractSet[str]) -> bool:
-    return rule.antecedent <= items
-
-
 def select_prefix(
     ordered_rules: Sequence[AssociationRule],
-    training_items: Sequence[AbstractSet[str]],
+    training_masks: Sequence[int],
     training_faulty: Sequence[bool],
     budget: float,
 ) -> int:
     """Largest n whose top-n prefix matches at most budget * all faults.
 
-    Evaluated against the original (pre-balancing) training set; label items
-    play no role since antecedents never contain them.
+    Evaluated against the item masks of the original (pre-balancing)
+    training set; label items play no role since antecedents never contain
+    them. Only faulty methods count against the budget, so only they are
+    scanned, each distinct mask once, and each rule rescans only the masks
+    that no earlier rule matched.
     """
     total_faulty = sum(1 for f in training_faulty if f)
     if total_faulty == 0:
         raise ValueError("training set contains no faulty methods")
     allowed = budget * total_faulty + _BUDGET_EPS
-    matched: set[int] = set()
+    faulty_per_mask: dict[int, int] = {}
+    for mask, faulty in zip(training_masks, training_faulty):
+        if faulty:
+            faulty_per_mask[mask] = faulty_per_mask.get(mask, 0) + 1
+    unmatched = list(faulty_per_mask.items())
     faulty_matched = 0
     n = 0
     for rule in ordered_rules:
-        for idx, items in enumerate(training_items):
-            if idx not in matched and _matches(rule, items):
-                matched.add(idx)
-                if training_faulty[idx]:
-                    faulty_matched += 1
+        antecedent = rule.antecedent_mask
+        still_unmatched = []
+        for mask, count in unmatched:
+            if antecedent & ~mask:
+                still_unmatched.append((mask, count))
+            else:
+                faulty_matched += count
+        unmatched = still_unmatched
         if faulty_matched > allowed:
             break
         n += 1
@@ -95,18 +102,25 @@ class LfrClassifier:
     def active_rules(self) -> tuple[AssociationRule, ...]:
         return self.ordered_rules[: self.n]
 
-    def _check_vocabulary(self, vector: ItemVector) -> None:
-        if self.vocabulary != VOCABULARY or len(vector.items) != len(VOCABULARY) - 1:
+    @cached_property
+    def _active_masks(self) -> tuple[int, ...]:
+        """Antecedent masks of the top-n rules, computed on first use.
+
+        Every rule, not only the top n, must name attribute items only, so a
+        classifier holding a rule outside the vocabulary is rejected whole.
+        """
+        if self.vocabulary != VOCABULARY:
             raise VocabularyMismatchError(
                 "classifier vocabulary does not match the item vector vocabulary"
             )
+        masks = tuple(rule.antecedent_mask for rule in self.ordered_rules)
+        return masks[: self.n]
 
     def matched_rule_index(self, vector: ItemVector) -> int | None:
         """Index (into the ordered list) of the first matching top-n rule."""
-        self._check_vocabulary(vector)
-        items = vector.attribute_itemset()
-        for idx in range(self.n):
-            if _matches(self.ordered_rules[idx], items):
+        absent = ~vector.items
+        for idx, antecedent in enumerate(self._active_masks):
+            if not antecedent & absent:
                 return idx
         return None
 
@@ -135,7 +149,3 @@ class LfrClassifier:
             vocabulary=tuple(data["vocabulary"]),
             training_meta=dict(data.get("training_meta", {})),
         )
-
-
-def classify(classifier: LfrClassifier, vector: ItemVector) -> Classification:
-    return classifier.classify(vector)

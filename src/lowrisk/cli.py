@@ -16,10 +16,11 @@ from pathlib import Path
 
 from lowrisk import dataset as ds
 from lowrisk.classifier import LfrClassifier, Variant
-from lowrisk.discretize import VOCABULARY, DiscretizationModel, itemize
-from lowrisk.errors import LowriskError, VocabularyMismatchError
+from lowrisk.discretize import VOCABULARY, DiscretizationModel
+from lowrisk.errors import LowriskError, SchemaError, VocabularyMismatchError
 from lowrisk.evaluation import (
-    PredictionRow,
+    _predict,
+    _rows_for,
     emit_report,
     evaluate_cross_project,
     evaluate_within_project,
@@ -227,23 +228,38 @@ def cmd_train(args: argparse.Namespace) -> int:
 # -- predict -----------------------------------------------------------------
 
 
+def _schema_entry(owner, key: str, kind: type, where: str):
+    """owner[key] if owner is a JSON object and that entry is a kind, else SchemaError."""
+    value = owner.get(key) if isinstance(owner, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SchemaError(f"{where} has no valid {key!r} entry")
+    return value
+
+
 def _classifier_from_payload(payload: dict, variant: Variant) -> tuple[DiscretizationModel, LfrClassifier]:
-    if tuple(payload.get("vocabulary", ())) != VOCABULARY:
+    if not isinstance(payload, dict) or tuple(payload.get("vocabulary", ())) != VOCABULARY:
         raise VocabularyMismatchError(
             "classifier file was built with a different item vocabulary"
         )
-    model = DiscretizationModel.from_json(payload["discretization"])
-    entry = payload["variants"][variant.value]
-    clf = LfrClassifier.from_json(
-        {
-            "rules": payload["rules"],
-            "n": entry["n"],
-            "variant": variant.value,
-            "budget": entry["budget"],
-            "vocabulary": payload["vocabulary"],
-            "training_meta": payload.get("training_meta", {}),
-        }
-    )
+    where = "classifier file"
+    discretization = _schema_entry(payload, "discretization", dict, where)
+    rules = _schema_entry(payload, "rules", list, where)
+    variants = _schema_entry(payload, "variants", dict, where)
+    entry = _schema_entry(variants, variant.value, dict, f"{where} 'variants'")
+    where = f"{where} variant {variant.value!r}"
+    model = DiscretizationModel.from_json(discretization)
+    data = {
+        "rules": rules,
+        "n": _schema_entry(entry, "n", int, where),
+        "variant": variant.value,
+        "budget": _schema_entry(entry, "budget", (int, float), where),
+        "vocabulary": payload["vocabulary"],
+        "training_meta": payload.get("training_meta", {}),
+    }
+    try:
+        clf = LfrClassifier.from_json(data)
+    except KeyError as exc:
+        raise SchemaError(f"classifier file has a rule without the {exc} entry") from exc
     return model, clf
 
 
@@ -252,23 +268,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
     model, clf = _classifier_from_payload(payload, variant)
     methods = [m for _, rows in _load_projects([args.target]).items() for m in rows]
-    rows = []
-    for m in methods:
-        idx = clf.matched_rule_index(itemize(m, model))
-        ident = m.identity
-        rows.append(
-            PredictionRow(
-                project=ident.project,
-                file_path=ident.file_path,
-                type_name=ident.type_name,
-                method_name=ident.method_name,
-                param_signature=";".join(ident.param_signature),
-                variant=variant.value,
-                predicted_lfr=idx is not None,
-                faulty=m.faulty,
-                matched_rule_index=idx,
-            )
-        )
+    rows = _rows_for(_predict(model, {variant: clf}, methods)[variant], variant)
     out = Path(args.out)
     write_prediction_dump(rows, out)
     _write_run_sidecar(

@@ -56,10 +56,6 @@ class UnifiedMethod:
         # even-count ties consistently with the class-vote tie rule.
         return statistics.median_high([r.metrics.sloc for r in self.occurrences])
 
-    @property
-    def record(self) -> MethodRecord:
-        return self.occurrences[0]
-
 
 def from_analyzed(methods: Iterable[AnalyzedMethod], faulty: bool = False) -> list[MethodRecord]:
     snapshot = Snapshot.FAULTY if faulty else Snapshot.CURRENT

@@ -6,6 +6,10 @@ of each boundary value so equal values never straddle a class border.
 Count metrics become "has-no" items (true iff the count is zero), and the
 category flags pass through unchanged. The resulting item vocabulary is
 fixed and identical across projects.
+
+An item vector is one int mask: bit i is set iff ATTRIBUTE_ITEMS[i] holds.
+The same mask is balanced, matched against rule antecedent masks, and
+expanded into item names only for the miner's transactions.
 """
 
 from __future__ import annotations
@@ -14,12 +18,15 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from operator import attrgetter, not_
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from lowrisk.dataset import MethodRecord, UnifiedMethod
-from lowrisk.errors import DegenerateDistributionWarning, SchemaError
-from lowrisk.java.metrics import CategoryFlags, ConstructKind, RawMetrics
+from lowrisk.errors import DegenerateDistributionWarning, SchemaError, VocabularyMismatchError
+from lowrisk.java.metrics import ARITHMETIC_KINDS, CONDITION_KINDS, CategoryFlags, ConstructKind
 
 TERTILE_METRICS = (
     ("sloc", "Sloc"),
@@ -79,6 +86,29 @@ ATTRIBUTE_ITEMS: tuple[str, ...] = (
 
 VOCABULARY: tuple[str, ...] = ATTRIBUTE_ITEMS + (LABEL_NOT_FAULTY,)
 
+_ITEM_BIT: dict[str, int] = {name: 1 << i for i, name in enumerate(ATTRIBUTE_ITEMS)}
+_N_TERTILE_BITS = 3 * len(TERTILE_METRICS)
+_KINDS = tuple(ConstructKind)
+_NO_ITEM_BITS = tuple(_ITEM_BIT[NO_ITEM_NAMES[kind]] for kind in _KINDS)
+_CONDITION_AT = tuple(_KINDS.index(kind) for kind in CONDITION_KINDS)
+_ARITHMETIC_AT = tuple(_KINDS.index(kind) for kind in ARITHMETIC_KINDS)
+_NO_CONDITIONS_BIT = _ITEM_BIT["NoConditions"]
+_NO_ARITHMETIC_BIT = _ITEM_BIT["NoArithmeticOperations"]
+_CATEGORY_BITS = tuple(_ITEM_BIT[name] for name in _CATEGORY_ITEMS)
+_tertile_values = attrgetter(*(metric for metric, _ in TERTILE_METRICS))
+_category_values = attrgetter(*CategoryFlags.FIELDS)
+
+
+def item_mask(names: Iterable[str]) -> int:
+    """Mask with the bit of every named attribute item set."""
+    mask = 0
+    for name in names:
+        bit = _ITEM_BIT.get(name)
+        if bit is None:
+            raise VocabularyMismatchError(f"{name!r} is not an attribute item")
+        mask |= bit
+    return mask
+
 
 @dataclass(frozen=True)
 class MetricBounds:
@@ -102,6 +132,13 @@ class DiscretizationModel:
     def classify(self, metric: str, value) -> int:
         return self.bounds[metric].classify(value)
 
+    @cached_property
+    def _tertiles(self) -> tuple[tuple[int, Callable[[int], int]], ...]:
+        """(bit of the LowestThird item, classify) per metric, in TERTILE_METRICS order."""
+        return tuple(
+            (1 << (3 * m), self.bounds[metric].classify) for m, (metric, _) in enumerate(TERTILE_METRICS)
+        )
+
     def to_json(self) -> dict:
         return {
             metric: {"class1_upper": b.class1_upper, "class2_upper": b.class2_upper}
@@ -112,9 +149,12 @@ class DiscretizationModel:
     def from_json(cls, data: dict) -> "DiscretizationModel":
         bounds = {}
         for metric, _ in TERTILE_METRICS:
-            if metric not in data:
+            entry = data.get(metric)
+            if not isinstance(entry, dict):
                 raise SchemaError(f"discretization model missing metric {metric!r}")
-            entry = data[metric]
+            for key in ("class1_upper", "class2_upper"):
+                if not isinstance(entry.get(key), (int, float)):
+                    raise SchemaError(f"discretization model metric {metric!r} has no {key!r} bound")
             bounds[metric] = MetricBounds(entry["class1_upper"], entry["class2_upper"])
         return cls(bounds)
 
@@ -158,16 +198,14 @@ def fit_discretization(records: Iterable[MethodRecord]) -> DiscretizationModel:
 
 @dataclass(frozen=True)
 class ItemVector:
-    """Fixed-order binary items over ATTRIBUTE_ITEMS plus the fault label."""
+    """Binary attribute items as an int mask (bit i is ATTRIBUTE_ITEMS[i]) plus the fault label."""
 
-    items: tuple[bool, ...]
+    items: int
     label_item: str  # LABEL_FAULTY or LABEL_NOT_FAULTY
 
     def __post_init__(self):
-        if len(self.items) != len(ATTRIBUTE_ITEMS):
-            raise ValueError(
-                f"expected {len(ATTRIBUTE_ITEMS)} items, got {len(self.items)}"
-            )
+        if not isinstance(self.items, int) or self.items < 0 or self.items >> len(ATTRIBUTE_ITEMS):
+            raise ValueError(f"expected a mask over {len(ATTRIBUTE_ITEMS)} items, got {self.items!r}")
         if self.label_item not in (LABEL_FAULTY, LABEL_NOT_FAULTY):
             raise ValueError(f"unknown label item {self.label_item!r}")
 
@@ -176,42 +214,50 @@ class ItemVector:
         return self.label_item == LABEL_NOT_FAULTY
 
     def to_itemset(self) -> frozenset[str]:
-        """Transaction view: true attribute items plus the NotFaulty item."""
-        names = [name for name, on in zip(ATTRIBUTE_ITEMS, self.items) if on]
+        """Transaction view for the miner: true attribute items plus the NotFaulty item."""
+        mask = self.items
+        names = [name for i, name in enumerate(ATTRIBUTE_ITEMS) if mask >> i & 1]
         if self.not_faulty:
             names.append(LABEL_NOT_FAULTY)
         return frozenset(names)
 
-    def attribute_itemset(self) -> frozenset[str]:
-        return frozenset(name for name, on in zip(ATTRIBUTE_ITEMS, self.items) if on)
+
+def _record_mask(record: MethodRecord, model: DiscretizationModel) -> int:
+    """The item mask of one occurrence."""
+    metrics = record.metrics
+    mask = 0
+    for (low_bit, classify), value in zip(model._tertiles, _tertile_values(metrics)):
+        mask |= low_bit << (classify(value) - 1)
+    counts = metrics.construct_counts
+    # Hashing an Enum member runs Python code. Every RawMetrics built in this
+    # package keys its counts in ConstructKind order, so such a dict is read
+    # by position.
+    if tuple(counts) == _KINDS:
+        values = tuple(counts.values())
+    else:
+        values = tuple(counts[kind] for kind in _KINDS)
+    # The bits are distinct, so their sum is their union.
+    mask |= sum(compress(_NO_ITEM_BITS, map(not_, values)))
+    if not sum(map(values.__getitem__, _CONDITION_AT)):
+        mask |= _NO_CONDITIONS_BIT
+    if not sum(map(values.__getitem__, _ARITHMETIC_AT)):
+        mask |= _NO_ARITHMETIC_BIT
+    return mask | sum(compress(_CATEGORY_BITS, _category_values(record.categories)))
 
 
-# Internal discretized view used for majority voting: 5 tertile classes
-# followed by the boolean attribute flags in vocabulary order.
-def _profile(metrics: RawMetrics, categories: CategoryFlags, model: DiscretizationModel):
-    classes = tuple(
-        model.classify(metric, getattr(metrics, metric)) for metric, _ in TERTILE_METRICS
-    )
-    flags = tuple(metrics.construct_counts[kind] == 0 for kind in ConstructKind)
-    flags += (metrics.all_conditions == 0, metrics.all_arithmetic == 0)
-    flags += tuple(getattr(categories, f) for f in CategoryFlags.FIELDS)
-    return classes, flags
-
-
-def _vote(profiles: Sequence[tuple]) -> tuple:
-    """Majority vote; class ties resolve to the higher class, flag ties to true."""
-    if len(profiles) == 1:
-        return profiles[0]
-    n = len(profiles)
-    classes = []
-    for i in range(len(TERTILE_METRICS)):
-        votes = [p[0][i] for p in profiles]
-        classes.append(max(set(votes), key=lambda c: (votes.count(c), c)))
-    flags = []
-    for i in range(len(profiles[0][1])):
-        trues = sum(1 for p in profiles if p[1][i])
-        flags.append(trues * 2 >= n)
-    return tuple(classes), tuple(flags)
+def _vote(masks: Sequence[int]) -> int:
+    """Majority vote per attribute; a class tie goes to the higher class, a flag tie to true."""
+    n = len(masks)
+    if n == 1:
+        return masks[0]
+    counts = [sum(mask >> i & 1 for mask in masks) for i in range(len(ATTRIBUTE_ITEMS))]
+    voted = 0
+    for low in range(0, _N_TERTILE_BITS, 3):
+        voted |= 1 << max(range(low, low + 3), key=lambda i: (counts[i], i))
+    for i in range(_N_TERTILE_BITS, len(ATTRIBUTE_ITEMS)):
+        if counts[i] * 2 >= n:
+            voted |= 1 << i
+    return voted
 
 
 def itemize(method: UnifiedMethod | MethodRecord, model: DiscretizationModel) -> ItemVector:
@@ -221,15 +267,8 @@ def itemize(method: UnifiedMethod | MethodRecord, model: DiscretizationModel) ->
     majority vote over the per-occurrence discretized values.
     """
     if isinstance(method, MethodRecord):
-        occurrences = [method]
-        faulty = method.faulty
+        occurrences = (method,)
     else:
-        occurrences = list(method.occurrences)
-        faulty = method.faulty
-    profiles = [_profile(r.metrics, r.categories, model) for r in occurrences]
-    classes, flags = _vote(profiles)
-    items = []
-    for cls in classes:
-        items.extend((cls == 1, cls == 2, cls == 3))
-    items.extend(flags)
-    return ItemVector(tuple(items), LABEL_FAULTY if faulty else LABEL_NOT_FAULTY)
+        occurrences = method.occurrences
+    mask = _vote([_record_mask(r, model) for r in occurrences])
+    return ItemVector(mask, LABEL_FAULTY if method.faulty else LABEL_NOT_FAULTY)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from lowrisk.classifier import Variant
+from lowrisk.classifier import LfrClassifier, Variant
 from lowrisk.dataset import UnifiedMethod
-from lowrisk.discretize import itemize
+from lowrisk.discretize import DiscretizationModel, itemize
 from lowrisk.errors import TooFewMinorityError
 from lowrisk.pipeline import PipelineConfig, derive_seed, train_on
 
@@ -161,13 +161,23 @@ class PredictionRow:
     matched_rule_index: int | None
 
 
-def _predict(trained, variant: Variant, methods: Sequence[UnifiedMethod]):
-    clf = trained.classifiers[variant]
-    out = []
-    for m in methods:
-        vector = itemize(m, trained.discretization)
-        idx = clf.matched_rule_index(vector)
-        out.append((m, idx is not None, idx))
+def _predict(
+    discretization: DiscretizationModel,
+    classifiers: Mapping[Variant, LfrClassifier],
+    methods: Sequence[UnifiedMethod],
+) -> dict[Variant, list[tuple[UnifiedMethod, bool, int | None]]]:
+    """Per variant, (method, predicted_lfr, matched rule index) for each method.
+
+    Each method is itemized once and its mask matched by every classifier.
+    """
+    vectors = [itemize(m, discretization) for m in methods]
+    out = {}
+    for variant, clf in classifiers.items():
+        preds = []
+        for m, vector in zip(methods, vectors):
+            idx = clf.matched_rule_index(vector)
+            preds.append((m, idx is not None, idx))
+        out[variant] = preds
     return out
 
 
@@ -202,8 +212,9 @@ def evaluate_within_project(
     for fold_idx, held_out in enumerate(folds):
         training = [m for j, fold in enumerate(folds) if j != fold_idx for m in fold]
         trained = train_on(training, config, scope=(project, fold_idx))
+        fold_preds = _predict(trained.discretization, trained.classifiers, held_out)
         for variant in Variant:
-            preds = _predict(trained, variant, held_out)
+            preds = fold_preds[variant]
             pooled[variant].extend(preds)
             fold_metrics[variant].append(
                 score_predictions(
@@ -242,10 +253,11 @@ def evaluate_cross_project(
         raise ValueError("cross-project prediction needs at least 2 projects")
     training = [m for name in sorted(datasets) if name != target for m in datasets[name]]
     trained = train_on(training, config, scope=(target, "cross"))
+    target_preds = _predict(trained.discretization, trained.classifiers, list(datasets[target]))
     reports = {}
     dump: list[PredictionRow] = []
     for variant in Variant:
-        preds = _predict(trained, variant, list(datasets[target]))
+        preds = target_preds[variant]
         reports[variant] = ProjectReport(
             project=target,
             variant=variant,

@@ -55,6 +55,11 @@ class ConstructKind(enum.Enum):
     ANONYMOUS_CLASS = "anonymous_classes"
 
 
+# The counts that RawMetrics.all_conditions and all_arithmetic sum.
+CONDITION_KINDS = (ConstructKind.IF_CONDITION, ConstructKind.SWITCH_CASE_BLOCK, ConstructKind.TERNARY_OPERATION)
+ARITHMETIC_KINDS = (ConstructKind.INCREMENTATION, ConstructKind.DECREMENTATION, ConstructKind.ARITHMETIC_INFIX_OP)
+
+
 @dataclass(frozen=True)
 class RawMetrics:
     """Raw per-method metric values; derived sums are recomputed, never stored."""
@@ -68,19 +73,11 @@ class RawMetrics:
 
     @property
     def all_conditions(self) -> int:
-        return (
-            self.construct_counts[ConstructKind.IF_CONDITION]
-            + self.construct_counts[ConstructKind.SWITCH_CASE_BLOCK]
-            + self.construct_counts[ConstructKind.TERNARY_OPERATION]
-        )
+        return sum(map(self.construct_counts.__getitem__, CONDITION_KINDS))
 
     @property
     def all_arithmetic(self) -> int:
-        return (
-            self.construct_counts[ConstructKind.INCREMENTATION]
-            + self.construct_counts[ConstructKind.DECREMENTATION]
-            + self.construct_counts[ConstructKind.ARITHMETIC_INFIX_OP]
-        )
+        return sum(map(self.construct_counts.__getitem__, ARITHMETIC_KINDS))
 
 
 @dataclass(frozen=True)
@@ -114,14 +111,6 @@ def scan_method(tokens: list[Token], decl: MethodDecl) -> tuple[RawMetrics, Cate
     scanner = _Scanner(tokens, decl)
     scanner.run()
     return scanner.metrics(), scanner.categories()
-
-
-def compute_raw_metrics(tokens: list[Token], decl: MethodDecl) -> RawMetrics:
-    return scan_method(tokens, decl)[0]
-
-
-def classify_categories(tokens: list[Token], decl: MethodDecl) -> CategoryFlags:
-    return scan_method(tokens, decl)[1]
 
 
 class _Scanner:

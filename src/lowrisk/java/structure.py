@@ -34,10 +34,6 @@ class MethodDecl:
     has_lambda: bool
     field_names: frozenset[str]  # fields declared directly in the enclosing type
 
-    @property
-    def qualified_name(self) -> str:
-        return ".".join(self.type_chain) + "." + self.name
-
 
 @dataclass
 class _Region:

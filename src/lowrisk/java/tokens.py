@@ -76,6 +76,7 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
 _IDENT_PART = _IDENT_START | set("0123456789")
 _DIGITS = set("0123456789")
 _NUMBER_PART = _DIGITS | set("abcdefABCDEFxXbB._lLfFdD_")
+_HEX_PART = _DIGITS | set("abcdefABCDEF._pPlL")
 
 
 def tokenize(text: str, file_path: str | None = None) -> list[Token]:
@@ -122,6 +123,15 @@ def tokenize(text: str, file_path: str | None = None) -> list[Token]:
             word = text[i:j]
             kind = "keyword" if word in KEYWORDS else "ident"
             tokens.append(Token(kind, word, line, col))
+            i = j
+            continue
+        if c == "0" and text[i + 1 : i + 2] in ("x", "X"):
+            # Hex literal: a sign belongs to it only after the binary exponent
+            # 'p' of a hex float, never after the hex digit 'e'.
+            j = i + 2
+            while j < n and (text[j] in _HEX_PART or (text[j] in "+-" and text[j - 1] in "pP")):
+                j += 1
+            tokens.append(Token("number", text[i:j], line, col))
             i = j
             continue
         if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
@@ -173,8 +183,42 @@ def tokenize(text: str, file_path: str | None = None) -> list[Token]:
                 break
         if matched is None and c in _SINGLE_OPS:
             matched = c
+        if matched is None and c > "\x7f":
+            start = _non_ascii_identifier_start(tokens, text, i, line)
+            if start is not None:
+                j = i + 1
+                while j < n and (text[j] in _IDENT_PART or _is_identifier_part(text[j])):
+                    j += 1
+                if start < i:
+                    col = tokens.pop().col
+                tokens.append(Token("ident", text[start:j], line, col))
+                i = j
+                continue
         if matched is None:
             raise err(f"unexpected character {c!r}", i)
         tokens.append(Token("op", matched, line, col))
         i += len(matched)
     return tokens
+
+
+def _is_identifier_part(c: str) -> bool:
+    return c > "\x7f" and ("a" + c).isidentifier()
+
+
+def _non_ascii_identifier_start(tokens: list[Token], text: str, i: int, line: int) -> int | None:
+    """Where the identifier holding the non-ASCII character text[i] starts.
+
+    The ASCII loop stops at such a character, so an identifier it began
+    just before position i (same line, no gap) is continued; otherwise
+    text[i] must itself be able to start an identifier. None means text[i]
+    is no identifier character.
+    """
+    c = text[i]
+    if not _is_identifier_part(c):
+        return None
+    if tokens:
+        prev = tokens[-1]
+        start = i - len(prev.text)
+        if prev.kind in ("ident", "keyword") and prev.line == line and text.startswith(prev.text, start):
+            return start
+    return i if c.isidentifier() else None

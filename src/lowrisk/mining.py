@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import AbstractSet, Iterable, Sequence
 
+from lowrisk.discretize import item_mask
 from lowrisk.errors import (
     AntecedentCapWarning,
     EmptyDatabaseError,
@@ -34,6 +36,11 @@ class AssociationRule:
             raise ValueError("antecedent must be non-empty")
         if self.consequent in self.antecedent:
             raise ValueError("antecedent and consequent must be disjoint")
+
+    @cached_property
+    def antecedent_mask(self) -> int:
+        """The antecedent as an attribute item mask, computed on first use."""
+        return item_mask(self.antecedent)
 
     def sort_key(self) -> tuple:
         return (

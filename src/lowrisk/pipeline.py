@@ -94,7 +94,7 @@ def train_on(
     transactions = [v.to_itemset() for v in mining_vectors]
     rules = order_rules(prune_redundant(mine(transactions, config.mining)))
 
-    training_items = [v.attribute_itemset() for v in vectors]
+    training_masks = [v.items for v in vectors]
     training_faulty = [u.faulty for u in methods]
     meta = {
         "training_methods": len(methods),
@@ -106,7 +106,7 @@ def train_on(
     classifiers = {}
     for variant in Variant:
         budget = config.budget(variant)
-        n = select_prefix(rules, training_items, training_faulty, budget)
+        n = select_prefix(rules, training_masks, training_faulty, budget)
         classifiers[variant] = LfrClassifier(
             ordered_rules=tuple(rules),
             n=n,

@@ -1,7 +1,7 @@
 """Shared builders for dataset objects used across the test modules."""
 
 from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
-from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY, LABEL_NOT_FAULTY, ItemVector
+from lowrisk.discretize import LABEL_FAULTY, LABEL_NOT_FAULTY, ItemVector, item_mask
 from lowrisk.java.analyzer import MethodIdentity
 from lowrisk.java.metrics import CategoryFlags, ConstructKind, RawMetrics
 
@@ -63,9 +63,4 @@ def make_unified(record_or_records, faulty=None) -> UnifiedMethod:
 
 def make_vector(true_items=(), not_faulty=True) -> ItemVector:
     """ItemVector with the named attribute items set to true."""
-    true_items = set(true_items)
-    unknown = true_items - set(ATTRIBUTE_ITEMS)
-    if unknown:
-        raise ValueError(f"unknown items: {unknown}")
-    items = tuple(name in true_items for name in ATTRIBUTE_ITEMS)
-    return ItemVector(items, LABEL_NOT_FAULTY if not_faulty else LABEL_FAULTY)
+    return ItemVector(item_mask(true_items), LABEL_NOT_FAULTY if not_faulty else LABEL_FAULTY)

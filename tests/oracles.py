@@ -3,7 +3,9 @@
 These deliberately share no code with the implementations they check:
 rule enumeration scans the full antecedent power set with direct counting,
 redundancy filtering is the naive pairwise check, and prefix selection
-recomputes every prefix from scratch.
+recomputes every prefix from scratch. The kNN and itemization oracles are
+the earlier O(m^2) neighbor sort and bool-tuple item construction, kept as
+references for the mask-based implementations.
 """
 
 from itertools import combinations
@@ -88,3 +90,53 @@ def random_rule(rng, vocab, max_len=4):
         support=rng.randint(1, 100) / 200,
         confidence=rng.randint(50, 100) / 100,
     )
+
+
+def nearest_neighbors_oracle(masks, k):
+    """Indices of each mask's k nearest peers by Hamming distance, by sorting
+    every (distance, index) pair; ties break on index order."""
+    n = len(masks)
+    out = []
+    for i in range(n):
+        mi = masks[i]
+        dists = [((mi ^ masks[j]).bit_count(), j) for j in range(n) if j != i]
+        dists.sort()
+        out.append([j for _, j in dists[:k]])
+    return out
+
+
+def itemize_bool_tuple(method, model):
+    """Item vector of a record or unified method as a tuple of bools over
+    ATTRIBUTE_ITEMS, with majority voting over occurrences: class ties go to
+    the higher class, flag ties to true."""
+    from lowrisk.dataset import MethodRecord
+    from lowrisk.discretize import TERTILE_METRICS
+    from lowrisk.java.metrics import CategoryFlags, ConstructKind
+
+    occurrences = [method] if isinstance(method, MethodRecord) else list(method.occurrences)
+    profiles = []
+    for r in occurrences:
+        m = r.metrics
+        classes = tuple(model.classify(metric, getattr(m, metric)) for metric, _ in TERTILE_METRICS)
+        flags = tuple(m.construct_counts[kind] == 0 for kind in ConstructKind)
+        flags += (m.all_conditions == 0, m.all_arithmetic == 0)
+        flags += tuple(getattr(r.categories, f) for f in CategoryFlags.FIELDS)
+        profiles.append((classes, flags))
+    if len(profiles) == 1:
+        classes, flags = profiles[0]
+    else:
+        n = len(profiles)
+        classes = []
+        for i in range(len(TERTILE_METRICS)):
+            votes = [p[0][i] for p in profiles]
+            classes.append(max(set(votes), key=lambda c: (votes.count(c), c)))
+        flags = [sum(1 for p in profiles if p[1][i]) * 2 >= n for i in range(len(profiles[0][1]))]
+    items = []
+    for cls in classes:
+        items.extend((cls == 1, cls == 2, cls == 3))
+    items.extend(flags)
+    return tuple(items)
+
+
+def bools_to_mask(items):
+    return sum(1 << i for i, on in enumerate(items) if on)

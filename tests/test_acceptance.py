@@ -26,7 +26,7 @@ from oracles import (
 from lowrisk.balance import BalanceConfig, balance
 from lowrisk.classifier import Variant, order_rules, select_prefix
 from lowrisk.dataset import from_analyzed, record_to_row
-from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY, tertile_bounds
+from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY, item_mask, tertile_bounds
 from lowrisk.errors import NoAdmissibleRulesWarning
 from lowrisk.evaluation import (
     compute_fdr,
@@ -211,19 +211,20 @@ def test_c4_discretization_worked_examples():
 
 def test_c5_prefix_selection_against_oracle():
     rng = random.Random(99)
-    vocab = [f"I{i}" for i in range(8)]
+    vocab = list(ATTRIBUTE_ITEMS[:48:6])
     for case in range(50):
         rules = order_rules(
             {random_rule(rng, vocab, max_len=3) for _ in range(rng.randint(1, 14))}
         )
         training = [frozenset(rng.sample(vocab, rng.randint(0, 6))) for _ in range(50)]
+        masks = [item_mask(items) for items in training]
         faulty = [rng.random() < 0.3 for _ in training]
         if not any(faulty):
             faulty[0] = True
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NoAdmissibleRulesWarning)
-            n_strict = select_prefix(rules, training, faulty, Variant.STRICT.default_budget)
-            n_lenient = select_prefix(rules, training, faulty, Variant.LENIENT.default_budget)
+            n_strict = select_prefix(rules, masks, faulty, Variant.STRICT.default_budget)
+            n_lenient = select_prefix(rules, masks, faulty, Variant.LENIENT.default_budget)
         assert n_strict == prefix_scan_oracle(
             rules, training, faulty, Variant.STRICT.default_budget
         ), f"case {case}"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_vector
-from lowrisk.balance import BalanceConfig, balance
+from oracles import nearest_neighbors_oracle
+from lowrisk.balance import BalanceConfig, _nearest_neighbors, balance
 from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY
 from lowrisk.errors import ImbalanceUnachievableWarning, InsufficientMinorityError
 
@@ -77,8 +78,9 @@ def test_synthetic_attributes_come_from_real_minority_vectors():
     synthetic = [v for v in out if v.label_item == LABEL_FAULTY][12:]
     assert len(synthetic) == 12
     for vec in synthetic:
-        for idx, value in enumerate(vec.items):
-            assert any(real.items[idx] == value for real in minority)
+        for idx in range(len(ATTRIBUTE_ITEMS)):
+            value = vec.items >> idx & 1
+            assert any(real.items >> idx & 1 == value for real in minority)
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,3 +111,23 @@ def test_balanced_split_over_random_imbalance_levels():
         out = balance(data, BalanceConfig(rng_seed=trial))
         faulty, clean = split_counts(out)
         assert abs(faulty - clean) <= 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_nearest_neighbors_equal_the_sorting_oracle(k):
+    rng = random.Random(k)
+    n_bits = len(ATTRIBUTE_ITEMS)
+    for case in range(30):
+        # Few distinct masks and few differing bits: many duplicates and many
+        # ties at every distance.
+        base = rng.getrandbits(n_bits)
+        pool = [base ^ sum(1 << rng.randrange(n_bits) for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(1, 12))]
+        masks = [rng.choice(pool) for _ in range(rng.randint(k + 1, 60))]
+        assert _nearest_neighbors(masks, k) == nearest_neighbors_oracle(masks, k), f"case {case}"
+
+
+def test_nearest_neighbors_edge_cases():
+    for masks in ([0, 0], [0, 1], [5] * 7, [1 << 48, 0, 1 << 48], [3, 0, 1, 2]):
+        for k in range(1, len(masks)):
+            assert _nearest_neighbors(masks, k) == nearest_neighbors_oracle(masks, k)

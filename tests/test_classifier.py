@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -11,12 +12,21 @@ from lowrisk.classifier import (
     order_rules,
     select_prefix,
 )
+from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask
 from lowrisk.errors import NoAdmissibleRulesWarning, VocabularyMismatchError
 from lowrisk.mining import AssociationRule
+
+# Eight attribute items spread over the tertile, has-no and category items.
+ITEMS = ATTRIBUTE_ITEMS[:48:6]
+A, B, C = "NoLoops", "IsSetter", "NoNullChecks"
 
 
 def rule(items, conf, supp):
     return AssociationRule(frozenset(items), "NotFaulty", supp, conf)
+
+
+def masks(item_sets):
+    return [item_mask(items) for items in item_sets]
 
 
 class TestOrderRules:
@@ -40,40 +50,43 @@ class TestOrderRules:
 class TestSelectPrefix:
     def test_budget_arithmetic(self):
         # 200 faulty methods at budget 0.025 allow at most 5 matched faults.
-        rules = [rule({f"R{i}"}, 0.99 - i / 100, 0.2) for i in range(8)]
+        rules = [rule({ITEMS[i]}, 0.99 - i / 100, 0.2) for i in range(8)]
         items = []
         faulty = []
         for i in range(8):  # method i matches rule i only, each faulty
-            items.append(frozenset({f"R{i}"}))
+            items.append(frozenset({ITEMS[i]}))
             faulty.append(True)
         for _ in range(192):
-            items.append(frozenset({"none"}))
+            items.append(frozenset({"IsToString"}))
             faulty.append(True)
-        n = select_prefix(rules, items, faulty, budget=0.025)
-        assert n == 5
+        n = select_prefix(rules, masks(items), faulty, budget=0.025)
+        assert n == 5 == prefix_scan_oracle(rules, items, faulty, 0.025)
 
     def test_zero_fault_rules_select_everything(self):
-        rules = [rule({"A"}, 0.99, 0.2), rule({"B"}, 0.98, 0.2)]
-        items = [frozenset({"A"}), frozenset({"B"}), frozenset({"C"})]
+        rules = [rule({A}, 0.99, 0.2), rule({B}, 0.98, 0.2)]
+        items = [frozenset({A}), frozenset({B}), frozenset({C})]
         faulty = [False, False, True]
-        assert select_prefix(rules, items, faulty, budget=0.025) == 2
+        assert select_prefix(rules, masks(items), faulty, budget=0.025) == 2
+        assert prefix_scan_oracle(rules, items, faulty, 0.025) == 2
 
     def test_breach_at_rule_three(self):
-        rules = [rule({"A"}, 0.99, 0.3), rule({"B"}, 0.98, 0.3), rule({"C"}, 0.97, 0.3)]
-        items = [frozenset({"A"}), frozenset({"B"}), frozenset({"C"}), frozenset({"C"})]
+        rules = [rule({A}, 0.99, 0.3), rule({B}, 0.98, 0.3), rule({C}, 0.97, 0.3)]
+        items = [frozenset({A}), frozenset({B}), frozenset({C}), frozenset({C})]
         faulty = [False, False, True, True]  # rule 3 matches 2 of 2 faults
-        assert select_prefix(rules, items, faulty, budget=0.5) == 2
+        assert select_prefix(rules, masks(items), faulty, budget=0.5) == 2
+        assert prefix_scan_oracle(rules, items, faulty, 0.5) == 2
 
     def test_no_admissible_rules_warns_and_selects_zero(self):
-        rules = [rule({"A"}, 0.99, 0.3)]
-        items = [frozenset({"A"})]
+        rules = [rule({A}, 0.99, 0.3)]
+        items = [frozenset({A})]
         faulty = [True]
         with pytest.warns(NoAdmissibleRulesWarning):
-            assert select_prefix(rules, items, faulty, budget=0.025) == 0
+            assert select_prefix(rules, masks(items), faulty, budget=0.025) == 0
+        assert prefix_scan_oracle(rules, items, faulty, 0.025) == 0
 
     def test_agrees_with_prefix_scan_oracle(self):
         rng = random.Random(0)
-        vocab = [f"I{i}" for i in range(8)]
+        vocab = list(ITEMS)
         for _ in range(40):
             rules = order_rules({random_rule(rng, vocab, max_len=3) for _ in range(rng.randint(1, 12))})
             items = [
@@ -83,11 +96,15 @@ class TestSelectPrefix:
             if not any(faulty):
                 faulty[0] = True
             budget = rng.choice((0.025, 0.05, 0.2))
-            import warnings
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NoAdmissibleRulesWarning)
-                got = select_prefix(rules, items, faulty, budget)
+                got = select_prefix(rules, masks(items), faulty, budget)
             assert got == prefix_scan_oracle(rules, items, faulty, budget)
+
+    def test_unknown_antecedent_item_rejected(self):
+        rules = [rule({"R0"}, 0.99, 0.2)]
+        with pytest.raises(VocabularyMismatchError):
+            select_prefix(rules, masks([{A}]), [True], budget=0.5)
 
     def test_matched_set_monotone_in_n(self):
         rng = random.Random(1)
@@ -141,6 +158,11 @@ class TestClassify:
             budget=0.025,
             vocabulary=("Other",),
         )
+        with pytest.raises(VocabularyMismatchError):
+            clf.classify(make_vector(["NoLoops"]))
+
+    def test_unknown_antecedent_item_rejected(self):
+        clf = classifier_with([rule({"NoLoops"}, 0.99, 0.2), rule({"R0"}, 0.98, 0.2)], n=1)
         with pytest.raises(VocabularyMismatchError):
             clf.classify(make_vector(["NoLoops"]))
 

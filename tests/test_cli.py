@@ -149,6 +149,9 @@ class TestTrain:
         assert run(["train", synth_csvs[0], "--out", out, "--config", cfg]) == 1
 
 
+DELETE = object()  # test_missing_classifier_entry_is_schema_error removes the entry
+
+
 class TestPredict:
     @pytest.fixture()
     def trained(self, synth_csvs, tmp_path):
@@ -182,6 +185,45 @@ class TestPredict:
         bad.write_text("project,file_path\np,x\n", encoding="utf-8")
         out = tmp_path / "pred.csv"
         assert run(["predict", "--classifier", trained, "--target", bad,
+                    "--out", out]) == 1
+
+    @pytest.mark.parametrize("key,value", [
+        (key, DELETE) for key in (
+            "discretization", "variants", "rules", "variants.strict", "variants.strict.n",
+            "variants.strict.budget", "discretization.sloc", "discretization.sloc.class1_upper",
+            "rules.0.antecedent", "rules.0.support",
+        )
+    ] + [
+        ("variants", ["strict", "lenient"]), ("variants", "strict"), ("discretization", []),
+        ("rules", {}), ("variants.strict", 3), ("variants.strict.n", "2"),
+        ("variants.strict.n", True), ("discretization.sloc.class2_upper", None),
+    ])
+    def test_missing_classifier_entry_is_schema_error(self, key, value, trained, synth_csvs,
+                                                      tmp_path, capsys):
+        """A classifier file entry that is absent (DELETE) or of the wrong type."""
+        payload = json.loads(trained.read_text())
+        *path, leaf = key.split(".")
+        owner = payload
+        for step in path:
+            owner = owner[int(step)] if isinstance(owner, list) else owner[step]
+        if value is DELETE:
+            del owner[leaf]
+        else:
+            owner[leaf] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--classifier", broken, "--target", synth_csvs[0],
+                    "--variant", "strict", "--out", out]) == 1
+        assert repr(leaf) in capsys.readouterr().err
+
+    def test_unknown_antecedent_item_rejected(self, trained, synth_csvs, tmp_path):
+        payload = json.loads(trained.read_text())
+        payload["rules"][0]["antecedent"] = ["NoSuchItem"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--classifier", broken, "--target", synth_csvs[0],
                     "--out", out]) == 1
 
     def test_vocabulary_mismatch_rejected(self, trained, synth_csvs, tmp_path):

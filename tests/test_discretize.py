@@ -2,20 +2,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import random
+
 from helpers import make_metrics, make_record, make_unified
+from oracles import bools_to_mask, itemize_bool_tuple
+from lowrisk.dataset import from_analyzed
 from lowrisk.discretize import (
     ATTRIBUTE_ITEMS,
     LABEL_FAULTY,
     LABEL_NOT_FAULTY,
     VOCABULARY,
     DiscretizationModel,
+    ItemVector,
     MetricBounds,
     fit_discretization,
+    item_mask,
     itemize,
     tertile_bounds,
 )
-from lowrisk.errors import DegenerateDistributionWarning
-from lowrisk.java.metrics import CategoryFlags
+from lowrisk.errors import DegenerateDistributionWarning, VocabularyMismatchError
+from lowrisk.java.analyzer import analyze_project
+from lowrisk.java.metrics import CategoryFlags, ConstructKind
+from lowrisk.synthetic import generate_project
 
 
 def model_from_values(values):
@@ -156,3 +164,61 @@ class TestMajorityVote:
         ]
         vec = itemize(make_unified(occ), simple_model())
         assert "NoLoops" in vec.to_itemset()
+
+
+class TestItemMask:
+    def test_bit_i_is_attribute_item_i(self):
+        for i, name in enumerate(ATTRIBUTE_ITEMS):
+            assert item_mask([name]) == 1 << i
+        assert item_mask([]) == 0
+        assert item_mask(ATTRIBUTE_ITEMS) == (1 << len(ATTRIBUTE_ITEMS)) - 1
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(VocabularyMismatchError):
+            item_mask(["NotFaulty"])
+
+    def test_vector_rejects_bits_outside_the_vocabulary(self):
+        with pytest.raises(ValueError):
+            ItemVector(1 << len(ATTRIBUTE_ITEMS), LABEL_FAULTY)
+        with pytest.raises(ValueError):
+            ItemVector(-1, LABEL_FAULTY)
+
+    def test_transaction_view_names_the_set_bits(self):
+        names = {"SlocMiddleThird", "NoLoops", "IsToString"}
+        assert ItemVector(item_mask(names), LABEL_NOT_FAULTY).to_itemset() == names | {"NotFaulty"}
+        assert ItemVector(item_mask(names), LABEL_FAULTY).to_itemset() == names
+
+
+class TestMaskEqualsBoolTupleConstruction:
+    def test_golden_corpus(self, corpus_dir):
+        methods, _ = analyze_project(corpus_dir, "corpus")
+        records = from_analyzed(methods)
+        model = fit_discretization(records)
+        for rec in records:
+            assert itemize(rec, model).items == bools_to_mask(itemize_bool_tuple(rec, model))
+
+    def test_multi_occurrence_methods(self):
+        methods = generate_project("multi", seed=3, n_methods=400)
+        model = fit_discretization([r for u in methods for r in u.occurrences])
+        rng = random.Random(4)
+        records = [r for u in methods for r in u.occurrences]
+        checked = 0
+        for u in methods:
+            assert itemize(u, model).items == bools_to_mask(itemize_bool_tuple(u, model))
+            checked += len(u.occurrences) > 1
+        for _ in range(200):  # 2 to 4 occurrences: ties in both classes and flags
+            occ = rng.sample(records, rng.randint(2, 4))
+            u = make_unified(occ, faulty=True)
+            assert itemize(u, model).items == bools_to_mask(itemize_bool_tuple(u, model))
+        assert checked > 0
+
+    def test_construct_counts_in_any_key_order(self):
+        metrics = make_metrics(sloc=4, if_conditions=1, loops=2, incrementations=1)
+        shuffled = dict(reversed(list(metrics.construct_counts.items())))
+        rec = make_record("m", metrics=metrics)
+        other = make_record("m", metrics=type(metrics)(
+            **{**metrics.__dict__, "construct_counts": shuffled}))
+        assert list(other.metrics.construct_counts) != list(ConstructKind)
+        model = simple_model()
+        assert itemize(other, model).items == itemize(rec, model).items
+        assert itemize(rec, model).items == bools_to_mask(itemize_bool_tuple(rec, model))

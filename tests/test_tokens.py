@@ -59,3 +59,21 @@ def test_unterminated_literals_raise():
 def test_unexpected_character():
     with pytest.raises(JavaParseError):
         tokenize("int § = 1;")
+    with pytest.raises(JavaParseError):
+        tokenize("int \u0661x = 1;")  # a digit cannot start an identifier
+
+
+def test_non_ascii_identifiers():
+    assert kinds("int café;") == [("keyword", "int"), ("ident", "café"), ("op", ";")]
+    assert texts("éa = aéb + café2 + inté") == ["éa", "=", "aéb", "+", "café2", "+", "inté"]
+    assert [t.col for t in tokenize("x + café")] == [1, 3, 5]
+
+
+def test_hex_float_keeps_its_binary_exponent():
+    assert texts("0x1.8p1 0X1P-3f 0x.8p+2d") == ["0x1.8p1", "0X1P-3f", "0x.8p+2d"]
+
+
+def test_sign_after_hex_digit_e_is_an_operator():
+    assert texts("0x1e+2") == ["0x1e", "+", "2"]
+    assert texts("0x1E-2 0xeL") == ["0x1E", "-", "2", "0xeL"]
+    assert texts("1e+2 1.5E-3") == ["1e+2", "1.5E-3"]
