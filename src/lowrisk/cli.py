@@ -244,6 +244,10 @@ def _classifier_from_payload(payload: dict, variant: Variant) -> tuple[Discretiz
     where = "classifier file"
     discretization = _schema_entry(payload, "discretization", dict, where)
     rules = _schema_entry(payload, "rules", list, where)
+    for index, rule in enumerate(rules):
+        antecedent = _schema_entry(rule, "antecedent", list, f"{where} rule {index}")
+        if not all(isinstance(item, str) for item in antecedent):
+            raise SchemaError(f"{where} rule {index} has an antecedent item that is not a string")
     variants = _schema_entry(payload, "variants", dict, where)
     entry = _schema_entry(variants, variant.value, dict, f"{where} 'variants'")
     where = f"{where} variant {variant.value!r}"

@@ -68,4 +68,7 @@ class NoAdmissibleRulesWarning(LowriskWarning):
 
 
 class AntecedentCapWarning(LowriskWarning):
-    """Frequent itemsets reached the configured antecedent length cap."""
+    """Generators below confidence 1 are still alive at the antecedent length cap.
+
+    Longer non-redundant rules may exist beyond the cap.
+    """

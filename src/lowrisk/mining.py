@@ -1,9 +1,20 @@
 """Association rule mining targeted at a single consequent item.
 
-Frequent antecedents are grown level-wise (Apriori) with downward-closure
-pruning on the support of antecedent-plus-consequent. Transactions are held
-as per-item bitmaps over the transaction list, so candidate counting is a
-few big-integer ANDs and popcounts per candidate.
+Antecedents are grown level-wise (Apriori) with downward-closure pruning on
+the support of antecedent-plus-consequent. Transactions are held as
+per-item bitmaps over the transaction list, so candidate counting is a few
+big-integer ANDs and popcounts per candidate.
+
+The walk visits only generators (free itemsets: no (k-1)-subset covers the
+same transactions), after Bastide et al. 2000 and Zaki 2000. A candidate
+whose bitmap popcount equals that of one of its (k-1)-subsets is dropped:
+that subset covers the same transactions, so it has the same confidence
+with a smaller antecedent, and no superset of the candidate is a generator
+either. An itemset with confidence 1 yields its rule but is not extended,
+since its rule dominates those of all its supersets. Singletons are never
+compared with the empty set. A final `prune_redundant` pass drops the
+generator rules that a subset with higher confidence still dominates, so
+`mine` returns the non-redundant rules directly.
 """
 
 from __future__ import annotations
@@ -117,12 +128,16 @@ def mine(
     transactions: Sequence[AbstractSet[str]],
     cfg: MiningConfig,
     target: str = "NotFaulty",
+    stats: dict | None = None,
 ) -> list[AssociationRule]:
-    """Mine all rules {A} -> {target} meeting the support/confidence thresholds.
+    """Mine the non-redundant rules {A} -> {target} meeting the thresholds.
 
-    Returns exactly the rules with support >= min_support, confidence >=
-    min_confidence, and 1 <= |A| <= max_antecedent_len, in canonical order
-    (confidence desc, support desc, antecedent size asc, item names).
+    Returns exactly `prune_redundant` of the rules with support >=
+    min_support, confidence >= min_confidence and 1 <= |A| <=
+    max_antecedent_len, in canonical order (confidence desc, support desc,
+    antecedent size asc, item names). When `stats` is a dict, the number of
+    rules the generator walk emits is stored under `rules_mined` and the
+    number left after the dominance pass under `rules_kept`.
     """
     n = len(transactions)
     if n == 0:
@@ -138,55 +153,61 @@ def mine(
 
     items = sorted(name for name in item_bits if name != target)
     rules: list[AssociationRule] = []
-
-    # Level 1: singleton antecedents frequent together with the target.
+    # The live itemsets of a level: transaction bitmap and its popcount.
     level: dict[tuple[str, ...], int] = {}
+    counts: dict[tuple[str, ...], int] = {}
+
+    def visit(cand: tuple[str, ...], bits: int, n_ant: int) -> None:
+        """Emit cand's rule if it qualifies; keep cand alive unless confidence is 1."""
+        n_both = (bits & target_bits).bit_count()
+        if n_both / n < cfg.min_support:
+            return
+        conf = n_both / n_ant
+        if conf >= cfg.min_confidence:
+            rules.append(AssociationRule(frozenset(cand), target, n_both / n, conf))
+        if n_both < n_ant:
+            level[cand] = bits
+            counts[cand] = n_ant
+
+    # Singletons are never compared with the empty set: an item held by
+    # every transaction still yields a rule.
     for name in items:
         bits = item_bits[name]
-        both = bits & target_bits
-        if both.bit_count() / n >= cfg.min_support:
-            level[(name,)] = bits
-            n_ant = bits.bit_count()
-            n_both = both.bit_count()
-            conf = n_both / n_ant
-            if conf >= cfg.min_confidence:
-                rules.append(
-                    AssociationRule(frozenset((name,)), target, n_both / n, conf)
-                )
+        visit((name,), bits, bits.bit_count())
 
     size = 1
     while level and size < cfg.max_antecedent_len:
         size += 1
-        prev_keys = set(level)
-        candidates: dict[tuple[str, ...], int] = {}
+        prev, prev_counts = level, counts
+        level, counts = {}, {}
         by_prefix: dict[tuple[str, ...], list[str]] = {}
-        for key in sorted(level):
+        for key in sorted(prev):
             by_prefix.setdefault(key[:-1], []).append(key[-1])
         for prefix, lasts in by_prefix.items():
             for a, b in combinations(lasts, 2):
                 cand = prefix + (a, b)
-                # Downward closure: every (size-1)-subset must be frequent.
-                if any(sub not in prev_keys for sub in combinations(cand, size - 1)):
+                # Every (size-1)-subset must be alive: frequent, a generator
+                # and below confidence 1.
+                sub_counts = [prev_counts.get(sub) for sub in combinations(cand, size - 1)]
+                if None in sub_counts:
                     continue
-                candidates[cand] = level[prefix + (a,)] & item_bits[b]
-        level = {}
-        for cand, bits in candidates.items():
-            both = bits & target_bits
-            if both.bit_count() / n >= cfg.min_support:
-                level[cand] = bits
+                bits = prev[prefix + (a,)] & item_bits[b]
                 n_ant = bits.bit_count()
-                n_both = both.bit_count()
-                conf = n_both / n_ant
-                if conf >= cfg.min_confidence:
-                    rules.append(AssociationRule(frozenset(cand), target, n_both / n, conf))
+                # A subset's bitmap contains the candidate's, so equal counts
+                # mean equal bitmaps: the candidate is no generator.
+                if n_ant < min(sub_counts):
+                    visit(cand, bits, n_ant)
     if level and size == cfg.max_antecedent_len:
         warnings.warn(
-            f"frequent itemsets reached the antecedent length cap ({cfg.max_antecedent_len})",
+            f"generators are still alive at the antecedent length cap ({cfg.max_antecedent_len})",
             AntecedentCapWarning,
             stacklevel=2,
         )
-    rules.sort(key=AssociationRule.sort_key)
-    return rules
+    kept = prune_redundant(rules)
+    if stats is not None:
+        stats["rules_mined"] = len(rules)
+        stats["rules_kept"] = len(kept)
+    return kept
 
 
 def prune_redundant(rules: Iterable[AssociationRule]) -> list[AssociationRule]:

@@ -1,8 +1,8 @@
 """Training pipeline shared by the CLI and the evaluator.
 
 One training run is: fit tertile discretization on the training records,
-itemize, balance (unless disabled), mine rules with the NotFaulty
-consequent, prune redundant rules, order them, and select the top-n prefix
+itemize, balance (unless disabled), mine the non-redundant rules with the
+NotFaulty consequent, order them, and select the top-n prefix
 for each classifier variant against the unbalanced training set.
 """
 
@@ -17,7 +17,7 @@ from lowrisk.classifier import LfrClassifier, Variant, order_rules, select_prefi
 from lowrisk.dataset import UnifiedMethod
 from lowrisk.discretize import DiscretizationModel, fit_discretization, itemize
 from lowrisk.errors import TooFewMinorityError
-from lowrisk.mining import MiningConfig, mine, prune_redundant
+from lowrisk.mining import MiningConfig, mine
 
 
 def derive_seed(master_seed: int, *scope) -> int:
@@ -92,7 +92,8 @@ def train_on(
         mining_vectors = balance(vectors, cfg)
 
     transactions = [v.to_itemset() for v in mining_vectors]
-    rules = order_rules(prune_redundant(mine(transactions, config.mining)))
+    mining_stats: dict = {}
+    rules = order_rules(mine(transactions, config.mining, stats=mining_stats))
 
     training_masks = [v.items for v in vectors]
     training_faulty = [u.faulty for u in methods]
@@ -100,7 +101,8 @@ def train_on(
         "training_methods": len(methods),
         "training_faulty": n_faulty,
         "balanced_size": len(mining_vectors),
-        "rules_mined": len(rules),
+        "rules_mined": mining_stats["rules_mined"],
+        "rules_kept": mining_stats["rules_kept"],
         "scope": list(scope),
     }
     classifiers = {}

@@ -50,6 +50,13 @@ def brute_force_prune(rules):
     return out
 
 
+def brute_force_nonredundant(transactions, min_support, min_confidence, max_len,
+                              target="NotFaulty"):
+    """The pruned rule set: exhaustive enumeration, then the pairwise check."""
+    rules = brute_force_rules(transactions, min_support, min_confidence, max_len, target)
+    return brute_force_prune(AssociationRule(a, target, s, c) for a, s, c in rules)
+
+
 def prefix_scan_oracle(ordered_rules, training_items, training_faulty, budget):
     """Max admissible prefix length, recomputing every prefix independently."""
     total = sum(1 for f in training_faulty if f)

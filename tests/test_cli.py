@@ -1,11 +1,12 @@
 import csv
 import json
+import time
 
 import pytest
 
 from lowrisk import dataset as ds
 from lowrisk.cli import main
-from lowrisk.synthetic import generate_project
+from lowrisk.synthetic import generate_corpus, generate_project
 
 
 def run(argv):
@@ -106,6 +107,11 @@ class TestTrain:
         assert payload["rules"]
         assert payload["run_config"]["seed"] == 9
         assert payload["discretization"]["sloc"]["class1_upper"] >= 1
+        meta = payload["training_meta"]
+        # rules_mined counts the generator walk's rules, rules_kept those
+        # left after the final dominance pass, which the file holds.
+        assert meta["rules_kept"] == len(payload["rules"])
+        assert meta["rules_mined"] >= meta["rules_kept"]
         sidecar = json.loads((tmp_path / "clf.discretization.json").read_text())
         assert sidecar == payload["discretization"]
 
@@ -142,6 +148,23 @@ class TestTrain:
         assert payload["run_config"]["seed"] == 77  # flag wins
         assert payload["run_config"]["mining"]["min_support"] == 0.05
 
+    def test_default_mining_config_finishes(self, tmp_path):
+        """`train` with no mining flags mines at antecedent cap 8; that must stay quick."""
+        paths = []
+        for name, methods in generate_corpus(6, seed=11).items():
+            paths.append(tmp_path / f"{name}.csv")
+            ds.write_unified_csv(methods, paths[-1])
+        out = tmp_path / "clf.json"
+        start = time.monotonic()
+        assert run(["train", *paths, "--out", out]) == 0
+        elapsed = time.monotonic() - start
+        payload = json.loads(out.read_text())
+        assert payload["run_config"]["mining"]["max_antecedent_len"] == 8
+        meta = payload["training_meta"]
+        assert meta["rules_kept"] == len(payload["rules"]) > 0
+        assert meta["rules_mined"] > meta["rules_kept"]  # the final pass drops some
+        assert elapsed < 120, f"default-config train took {elapsed:.0f} s"
+
     def test_unknown_config_key_rejected(self, synth_csvs, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"min_supprt": 0.1}))
@@ -150,6 +173,24 @@ class TestTrain:
 
 
 DELETE = object()  # test_missing_classifier_entry_is_schema_error removes the entry
+
+
+def edited_classifier(path, key, value, tmp_path):
+    """A copy of a classifier file with the dotted entry `key` set to value (or deleted)."""
+    payload = json.loads(path.read_text())
+    *steps, leaf = key.split(".")
+    owner = payload
+    for step in steps:
+        owner = owner[int(step)] if isinstance(owner, list) else owner[step]
+    if isinstance(owner, list):
+        leaf = int(leaf)
+    if value is DELETE:
+        del owner[leaf]
+    else:
+        owner[leaf] = value
+    edited = tmp_path / "broken.json"
+    edited.write_text(json.dumps(payload))
+    return edited
 
 
 class TestPredict:
@@ -201,21 +242,24 @@ class TestPredict:
     def test_missing_classifier_entry_is_schema_error(self, key, value, trained, synth_csvs,
                                                       tmp_path, capsys):
         """A classifier file entry that is absent (DELETE) or of the wrong type."""
-        payload = json.loads(trained.read_text())
-        *path, leaf = key.split(".")
-        owner = payload
-        for step in path:
-            owner = owner[int(step)] if isinstance(owner, list) else owner[step]
-        if value is DELETE:
-            del owner[leaf]
-        else:
-            owner[leaf] = value
-        broken = tmp_path / "broken.json"
-        broken.write_text(json.dumps(payload))
+        broken = edited_classifier(trained, key, value, tmp_path)
         out = tmp_path / "pred.csv"
         assert run(["predict", "--classifier", broken, "--target", synth_csvs[0],
                     "--variant", "strict", "--out", out]) == 1
-        assert repr(leaf) in capsys.readouterr().err
+        assert repr(key.rpartition(".")[2]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("rules.0", 5), ("rules.0", ["SlocLowestThird"]), ("rules.0.antecedent", 5),
+        ("rules.0.antecedent", "SlocLowestThird"), ("rules.0.antecedent", ["SlocLowestThird", 5]),
+    ])
+    def test_malformed_rule_is_schema_error(self, key, value, trained, synth_csvs, tmp_path,
+                                            capsys):
+        """A rule that is not an object, or whose antecedent is not a list of strings."""
+        broken = edited_classifier(trained, key, value, tmp_path)
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--classifier", broken, "--target", synth_csvs[0],
+                    "--variant", "strict", "--out", out]) == 1
+        assert "rule 0" in capsys.readouterr().err
 
     def test_unknown_antecedent_item_rejected(self, trained, synth_csvs, tmp_path):
         payload = json.loads(trained.read_text())

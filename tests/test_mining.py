@@ -1,8 +1,16 @@
 import random
+import warnings
+from itertools import combinations
 
 import pytest
 
-from oracles import as_rule_set, brute_force_prune, brute_force_rules, random_rule
+from oracles import (
+    as_rule_set,
+    brute_force_nonredundant,
+    brute_force_prune,
+    brute_force_rules,
+    random_rule,
+)
 from lowrisk.errors import (
     AntecedentCapWarning,
     EmptyDatabaseError,
@@ -22,6 +30,16 @@ def random_db(rng, n_items=None, n_transactions=None):
             t.add("NotFaulty")
         out.append(frozenset(t))
     return out
+
+
+def is_generator(antecedent, db):
+    """No (k-1)-subset of a multi-item antecedent covers the same transactions."""
+    def cover(items):
+        return [i for i, t in enumerate(db) if items <= t]
+
+    return len(antecedent) == 1 or all(
+        cover(antecedent - {item}) != cover(antecedent) for item in antecedent
+    )
 
 
 class TestSupport:
@@ -107,10 +125,60 @@ class TestMine:
                 max_antecedent_len=8,
             )
             mined = as_rule_set(mine(db, cfg))
-            oracle = brute_force_rules(
+            oracle = brute_force_nonredundant(
                 db, cfg.min_support, cfg.min_confidence, cfg.max_antecedent_len
             )
-            assert mined == oracle
+            assert mined == as_rule_set(oracle)
+
+    def test_differential_with_shared_covers(self):
+        """Items held by every transaction and perfectly correlated items, caps 1-8."""
+        rng = random.Random(10)
+        for case in range(160):
+            db = [set(t) for t in random_db(rng, n_items=rng.randint(2, 6))]
+            for t in db:
+                if case % 2:
+                    t.add("ALL")
+                if "I0" in t:
+                    t.add("TWIN0")
+                if case % 3 == 0 and {"I1", "I2"} <= t:
+                    t.add("BOTH12")
+            db = [frozenset(t) for t in db]
+            cfg = MiningConfig(
+                min_support=rng.uniform(0.02, 0.4),
+                min_confidence=rng.uniform(0.3, 1.0),
+                max_antecedent_len=case % 8 + 1,
+            )
+            stats = {}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AntecedentCapWarning)
+                rules = mine(db, cfg, stats=stats)
+            oracle = brute_force_nonredundant(
+                db, cfg.min_support, cfg.min_confidence, cfg.max_antecedent_len
+            )
+            assert as_rule_set(rules) == as_rule_set(oracle), f"case {case} diverged"
+            assert prune_redundant(rules) == rules
+            assert all(is_generator(r.antecedent, db) for r in rules)
+            # The walk itself emits the rules of generators that extend no
+            # confidence-1 antecedent, and only those.
+            every = brute_force_rules(
+                db, cfg.min_support, cfg.min_confidence, cfg.max_antecedent_len
+            )
+            walked = [
+                a for a, _, _ in every
+                if is_generator(a, db) and not any(c == 1.0 and b < a for b, _, c in every)
+            ]
+            assert stats == {"rules_mined": len(walked), "rules_kept": len(rules)}
+
+    def test_stats_count_rules_before_and_after_the_final_pass(self):
+        # {A} has confidence 3/4 and {C} confidence 1; {A, B} is a generator
+        # with confidence 2/3, which {A} dominates; {A, C} covers what {C}
+        # covers, so it is not a generator; {B} is below min_confidence.
+        db = ([frozenset({"A", "B", "NotFaulty"})] * 2 + [frozenset({"A", "B"})]
+              + [frozenset({"A", "C", "NotFaulty"})] + [frozenset({"B"})])
+        stats = {}
+        rules = mine(db, MiningConfig(min_support=0.1, min_confidence=0.6), stats=stats)
+        assert {r.antecedent for r in rules} == {frozenset("A"), frozenset("C")}
+        assert stats == {"rules_mined": 3, "rules_kept": 2}
 
     def test_permutation_invariance(self):
         rng = random.Random(5)
@@ -129,11 +197,28 @@ class TestMine:
         assert keys == sorted(keys)
 
     def test_antecedent_cap_warns(self):
-        db = [frozenset({"A", "B", "C", "D", "NotFaulty"})] * 10
+        # Every combination of A, B and C, with and without NotFaulty: each
+        # pair is a generator below confidence 1, still alive at cap 2.
+        db = [
+            frozenset(combo + label)
+            for size in range(4)
+            for combo in combinations("ABC", size)
+            for label in ((), ("NotFaulty",))
+        ] + [frozenset({"A", "B", "C", "NotFaulty"})]
         with pytest.warns(AntecedentCapWarning):
-            rules = mine(db, MiningConfig(min_support=0.1, min_confidence=0.5,
+            rules = mine(db, MiningConfig(min_support=0.05, min_confidence=0.5,
                                           max_antecedent_len=2))
         assert all(len(r.antecedent) <= 2 for r in rules)
+
+    def test_identical_transactions_never_reach_the_cap(self):
+        # Every pair covers what its singletons cover, so no generator
+        # outlives level 1 and the cap of 2 is never reached.
+        db = [frozenset({"A", "B", "C", "D", "NotFaulty"})] * 9 + [frozenset({"A", "B", "C", "D"})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AntecedentCapWarning)
+            rules = mine(db, MiningConfig(min_support=0.1, min_confidence=0.5,
+                                          max_antecedent_len=2))
+        assert {r.antecedent for r in rules} == {frozenset(i) for i in "ABCD"}
 
 
 class TestPrune:
