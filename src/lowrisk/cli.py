@@ -83,9 +83,13 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(mining=MiningConfig(**mining_kwargs), **values)
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    """Write strict JSON: a NaN or infinity raises ValueError instead of being written."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+
+
 def _write_run_sidecar(out_path: Path, payload: dict) -> None:
-    sidecar = out_path.with_suffix(out_path.suffix + ".run.json")
-    sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out_path.with_suffix(out_path.suffix + ".run.json"), payload)
 
 
 # -- extract ----------------------------------------------------------------
@@ -214,7 +218,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "run_config": config.to_json(),
     }
     out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out, payload)
     trained.discretization.save(out.with_suffix(".discretization.json"))
     print(
         f"trained on {len(methods)} methods; {len(trained.rules)} rules; "
@@ -237,7 +241,9 @@ def _schema_entry(owner, key: str, kind: type, where: str):
 
 
 def _classifier_from_payload(payload: dict, variant: Variant) -> tuple[DiscretizationModel, LfrClassifier]:
-    if not isinstance(payload, dict) or tuple(payload.get("vocabulary", ())) != VOCABULARY:
+    if not isinstance(payload, dict):
+        raise SchemaError("classifier file must be a JSON object")
+    if tuple(payload.get("vocabulary", ())) != VOCABULARY:
         raise VocabularyMismatchError(
             "classifier file was built with a different item vocabulary"
         )

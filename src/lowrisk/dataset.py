@@ -14,12 +14,13 @@ import statistics
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from lowrisk.errors import SchemaError, UnmatchedFaultyWarning
 from lowrisk.java.analyzer import AnalyzedMethod, MethodIdentity
-from lowrisk.java.metrics import CategoryFlags, ConstructKind, RawMetrics
+from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
 
 
 class Snapshot(Enum):
@@ -144,7 +145,7 @@ def build_unified(records: Sequence[MethodRecord]) -> list[UnifiedMethod]:
 
 _IDENTITY_COLUMNS = ["project", "file_path", "type_name", "method_name", "param_signature"]
 _METRIC_COLUMNS = ["sloc", "cc", "max_nesting", "max_chaining", "unique_vars"]
-_CONSTRUCT_COLUMNS = [kind.value for kind in ConstructKind]
+_CONSTRUCT_COLUMNS = [kind.column for kind in ConstructKind]
 _DERIVED_COLUMNS = ["all_conditions", "all_arithmetic"]
 _CATEGORY_COLUMNS = list(CategoryFlags.FIELDS)
 
@@ -157,7 +158,13 @@ CSV_HEADER = (
     + _CATEGORY_COLUMNS
 )
 
+# The integer columns in the order read_csv checks them: the construct
+# counts, then the five metrics.
+_COUNT_COLUMNS = _CONSTRUCT_COLUMNS + _METRIC_COLUMNS
+_FLAG_COLUMNS = ["faulty"] + _CATEGORY_COLUMNS
+
 _BOOL = {"true": True, "false": False}
+_SNAPSHOT = {s.value: s for s in Snapshot}
 
 
 def _fmt_bool(value: bool) -> str:
@@ -180,7 +187,7 @@ def record_to_row(rec: MethodRecord) -> list[str]:
         str(m.max_chaining),
         str(m.unique_variable_ids),
     ]
-    row.extend(str(m.construct_counts[kind]) for kind in ConstructKind)
+    row.extend(map(str, m.construct_counts))
     row.append(str(m.all_conditions))
     row.append(str(m.all_arithmetic))
     row.extend(_fmt_bool(getattr(rec.categories, f)) for f in CategoryFlags.FIELDS)
@@ -199,11 +206,14 @@ def write_unified_csv(methods: Iterable[UnifiedMethod], path: str | Path) -> Non
     write_csv((rec for u in methods for rec in u.occurrences), path)
 
 
-def _parse_int(row_no: int, column: str, value: str) -> int:
+def _parse_count(row_no: int, column: str, value: str) -> int:
     try:
-        return int(value)
+        count = int(value)
     except ValueError:
         raise SchemaError(f"row {row_no}: column {column!r}: expected integer, got {value!r}")
+    if count < 0:
+        raise SchemaError(f"row {row_no}: column {column!r}: expected non-negative integer, got {value!r}")
+    return count
 
 
 def _parse_bool(row_no: int, column: str, value: str) -> bool:
@@ -211,6 +221,19 @@ def _parse_bool(row_no: int, column: str, value: str) -> bool:
         return _BOOL[value.strip().lower()]
     except KeyError:
         raise SchemaError(f"row {row_no}: column {column!r}: expected true/false, got {value!r}")
+
+
+def _parse_fields(row_no: int, row: list[str], at: dict[str, int]) -> tuple:
+    """(snapshot, counts, flags) of one row, parsed field by field; raises a
+    SchemaError naming the first bad field in snapshot, faulty, counts,
+    categories order."""
+    text = row[at["snapshot"]]
+    if text not in _SNAPSHOT:
+        raise SchemaError(f"row {row_no}: column 'snapshot': unknown value {text!r}")
+    faulty = _parse_bool(row_no, "faulty", row[at["faulty"]])
+    counts = tuple(_parse_count(row_no, c, row[at[c]]) for c in _COUNT_COLUMNS)
+    flags = [faulty] + [_parse_bool(row_no, c, row[at[c]]) for c in _CATEGORY_COLUMNS]
+    return _SNAPSHOT[text], counts, flags
 
 
 def read_csv(path: str | Path) -> list[MethodRecord]:
@@ -224,46 +247,41 @@ def read_csv(path: str | Path) -> list[MethodRecord]:
         missing = [c for c in CSV_HEADER if c not in header]
         if missing:
             raise SchemaError(f"missing column(s): {', '.join(missing)}")
-        idx = {name: header.index(name) for name in CSV_HEADER}
+        at = {name: header.index(name) for name in CSV_HEADER}
+        identity_of = itemgetter(*(at[c] for c in _IDENTITY_COLUMNS))
+        counts_of = itemgetter(*(at[c] for c in _COUNT_COLUMNS))
+        flags_of = itemgetter(*(at[c] for c in _FLAG_COLUMNS))
+        snapshot_at = at["snapshot"]
+        width = len(header)
         records = []
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) < len(header):
-                raise SchemaError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-
-            def col(name: str) -> str:
-                return row[idx[name]]
-
-            sig = tuple(p for p in col("param_signature").split(";") if p)
-            snapshot_text = col("snapshot")
+            if len(row) < width:
+                raise SchemaError(f"row {row_no}: expected {width} fields, got {len(row)}")
+            # The fast path takes exact spellings only; anything it refuses is
+            # parsed again field by field, which accepts padded booleans and
+            # raises the SchemaError for a bad field.
             try:
-                snapshot = Snapshot(snapshot_text)
-            except ValueError:
-                raise SchemaError(f"row {row_no}: column 'snapshot': unknown value {snapshot_text!r}")
-            faulty = _parse_bool(row_no, "faulty", col("faulty"))
-            counts = {
-                kind: _parse_int(row_no, kind.value, col(kind.value)) for kind in ConstructKind
-            }
-            metrics = RawMetrics(
-                sloc=_parse_int(row_no, "sloc", col("sloc")),
-                cyclomatic_complexity=_parse_int(row_no, "cc", col("cc")),
-                max_nesting=_parse_int(row_no, "max_nesting", col("max_nesting")),
-                max_chaining=_parse_int(row_no, "max_chaining", col("max_chaining")),
-                unique_variable_ids=_parse_int(row_no, "unique_vars", col("unique_vars")),
-                construct_counts=counts,
-            )
-            categories = CategoryFlags(
-                **{f: _parse_bool(row_no, f, col(f)) for f in CategoryFlags.FIELDS}
-            )
+                snapshot = _SNAPSHOT[row[snapshot_at]]
+                flags = list(map(_BOOL.__getitem__, flags_of(row)))
+                counts = tuple(map(int, counts_of(row)))
+                if min(counts) < 0:
+                    raise ValueError
+            except (KeyError, ValueError):
+                snapshot, counts, flags = _parse_fields(row_no, row, at)
+            faulty = flags[0]
+            categories = CategoryFlags(*flags[1:])
+            project, file_path, type_name, method_name, signature = identity_of(row)
             identity = MethodIdentity(
-                project=col("project"),
-                file_path=col("file_path"),
-                type_name=col("type_name"),
-                method_name=col("method_name"),
-                param_signature=sig,
-                is_constructor=categories.is_constructor,
+                project,
+                file_path,
+                type_name,
+                method_name,
+                tuple(filter(None, signature.split(";"))),
+                categories.is_constructor,
             )
+            metrics = RawMetrics(*counts[N_CONSTRUCT_KINDS:], counts[:N_CONSTRUCT_KINDS])
             try:
                 records.append(
                     MethodRecord(identity, metrics, categories, faulty=faulty, snapshot=snapshot)

@@ -17,16 +17,17 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter, not_
+from operator import attrgetter, lshift, not_
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from lowrisk.dataset import MethodRecord, UnifiedMethod
 from lowrisk.errors import DegenerateDistributionWarning, SchemaError, VocabularyMismatchError
-from lowrisk.java.metrics import ARITHMETIC_KINDS, CONDITION_KINDS, CategoryFlags, ConstructKind
+from lowrisk.java.metrics import CategoryFlags, ConstructKind, arithmetic_counts, condition_counts
 
 TERTILE_METRICS = (
     ("sloc", "Sloc"),
@@ -88,10 +89,8 @@ VOCABULARY: tuple[str, ...] = ATTRIBUTE_ITEMS + (LABEL_NOT_FAULTY,)
 
 _ITEM_BIT: dict[str, int] = {name: 1 << i for i, name in enumerate(ATTRIBUTE_ITEMS)}
 _N_TERTILE_BITS = 3 * len(TERTILE_METRICS)
-_KINDS = tuple(ConstructKind)
-_NO_ITEM_BITS = tuple(_ITEM_BIT[NO_ITEM_NAMES[kind]] for kind in _KINDS)
-_CONDITION_AT = tuple(_KINDS.index(kind) for kind in CONDITION_KINDS)
-_ARITHMETIC_AT = tuple(_KINDS.index(kind) for kind in ARITHMETIC_KINDS)
+_LOWEST_THIRD_BITS = tuple(1 << (3 * m) for m in range(len(TERTILE_METRICS)))
+_NO_ITEM_BITS = tuple(_ITEM_BIT[NO_ITEM_NAMES[kind]] for kind in ConstructKind)
 _NO_CONDITIONS_BIT = _ITEM_BIT["NoConditions"]
 _NO_ARITHMETIC_BIT = _ITEM_BIT["NoArithmeticOperations"]
 _CATEGORY_BITS = tuple(_ITEM_BIT[name] for name in _CATEGORY_ITEMS)
@@ -133,10 +132,12 @@ class DiscretizationModel:
         return self.bounds[metric].classify(value)
 
     @cached_property
-    def _tertiles(self) -> tuple[tuple[int, Callable[[int], int]], ...]:
-        """(bit of the LowestThird item, classify) per metric, in TERTILE_METRICS order."""
+    def _upper_bounds(self) -> tuple[tuple[int, int], ...]:
+        """(class1_upper, class2_upper) per metric, in TERTILE_METRICS order;
+        bisect_left of a value into a pair is its class minus one."""
         return tuple(
-            (1 << (3 * m), self.bounds[metric].classify) for m, (metric, _) in enumerate(TERTILE_METRICS)
+            (self.bounds[metric].class1_upper, self.bounds[metric].class2_upper)
+            for metric, _ in TERTILE_METRICS
         )
 
     def to_json(self) -> dict:
@@ -155,11 +156,17 @@ class DiscretizationModel:
             for key in ("class1_upper", "class2_upper"):
                 if not isinstance(entry.get(key), (int, float)):
                     raise SchemaError(f"discretization model metric {metric!r} has no {key!r} bound")
+            # itemize bisects a value into the pair, so it must be ordered (NaN is not).
+            if not entry["class1_upper"] <= entry["class2_upper"]:
+                raise SchemaError(
+                    f"discretization model metric {metric!r} needs class1_upper <= class2_upper"
+                )
             bounds[metric] = MetricBounds(entry["class1_upper"], entry["class2_upper"])
         return cls(bounds)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(self.to_json(), indent=2, allow_nan=False)
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "DiscretizationModel":
@@ -225,22 +232,15 @@ class ItemVector:
 def _record_mask(record: MethodRecord, model: DiscretizationModel) -> int:
     """The item mask of one occurrence."""
     metrics = record.metrics
-    mask = 0
-    for (low_bit, classify), value in zip(model._tertiles, _tertile_values(metrics)):
-        mask |= low_bit << (classify(value) - 1)
     counts = metrics.construct_counts
-    # Hashing an Enum member runs Python code. Every RawMetrics built in this
-    # package keys its counts in ConstructKind order, so such a dict is read
-    # by position.
-    if tuple(counts) == _KINDS:
-        values = tuple(counts.values())
-    else:
-        values = tuple(counts[kind] for kind in _KINDS)
-    # The bits are distinct, so their sum is their union.
-    mask |= sum(compress(_NO_ITEM_BITS, map(not_, values)))
-    if not sum(map(values.__getitem__, _CONDITION_AT)):
+    # Each sum adds distinct bits, so it is their union.
+    mask = sum(
+        map(lshift, _LOWEST_THIRD_BITS, map(bisect_left, model._upper_bounds, _tertile_values(metrics)))
+    )
+    mask |= sum(compress(_NO_ITEM_BITS, map(not_, counts)))
+    if not any(condition_counts(counts)):
         mask |= _NO_CONDITIONS_BIT
-    if not sum(map(values.__getitem__, _ARITHMETIC_AT)):
+    if not any(arithmetic_counts(counts)):
         mask |= _NO_ARITHMETIC_BIT
     return mask | sum(compress(_CATEGORY_BITS, _category_values(record.categories)))
 
@@ -248,8 +248,6 @@ def _record_mask(record: MethodRecord, model: DiscretizationModel) -> int:
 def _vote(masks: Sequence[int]) -> int:
     """Majority vote per attribute; a class tie goes to the higher class, a flag tie to true."""
     n = len(masks)
-    if n == 1:
-        return masks[0]
     counts = [sum(mask >> i & 1 for mask in masks) for i in range(len(ATTRIBUTE_ITEMS))]
     voted = 0
     for low in range(0, _N_TERTILE_BITS, 3):
@@ -270,5 +268,8 @@ def itemize(method: UnifiedMethod | MethodRecord, model: DiscretizationModel) ->
         occurrences = (method,)
     else:
         occurrences = method.occurrences
-    mask = _vote([_record_mask(r, model) for r in occurrences])
+    if len(occurrences) == 1:
+        mask = _record_mask(occurrences[0], model)
+    else:
+        mask = _vote([_record_mask(r, model) for r in occurrences])
     return ItemVector(mask, LABEL_FAULTY if method.faulty else LABEL_NOT_FAULTY)

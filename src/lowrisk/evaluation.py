@@ -322,8 +322,13 @@ def report_table(reports: Sequence[ProjectReport]) -> list[list[str]]:
     return rows
 
 
+def _json_number(value):
+    """JSON has no infinity; an infinite FDR is written as "inf", as in report.csv."""
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
+
+
 def _scope_json(sm: ScopeMetrics) -> dict:
-    data = {name: getattr(sm, name) for name in ("scope",) + tuple(_SUMMARY_FIELDS)}
+    data = {name: _json_number(getattr(sm, name)) for name in ("scope",) + tuple(_SUMMARY_FIELDS)}
     data["fdr_flag"] = sm.fdr_flag
     return data
 
@@ -337,8 +342,8 @@ def report_json(
         item = {"pooled": _scope_json(rep.pooled)}
         if rep.folds:
             item["folds"] = [_scope_json(sm) for sm in rep.folds]
-            item["fold_median_fdr_methods"] = statistics.median(
-                sm.fdr_methods for sm in rep.folds
+            item["fold_median_fdr_methods"] = _json_number(
+                statistics.median(sm.fdr_methods for sm in rep.folds)
             )
         entry[rep.variant.value] = item
     summary: dict = {}
@@ -355,7 +360,7 @@ def report_json(
 
 def _parse_cell(cell: str):
     if cell == "inf":
-        return math.inf
+        return cell
     try:
         return int(cell)
     except ValueError:
@@ -383,7 +388,8 @@ def emit_report(
         elif fmt == "json":
             path = out_dir / f"{basename}.json"
             doc = report_json(reports, config, mode)
-            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+            path.write_text(text + "\n", encoding="utf-8")
         elif fmt == "markdown-table":
             path = out_dir / f"{basename}.md"
             lines = ["| " + " | ".join(table[0]) + " |"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from lowrisk.errors import JavaParseError
@@ -24,60 +25,88 @@ from lowrisk.java.structure import MethodDecl
 from lowrisk.java.tokens import ASSIGNMENT_OPS, PRIMITIVE_TYPES, Token
 
 
-class ConstructKind(enum.Enum):
-    """Countable Java constructs; values double as CSV column names."""
+class ConstructKind(enum.IntEnum):
+    """Countable Java constructs, numbered in declaration order.
 
-    METHOD_INVOCATION = "method_invocations"
-    IF_CONDITION = "if_conditions"
-    ELSE_BLOCK = "else_blocks"
-    SWITCH_CASE_BLOCK = "switch_case_blocks"
-    TERNARY_OPERATION = "ternary_operations"
-    LOOP = "loops"
-    TRY_BLOCK = "try_blocks"
-    CATCH_CLAUSE = "catch_clauses"
-    FINALLY_BLOCK = "finally_blocks"
-    THROW_STATEMENT = "throw_statements"
-    RETURN_STATEMENT = "return_statements"
-    CAST_EXPRESSION = "cast_expressions"
-    INSTANCEOF_EXPRESSION = "instanceof_expressions"
-    NULL_LITERAL = "null_literals"
-    NULL_CHECK = "null_checks"
-    ARITHMETIC_INFIX_OP = "arithmetic_infix_ops"
-    INCREMENTATION = "incrementations"
-    DECREMENTATION = "decrementations"
-    LOGICAL_OPERATOR = "logical_operators"
-    COMPARISON_OPERATOR = "comparison_operators"
-    ASSIGNMENT = "assignments"
-    ARRAY_ACCESS = "array_accesses"
-    ARRAY_CREATION = "array_creations"
-    OBJECT_CREATION = "object_creations"
-    STRING_LITERAL = "string_literals"
-    ANONYMOUS_CLASS = "anonymous_classes"
+    A member is its position in RawMetrics.construct_counts; `column` is its
+    CSV column name.
+    """
+
+    METHOD_INVOCATION = 0, "method_invocations"
+    IF_CONDITION = 1, "if_conditions"
+    ELSE_BLOCK = 2, "else_blocks"
+    SWITCH_CASE_BLOCK = 3, "switch_case_blocks"
+    TERNARY_OPERATION = 4, "ternary_operations"
+    LOOP = 5, "loops"
+    TRY_BLOCK = 6, "try_blocks"
+    CATCH_CLAUSE = 7, "catch_clauses"
+    FINALLY_BLOCK = 8, "finally_blocks"
+    THROW_STATEMENT = 9, "throw_statements"
+    RETURN_STATEMENT = 10, "return_statements"
+    CAST_EXPRESSION = 11, "cast_expressions"
+    INSTANCEOF_EXPRESSION = 12, "instanceof_expressions"
+    NULL_LITERAL = 13, "null_literals"
+    NULL_CHECK = 14, "null_checks"
+    ARITHMETIC_INFIX_OP = 15, "arithmetic_infix_ops"
+    INCREMENTATION = 16, "incrementations"
+    DECREMENTATION = 17, "decrementations"
+    LOGICAL_OPERATOR = 18, "logical_operators"
+    COMPARISON_OPERATOR = 19, "comparison_operators"
+    ASSIGNMENT = 20, "assignments"
+    ARRAY_ACCESS = 21, "array_accesses"
+    ARRAY_CREATION = 22, "array_creations"
+    OBJECT_CREATION = 23, "object_creations"
+    STRING_LITERAL = 24, "string_literals"
+    ANONYMOUS_CLASS = 25, "anonymous_classes"
+
+    def __new__(cls, position: int, column: str):
+        member = int.__new__(cls, position)
+        member._value_ = position
+        member.column = column
+        return member
 
 
-# The counts that RawMetrics.all_conditions and all_arithmetic sum.
-CONDITION_KINDS = (ConstructKind.IF_CONDITION, ConstructKind.SWITCH_CASE_BLOCK, ConstructKind.TERNARY_OPERATION)
-ARITHMETIC_KINDS = (ConstructKind.INCREMENTATION, ConstructKind.DECREMENTATION, ConstructKind.ARITHMETIC_INFIX_OP)
+N_CONSTRUCT_KINDS = len(ConstructKind)
+
+# The counts that RawMetrics.all_conditions and all_arithmetic sum, as getters
+# over a construct_counts tuple.
+condition_counts = itemgetter(
+    ConstructKind.IF_CONDITION, ConstructKind.SWITCH_CASE_BLOCK, ConstructKind.TERNARY_OPERATION
+)
+arithmetic_counts = itemgetter(
+    ConstructKind.INCREMENTATION, ConstructKind.DECREMENTATION, ConstructKind.ARITHMETIC_INFIX_OP
+)
 
 
 @dataclass(frozen=True)
 class RawMetrics:
-    """Raw per-method metric values; derived sums are recomputed, never stored."""
+    """Raw per-method metric values; derived sums are recomputed, never stored.
+
+    construct_counts holds one int per ConstructKind, in ConstructKind order,
+    so counts[kind] reads the count of kind.
+    """
 
     sloc: int
     cyclomatic_complexity: int
     max_nesting: int
     max_chaining: int
     unique_variable_ids: int
-    construct_counts: dict
+    construct_counts: tuple[int, ...]
+
+    def __post_init__(self):
+        counts = self.construct_counts
+        if type(counts) is not tuple or len(counts) != N_CONSTRUCT_KINDS:
+            raise TypeError(
+                f"construct_counts must be a tuple of {N_CONSTRUCT_KINDS} counts, got {counts!r}"
+            )
 
     @property
     def all_conditions(self) -> int:
-        return sum(map(self.construct_counts.__getitem__, CONDITION_KINDS))
+        return sum(condition_counts(self.construct_counts))
 
     @property
     def all_arithmetic(self) -> int:
-        return sum(map(self.construct_counts.__getitem__, ARITHMETIC_KINDS))
+        return sum(arithmetic_counts(self.construct_counts))
 
 
 @dataclass(frozen=True)
@@ -116,7 +145,7 @@ def scan_method(tokens: list[Token], decl: MethodDecl) -> tuple[RawMetrics, Cate
 class _Scanner:
     def __init__(self, tokens: list[Token], decl: MethodDecl):
         self.decl = decl
-        self.counts = {kind: 0 for kind in ConstructKind}
+        self.counts = [0] * N_CONSTRUCT_KINDS
         self.max_depth = 0
         self.max_chain = 0
         self.short_circuit = 0
@@ -211,7 +240,7 @@ class _Scanner:
             max_nesting=self.max_depth,
             max_chaining=self.max_chain,
             unique_variable_ids=len(self.declared | self.var_names),
-            construct_counts=dict(self.counts),
+            construct_counts=tuple(self.counts),
         )
 
     def categories(self) -> CategoryFlags:

@@ -12,15 +12,15 @@ from __future__ import annotations
 import random
 from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
 from lowrisk.java.analyzer import MethodIdentity
-from lowrisk.java.metrics import CategoryFlags, ConstructKind, RawMetrics
+from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
 
 _P_CLEAN_TRIVIAL = 0.001  # getters, setters, empty methods
 _P_DELEGATION = 0.018
 _P_COMPLEX = 0.0525  # 10x the average trivial rate
 
 
-def _zero_counts() -> dict:
-    return {kind: 0 for kind in ConstructKind}
+def _zero_counts() -> list[int]:
+    return [0] * N_CONSTRUCT_KINDS
 
 
 def _trivial_metrics(rng: random.Random, archetype: str) -> tuple[RawMetrics, CategoryFlags]:
@@ -28,19 +28,19 @@ def _trivial_metrics(rng: random.Random, archetype: str) -> tuple[RawMetrics, Ca
     flags = {}
     if archetype == "getter":
         counts[ConstructKind.RETURN_STATEMENT] = 1
-        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 0, 1, counts)
+        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 0, 1, tuple(counts))
         flags["is_getter"] = True
     elif archetype == "setter":
         counts[ConstructKind.ASSIGNMENT] = 1
-        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 0, 2, counts)
+        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 0, 2, tuple(counts))
         flags["is_setter"] = True
     elif archetype == "empty":
-        metrics = RawMetrics(rng.randint(1, 2), 1, 0, 0, 0, counts)
+        metrics = RawMetrics(rng.randint(1, 2), 1, 0, 0, 0, tuple(counts))
         flags["is_empty"] = True
     else:  # delegation
         counts[ConstructKind.METHOD_INVOCATION] = 1
         counts[ConstructKind.RETURN_STATEMENT] = rng.randint(0, 1)
-        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 1, rng.randint(1, 3), counts)
+        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 1, rng.randint(1, 3), tuple(counts))
         flags["is_delegation"] = True
     return metrics, CategoryFlags(**flags)
 
@@ -81,7 +81,7 @@ def _complex_metrics(rng: random.Random) -> tuple[RawMetrics, CategoryFlags]:
         max_nesting=rng.randint(1, 5),
         max_chaining=rng.randint(1, 4),
         unique_variable_ids=rng.randint(3, 18),
-        construct_counts=counts,
+        construct_counts=tuple(counts),
     )
     return metrics, CategoryFlags()
 

@@ -3,23 +3,23 @@
 from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
 from lowrisk.discretize import LABEL_FAULTY, LABEL_NOT_FAULTY, ItemVector, item_mask
 from lowrisk.java.analyzer import MethodIdentity
-from lowrisk.java.metrics import CategoryFlags, ConstructKind, RawMetrics
+from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
 
-_BY_COLUMN = {kind.value: kind for kind in ConstructKind}
+_BY_COLUMN = {kind.column: kind for kind in ConstructKind}
 
 
 def make_metrics(sloc=1, cc=1, nesting=0, chaining=0, variables=0, **counts) -> RawMetrics:
     """RawMetrics with construct counts given by column name, e.g. loops=2."""
-    cc_map = {kind: 0 for kind in ConstructKind}
+    cc_list = [0] * N_CONSTRUCT_KINDS
     for column, value in counts.items():
-        cc_map[_BY_COLUMN[column]] = value
+        cc_list[_BY_COLUMN[column]] = value
     return RawMetrics(
         sloc=sloc,
         cyclomatic_complexity=cc,
         max_nesting=nesting,
         max_chaining=chaining,
         unique_variable_ids=variables,
-        construct_counts=cc_map,
+        construct_counts=tuple(cc_list),
     )
 
 

@@ -5,7 +5,9 @@ rule enumeration scans the full antecedent power set with direct counting,
 redundancy filtering is the naive pairwise check, and prefix selection
 recomputes every prefix from scratch. The kNN and itemization oracles are
 the earlier O(m^2) neighbor sort and bool-tuple item construction, kept as
-references for the mask-based implementations.
+references for the mask-based implementations. The CSV oracle is the earlier
+field-by-field reader, kept as the reference for read_csv's positional fast
+path.
 """
 
 from itertools import combinations
@@ -147,3 +149,89 @@ def itemize_bool_tuple(method, model):
 
 def bools_to_mask(items):
     return sum(1 << i for i, on in enumerate(items) if on)
+
+
+def read_csv_per_field(path):
+    """Metric records of a CSV, parsing every field by column name in the
+    order snapshot, faulty, construct counts, metrics, categories; raises the
+    SchemaError of the first bad field."""
+    import csv
+
+    from lowrisk.dataset import CSV_HEADER, MethodRecord, Snapshot
+    from lowrisk.errors import SchemaError
+    from lowrisk.java.analyzer import MethodIdentity
+    from lowrisk.java.metrics import CategoryFlags, ConstructKind, RawMetrics
+
+    def parse_int(row_no, column, value):
+        try:
+            count = int(value)
+        except ValueError:
+            raise SchemaError(f"row {row_no}: column {column!r}: expected integer, got {value!r}")
+        if count < 0:
+            raise SchemaError(
+                f"row {row_no}: column {column!r}: expected non-negative integer, got {value!r}"
+            )
+        return count
+
+    def parse_bool(row_no, column, value):
+        try:
+            return {"true": True, "false": False}[value.strip().lower()]
+        except KeyError:
+            raise SchemaError(f"row {row_no}: column {column!r}: expected true/false, got {value!r}")
+
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("empty file: missing header row")
+        missing = [c for c in CSV_HEADER if c not in header]
+        if missing:
+            raise SchemaError(f"missing column(s): {', '.join(missing)}")
+        idx = {name: header.index(name) for name in CSV_HEADER}
+        records = []
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise SchemaError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+
+            def col(name):
+                return row[idx[name]]
+
+            sig = tuple(p for p in col("param_signature").split(";") if p)
+            snapshot_text = col("snapshot")
+            try:
+                snapshot = Snapshot(snapshot_text)
+            except ValueError:
+                raise SchemaError(f"row {row_no}: column 'snapshot': unknown value {snapshot_text!r}")
+            faulty = parse_bool(row_no, "faulty", col("faulty"))
+            counts = tuple(
+                parse_int(row_no, kind.column, col(kind.column)) for kind in ConstructKind
+            )
+            metrics = RawMetrics(
+                sloc=parse_int(row_no, "sloc", col("sloc")),
+                cyclomatic_complexity=parse_int(row_no, "cc", col("cc")),
+                max_nesting=parse_int(row_no, "max_nesting", col("max_nesting")),
+                max_chaining=parse_int(row_no, "max_chaining", col("max_chaining")),
+                unique_variable_ids=parse_int(row_no, "unique_vars", col("unique_vars")),
+                construct_counts=counts,
+            )
+            categories = CategoryFlags(
+                **{f: parse_bool(row_no, f, col(f)) for f in CategoryFlags.FIELDS}
+            )
+            identity = MethodIdentity(
+                project=col("project"),
+                file_path=col("file_path"),
+                type_name=col("type_name"),
+                method_name=col("method_name"),
+                param_signature=sig,
+                is_constructor=categories.is_constructor,
+            )
+            try:
+                records.append(
+                    MethodRecord(identity, metrics, categories, faulty=faulty, snapshot=snapshot)
+                )
+            except ValueError as exc:
+                raise SchemaError(f"row {row_no}: {exc}")
+        return records

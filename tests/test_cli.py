@@ -13,6 +13,10 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.fixture(scope="module")
 def synth_csvs(tmp_path_factory):
     base = tmp_path_factory.mktemp("csvs")
@@ -270,6 +274,15 @@ class TestPredict:
         assert run(["predict", "--classifier", broken, "--target", synth_csvs[0],
                     "--out", out]) == 1
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"classifier"', "5", "null"])
+    def test_non_object_classifier_file_is_schema_error(self, text, synth_csvs, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text(text)
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--classifier", broken, "--target", synth_csvs[0],
+                    "--out", out]) == 1
+        assert "classifier file must be a JSON object" in capsys.readouterr().err
+
     def test_vocabulary_mismatch_rejected(self, trained, synth_csvs, tmp_path):
         payload = json.loads(trained.read_text())
         payload["vocabulary"] = payload["vocabulary"][:-2]
@@ -304,6 +317,8 @@ class TestEvaluate:
             ("proj0", "strict"), ("proj0", "lenient"),
             ("proj1", "strict"), ("proj1", "lenient"),
         }
+        for name in ("report.json", "report.run.json"):
+            json.loads((out_dir / name).read_text(), parse_constant=_reject_constant)
 
     def test_cross_mode_requires_two_projects(self, synth_csvs, tmp_path):
         assert run(["evaluate", synth_csvs[0], "--mode", "cross",

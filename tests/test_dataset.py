@@ -1,8 +1,12 @@
+import csv
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_metrics, make_record, make_unified
+from oracles import read_csv_per_field
 from lowrisk.dataset import (
     CSV_HEADER,
     MethodRecord,
@@ -14,6 +18,8 @@ from lowrisk.dataset import (
     write_csv,
 )
 from lowrisk.errors import SchemaError, UnmatchedFaultyWarning
+from lowrisk.java.metrics import ConstructKind
+from lowrisk.synthetic import generate_project
 
 
 def test_faulty_record_requires_faulty_snapshot():
@@ -174,3 +180,138 @@ class TestCsv:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(SchemaError, match="row 2"):
             read_csv(path)
+
+    def test_negative_count_names_row_and_column(self, tmp_path):
+        records = [make_record("a"), make_record("b", metrics=make_metrics(loops=3))]
+        path = tmp_path / "data.csv"
+        write_csv(records, path)
+        rows = list(csv.reader(open(path, newline="")))
+        rows[2][CSV_HEADER.index("loops")] = "-3"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(SchemaError, match="row 3: column 'loops': expected non-negative integer, got '-3'"):
+            read_csv(path)
+
+    def test_padded_booleans_and_integers_accepted(self, tmp_path):
+        records = [make_record("a", faulty=True, metrics=make_metrics(sloc=12, loops=2))]
+        path = tmp_path / "data.csv"
+        write_csv(records, path)
+        rows = list(csv.reader(open(path, newline="")))
+        rows[1][CSV_HEADER.index("faulty")] = " TRUE "
+        rows[1][CSV_HEADER.index("is_getter")] = "False"
+        rows[1][CSV_HEADER.index("loops")] = " 2 "
+        rows[1][CSV_HEADER.index("sloc")] = "+12"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert read_csv(path) == records
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+
+
+def _shuffled_csv(rng, path, records):
+    """Write records with the columns in a random order, sometimes with an
+    extra column, and return (header, rows) as written."""
+    write_csv(records, path)
+    header, *rows = list(csv.reader(open(path, newline="", encoding="utf-8")))
+    if rng.random() < 0.5:
+        header = header + ["comment"]
+        rows = [row + ["x"] for row in rows]
+    order = list(range(len(header)))
+    rng.shuffle(order)
+    header = [header[i] for i in order]
+    rows = [[row[i] for i in order] for row in rows]
+    _write_rows(path, header, rows)
+    return header, rows
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+# (column, value, whether the row is then malformed)
+_FIELD_EDITS = [
+    ("loops", "x", True),
+    ("sloc", "1.5", True),
+    ("cc", "", True),
+    ("anonymous_classes", "-1", True),
+    ("unique_vars", "-0", False),
+    ("max_nesting", " 4 ", False),
+    ("string_literals", "1_0", False),
+    ("faulty", "yes", True),
+    ("is_empty", "", True),
+    ("is_setter", " TRUE ", False),
+    ("is_getter", "False", False),
+    ("snapshot", "currentstate", True),
+    ("snapshot", "Faulty", True),
+]
+
+
+class TestReadCsvAgainstPerFieldOracle:
+    def test_valid_files_with_shuffled_columns(self, tmp_path):
+        rng = random.Random(5)
+        for case in range(30):
+            methods = generate_project(f"p{case}", seed=case, n_methods=rng.randint(20, 40))
+            records = [r for u in methods for r in u.occurrences]
+            rng.shuffle(records)
+            path = tmp_path / f"valid{case}.csv"
+            _shuffled_csv(rng, path, records)
+            assert read_csv(path) == read_csv_per_field(path) == records
+
+    @pytest.mark.parametrize("column,value,malformed", _FIELD_EDITS)
+    def test_single_field_edits(self, tmp_path, column, value, malformed):
+        rng = random.Random(column + value)
+        records = [r for u in generate_project("p", seed=2, n_methods=30) for r in u.occurrences]
+        header, rows = _shuffled_csv(rng, tmp_path / "base.csv", records)
+        target = rng.randrange(len(rows))
+        rows[target][header.index(column)] = value
+        path = tmp_path / "edited.csv"
+        _write_rows(path, header, rows)
+        got, want = _outcome(read_csv, path), _outcome(read_csv_per_field, path)
+        assert got == want
+        if malformed:
+            assert got.startswith(f"SchemaError: row {target + 2}: ")
+
+    def test_short_row_and_faulty_current_rows(self, tmp_path):
+        rng = random.Random(7)
+        records = [r for u in generate_project("p", seed=3, n_methods=20) for r in u.occurrences]
+        header, rows = _shuffled_csv(rng, tmp_path / "base.csv", records)
+        short = [row[:] for row in rows]
+        short[4] = short[4][:-1]
+        mismatched = [row[:] for row in rows]
+        mismatched[6][header.index("faulty")] = "true"
+        mismatched[6][header.index("snapshot")] = "CurrentState"
+        for name, edited in (("short", short), ("mismatched", mismatched)):
+            path = tmp_path / f"{name}.csv"
+            _write_rows(path, header, edited)
+            got = _outcome(read_csv, path)
+            assert got == _outcome(read_csv_per_field, path)
+            assert got.startswith(f"SchemaError: row {4 + 2 if name == 'short' else 6 + 2}: ")
+
+    def test_first_bad_field_is_reported(self, tmp_path):
+        """Several bad fields in one row: both readers name the same one."""
+        rng = random.Random(11)
+        records = [r for u in generate_project("p", seed=4, n_methods=20) for r in u.occurrences]
+        header, rows = _shuffled_csv(rng, tmp_path / "base.csv", records)
+        bad = [(c, v) for c, v, malformed in _FIELD_EDITS if malformed]
+        for case in range(40):
+            edited = [row[:] for row in rows]
+            for column, value in rng.sample(bad, rng.randint(2, 4)):
+                edited[case % len(rows)][header.index(column)] = value
+            path = tmp_path / f"multi{case}.csv"
+            _write_rows(path, header, edited)
+            got = _outcome(read_csv, path)
+            assert isinstance(got, str) and got == _outcome(read_csv_per_field, path)
+
+    def test_counts_follow_construct_kind_order(self, tmp_path):
+        rng = random.Random(13)
+        records = [make_record("a", metrics=make_metrics(**{k.column: k + 1 for k in ConstructKind}))]
+        path = tmp_path / "data.csv"
+        _shuffled_csv(rng, path, records)
+        (rec,) = read_csv(path)
+        assert rec.metrics.construct_counts == tuple(range(1, len(ConstructKind) + 1))

@@ -20,9 +20,9 @@ from lowrisk.discretize import (
     itemize,
     tertile_bounds,
 )
-from lowrisk.errors import DegenerateDistributionWarning, VocabularyMismatchError
+from lowrisk.errors import DegenerateDistributionWarning, SchemaError, VocabularyMismatchError
 from lowrisk.java.analyzer import analyze_project
-from lowrisk.java.metrics import CategoryFlags, ConstructKind
+from lowrisk.java.metrics import CategoryFlags, ConstructKind, RawMetrics
 from lowrisk.synthetic import generate_project
 
 
@@ -83,6 +83,20 @@ class TestTertiles:
         path = tmp_path / "model.json"
         model.save(path)
         assert DiscretizationModel.load(path) == model
+
+    @pytest.mark.parametrize("class1,class2", [(5, 2), (float("nan"), 3), (1, float("nan"))])
+    def test_unordered_bounds_rejected(self, class1, class2):
+        data = simple_model().to_json()
+        data["sloc"] = {"class1_upper": class1, "class2_upper": class2}
+        with pytest.raises(SchemaError, match="'sloc' needs class1_upper <= class2_upper"):
+            DiscretizationModel.from_json(data)
+
+    def test_bisected_class_equals_classify(self):
+        model = simple_model()
+        for value in range(-1, 8):
+            rec = make_record("m", metrics=make_metrics(sloc=value))
+            third = ("LowestThird", "MiddleThird", "HighestThird")[model.classify("sloc", value) - 1]
+            assert itemize(rec, model).items & item_mask([f"Sloc{third}"])
 
 
 def simple_model():
@@ -212,13 +226,14 @@ class TestMaskEqualsBoolTupleConstruction:
             assert itemize(u, model).items == bools_to_mask(itemize_bool_tuple(u, model))
         assert checked > 0
 
-    def test_construct_counts_in_any_key_order(self):
-        metrics = make_metrics(sloc=4, if_conditions=1, loops=2, incrementations=1)
-        shuffled = dict(reversed(list(metrics.construct_counts.items())))
-        rec = make_record("m", metrics=metrics)
-        other = make_record("m", metrics=type(metrics)(
-            **{**metrics.__dict__, "construct_counts": shuffled}))
-        assert list(other.metrics.construct_counts) != list(ConstructKind)
-        model = simple_model()
-        assert itemize(other, model).items == itemize(rec, model).items
-        assert itemize(rec, model).items == bools_to_mask(itemize_bool_tuple(rec, model))
+
+def test_construct_counts_must_be_a_tuple_of_every_kind():
+    metrics = make_metrics(sloc=4, if_conditions=1, loops=2, incrementations=1)
+    counts = metrics.construct_counts
+    assert len(counts) == len(ConstructKind)
+    assert counts[ConstructKind.LOOP] == 2 and counts[ConstructKind.IF_CONDITION] == 1
+    fields = dict(metrics.__dict__)
+    for bad in (counts[:-1], counts + (0,), (), list(counts), dict(zip(ConstructKind, counts)), None):
+        with pytest.raises(TypeError, match="construct_counts"):
+            RawMetrics(**{**fields, "construct_counts": bad})
+    assert RawMetrics(**fields) == metrics

@@ -255,5 +255,22 @@ class TestEmitReport:
         rows = list(csv.reader(open(csv_path, newline="")))
         header = rows[0]
         assert rows[1][header.index("fdr_methods")] == "inf"
-        doc = json.loads(json_path.read_text())
-        assert doc["projects"]["x"]["strict"]["pooled"]["fdr_methods"] == math.inf
+        doc = json.loads(json_path.read_text(), parse_constant=_reject_constant)
+        assert doc["projects"]["x"]["strict"]["pooled"]["fdr_methods"] == "inf"
+        assert doc["summary"]["strict"]["median"]["fdr_methods"] == "inf"
+
+    def test_json_is_strict_with_infinite_fold_median(self, tmp_path):
+        from dataclasses import replace
+
+        rep = fixed_report("x", Variant.STRICT)
+        folds = tuple(replace(rep.pooled, fdr_methods=fdr) for fdr in (math.inf, math.inf, 2.0))
+        rep = replace(rep, pooled=replace(rep.pooled, fdr_methods=math.inf), folds=folds)
+        (json_path,) = emit_report([rep], tmp_path, mode="within", formats=("json",))
+        doc = json.loads(json_path.read_text(), parse_constant=_reject_constant)
+        item = doc["projects"]["x"]["strict"]
+        assert item["fold_median_fdr_methods"] == "inf"
+        assert [f["fdr_methods"] for f in item["folds"]] == ["inf", "inf", 2.0]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")

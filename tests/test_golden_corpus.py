@@ -35,8 +35,8 @@ def test_corpus_is_large_enough(golden_csv):
 def test_corpus_covers_every_construct_kind(golden_csv):
     header, rows = load_golden(golden_csv)
     for kind in ConstructKind:
-        col = header.index(kind.value)
-        assert any(int(row[col]) > 0 for row in rows), f"{kind.value} never occurs"
+        col = header.index(kind.column)
+        assert any(int(row[col]) > 0 for row in rows), f"{kind.column} never occurs"
 
 
 def test_corpus_covers_all_categories(golden_csv):
