@@ -25,10 +25,6 @@ class Variant(Enum):
     STRICT = "strict"
     LENIENT = "lenient"
 
-    @property
-    def default_budget(self) -> float:
-        return 0.025 if self is Variant.STRICT else 0.05
-
 
 class Classification(Enum):
     LOW_FAULT_RISK = "LowFaultRisk"
@@ -128,24 +124,3 @@ class LfrClassifier:
         if self.matched_rule_index(vector) is None:
             return Classification.NOT_CLASSIFIED
         return Classification.LOW_FAULT_RISK
-
-    def to_json(self) -> dict:
-        return {
-            "rules": [r.to_json() for r in self.ordered_rules],
-            "n": self.n,
-            "variant": self.variant.value,
-            "budget": self.budget,
-            "vocabulary": list(self.vocabulary),
-            "training_meta": dict(self.training_meta),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LfrClassifier":
-        return cls(
-            ordered_rules=tuple(AssociationRule.from_json(r) for r in data["rules"]),
-            n=data["n"],
-            variant=Variant(data["variant"]),
-            budget=data["budget"],
-            vocabulary=tuple(data["vocabulary"]),
-            training_meta=dict(data.get("training_meta", {})),
-        )

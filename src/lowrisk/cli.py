@@ -15,9 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from lowrisk import dataset as ds
-from lowrisk.classifier import LfrClassifier, Variant
-from lowrisk.discretize import VOCABULARY, DiscretizationModel
-from lowrisk.errors import LowriskError, SchemaError, VocabularyMismatchError
+from lowrisk.classifier import Variant
+from lowrisk.errors import LowriskError
 from lowrisk.evaluation import (
     _predict,
     _rows_for,
@@ -26,9 +25,9 @@ from lowrisk.evaluation import (
     evaluate_within_project,
     write_prediction_dump,
 )
-from lowrisk.java.analyzer import analyze_source, iter_java_files
+from lowrisk.java.analyzer import analyze_project
 from lowrisk.mining import MiningConfig
-from lowrisk.pipeline import PipelineConfig, train_on
+from lowrisk.pipeline import PipelineConfig, TrainedModel, train_on
 
 _CONFIG_KEYS = {
     "min_support": float,
@@ -60,17 +59,31 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, dest="seed")
 
 
+def _is_a(value, kind: type) -> bool:
+    """JSON typing of a config value: a bool is never a number, an int is a float."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, int) or (kind is float and isinstance(value, float))
+
+
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, overridden by the config file, overridden by explicit flags."""
     values: dict = {}
     if args.config:
         try:
-            values.update(json.loads(args.config.read_text(encoding="utf-8")))
+            values = json.loads(args.config.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise LowriskError(f"cannot read config file {args.config}: {exc}")
+        if not isinstance(values, dict):
+            raise LowriskError(f"config file {args.config} must be a JSON object")
         unknown = set(values) - set(_CONFIG_KEYS)
         if unknown:
             raise LowriskError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        for key, value in values.items():
+            if not _is_a(value, _CONFIG_KEYS[key]):
+                raise LowriskError(
+                    f"config key {key!r} takes a {_CONFIG_KEYS[key].__name__}, not {value!r}"
+                )
     for key in _CONFIG_KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -95,13 +108,6 @@ def _write_run_sidecar(out_path: Path, payload: dict) -> None:
 # -- extract ----------------------------------------------------------------
 
 
-def _analyze_one_file(job: tuple[str, str, str]) -> tuple:
-    root, rel, project = job
-    text = (Path(root) / rel).read_text(encoding="utf-8")
-    analyzed, skipped = analyze_source(text, rel, project)
-    return rel, analyzed, skipped
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
     root = Path(args.root)
     if not root.is_dir():
@@ -113,34 +119,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
             print(f"usage error: invalid glob pattern {pattern!r}", file=sys.stderr)
             return 2
     try:
-        files = iter_java_files(root, include, args.exclude or [])
+        methods, report = analyze_project(root, args.project, include, args.exclude or [], args.jobs)
     except (ValueError, NotImplementedError) as exc:
         print(f"usage error: invalid glob pattern: {exc}", file=sys.stderr)
         return 2
-    if not files:
+    if not report.files_analyzed and not report.parse_failures:
         print("warning: no Java files matched; writing an empty dataset", file=sys.stderr)
-    jobs = [(str(root), p.relative_to(root).as_posix(), args.project) for p in files]
-    failures: list[tuple[str, str]] = []
-    skipped_methods: list[str] = []
-    methods = []
-    results = []
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for job, outcome in zip(jobs, pool.map(_try_analyze, jobs)):
-                results.append((job[1], outcome))
-    else:
-        results = [(job[1], _try_analyze(job)) for job in jobs]
-    for rel, outcome in results:
-        if isinstance(outcome, str):
-            failures.append((rel, outcome))
-            continue
-        _, analyzed, skipped = outcome
-        methods.extend(analyzed)
-        skipped_methods.extend(
-            f"{s.identity.file_path}:{s.identity.type_name}.{s.identity.method_name}: {s.reason}"
-            for s in skipped
-        )
-    methods.sort(key=lambda m: m.identity)
+    skipped_methods = [
+        f"{s.identity.file_path}:{s.identity.type_name}.{s.identity.method_name}: {s.reason}"
+        for s in report.skipped_methods
+    ]
 
     faulty_keys = ds.read_label_file(args.labels) if args.labels else set()
     records = []
@@ -157,7 +145,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         )
     out = Path(args.out)
     ds.write_csv(records, out)
-    for rel, message in failures:
+    for rel, message in report.parse_failures:
         print(f"skipped (parse error): {rel}: {message}", file=sys.stderr)
     for line in skipped_methods:
         print(f"skipped (method): {line}", file=sys.stderr)
@@ -170,21 +158,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
             "include": include,
             "exclude": args.exclude or [],
             "labels": str(args.labels) if args.labels else None,
-            "files_analyzed": len(files) - len(failures),
-            "parse_failures": [list(f) for f in failures],
+            "files_analyzed": report.files_analyzed,
+            "parse_failures": [list(f) for f in report.parse_failures],
             "skipped_methods": skipped_methods,
             "methods": len(records),
         },
     )
     print(f"wrote {len(records)} method records to {out}", file=sys.stderr)
     return 0
-
-
-def _try_analyze(job: tuple[str, str, str]):
-    try:
-        return _analyze_one_file(job)
-    except (LowriskError, UnicodeDecodeError) as exc:
-        return str(exc)
 
 
 # -- train -------------------------------------------------------------------
@@ -205,21 +186,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     datasets = _load_projects(args.csv)
     methods = [m for name in sorted(datasets) for m in datasets[name]]
     trained = train_on(methods, config, scope=("train",))
-    payload = {
-        "discretization": trained.discretization.to_json(),
-        "vocabulary": list(VOCABULARY),
-        "mining_config": config.mining.to_json(),
-        "rules": [r.to_json() for r in trained.rules],
-        "variants": {
-            variant.value: {"budget": clf.budget, "n": clf.n}
-            for variant, clf in trained.classifiers.items()
-        },
-        "training_meta": trained.meta,
-        "run_config": config.to_json(),
-    }
-    out = Path(args.out)
-    _write_json(out, payload)
-    trained.discretization.save(out.with_suffix(".discretization.json"))
+    _write_json(Path(args.out), trained.to_json(config))
     print(
         f"trained on {len(methods)} methods; {len(trained.rules)} rules; "
         f"n_strict={trained.classifiers[Variant.STRICT].n} "
@@ -232,53 +199,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 # -- predict -----------------------------------------------------------------
 
 
-def _schema_entry(owner, key: str, kind: type, where: str):
-    """owner[key] if owner is a JSON object and that entry is a kind, else SchemaError."""
-    value = owner.get(key) if isinstance(owner, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaError(f"{where} has no valid {key!r} entry")
-    return value
-
-
-def _classifier_from_payload(payload: dict, variant: Variant) -> tuple[DiscretizationModel, LfrClassifier]:
-    if not isinstance(payload, dict):
-        raise SchemaError("classifier file must be a JSON object")
-    if tuple(payload.get("vocabulary", ())) != VOCABULARY:
-        raise VocabularyMismatchError(
-            "classifier file was built with a different item vocabulary"
-        )
-    where = "classifier file"
-    discretization = _schema_entry(payload, "discretization", dict, where)
-    rules = _schema_entry(payload, "rules", list, where)
-    for index, rule in enumerate(rules):
-        antecedent = _schema_entry(rule, "antecedent", list, f"{where} rule {index}")
-        if not all(isinstance(item, str) for item in antecedent):
-            raise SchemaError(f"{where} rule {index} has an antecedent item that is not a string")
-    variants = _schema_entry(payload, "variants", dict, where)
-    entry = _schema_entry(variants, variant.value, dict, f"{where} 'variants'")
-    where = f"{where} variant {variant.value!r}"
-    model = DiscretizationModel.from_json(discretization)
-    data = {
-        "rules": rules,
-        "n": _schema_entry(entry, "n", int, where),
-        "variant": variant.value,
-        "budget": _schema_entry(entry, "budget", (int, float), where),
-        "vocabulary": payload["vocabulary"],
-        "training_meta": payload.get("training_meta", {}),
-    }
-    try:
-        clf = LfrClassifier.from_json(data)
-    except KeyError as exc:
-        raise SchemaError(f"classifier file has a rule without the {exc} entry") from exc
-    return model, clf
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.classifier).read_text(encoding="utf-8"))
+    trained = TrainedModel.from_json(json.loads(Path(args.classifier).read_text(encoding="utf-8")))
     variant = Variant(args.variant)
-    model, clf = _classifier_from_payload(payload, variant)
+    classifiers = {variant: trained.classifiers[variant]}
     methods = [m for _, rows in _load_projects([args.target]).items() for m in rows]
-    rows = _rows_for(_predict(model, {variant: clf}, methods)[variant], variant)
+    rows = _rows_for(_predict(trained.discretization, classifiers, methods)[variant], variant)
     out = Path(args.out)
     write_prediction_dump(rows, out)
     _write_run_sidecar(

@@ -14,7 +14,6 @@ expanded into item names only for the miner's transactions.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from bisect import bisect_left
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter, lshift, not_
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from lowrisk.dataset import MethodRecord, UnifiedMethod
@@ -154,7 +152,7 @@ class DiscretizationModel:
             if not isinstance(entry, dict):
                 raise SchemaError(f"discretization model missing metric {metric!r}")
             for key in ("class1_upper", "class2_upper"):
-                if not isinstance(entry.get(key), (int, float)):
+                if not isinstance(entry.get(key), (int, float)) or isinstance(entry.get(key), bool):
                     raise SchemaError(f"discretization model metric {metric!r} has no {key!r} bound")
             # itemize bisects a value into the pair, so it must be ordered (NaN is not).
             if not entry["class1_upper"] <= entry["class2_upper"]:
@@ -163,14 +161,6 @@ class DiscretizationModel:
                 )
             bounds[metric] = MetricBounds(entry["class1_upper"], entry["class2_upper"])
         return cls(bounds)
-
-    def save(self, path: str | Path) -> None:
-        text = json.dumps(self.to_json(), indent=2, allow_nan=False)
-        Path(path).write_text(text + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DiscretizationModel":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def tertile_bounds(values: Sequence) -> MetricBounds:

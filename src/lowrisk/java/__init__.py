@@ -5,7 +5,6 @@ from lowrisk.java.analyzer import (
     MethodIdentity,
     analyze_project,
     analyze_source,
-    enumerate_methods,
 )
 from lowrisk.java.metrics import CategoryFlags, ConstructKind, RawMetrics
 
@@ -17,5 +16,4 @@ __all__ = [
     "RawMetrics",
     "analyze_project",
     "analyze_source",
-    "enumerate_methods",
 ]

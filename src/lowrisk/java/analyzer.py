@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Iterable
 
-from lowrisk.errors import JavaParseError
+from lowrisk.errors import LowriskError
 from lowrisk.java.metrics import CategoryFlags, RawMetrics, scan_method
 from lowrisk.java.structure import MethodDecl, parse_compilation_unit
 
@@ -58,21 +58,6 @@ def _identity_for(decl: MethodDecl, file_path: str, project: str) -> MethodIdent
     )
 
 
-def enumerate_methods(
-    source_text: str, file_path: str, project: str = ""
-) -> list[tuple[MethodIdentity, MethodDecl]]:
-    """List every non-abstract method and constructor declaration.
-
-    Methods of nested, local, and anonymous types are included and attributed
-    to their enclosing type chain. Raises JavaParseError when the source is
-    rejected; callers may skip the file and record it in the run report.
-    """
-    unit = parse_compilation_unit(source_text, file_path)
-    out = [(_identity_for(d, file_path, project), d) for d in unit.methods]
-    out.sort(key=lambda pair: (pair[0], pair[1].decl_start))
-    return out
-
-
 def analyze_source(
     source_text: str, file_path: str, project: str = ""
 ) -> tuple[list[AnalyzedMethod], list[SkippedMethod]]:
@@ -100,14 +85,8 @@ class ProjectScanReport:
     """Per-run diagnostics from walking a source tree."""
 
     files_analyzed: int = 0
-    parse_failures: list[tuple[str, str]] = None
-    skipped_methods: list[SkippedMethod] = None
-
-    def __post_init__(self):
-        if self.parse_failures is None:
-            self.parse_failures = []
-        if self.skipped_methods is None:
-            self.skipped_methods = []
+    parse_failures: list[tuple[str, str]] = field(default_factory=list)
+    skipped_methods: list[SkippedMethod] = field(default_factory=list)
 
 
 def iter_java_files(
@@ -127,28 +106,47 @@ def iter_java_files(
     return sorted(seen)
 
 
+def _analyze_file(job: tuple[Path, str, str]):
+    """analyze_source on one file, or the error text when it cannot be read or parsed."""
+    path, rel, project = job
+    try:
+        return analyze_source(path.read_text(encoding="utf-8"), rel, project)
+    except (LowriskError, UnicodeDecodeError) as exc:
+        return str(exc)
+
+
 def analyze_project(
     root: str | Path,
     project: str,
     include: Iterable[str] = ("**/*.java",),
     exclude: Iterable[str] = (),
+    jobs: int = 1,
 ) -> tuple[list[AnalyzedMethod], ProjectScanReport]:
     """Analyze all matching Java files under a project root.
 
-    Files that fail to parse are skipped and recorded in the report; the
-    remaining results are merged deterministically by method identity.
+    With more than one job the files are read in a process pool. Either way
+    the results are taken in file order: files that fail to parse are
+    skipped and recorded in the report, and the methods are merged
+    deterministically by method identity.
     """
     root = Path(root)
+    files = [(path, path.relative_to(root).as_posix(), project)
+             for path in iter_java_files(root, include, exclude)]
+    if jobs > 1 and len(files) > 1:
+        # Imported here so that `import lowrisk` does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_analyze_file, files))
+    else:
+        outcomes = [_analyze_file(job) for job in files]
     report = ProjectScanReport()
     methods: list[AnalyzedMethod] = []
-    for path in iter_java_files(root, include, exclude):
-        rel = path.relative_to(root).as_posix()
-        try:
-            text = path.read_text(encoding="utf-8")
-            analyzed, skipped = analyze_source(text, rel, project)
-        except (JavaParseError, UnicodeDecodeError) as exc:
-            report.parse_failures.append((rel, str(exc)))
+    for (_, rel, _), outcome in zip(files, outcomes):
+        if isinstance(outcome, str):
+            report.parse_failures.append((rel, outcome))
             continue
+        analyzed, skipped = outcome
         report.files_analyzed += 1
         report.skipped_methods.extend(skipped)
         methods.extend(analyzed)

@@ -69,15 +69,6 @@ class AssociationRule:
             "confidence": self.confidence,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "AssociationRule":
-        return cls(
-            antecedent=frozenset(data["antecedent"]),
-            consequent=data["consequent"],
-            support=data["support"],
-            confidence=data["confidence"],
-        )
-
 
 @dataclass(frozen=True)
 class MiningConfig:

@@ -4,20 +4,25 @@ One training run is: fit tertile discretization on the training records,
 itemize, balance (unless disabled), mine the non-redundant rules with the
 NotFaulty consequent, order them, and select the top-n prefix
 for each classifier variant against the unbalanced training set.
+`TrainedModel.to_json` and `TrainedModel.from_json` are the writer and the
+reader of the classifier file that `lowrisk train` hands to `lowrisk predict`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from lowrisk.balance import BalanceConfig, balance
 from lowrisk.classifier import LfrClassifier, Variant, order_rules, select_prefix
 from lowrisk.dataset import UnifiedMethod
-from lowrisk.discretize import DiscretizationModel, fit_discretization, itemize
-from lowrisk.errors import TooFewMinorityError
-from lowrisk.mining import MiningConfig, mine
+from lowrisk.discretize import VOCABULARY, DiscretizationModel, fit_discretization, itemize
+from lowrisk.errors import SchemaError, TooFewMinorityError, VocabularyMismatchError
+from lowrisk.mining import AssociationRule, MiningConfig, mine
+
+FORMAT_VERSION = 1  # of the classifier file that TrainedModel.to_json writes
 
 
 def derive_seed(master_seed: int, *scope) -> int:
@@ -38,6 +43,13 @@ class PipelineConfig:
     folds: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("budget_strict", "budget_lenient"):
+            if not 0 <= getattr(self, name) <= 1:  # NaN fails this too
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.folds < 2:
+            raise ValueError("folds must be at least 2")
+
     def budget(self, variant: Variant) -> float:
         return self.budget_strict if variant is Variant.STRICT else self.budget_lenient
 
@@ -54,11 +66,29 @@ class PipelineConfig:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "PipelineConfig":
-        mining = MiningConfig(**data.get("mining", {}))
-        rest = {k: v for k, v in data.items() if k != "mining"}
-        return cls(mining=mining, **rest)
+
+def _entry(owner, key: str, kind, where: str):
+    """owner[key] if owner is a JSON object and that entry is a kind, else SchemaError."""
+    value = owner.get(key) if isinstance(owner, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SchemaError(f"{where} has no valid {key!r} entry")
+    return value
+
+
+def _require_finite(document, where: str) -> None:
+    """SchemaError at the first NaN or infinity, which strict JSON cannot hold.
+
+    Python's json reads the constants NaN and Infinity, and 1e999, as such floats.
+    """
+    stack = [(None, document)]
+    while stack:
+        key, value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(f"{where} entry {key!r} is {value}, which strict JSON does not allow")
+        if isinstance(value, dict):
+            stack.extend(value.items())
+        elif isinstance(value, list):
+            stack.extend((key, item) for item in value)
 
 
 @dataclass(frozen=True)
@@ -67,6 +97,74 @@ class TrainedModel:
     rules: tuple  # ordered, redundancy-pruned
     classifiers: dict  # Variant -> LfrClassifier
     meta: dict
+
+    def to_json(self, config: PipelineConfig) -> dict:
+        """The classifier file: everything prediction needs, plus the run's config."""
+        return {
+            "format_version": FORMAT_VERSION,
+            "discretization": self.discretization.to_json(),
+            "vocabulary": list(VOCABULARY),
+            "rules": [r.to_json() for r in self.rules],
+            "variants": {
+                variant.value: {"budget": clf.budget, "n": clf.n}
+                for variant, clf in self.classifiers.items()
+            },
+            "training_meta": self.meta,
+            "run_config": config.to_json(),
+        }
+
+    @classmethod
+    def from_json(cls, data) -> "TrainedModel":
+        """Read a classifier file, checking every entry that prediction reads."""
+        where = "classifier file"
+        if not isinstance(data, dict):
+            raise SchemaError(f"{where} must be a JSON object")
+        _require_finite(data, where)
+        version = _entry(data, "format_version", int, where)
+        if version != FORMAT_VERSION:
+            raise SchemaError(
+                f"{where} has 'format_version' {version}; only {FORMAT_VERSION} can be read"
+            )
+        vocabulary = data.get("vocabulary")
+        if not isinstance(vocabulary, list) or tuple(vocabulary) != VOCABULARY:
+            raise VocabularyMismatchError(f"{where} was built with a different item vocabulary")
+        discretization = DiscretizationModel.from_json(_entry(data, "discretization", dict, where))
+        rules = []
+        for index, rule in enumerate(_entry(data, "rules", list, where)):
+            rule_where = f"{where} rule {index}"
+            antecedent = _entry(rule, "antecedent", list, rule_where)
+            if not all(isinstance(item, str) for item in antecedent):
+                raise SchemaError(f"{rule_where} has an antecedent item that is not a string")
+            try:
+                rules.append(
+                    AssociationRule(
+                        antecedent=frozenset(antecedent),
+                        consequent=_entry(rule, "consequent", str, rule_where),
+                        support=_entry(rule, "support", (int, float), rule_where),
+                        confidence=_entry(rule, "confidence", (int, float), rule_where),
+                    )
+                )
+            except ValueError as exc:
+                raise SchemaError(f"{rule_where}: {exc}") from exc
+        rules = tuple(rules)
+        variants = _entry(data, "variants", dict, where)
+        meta = _entry(data, "training_meta", dict, where)
+        classifiers = {}
+        for variant in Variant:
+            entry = _entry(variants, variant.value, dict, f"{where} 'variants'")
+            variant_where = f"{where} variant {variant.value!r}"
+            n = _entry(entry, "n", int, variant_where)
+            if not 0 <= n <= len(rules):
+                raise SchemaError(f"{variant_where} has no valid 'n' entry")
+            budget = _entry(entry, "budget", (int, float), variant_where)
+            classifiers[variant] = LfrClassifier(
+                ordered_rules=rules,
+                n=n,
+                variant=variant,
+                budget=budget,
+                training_meta=dict(meta, budget=budget, n=n),
+            )
+        return cls(discretization, rules, classifiers, meta)
 
 
 def train_on(

@@ -210,6 +210,8 @@ def test_c4_discretization_worked_examples():
 
 
 def test_c5_prefix_selection_against_oracle():
+    config = PipelineConfig()
+    strict_budget, lenient_budget = config.budget(Variant.STRICT), config.budget(Variant.LENIENT)
     rng = random.Random(99)
     vocab = list(ATTRIBUTE_ITEMS[:48:6])
     for case in range(50):
@@ -223,13 +225,13 @@ def test_c5_prefix_selection_against_oracle():
             faulty[0] = True
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NoAdmissibleRulesWarning)
-            n_strict = select_prefix(rules, masks, faulty, Variant.STRICT.default_budget)
-            n_lenient = select_prefix(rules, masks, faulty, Variant.LENIENT.default_budget)
+            n_strict = select_prefix(rules, masks, faulty, strict_budget)
+            n_lenient = select_prefix(rules, masks, faulty, lenient_budget)
         assert n_strict == prefix_scan_oracle(
-            rules, training, faulty, Variant.STRICT.default_budget
+            rules, training, faulty, strict_budget
         ), f"case {case}"
         assert n_lenient == prefix_scan_oracle(
-            rules, training, faulty, Variant.LENIENT.default_budget
+            rules, training, faulty, lenient_budget
         ), f"case {case}"
         previous = set()
         for n in range(len(rules) + 1):

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 
@@ -14,7 +15,9 @@ from lowrisk.classifier import (
 )
 from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask
 from lowrisk.errors import NoAdmissibleRulesWarning, VocabularyMismatchError
-from lowrisk.mining import AssociationRule
+from lowrisk.mining import AssociationRule, MiningConfig
+from lowrisk.pipeline import PipelineConfig, TrainedModel, train_on
+from lowrisk.synthetic import generate_project
 
 # Eight attribute items spread over the tertile, has-no and category items.
 ITEMS = ATTRIBUTE_ITEMS[:48:6]
@@ -120,7 +123,7 @@ class TestSelectPrefix:
 
 def classifier_with(rules, n, variant=Variant.STRICT):
     return LfrClassifier(
-        ordered_rules=tuple(rules), n=n, variant=variant, budget=variant.default_budget
+        ordered_rules=tuple(rules), n=n, variant=variant, budget=PipelineConfig().budget(variant)
     )
 
 
@@ -188,8 +191,11 @@ class TestClassify:
             }
             assert matched_strict <= matched_lenient
 
-    def test_json_round_trip(self):
-        clf = classifier_with(
-            [rule({"NoLoops"}, 0.99, 0.2), rule({"IsSetter"}, 0.9, 0.1)], n=1
-        )
-        assert LfrClassifier.from_json(clf.to_json()) == clf
+
+def test_trained_model_json_round_trip():
+    """The classifier file, written as strict JSON and read back, is the same model."""
+    config = PipelineConfig(mining=MiningConfig(0.05, 0.95, 2), seed=3)
+    model = train_on(generate_project("p", seed=12, n_methods=300), config, scope=("train",))
+    document = json.loads(json.dumps(model.to_json(config), allow_nan=False))
+    assert document["format_version"] == 1
+    assert TrainedModel.from_json(document) == model

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import time
 
 import pytest
@@ -40,13 +41,30 @@ class TestExtract:
         assert sidecar["methods"] == 33
 
     def test_parallel_extraction_matches_serial(self, corpus_dir, tmp_path):
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        run(["extract", "--root", corpus_dir, "--project", "corpus", "--out", serial,
-             "--jobs", "1"])
-        run(["extract", "--root", corpus_dir, "--project", "corpus", "--out", parallel,
-             "--jobs", "2"])
-        assert serial.read_text() == parallel.read_text()
+        """The corpus plus two files that fail to parse and one more lambda method,
+        in nested directories, so the order of failures and skips is checked too."""
+        root = tmp_path / "src"
+        shutil.copytree(corpus_dir, root / "corpus")
+        (root / "a").mkdir()
+        (root / "a" / "Bad.java").write_text("class Bad { void f( }", encoding="utf-8")
+        (root / "z.java").write_text("class Z { int g( }", encoding="utf-8")
+        (root / "a" / "L.java").write_text(
+            "class L { Runnable r() { return () -> { }; } void plain() { } }", encoding="utf-8"
+        )
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert run(["extract", "--root", root, "--project", "corpus", "--out", out,
+                        "--jobs", jobs]) == 0
+            outputs.append((out.read_text(), json.loads(out.with_name(out.name + ".run.json").read_text())))
+        assert outputs[0] == outputs[1]
+        sidecar = outputs[0][1]
+        assert [rel for rel, _ in sidecar["parse_failures"]] == ["a/Bad.java", "z.java"]
+        assert sidecar["skipped_methods"] == [
+            "a/L.java:L.r: lambda expression in body",
+            "corpus/Lambdas.java:Lambdas.lambdaStyle: lambda expression in body",
+        ]
+        assert sidecar["files_analyzed"] == 6
 
     def test_empty_tree_warns_and_writes_header(self, tmp_path, capsys):
         root = tmp_path / "empty"
@@ -116,8 +134,11 @@ class TestTrain:
         # left after the final dominance pass, which the file holds.
         assert meta["rules_kept"] == len(payload["rules"])
         assert meta["rules_mined"] >= meta["rules_kept"]
-        sidecar = json.loads((tmp_path / "clf.discretization.json").read_text())
-        assert sidecar == payload["discretization"]
+        assert payload["format_version"] == 1
+        # The bounds live in the classifier file only: no mining_config copy of
+        # run_config.mining, and no .discretization.json sidecar.
+        assert "mining_config" not in payload
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clf.json"]
 
     def test_no_smote_bypass(self, synth_csvs, tmp_path):
         out = tmp_path / "clf.json"
@@ -174,6 +195,34 @@ class TestTrain:
         cfg.write_text(json.dumps({"min_supprt": 0.1}))
         out = tmp_path / "clf.json"
         assert run(["train", synth_csvs[0], "--out", out, "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"no_smote": "false"}, {"no_smote": 0}, {"folds": "3"}, {"folds": 3.0}, {"seed": [1]},
+        {"seed": True}, {"min_support": "0.1"}, {"budget_strict": None}, {"budget_lenient": False},
+    ])
+    def test_config_value_of_wrong_type_rejected(self, entry, synth_csvs, tmp_path, capsys):
+        """A bool must be a bool, an int an int but not a bool, a float any number but a bool."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        out = tmp_path / "clf.json"
+        assert run(["train", synth_csvs[0], "--out", out, "--config", cfg] + FAST_FLAGS) == 1
+        assert repr(next(iter(entry))) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_int_accepted_for_float_key(self, synth_csvs, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget_strict": 0, "budget_lenient": 1, "no_smote": True}))
+        out = tmp_path / "clf.json"
+        assert run(["train", synth_csvs[0], "--out", out, "--config", cfg] + FAST_FLAGS) == 0
+        payload = json.loads(out.read_text())
+        assert payload["variants"]["strict"]["budget"] == 0
+        assert payload["variants"]["lenient"]["budget"] == 1
+
+    def test_non_object_config_file_rejected(self, synth_csvs, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert run(["train", synth_csvs[0], "--out", tmp_path / "clf.json", "--config", cfg]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
 
 
 DELETE = object()  # test_missing_classifier_entry_is_schema_error removes the entry
@@ -242,10 +291,19 @@ class TestPredict:
         ("variants", ["strict", "lenient"]), ("variants", "strict"), ("discretization", []),
         ("rules", {}), ("variants.strict", 3), ("variants.strict.n", "2"),
         ("variants.strict.n", True), ("discretization.sloc.class2_upper", None),
+        ("format_version", DELETE), ("format_version", 2), ("format_version", "1"),
+        ("variants.strict.budget", float("nan")), ("rules.0.confidence", float("inf")),
+        ("rules.0.support", "x"), ("rules.0.consequent", DELETE), ("variants.strict.n", -1),
+        ("variants.strict.n", 10**6), ("variants.lenient.budget", DELETE),
+        ("training_meta", None), ("discretization.sloc.class1_upper", True),
     ])
     def test_missing_classifier_entry_is_schema_error(self, key, value, trained, synth_csvs,
                                                       tmp_path, capsys):
-        """A classifier file entry that is absent (DELETE) or of the wrong type."""
+        """A classifier file entry that is absent (DELETE) or of the wrong type.
+
+        NaN and infinity are written as the non-standard constants, which the
+        reader refuses; both variants are checked whichever one is asked for.
+        """
         broken = edited_classifier(trained, key, value, tmp_path)
         out = tmp_path / "pred.csv"
         assert run(["predict", "--classifier", broken, "--target", synth_csvs[0],
@@ -255,6 +313,7 @@ class TestPredict:
     @pytest.mark.parametrize("key,value", [
         ("rules.0", 5), ("rules.0", ["SlocLowestThird"]), ("rules.0.antecedent", 5),
         ("rules.0.antecedent", "SlocLowestThird"), ("rules.0.antecedent", ["SlocLowestThird", 5]),
+        ("rules.0.support", "x"), ("rules.0.antecedent", []),
     ])
     def test_malformed_rule_is_schema_error(self, key, value, trained, synth_csvs, tmp_path,
                                             capsys):
@@ -319,6 +378,21 @@ class TestEvaluate:
         }
         for name in ("report.json", "report.run.json"):
             json.loads((out_dir / name).read_text(), parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--budget-strict", "nan"], "budget_strict must be in [0, 1]"),
+        (["--budget-strict", "inf"], "budget_strict must be in [0, 1]"),
+        (["--budget-lenient", "1.5"], "budget_lenient must be in [0, 1]"),
+        (["--budget-strict", "-1"], "budget_strict must be in [0, 1]"),
+        (["--folds", "1"], "folds must be at least 2"),
+    ])
+    def test_bad_budget_or_folds_refused_before_any_work(self, flags, message, synth_csvs,
+                                                         tmp_path, capsys):
+        out_dir = tmp_path / "cross"
+        assert run(["evaluate", *synth_csvs, "--mode", "cross", "--out-dir", out_dir,
+                    "--jobs", "1"] + FAST_FLAGS + flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_cross_mode_requires_two_projects(self, synth_csvs, tmp_path):
         assert run(["evaluate", synth_csvs[0], "--mode", "cross",

@@ -1,12 +1,16 @@
 import pytest
 
 from lowrisk.errors import JavaParseError
-from lowrisk.java.analyzer import enumerate_methods
 from lowrisk.java.structure import parse_compilation_unit
 
 
+def methods_of(source, file_path="T.java"):
+    return parse_compilation_unit(source, file_path).methods
+
+
 def names(source):
-    return [(ident.type_name, ident.method_name) for ident, _ in enumerate_methods(source, "T.java")]
+    """(type name, method name) of every method, in identity order."""
+    return sorted((".".join(d.type_chain), d.name) for d in methods_of(source))
 
 
 def test_getter_and_constructor_enumerated():
@@ -129,8 +133,7 @@ def test_param_signatures():
         <T> T g(T value) { return value; }
     }
     """
-    methods = enumerate_methods(src, "T.java")
-    sigs = {ident.method_name: ident.param_signature for ident, _ in methods}
+    sigs = {d.name: d.param_types for d in methods_of(src)}
     assert sigs["f"] == ("int", "Map<String,List<Integer>>", "int[]", "String...")
     assert sigs["g"] == ("T",)
 
@@ -142,14 +145,13 @@ def test_constructor_flag_and_throws():
         void m() throws Exception { }
     }
     """
-    methods = enumerate_methods(src, "T.java")
-    flags = {ident.method_name: ident.is_constructor for ident, _ in methods}
+    flags = {d.name: d.is_constructor for d in methods_of(src)}
     assert flags == {"A": True, "m": False}
 
 
 def test_parse_error_carries_location():
     with pytest.raises(JavaParseError) as err:
-        enumerate_methods("class A { void f( }", "Broken.java")
+        methods_of("class A { void f( }", "Broken.java")
     assert "Broken.java" in str(err.value)
 
 
@@ -161,8 +163,7 @@ def test_annotations_and_modifiers_skipped():
         public synchronized void f(@Deprecated final int x) { }
     }
     """
-    methods = enumerate_methods(src, "T.java")
-    assert [(i.method_name, i.param_signature) for i, _ in methods] == [("f", ("int",))]
+    assert [(d.name, d.param_types) for d in methods_of(src)] == [("f", ("int",))]
 
 
 def test_static_initializer_not_a_method():
