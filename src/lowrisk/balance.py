@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY, ItemVector
+from lowrisk.discretize import ATTRIBUTE_ITEMS, ItemVector
 from lowrisk.errors import ImbalanceUnachievableWarning, InsufficientMinorityError
 
 _ATTRIBUTE_BITS = tuple(1 << a for a in range(len(ATTRIBUTE_ITEMS)))
@@ -90,20 +90,24 @@ def _nearest_neighbors(masks: Sequence[int], k: int) -> list[list[int]]:
     return out
 
 
-def balance(training: Sequence[ItemVector], cfg: BalanceConfig) -> list[ItemVector]:
-    """Balance a training set to a 50/50 class split (at default rates).
+def balance(
+    faulty: Sequence[ItemVector], clean: Sequence[ItemVector], cfg: BalanceConfig
+) -> list[ItemVector]:
+    """Balance a training set, given as its two classes, to a 50/50 split
+    (at default rates).
 
     The minority class is oversampled by percent_over (synthetic vectors in
     addition to the originals); the majority class is uniformly undersampled
     without replacement to percent_under percent of the synthetic count.
     When the majority pool is smaller than that target, the deficit is
-    resampled with replacement so the output split still holds. Fully
-    deterministic given cfg.rng_seed.
+    resampled with replacement so the output split still holds. Each
+    majority entry is read at most once, and only if sampled, so `clean`
+    may be a lazy sequence. Fully deterministic given cfg.rng_seed.
     """
-    minority = [v for v in training if v.label_item == LABEL_FAULTY]
-    majority = [v for v in training if v.label_item != LABEL_FAULTY]
+    minority, majority = faulty, clean
     if len(minority) > len(majority):
         minority, majority = majority, minority
+    minority = list(minority)
     m = len(minority)
     if m < cfg.k_neighbors + 1:
         raise InsufficientMinorityError(
@@ -131,18 +135,17 @@ def balance(training: Sequence[ItemVector], cfg: BalanceConfig) -> list[ItemVect
                 items |= sources[rng.randrange(n_sources)] & bit
             synthetic.append(ItemVector(items, seed_vec.label_item))
 
+    n_pool = len(majority)
     n_majority = (cfg.percent_under * len(synthetic)) // 100
-    if n_majority > len(majority):
+    if n_majority > n_pool:
         warnings.warn(
-            f"majority pool ({len(majority)}) smaller than requested sample "
+            f"majority pool ({n_pool}) smaller than requested sample "
             f"({n_majority}); resampling the deficit with replacement",
             ImbalanceUnachievableWarning,
             stacklevel=2,
         )
-        sampled = list(majority)
-        sampled.extend(
-            majority[rng.randrange(len(majority))] for _ in range(n_majority - len(majority))
-        )
+        pool = list(majority)
+        sampled = pool + [pool[rng.randrange(n_pool)] for _ in range(n_majority - n_pool)]
     else:
-        sampled = [majority[i] for i in sorted(rng.sample(range(len(majority)), n_majority))]
-    return list(minority) + synthetic + sampled
+        sampled = [majority[i] for i in sorted(rng.sample(range(n_pool), n_majority))]
+    return minority + synthetic + sampled

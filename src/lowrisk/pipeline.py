@@ -2,8 +2,10 @@
 
 One training run is: fit tertile discretization on the training records,
 itemize, balance (unless disabled), mine the non-redundant rules with the
-NotFaulty consequent, order them, and select the top-n prefix
-for each classifier variant against the unbalanced training set.
+NotFaulty consequent, order them, and select the top-n prefix for each
+classifier variant against the unbalanced faulty methods. Only what is read
+is itemized: the faulty methods, and the clean ones that balancing samples
+(all of them when it does not undersample, or with balancing disabled).
 `TrainedModel.to_json` and `TrainedModel.from_json` are the writer and the
 reader of the classifier file that `lowrisk train` hands to `lowrisk predict`.
 """
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from lowrisk.balance import BalanceConfig, balance
 from lowrisk.classifier import LfrClassifier, Variant, order_rules, select_prefix
@@ -167,6 +169,19 @@ class TrainedModel:
         return cls(discretization, rules, classifiers, meta)
 
 
+class _Itemized(Sequence):
+    """The item vectors of `methods`, each itemized when it is read."""
+
+    def __init__(self, methods: Sequence[UnifiedMethod], model: DiscretizationModel):
+        self.methods, self.model = methods, model
+
+    def __len__(self) -> int:
+        return len(self.methods)
+
+    def __getitem__(self, index: int):
+        return itemize(self.methods[index], self.model)
+
+
 def train_on(
     methods: Sequence[UnifiedMethod], config: PipelineConfig, scope: tuple = ()
 ) -> TrainedModel:
@@ -176,25 +191,26 @@ def train_on(
         raise TooFewMinorityError("training set contains no faulty methods")
     records = [rec for u in methods for rec in u.occurrences]
     model = fit_discretization(records)
-    vectors = [itemize(u, model) for u in methods]
 
     if config.no_smote:
-        mining_vectors = vectors
+        mining_vectors = [itemize(u, model) for u in methods]
+        faulty = [v for u, v in zip(methods, mining_vectors) if u.faulty]
     else:
+        faulty = [itemize(u, model) for u in methods if u.faulty]
+        clean = _Itemized([u for u in methods if not u.faulty], model)
         cfg = BalanceConfig(
             percent_over=config.smote_over,
             percent_under=config.smote_under,
             k_neighbors=config.smote_k,
             rng_seed=derive_seed(config.seed, "smote", *scope),
         )
-        mining_vectors = balance(vectors, cfg)
+        mining_vectors = balance(faulty, clean, cfg)
 
     transactions = [v.to_itemset() for v in mining_vectors]
     mining_stats: dict = {}
     rules = order_rules(mine(transactions, config.mining, stats=mining_stats))
 
-    training_masks = [v.items for v in vectors]
-    training_faulty = [u.faulty for u in methods]
+    faulty_masks = [v.items for v in faulty]  # prefix selection counts faults only
     meta = {
         "training_methods": len(methods),
         "training_faulty": n_faulty,
@@ -206,7 +222,7 @@ def train_on(
     classifiers = {}
     for variant in Variant:
         budget = config.budget(variant)
-        n = select_prefix(rules, training_masks, training_faulty, budget)
+        n = select_prefix(rules, faulty_masks, [True] * n_faulty, budget)
         classifiers[variant] = LfrClassifier(
             ordered_rules=tuple(rules),
             n=n,

@@ -64,3 +64,10 @@ def make_unified(record_or_records, faulty=None) -> UnifiedMethod:
 def make_vector(true_items=(), not_faulty=True) -> ItemVector:
     """ItemVector with the named attribute items set to true."""
     return ItemVector(item_mask(true_items), LABEL_NOT_FAULTY if not_faulty else LABEL_FAULTY)
+
+
+def split(vectors):
+    """(faulty, clean) vectors of a mixed list, each in input order: the two
+    classes that `balance` takes."""
+    faulty = [v for v in vectors if v.label_item == LABEL_FAULTY]
+    return faulty, [v for v in vectors if v.label_item != LABEL_FAULTY]

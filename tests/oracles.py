@@ -7,7 +7,9 @@ recomputes every prefix from scratch. The kNN and itemization oracles are
 the earlier O(m^2) neighbor sort and bool-tuple item construction, kept as
 references for the mask-based implementations. The CSV oracle is the earlier
 field-by-field reader, kept as the reference for read_csv's positional fast
-path.
+path. The eager balance and training oracles are the earlier pipeline that
+itemized every training method and split the classes by label inside
+balance, kept as the reference for the lazily itemized majority.
 """
 
 from itertools import combinations
@@ -235,3 +237,106 @@ def read_csv_per_field(path):
             except ValueError as exc:
                 raise SchemaError(f"row {row_no}: {exc}")
         return records
+
+
+def eager_balance(training, cfg):
+    """balance() of the earlier eager pipeline: one mixed list of vectors,
+    split by label inside, with every vector already built. The kNN is the
+    sorting oracle, which gives the same neighbors as the bit-sliced one."""
+    import random
+    import warnings
+
+    from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY, ItemVector
+    from lowrisk.errors import ImbalanceUnachievableWarning, InsufficientMinorityError
+
+    minority = [v for v in training if v.label_item == LABEL_FAULTY]
+    majority = [v for v in training if v.label_item != LABEL_FAULTY]
+    if len(minority) > len(majority):
+        minority, majority = majority, minority
+    m = len(minority)
+    if m < cfg.k_neighbors + 1:
+        raise InsufficientMinorityError(
+            f"need at least {cfg.k_neighbors + 1} minority vectors, got {m}"
+        )
+    if not majority:
+        raise InsufficientMinorityError("no majority vectors to sample from")
+
+    rng = random.Random(cfg.rng_seed)
+    n_synthetic = (cfg.percent_over * m) // 100
+    per_seed, extra = divmod(n_synthetic, m)
+    extra_seeds = set(rng.sample(range(m), extra)) if extra else set()
+    masks = [v.items for v in minority]
+    neighbors = nearest_neighbors_oracle(masks, cfg.k_neighbors)
+    synthetic = []
+    for idx, seed_vec in enumerate(minority):
+        rounds = per_seed + (1 if idx in extra_seeds else 0)
+        sources = [masks[idx]] + [masks[j] for j in neighbors[idx]]
+        for _ in range(rounds):
+            items = 0
+            for a in range(len(ATTRIBUTE_ITEMS)):
+                items |= sources[rng.randrange(len(sources))] & (1 << a)
+            synthetic.append(ItemVector(items, seed_vec.label_item))
+
+    n_majority = (cfg.percent_under * len(synthetic)) // 100
+    if n_majority > len(majority):
+        warnings.warn("majority pool too small", ImbalanceUnachievableWarning)
+        sampled = list(majority)
+        sampled.extend(
+            majority[rng.randrange(len(majority))] for _ in range(n_majority - len(majority))
+        )
+    else:
+        sampled = [majority[i] for i in sorted(rng.sample(range(len(majority)), n_majority))]
+    return list(minority) + synthetic + sampled
+
+
+def eager_train_on(methods, config, scope=()):
+    """train_on() of the earlier eager pipeline: itemize every method, balance
+    the mixed list with eager_balance, select prefixes over all methods."""
+    from lowrisk.balance import BalanceConfig
+    from lowrisk.classifier import LfrClassifier, Variant, order_rules, select_prefix
+    from lowrisk.discretize import fit_discretization, itemize
+    from lowrisk.errors import TooFewMinorityError
+    from lowrisk.mining import mine
+    from lowrisk.pipeline import TrainedModel, derive_seed
+
+    n_faulty = sum(1 for u in methods if u.faulty)
+    if n_faulty == 0:
+        raise TooFewMinorityError("training set contains no faulty methods")
+    model = fit_discretization([rec for u in methods for rec in u.occurrences])
+    vectors = [itemize(u, model) for u in methods]
+    if config.no_smote:
+        mining_vectors = vectors
+    else:
+        cfg = BalanceConfig(
+            percent_over=config.smote_over,
+            percent_under=config.smote_under,
+            k_neighbors=config.smote_k,
+            rng_seed=derive_seed(config.seed, "smote", *scope),
+        )
+        mining_vectors = eager_balance(vectors, cfg)
+    mining_stats = {}
+    rules = order_rules(
+        mine([v.to_itemset() for v in mining_vectors], config.mining, stats=mining_stats)
+    )
+    training_masks = [v.items for v in vectors]
+    training_faulty = [u.faulty for u in methods]
+    meta = {
+        "training_methods": len(methods),
+        "training_faulty": n_faulty,
+        "balanced_size": len(mining_vectors),
+        "rules_mined": mining_stats["rules_mined"],
+        "rules_kept": mining_stats["rules_kept"],
+        "scope": list(scope),
+    }
+    classifiers = {}
+    for variant in Variant:
+        budget = config.budget(variant)
+        n = select_prefix(rules, training_masks, training_faulty, budget)
+        classifiers[variant] = LfrClassifier(
+            ordered_rules=tuple(rules),
+            n=n,
+            variant=variant,
+            budget=budget,
+            training_meta=dict(meta, budget=budget, n=n),
+        )
+    return TrainedModel(model, tuple(rules), classifiers, meta)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_vector
+from helpers import make_vector, split
 from oracles import (
     as_rule_set,
     brute_force_prune,
@@ -128,7 +128,7 @@ def _run_smote_battery(master_seed):
                 data.append(make_vector(true_names, not_faulty=(klass == "maj")))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = balance(data, BalanceConfig(rng_seed=master_seed * 100 + case))
+            out = balance(*split(data), BalanceConfig(rng_seed=master_seed * 100 + case))
         n_faulty = sum(1 for v in out if v.label_item == LABEL_FAULTY)
         gap = abs(n_faulty - (len(out) - n_faulty))
         worst_gap = max(worst_gap, gap)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_vector
+from helpers import make_vector, split
 from oracles import nearest_neighbors_oracle
 from lowrisk.balance import BalanceConfig, _nearest_neighbors, balance
 from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY
@@ -27,7 +27,7 @@ def test_default_rates_double_minority_and_match_majority():
     rng = random.Random(1)
     data = [random_vector(rng, not_faulty=False) for _ in range(10)]
     data += [random_vector(rng) for _ in range(90)]
-    out = balance(data, BalanceConfig(rng_seed=3))
+    out = balance(*split(data), BalanceConfig(rng_seed=3))
     faulty, clean = split_counts(out)
     assert (faulty, clean) == (20, 20)
 
@@ -37,7 +37,7 @@ def test_already_balanced_input_stays_balanced():
     data = [random_vector(rng, not_faulty=False) for _ in range(12)]
     data += [random_vector(rng) for _ in range(12)]
     with pytest.warns(ImbalanceUnachievableWarning):
-        out = balance(data, BalanceConfig(rng_seed=3))
+        out = balance(*split(data), BalanceConfig(rng_seed=3))
     faulty, clean = split_counts(out)
     assert faulty == clean
 
@@ -45,7 +45,7 @@ def test_already_balanced_input_stays_balanced():
 def test_identical_minority_vectors_yield_identical_synthetics():
     seed_vec = make_vector(["NoLoops", "IsGetter"], not_faulty=False)
     data = [seed_vec] * 8 + [make_vector(["NoLoops"]) for _ in range(40)]
-    out = balance(data, BalanceConfig(rng_seed=5))
+    out = balance(*split(data), BalanceConfig(rng_seed=5))
     minority = [v for v in out if v.label_item == LABEL_FAULTY]
     assert len(minority) == 16
     assert all(v.items == seed_vec.items for v in minority)
@@ -55,10 +55,10 @@ def test_deterministic_given_seed():
     rng = random.Random(7)
     data = [random_vector(rng, not_faulty=False) for _ in range(15)]
     data += [random_vector(rng) for _ in range(85)]
-    a = balance(data, BalanceConfig(rng_seed=11))
-    b = balance(data, BalanceConfig(rng_seed=11))
+    a = balance(*split(data), BalanceConfig(rng_seed=11))
+    b = balance(*split(data), BalanceConfig(rng_seed=11))
     assert a == b
-    c = balance(data, BalanceConfig(rng_seed=12))
+    c = balance(*split(data), BalanceConfig(rng_seed=12))
     assert c != a  # overwhelmingly likely for random data
 
 
@@ -67,14 +67,14 @@ def test_insufficient_minority_raises():
     data = [random_vector(rng, not_faulty=False) for _ in range(4)]
     data += [random_vector(rng) for _ in range(20)]
     with pytest.raises(InsufficientMinorityError):
-        balance(data, BalanceConfig(k_neighbors=5, rng_seed=0))
+        balance(*split(data), BalanceConfig(k_neighbors=5, rng_seed=0))
 
 
 def test_synthetic_attributes_come_from_real_minority_vectors():
     rng = random.Random(13)
     minority = [random_vector(rng, not_faulty=False, bias=0.2) for _ in range(12)]
     majority = [random_vector(rng, bias=0.8) for _ in range(60)]
-    out = balance(minority + majority, BalanceConfig(rng_seed=17))
+    out = balance(*split(minority + majority), BalanceConfig(rng_seed=17))
     synthetic = [v for v in out if v.label_item == LABEL_FAULTY][12:]
     assert len(synthetic) == 12
     for vec in synthetic:
@@ -95,7 +95,7 @@ def test_property_output_is_balanced_within_one(n_min, n_maj, seed):
     data += [random_vector(rng) for _ in range(n_maj)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ImbalanceUnachievableWarning)
-        out = balance(data, BalanceConfig(rng_seed=seed))
+        out = balance(*split(data), BalanceConfig(rng_seed=seed))
     faulty, clean = split_counts(out)
     assert abs(faulty - clean) <= 1
 
@@ -108,7 +108,7 @@ def test_balanced_split_over_random_imbalance_levels():
         n_min = max(6, int(n * minority_fraction))
         data = [random_vector(rng, not_faulty=False) for _ in range(n_min)]
         data += [random_vector(rng) for _ in range(n - n_min)]
-        out = balance(data, BalanceConfig(rng_seed=trial))
+        out = balance(*split(data), BalanceConfig(rng_seed=trial))
         faulty, clean = split_counts(out)
         assert abs(faulty - clean) <= 1
 

@@ -40,6 +40,17 @@ class TestExtract:
         assert sidecar["command"] == "extract"
         assert sidecar["methods"] == 33
 
+    def test_golden_corpus_extraction_bytes(self, corpus_dir, golden_csv, tmp_path):
+        """The written file is the golden file byte for byte, except that the csv
+        module ends rows with CRLF where the golden file has LF: quoting, encoding
+        and the final newline must match."""
+        out = tmp_path / "metrics.csv"
+        assert main(["extract", "--root", str(corpus_dir), "--project", "corpus",
+                     "--out", str(out), "--jobs", "1"]) == 0
+        written = out.read_bytes()
+        assert written.count(b"\r\n") == written.count(b"\n")  # every row ends with CRLF
+        assert written.replace(b"\r\n", b"\n") == golden_csv.read_bytes()
+
     def test_parallel_extraction_matches_serial(self, corpus_dir, tmp_path):
         """The corpus plus two files that fail to parse and one more lambda method,
         in nested directories, so the order of failures and skips is checked too."""

@@ -1,0 +1,186 @@
+"""train_on itemizes the faulty methods eagerly and the clean ones only when
+balance samples them. The eager pipeline it replaced is kept in
+tests/oracles.py; these tests check that both give the same balanced vectors
+and the same TrainedModel, and count the itemize calls one training makes."""
+
+import random
+import warnings
+from collections.abc import Sequence
+
+import pytest
+
+from helpers import make_identity, make_vector, split
+from oracles import eager_balance, eager_train_on
+import lowrisk.pipeline as pipeline
+from lowrisk.balance import BalanceConfig, balance
+from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
+from lowrisk.discretize import ATTRIBUTE_ITEMS
+from lowrisk.errors import ImbalanceUnachievableWarning
+from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, RawMetrics
+from lowrisk.mining import MiningConfig
+from lowrisk.pipeline import PipelineConfig, train_on
+
+MINING = MiningConfig(min_support=0.05, min_confidence=0.6, max_antecedent_len=2)
+
+# name -> (fault rate, whether balance draws a deficit with replacement)
+CASES = {
+    "default": (0.1, False),
+    "swap": (0.8, False),  # more faulty than clean methods: the minority is clean
+    "deficit": (0.4, True),  # 2 * faulty > clean: ImbalanceUnachievableWarning
+}
+
+
+def random_record(rng, name, faulty):
+    """A record whose metrics lean higher when faulty, so rules exist."""
+    scale = 3 if faulty else 1
+    counts = [0] * N_CONSTRUCT_KINDS
+    for kind in rng.sample(range(N_CONSTRUCT_KINDS), rng.randint(0, 4 * scale)):
+        counts[kind] = rng.randint(1, 3)
+    metrics = RawMetrics(
+        sloc=rng.randint(1, 10 * scale),
+        cyclomatic_complexity=rng.randint(1, 4 * scale),
+        max_nesting=rng.randint(0, scale),
+        max_chaining=rng.randint(0, 2),
+        unique_variable_ids=rng.randint(0, 5 * scale),
+        construct_counts=tuple(counts),
+    )
+    categories = CategoryFlags(**{f: rng.random() < 0.15 for f in CategoryFlags.FIELDS})
+    return MethodRecord(
+        make_identity(name),
+        metrics,
+        categories,
+        faulty=faulty,
+        snapshot=Snapshot.FAULTY if faulty else Snapshot.CURRENT,
+    )
+
+
+def random_project(seed, fault_rate, n_methods=None):
+    """Unified methods in random order; faulty ones have one to three occurrences."""
+    rng = random.Random(seed)
+    n_methods = n_methods or rng.randint(120, 300)
+    methods = []
+    for i in range(n_methods):
+        faulty = rng.random() < fault_rate
+        n_occ = rng.choice((1, 1, 2, 3)) if faulty else 1
+        records = tuple(random_record(rng, f"m{i}", faulty) for _ in range(n_occ))
+        methods.append(UnifiedMethod(records[0].identity, faulty, records))
+    return methods
+
+
+def train_both(methods, config):
+    """(new model, oracle model, warning categories of each)."""
+    runs = []
+    for train in (train_on, eager_train_on):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = train(methods, config, scope=("p", 1))
+        runs.append((model, {w.category for w in caught}))
+    (new, new_warned), (old, old_warned) = runs
+    return new, old, new_warned, old_warned
+
+
+class _CountingView(Sequence):
+    """A majority that records which entries balance reads."""
+
+    def __init__(self, vectors):
+        self.vectors, self.reads = vectors, []
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return self.vectors[index]
+
+
+def random_vectors(rng, n_faulty, n_clean):
+    data = []
+    for not_faulty, n in ((False, n_faulty), (True, n_clean)):
+        for _ in range(n):
+            names = [name for name in ATTRIBUTE_ITEMS if rng.random() < 0.4]
+            data.append(make_vector(names, not_faulty=not_faulty))
+    rng.shuffle(data)
+    return data
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("seed", range(8))
+def test_balance_equals_the_eager_oracle(case, seed):
+    fault_rate, deficit = CASES[case]
+    rng = random.Random(seed)
+    n = rng.randint(40, 160)
+    n_faulty = max(6, round(n * fault_rate))
+    data = random_vectors(rng, n_faulty, n - n_faulty)
+    faulty, clean = split(data)
+    view = _CountingView(clean)
+    cfg = BalanceConfig(k_neighbors=rng.randint(1, 5), rng_seed=seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = balance(faulty, view, cfg)
+        expected = eager_balance(data, cfg)
+    assert got == expected  # same vectors in the same order: same RNG calls
+    assert [w.category for w in caught] == [ImbalanceUnachievableWarning] * (2 if deficit else 0)
+    assert len(set(view.reads)) == len(view.reads)  # each clean entry read at most once
+    if case == "default":
+        assert len(view.reads) == len(got) - 2 * len(faulty)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_train_on_equals_the_eager_oracle(case, seed):
+    fault_rate, deficit = CASES[case]
+    methods = random_project(seed, fault_rate)
+    config = PipelineConfig(mining=MINING, smote_k=1 + seed % 5, seed=seed)
+    new, old, new_warned, old_warned = train_both(methods, config)
+    assert new.rules
+    assert new == old
+    assert new.meta == old.meta
+    for variant, clf in new.classifiers.items():
+        assert clf.n == old.classifiers[variant].n
+        assert clf.training_meta == old.classifiers[variant].training_meta
+    assert new_warned == old_warned
+    assert (ImbalanceUnachievableWarning in new_warned) == deficit
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_no_smote_train_on_equals_the_eager_oracle(seed):
+    methods = random_project(seed, fault_rate=0.2)
+    config = PipelineConfig(mining=MINING, no_smote=True, seed=seed)
+    new, old, _, _ = train_both(methods, config)
+    assert new == old
+    assert new.meta["balanced_size"] == len(methods)
+
+
+@pytest.fixture
+def itemize_calls(monkeypatch):
+    """The methods that lowrisk.pipeline.itemize is called on, in order."""
+    calls = []
+    original = pipeline.itemize
+
+    def counting(method, model):
+        calls.append(method)
+        return original(method, model)
+
+    monkeypatch.setattr(pipeline, "itemize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["default", "swap", "deficit", "no_smote"])
+def test_itemize_calls_per_training(case, itemize_calls):
+    fault_rate = CASES[case][0] if case in CASES else 0.1
+    methods = random_project(5, fault_rate, n_methods=240)
+    n_faulty = sum(1 for u in methods if u.faulty)
+    config = PipelineConfig(mining=MINING, no_smote=case == "no_smote", seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = train_on(methods, config)
+    if case == "default":
+        # The faulty methods, then the 200% undersample of the clean ones.
+        n_sampled = model.meta["balanced_size"] - 2 * n_faulty
+        assert n_sampled == 2 * n_faulty
+        assert len(itemize_calls) == n_faulty + n_sampled
+    else:
+        assert len(itemize_calls) == len(methods)
+    assert len({id(u) for u in itemize_calls}) == len(itemize_calls)  # none twice
+    if case == "no_smote":
+        assert itemize_calls == methods  # in method order
