@@ -16,6 +16,7 @@ from lowrisk.errors import JavaParseError
 from lowrisk.java.tokens import MODIFIERS, PRIMITIVE_TYPES, Token, tokenize
 
 _TYPE_KEYWORDS = {"class", "interface", "enum"}
+_PRIMITIVE_OR_VOID = PRIMITIVE_TYPES | {"void"}
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ class CompilationUnit:
         t = self._tok(i)
         if t is None:
             return None
-        if t.kind == "keyword" and t.text in PRIMITIVE_TYPES | {"void"}:
+        if t.kind == "keyword" and t.text in _PRIMITIVE_OR_VOID:
             j = i + 1
         elif t.kind == "ident":
             j = i + 1

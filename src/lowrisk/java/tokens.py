@@ -5,10 +5,29 @@ numbers are retained so line-based metrics can be derived from the tokens
 alone. Covers the Java 7 lexical grammar plus the Java 8 arrow and
 double-colon operators (recognized so that lambda-bearing methods can be
 detected and rejected upstream).
+
+One master pattern, compiled at import, reads the source with ``finditer``.
+Each match skips spaces, tabs, carriage returns and form feeds, then takes
+the first of these named groups that fits: a newline, an ASCII identifier,
+a ``//`` comment, a ``/* */`` comment, a number (hex form first), a string
+literal, a char literal, an unterminated ``/*``, ``"`` or ``'``, an operator
+(longest first), any one other character, and the end of input. The
+one-character group makes every character part of some match, so none is
+skipped silently. Lines are counted on the newline group and on the
+newlines inside block comments. Inside a literal a backslash escapes any
+character but a newline, so a backslash before a line break leaves the
+literal unterminated, as javac has it.
+
+Identifiers outside ASCII take a slow path: a non-ASCII character reaches
+the one-character group, and if Python accepts it in an identifier it joins
+the ASCII identifier just before it, or starts one, and is read on by hand;
+the pattern then resumes after the identifier. Any other character there is
+an error.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from lowrisk.errors import JavaParseError
@@ -66,139 +85,87 @@ _OPERATORS = [
     "|=",
     "^=",
 ]
-_SINGLE_OPS = set("+-*/%=<>!~&|^?:;,.()[]{}@")
 
 ASSIGNMENT_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 )
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_PART = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
-_NUMBER_PART = _DIGITS | set("abcdefABCDEFxXbB._lLfFdD_")
-_HEX_PART = _DIGITS | set("abcdefABCDEF._pPlL")
+_IDENT_PART = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$0123456789")
+
+_TOKEN_RE = re.compile(
+    r"[ \t\r\f]*(?:"
+    r"(?P<newline>\n)"
+    r"|(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*[\s\S]*?\*/)"
+    # A sign belongs to a hex literal only after the binary exponent 'p' of
+    # a hex float, never after the hex digit 'e'; a decimal literal stops
+    # before '..' so that 1..toString() keeps its member access.
+    r"|(?P<number>0[xX](?:[pP][+-]?|[0-9a-fA-F._lL])*"
+    r"|(?:[0-9]|\.[0-9])(?:[eE][+-]?|[0-9a-fA-FxXbBlLfFdD_]|\.(?!\.))*)"
+    r'|(?P<string>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")'
+    r"|(?P<char>'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*')"
+    r"""|(?P<unterminated>/\*|["'])"""
+    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS))
+    + "|[" + re.escape("+-*/%=<>!~&|^?:;,.()[]{}@") + "])"
+    r"|(?P<other>[\s\S])"
+    r"|(?P<end>\Z)"
+    r")"
+)
+
+_UNTERMINATED = {
+    "/*": "unterminated block comment",
+    '"': "unterminated string literal",
+    "'": "unterminated character literal",
+}
 
 
 def tokenize(text: str, file_path: str | None = None) -> list[Token]:
     """Tokenize Java source, raising JavaParseError on lexical errors."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
+    append = tokens.append
+    # Builds a Token without the Python-level __new__ that NamedTuple
+    # generates; per token this is a tenth of the lexer's time.
+    new = tuple.__new__
     line = 1
     line_start = 0
-
-    def err(msg: str, at: int) -> JavaParseError:
-        return JavaParseError(msg, file_path=file_path, line=line, col=at - line_start + 1)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if c in " \t\r\f":
-            i += 1
-            continue
-        if c == "/" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "/":
-                j = text.find("\n", i)
-                i = n if j < 0 else j
-                continue
-            if nxt == "*":
-                j = text.find("*/", i + 2)
-                if j < 0:
-                    raise err("unterminated block comment", i)
-                line += text.count("\n", i, j)
-                if "\n" in text[i:j]:
+    pos = 0
+    while True:
+        for m in _TOKEN_RE.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "ident":
+                word = m[kind]
+                col = m.start(kind) - line_start + 1
+                append(new(Token, ("keyword" if word in KEYWORDS else "ident", word, line, col)))
+            elif kind == "op" or kind == "number" or kind == "string" or kind == "char":
+                append(new(Token, (kind, m[kind], line, m.start(kind) - line_start + 1)))
+            elif kind == "newline":
+                line += 1
+                line_start = m.end()
+            elif kind == "block_comment":
+                i, j = m.span(kind)
+                newlines = text.count("\n", i, j)
+                if newlines:
+                    line += newlines
                     line_start = text.rfind("\n", i, j) + 1
-                i = j + 2
-                continue
-        col = i - line_start + 1
-        if c in _IDENT_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_PART:
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            i = j
-            continue
-        if c == "0" and text[i + 1 : i + 2] in ("x", "X"):
-            # Hex literal: a sign belongs to it only after the binary exponent
-            # 'p' of a hex float, never after the hex digit 'e'.
-            j = i + 2
-            while j < n and (text[j] in _HEX_PART or (text[j] in "+-" and text[j - 1] in "pP")):
-                j += 1
-            tokens.append(Token("number", text[i:j], line, col))
-            i = j
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and (text[j] in _NUMBER_PART or (text[j] in "+-" and text[j - 1] in "eEpP")):
-                # Stop a trailing '.' that starts a member access like 1..toString()
-                if text[j] == "." and j + 1 < n and text[j + 1] == ".":
-                    break
-                j += 1
-            tokens.append(Token("number", text[i:j], line, col))
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                if text[j] == "\n":
-                    raise err("unterminated string literal", i)
-                j += 1
-            if j >= n:
-                raise err("unterminated string literal", i)
-            tokens.append(Token("string", text[i : j + 1], line, col))
-            i = j + 1
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == "'":
-                    break
-                if text[j] == "\n":
-                    raise err("unterminated character literal", i)
-                j += 1
-            if j >= n:
-                raise err("unterminated character literal", i)
-            tokens.append(Token("char", text[i : j + 1], line, col))
-            i = j + 1
-            continue
-        matched = None
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                matched = op
-                break
-        if matched is None and c in _SINGLE_OPS:
-            matched = c
-        if matched is None and c > "\x7f":
-            start = _non_ascii_identifier_start(tokens, text, i, line)
-            if start is not None:
+            elif kind == "unterminated":
+                col = m.start(kind) - line_start + 1
+                raise JavaParseError(_UNTERMINATED[m[kind]], file_path, line, col)
+            elif kind == "other":
+                i = m.start(kind)
+                start = _non_ascii_identifier_start(tokens, text, i, line)
+                if start is None:
+                    col = i - line_start + 1
+                    raise JavaParseError(f"unexpected character {text[i]!r}", file_path, line, col)
                 j = i + 1
-                while j < n and (text[j] in _IDENT_PART or _is_identifier_part(text[j])):
+                while j < len(text) and (text[j] in _IDENT_PART or _is_identifier_part(text[j])):
                     j += 1
-                if start < i:
-                    col = tokens.pop().col
-                tokens.append(Token("ident", text[start:j], line, col))
-                i = j
-                continue
-        if matched is None:
-            raise err(f"unexpected character {c!r}", i)
-        tokens.append(Token("op", matched, line, col))
-        i += len(matched)
-    return tokens
+                col = tokens.pop().col if start < i else i - line_start + 1
+                append(Token("ident", text[start:j], line, col))
+                pos = j
+                break
+        else:
+            return tokens
 
 
 def _is_identifier_part(c: str) -> bool:
@@ -208,10 +175,10 @@ def _is_identifier_part(c: str) -> bool:
 def _non_ascii_identifier_start(tokens: list[Token], text: str, i: int, line: int) -> int | None:
     """Where the identifier holding the non-ASCII character text[i] starts.
 
-    The ASCII loop stops at such a character, so an identifier it began
-    just before position i (same line, no gap) is continued; otherwise
-    text[i] must itself be able to start an identifier. None means text[i]
-    is no identifier character.
+    The master pattern's identifier group stops at such a character, so an
+    identifier it read just before position i (same line, no gap) is
+    continued; otherwise text[i] must itself be able to start an identifier.
+    None means text[i] is no identifier character.
     """
     c = text[i]
     if not _is_identifier_part(c):

@@ -9,11 +9,15 @@ references for the mask-based implementations. The CSV oracle is the earlier
 field-by-field reader, kept as the reference for read_csv's positional fast
 path. The eager balance and training oracles are the earlier pipeline that
 itemized every training method and split the classes by label inside
-balance, kept as the reference for the lazily itemized majority.
+balance, kept as the reference for the lazily itemized majority. The
+lexer oracle is the earlier per-character tokenizer, kept as the reference
+for the master-regex tokenizer.
 """
 
 from itertools import combinations
 
+from lowrisk.errors import JavaParseError
+from lowrisk.java.tokens import KEYWORDS, Token
 from lowrisk.mining import AssociationRule
 
 
@@ -340,3 +344,166 @@ def eager_train_on(methods, config, scope=()):
             training_meta=dict(meta, budget=budget, n=n),
         )
     return TrainedModel(model, tuple(rules), classifiers, meta)
+
+
+# The earlier lexer's character tables and maximal-munch operator table.
+LEXER_OPERATORS = [
+    ">>>=", "...", ">>>", "<<=", ">>=", "->", "::", "<<", ">>", "<=", ">=",
+    "==", "!=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=",
+    "|=", "^=",
+]
+LEXER_SINGLE_OPS = set("+-*/%=<>!~&|^?:;,.()[]{}@")
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
+_IDENT_PART = _IDENT_START | set("0123456789")
+_DIGITS = set("0123456789")
+_NUMBER_PART = _DIGITS | set("abcdefABCDEFxXbB._lLfFdD_")
+_HEX_PART = _DIGITS | set("abcdefABCDEF._pPlL")
+
+
+def reference_tokenize(text, file_path=None):
+    """The earlier per-character lexer, kept as the reference for tokenize.
+
+    Its one change: a backslash before a newline inside a string or char
+    literal no longer escapes the newline, so the literal is unterminated.
+    """
+    tokens = []
+    i = 0
+    n = len(text)
+    line = 1
+    line_start = 0
+
+    def err(msg, at):
+        return JavaParseError(msg, file_path=file_path, line=line, col=at - line_start + 1)
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            i += 1
+            line_start = i
+            continue
+        if c in " \t\r\f":
+            i += 1
+            continue
+        if c == "/" and i + 1 < n:
+            nxt = text[i + 1]
+            if nxt == "/":
+                j = text.find("\n", i)
+                i = n if j < 0 else j
+                continue
+            if nxt == "*":
+                j = text.find("*/", i + 2)
+                if j < 0:
+                    raise err("unterminated block comment", i)
+                line += text.count("\n", i, j)
+                if "\n" in text[i:j]:
+                    line_start = text.rfind("\n", i, j) + 1
+                i = j + 2
+                continue
+        col = i - line_start + 1
+        if c in _IDENT_START:
+            j = i + 1
+            while j < n and text[j] in _IDENT_PART:
+                j += 1
+            word = text[i:j]
+            kind = "keyword" if word in KEYWORDS else "ident"
+            tokens.append(Token(kind, word, line, col))
+            i = j
+            continue
+        if c == "0" and text[i + 1 : i + 2] in ("x", "X"):
+            # Hex literal: a sign belongs to it only after the binary exponent
+            # 'p' of a hex float, never after the hex digit 'e'.
+            j = i + 2
+            while j < n and (text[j] in _HEX_PART or (text[j] in "+-" and text[j - 1] in "pP")):
+                j += 1
+            tokens.append(Token("number", text[i:j], line, col))
+            i = j
+            continue
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
+            j = i + 1
+            while j < n and (text[j] in _NUMBER_PART or (text[j] in "+-" and text[j - 1] in "eEpP")):
+                # Stop a trailing '.' that starts a member access like 1..toString()
+                if text[j] == "." and j + 1 < n and text[j + 1] == ".":
+                    break
+                j += 1
+            tokens.append(Token("number", text[i:j], line, col))
+            i = j
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n:
+                if text[j] == "\\" and text[j + 1 : j + 2] != "\n":
+                    j += 2
+                    continue
+                if text[j] == '"':
+                    break
+                if text[j] == "\n":
+                    raise err("unterminated string literal", i)
+                j += 1
+            if j >= n:
+                raise err("unterminated string literal", i)
+            tokens.append(Token("string", text[i : j + 1], line, col))
+            i = j + 1
+            continue
+        if c == "'":
+            j = i + 1
+            while j < n:
+                if text[j] == "\\" and text[j + 1 : j + 2] != "\n":
+                    j += 2
+                    continue
+                if text[j] == "'":
+                    break
+                if text[j] == "\n":
+                    raise err("unterminated character literal", i)
+                j += 1
+            if j >= n:
+                raise err("unterminated character literal", i)
+            tokens.append(Token("char", text[i : j + 1], line, col))
+            i = j + 1
+            continue
+        matched = None
+        for op in LEXER_OPERATORS:
+            if text.startswith(op, i):
+                matched = op
+                break
+        if matched is None and c in LEXER_SINGLE_OPS:
+            matched = c
+        if matched is None and c > "\x7f":
+            start = _non_ascii_identifier_start(tokens, text, i, line)
+            if start is not None:
+                j = i + 1
+                while j < n and (text[j] in _IDENT_PART or _is_identifier_part(text[j])):
+                    j += 1
+                if start < i:
+                    col = tokens.pop().col
+                tokens.append(Token("ident", text[start:j], line, col))
+                i = j
+                continue
+        if matched is None:
+            raise err(f"unexpected character {c!r}", i)
+        tokens.append(Token("op", matched, line, col))
+        i += len(matched)
+    return tokens
+
+
+def _is_identifier_part(c):
+    return c > "\x7f" and ("a" + c).isidentifier()
+
+
+def _non_ascii_identifier_start(tokens, text, i, line):
+    """Where the identifier holding the non-ASCII character text[i] starts.
+
+    The ASCII loop stops at such a character, so an identifier it began
+    just before position i (same line, no gap) is continued; otherwise
+    text[i] must itself be able to start an identifier. None means text[i]
+    is no identifier character.
+    """
+    c = text[i]
+    if not _is_identifier_part(c):
+        return None
+    if tokens:
+        prev = tokens[-1]
+        start = i - len(prev.text)
+        if prev.kind in ("ident", "keyword") and prev.line == line and text.startswith(prev.text, start):
+            return start
+    return i if c.isidentifier() else None

@@ -1,7 +1,13 @@
+import random
+from pathlib import Path
+
 import pytest
+from oracles import LEXER_OPERATORS, LEXER_SINGLE_OPS, reference_tokenize
 
 from lowrisk.errors import JavaParseError
 from lowrisk.java.tokens import tokenize
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def texts(source):
@@ -77,3 +83,102 @@ def test_sign_after_hex_digit_e_is_an_operator():
     assert texts("0x1e+2") == ["0x1e", "+", "2"]
     assert texts("0x1E-2 0xeL") == ["0x1E", "-", "2", "0xeL"]
     assert texts("1e+2 1.5E-3") == ["1e+2", "1.5E-3"]
+
+
+def test_backslash_before_newline_leaves_a_literal_unterminated():
+    # javac rejects a line break inside a literal, escaped or not; accepting
+    # it would put every later token one line too low.
+    with pytest.raises(JavaParseError) as err:
+        tokenize('a = "x\\\ny";\nb;', file_path="Lit.java")
+    assert (str(err.value), err.value.line, err.value.col) == (
+        "Lit.java:1:5: unterminated string literal", 1, 5,
+    )
+    with pytest.raises(JavaParseError) as err:
+        tokenize("a;\n  c = '\\\n';", file_path="Lit.java")
+    assert (str(err.value), err.value.line, err.value.col) == (
+        "Lit.java:2:7: unterminated character literal", 2, 7,
+    )
+
+
+@pytest.mark.parametrize(
+    "source, message, line, col",
+    [
+        ("a;\n  /* open\nb;", "unterminated block comment", 2, 3),
+        ("a; /*", "unterminated block comment", 1, 4),
+        ('x = "open;\ny = 1;', "unterminated string literal", 1, 5),
+        ('x;\ny = "open', "unterminated string literal", 2, 5),
+        ("c = 'ab;\nd;", "unterminated character literal", 1, 5),
+        ("c;\n\td = '", "unterminated character literal", 2, 6),
+        ('s = "abc\\', "unterminated string literal", 1, 5),
+        ("a \\ b;", "unexpected character '\\\\'", 1, 3),
+        ("a;\n b\\", "unexpected character '\\\\'", 2, 3),
+        ("#define X\nint a;", "unexpected character '#'", 1, 1),
+        ("x #", "unexpected character '#'", 1, 3),
+        ("int \u00a7 = 1;", "unexpected character '\u00a7'", 1, 5),
+        ("x\n\u00a7", "unexpected character '\u00a7'", 2, 1),
+        ("int \u0661x = 1;", "unexpected character '\u0661'", 1, 5),
+        ("y /* c\n */ \u0661x", "unexpected character '\u0661'", 2, 5),
+    ],
+)
+def test_lexer_error_table(source, message, line, col):
+    with pytest.raises(JavaParseError) as err:
+        tokenize(source, file_path="T.java")
+    e = err.value
+    assert (str(e), e.line, e.col, e.file_path) == (f"T.java:{line}:{col}: {message}", line, col, "T.java")
+
+
+def outcome(lexer, source):
+    """A lexer's token list, or the parts of the error it raised."""
+    try:
+        return lexer(source, "Soup.java")
+    except JavaParseError as e:
+        return (str(e), e.line, e.col, e.file_path)
+
+
+JAVA_FILES = sorted(DATA_DIR.rglob("*.java"))
+
+
+@pytest.mark.parametrize("path", JAVA_FILES, ids=lambda p: p.name)
+def test_data_files_lex_as_the_reference_lexer_does(path):
+    source = path.read_text(encoding="utf-8")
+    assert tokenize(source, path.name) == reference_tokenize(source, path.name)
+
+
+def test_every_data_file_is_compared():
+    assert {p.name for p in JAVA_FILES} >= {"Accounts.java", "Lambdas.java", "Stress.java"}
+    assert len(JAVA_FILES) >= 6
+
+
+SOUP_PIECES = (
+    LEXER_OPERATORS
+    + sorted(LEXER_SINGLE_OPS)
+    + ["//", "/*", "*/", "/**/", '"', "'", '"s"', "'c'", "\\", "\\n", "\\\\"]
+    + [" ", " ", "\t", "\r", "\f", "\n", "\n", "\r\n"]
+    + ["0x", "0X1P-3f", "1e+", "1", "0", ".5", "e", "p", "L", "f", "_", "$", "...", ".."]
+    + ["a", "ab", "int", "class", "x9"]
+    + ["\u00e9", "\u03c0", "\u53d8", "\u0301", "\u00b7"]
+    + ["\u20ac", "\u2028", " \u0661x", "\u0661"]
+)
+# Most soups with a quote or a lone backslash end in an error; soups drawn
+# without them reach the end of input often enough to compare token lists.
+_ERROR_PRONE = {'"', "'", "\\", "\\\\", "/*", "\u20ac", "\u2028", " \u0661x", "\u0661"}
+CALM_PIECES = [p for p in SOUP_PIECES if p not in _ERROR_PRONE]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_soups_lex_as_the_reference_lexer_does(seed):
+    rng = random.Random(seed)
+    ok = failed = 0
+    for _ in range(5000):
+        pieces = SOUP_PIECES if rng.random() < 0.5 else CALM_PIECES
+        source = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+        if rng.random() < 0.25:
+            source += rng.choice([" ", "\t", " \r\f", "\n  "])
+        expected = outcome(reference_tokenize, source)
+        assert outcome(tokenize, source) == expected, repr(source)
+        if isinstance(expected, list):
+            ok += 1
+        else:
+            failed += 1
+    # Both outcomes must be common, or the comparison would check little.
+    assert ok > 1000 and failed > 1000
