@@ -8,7 +8,7 @@ them with within-project cross-validation and cross-project prediction.
 
 from lowrisk.balance import BalanceConfig, balance
 from lowrisk.classifier import Classification, LfrClassifier, Variant, order_rules, select_prefix
-from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod, consolidate_faulty, unify
+from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
 from lowrisk.discretize import (
     VOCABULARY,
     DiscretizationModel,
@@ -35,6 +35,7 @@ __all__ = [
     "ItemVector",
     "LfrClassifier",
     "MethodRecord",
+    "MethodTable",
     "MiningConfig",
     "PipelineConfig",
     "Snapshot",
@@ -44,7 +45,6 @@ __all__ = [
     "balance",
     "compute_fdr",
     "confidence",
-    "consolidate_faulty",
     "evaluate_cross_project",
     "evaluate_within_project",
     "fit_discretization",
@@ -56,5 +56,4 @@ __all__ = [
     "stratified_kfold",
     "support",
     "train_on",
-    "unify",
 ]

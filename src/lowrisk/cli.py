@@ -12,14 +12,15 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from pathlib import Path
 
 from lowrisk import dataset as ds
 from lowrisk.classifier import Variant
 from lowrisk.errors import LowriskError
 from lowrisk.evaluation import (
+    PredictionDump,
     _predict,
-    _rows_for,
     emit_report,
     evaluate_cross_project,
     evaluate_within_project,
@@ -171,24 +172,18 @@ def cmd_extract(args: argparse.Namespace) -> int:
 # -- train -------------------------------------------------------------------
 
 
-def _load_projects(paths) -> dict[str, list[ds.UnifiedMethod]]:
-    records = []
-    for path in paths:
-        records.extend(ds.read_csv(path))
-    datasets: dict[str, list] = {}
-    for rec in records:
-        datasets.setdefault(rec.identity.project, []).append(rec)
-    return {name: ds.build_unified(rows) for name, rows in sorted(datasets.items())}
+def _load_projects(paths) -> ds.MethodTable:
+    """One table of every project in the CSVs, in identity order (so project by project)."""
+    return ds.build_unified(ds.Rows.concat([ds.read_csv(path) for path in paths]))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
-    datasets = _load_projects(args.csv)
-    methods = [m for name in sorted(datasets) for m in datasets[name]]
-    trained = train_on(methods, config, scope=("train",))
+    table = _load_projects(args.csv)
+    trained = train_on(table, config, scope=("train",))
     _write_json(Path(args.out), trained.to_json(config))
     print(
-        f"trained on {len(methods)} methods; {len(trained.rules)} rules; "
+        f"trained on {len(table)} methods; {len(trained.rules)} rules; "
         f"n_strict={trained.classifiers[Variant.STRICT].n} "
         f"n_lenient={trained.classifiers[Variant.LENIENT].n}",
         file=sys.stderr,
@@ -203,10 +198,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     trained = TrainedModel.from_json(json.loads(Path(args.classifier).read_text(encoding="utf-8")))
     variant = Variant(args.variant)
     classifiers = {variant: trained.classifiers[variant]}
-    methods = [m for _, rows in _load_projects([args.target]).items() for m in rows]
-    rows = _rows_for(_predict(trained.discretization, classifiers, methods)[variant], variant)
+    table = _load_projects([args.target])
+    methods = range(len(table))
+    matched = _predict(trained.discretization, classifiers, table, methods)[variant]
+    dump = PredictionDump(table)
+    dump.add(variant, methods, matched)
     out = Path(args.out)
-    write_prediction_dump(rows, out)
+    write_prediction_dump(dump, out)
     _write_run_sidecar(
         out,
         {
@@ -214,11 +212,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
             "classifier": str(args.classifier),
             "variant": variant.value,
             "target": str(args.target),
-            "methods": len(rows),
-            "predicted_lfr": sum(1 for r in rows if r.predicted_lfr),
+            "methods": len(dump),
+            "predicted_lfr": sum(1 for idx in matched if idx is not None),
         },
     )
-    print(f"wrote {len(rows)} predictions to {out}", file=sys.stderr)
+    print(f"wrote {len(dump)} predictions to {out}", file=sys.stderr)
     return 0
 
 
@@ -232,23 +230,24 @@ def _eval_within_worker(item):
 
 
 def _eval_cross_worker(item):
-    datasets, target, config = item
-    reports, dump = evaluate_cross_project(datasets, target, config)
+    table, target, config = item
+    reports, dump = evaluate_cross_project(table, target, config)
     return target, list(reports.values()), dump
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
-    datasets = _load_projects(args.csv)
-    if args.mode == "cross" and len(datasets) < 2:
+    table = _load_projects(args.csv)
+    spans = table.projects()
+    if args.mode == "cross" and len(spans) < 2:
         print("error: cross-project evaluation needs at least 2 projects", file=sys.stderr)
         return 1
-    names = sorted(datasets)
+    names = sorted(spans)
     if args.mode == "within":
-        items = [(name, datasets[name], config) for name in names]
+        items = [(name, table.take(spans[name]), config) for name in names]
         worker = _eval_within_worker
     else:
-        items = [(datasets, target, config) for target in names]
+        items = [(table, target, config) for target in names]
         worker = _eval_cross_worker
     results = []
     if args.jobs > 1 and len(items) > 1:
@@ -258,14 +257,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         results = [worker(item) for item in items]
     results.sort(key=lambda r: r[0])
     reports = [rep for _, reps, _ in results for rep in reps]
-    dump = [row for _, _, rows in results for row in rows]
 
     out_dir = Path(args.out_dir)
     formats = [f.strip() for f in args.formats.split(",") if f.strip()]
     written = emit_report(reports, out_dir, mode=args.mode, config=config, formats=formats)
     if args.dump_predictions:
         dump_path = out_dir / "predictions.csv"
-        write_prediction_dump(dump, dump_path)
+        write_prediction_dump(chain.from_iterable(dump for _, _, dump in results), dump_path)
         written.append(dump_path)
     _write_run_sidecar(
         out_dir / "report",

@@ -1,26 +1,41 @@
-"""Dataset assembly: method records, consolidation, unification, CSV I/O.
+"""Dataset assembly: the columnar method table, method records, CSV I/O.
 
-A record is one observation of a method (current state, or one faulty
-occurrence). Faulty methods fixed several times appear once per fix; they
-are consolidated to a single entry carrying all occurrences, so that
-majority voting over the discretized attributes can be recomputed under
-any discretization model without leaking test data into the vote.
+A row is one observation of a method: its current state, or one faulty
+occurrence. `read_csv` parses a metrics CSV straight into columns (`Rows`):
+the identity key and fault flag of each row, the five tertile metrics in
+`array('q')` columns, and the 34 item bits that need no discretization
+model as one int per row. `build_unified` groups rows into a `MethodTable`:
+each identity once, in identity order, faulty methods replacing their
+current-state row and keeping every faulty occurrence, so that majority
+voting can be recomputed under any discretization model without leaking
+test data into the vote. Training, folds and scoring read the table by
+index; a training set is `table.take(indices)`.
+
+`MethodRecord` and `UnifiedMethod` are the object form of the same data,
+used by `extract`, `write_csv`, the synthetic generator and library callers.
+The public training and evaluation entry points turn a `UnifiedMethod` list
+into a table once, with `as_table`.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
-import warnings
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from itertools import accumulate, chain, groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
-from lowrisk.errors import SchemaError, UnmatchedFaultyWarning
+from lowrisk.discretize import TERTILE_METRICS, category_mask, count_items_mask
+from lowrisk.errors import SchemaError
 from lowrisk.java.analyzer import AnalyzedMethod, MethodIdentity
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
+
+_FAULTY_STATE_ONLY = "faulty records carry metrics computed at the faulty state"
 
 
 class Snapshot(Enum):
@@ -40,7 +55,7 @@ class MethodRecord:
 
     def __post_init__(self):
         if self.faulty and self.snapshot is not Snapshot.FAULTY:
-            raise ValueError("faulty records carry metrics computed at the faulty state")
+            raise ValueError(_FAULTY_STATE_ONLY)
 
 
 @dataclass(frozen=True)
@@ -66,79 +81,213 @@ def from_analyzed(methods: Iterable[AnalyzedMethod], faulty: bool = False) -> li
     ]
 
 
-def consolidate_faulty(records: Sequence[MethodRecord]) -> list[UnifiedMethod]:
-    """Collapse multiple faulty occurrences of the same method into one entry.
+# -- the columnar table ----------------------------------------------------
 
-    All occurrences are retained; majority voting over discretized attributes
-    happens at itemization time, once a discretization model is fixed.
+_N_METRICS = len(TERTILE_METRICS)
+_CHUNK = 8192  # records per metric-column batch in MethodTable.from_methods
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Occurrence rows in columns, as read from metrics CSVs."""
+
+    keys: list[tuple]  # MethodIdentity.key() of each row
+    faulty: list[bool]
+    metrics: tuple[array, ...]  # one column per TERTILE_METRICS entry
+    fixed: list[int]  # the item bits that need no discretization model
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @classmethod
+    def concat(cls, parts: Sequence[Rows]) -> Rows:
+        if len(parts) == 1:
+            return parts[0]
+        metrics = tuple(array("q") for _ in range(_N_METRICS))
+        for part in parts:
+            for column, more in zip(metrics, part.metrics):
+                column.extend(more)
+        return cls(
+            [k for part in parts for k in part.keys],
+            [f for part in parts for f in part.faulty],
+            metrics,
+            [b for part in parts for b in part.fixed],
+        )
+
+
+class _Lazy(Sequence):
+    """values[i] = compute(source, i), computed when first read and kept."""
+
+    def __init__(self, n: int, compute: Callable, source):
+        self._n, self._compute, self._source = n, compute, source
+        self._values: dict[int, object] = {}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index: int):
+        value = self._values.get(index)
+        if value is None:  # compute raises IndexError past the end
+            value = self._values[index] = self._compute(self._source, index)
+        return value
+
+
+class _Spans(Sequence):
+    """Consecutive row ranges from row 0: method i has rows ends[i-1] (or 0)
+    up to ends[i]."""
+
+    def __init__(self, ends: Sequence[int]):
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, index: int) -> range:
+        return range(self.ends[index - 1] if index else 0, self.ends[index])
+
+
+def _upper_median(column: Sequence[int], rows: Sequence[int]) -> int:
+    """statistics.median_high of the column over the rows."""
+    if len(rows) == 1:
+        return column[rows[0]]
+    return sorted(map(column.__getitem__, rows))[len(rows) // 2]
+
+
+_category_values = attrgetter(*CategoryFlags.FIELDS)
+_metric_values = attrgetter(*(metric for metric, _ in TERTILE_METRICS))
+_faulty_and_occurrences = attrgetter("faulty", "occurrences")
+_metrics_of = attrgetter("metrics")
+
+
+def _record_bits(records: Sequence[MethodRecord], row: int) -> int:
+    record = records[row]
+    return count_items_mask(record.metrics.construct_counts) | category_mask(
+        _category_values(record.categories)
+    )
+
+
+def _method_key(methods: Sequence[UnifiedMethod], index: int) -> tuple:
+    return methods[index].identity.key()
+
+
+def _method_sloc(sloc_and_occurrences: tuple, index: int) -> int:
+    sloc, occurrences = sloc_and_occurrences
+    return _upper_median(sloc, occurrences[index])
+
+
+@dataclass(frozen=True, eq=False)
+class MethodTable:
+    """Unified methods in columns, and the columns of their occurrence rows.
+
+    Per method: its identity key, fault flag, SLOC (the upper median over
+    its occurrences) and the indices of its occurrence rows. Per row: the
+    five tertile metrics and the model-free item bits. A row belongs to one
+    method at most; `take` shares the row columns.
     """
-    by_key: dict[tuple, list[MethodRecord]] = {}
-    order: list[tuple] = []
-    for rec in records:
-        if not rec.faulty:
-            raise ValueError("consolidate_faulty expects faulty records only")
-        key = rec.identity.key()
-        if key not in by_key:
-            by_key[key] = []
-            order.append(key)
-        by_key[key].append(rec)
-    return [
-        UnifiedMethod(by_key[key][0].identity, True, tuple(by_key[key])) for key in order
-    ]
+
+    keys: Sequence[tuple]
+    faulty: Sequence[bool]
+    sloc: Sequence[int]
+    occurrences: Sequence[Sequence[int]]
+    metrics: tuple[Sequence[int], ...]
+    fixed: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.faulty)
+
+    def take(self, indices: Sequence[int]) -> MethodTable:
+        """The methods at `indices`, in that order."""
+
+        def pick(column):
+            return list(map(column.__getitem__, indices))
+
+        return MethodTable(
+            pick(self.keys), pick(self.faulty), pick(self.sloc), pick(self.occurrences),
+            self.metrics, self.fixed,
+        )
+
+    def occurrence_rows(self) -> Sequence[int]:
+        """Every occurrence row of the table's methods, in method order."""
+        if isinstance(self.occurrences, _Spans):
+            return range(self.occurrences.ends[-1] if len(self) else 0)
+        return list(chain.from_iterable(self.occurrences))
+
+    def projects(self) -> dict[str, range]:
+        """The method index range of each project, for a table in identity order."""
+        spans: dict[str, range] = {}
+        start = 0
+        for name, group in groupby(map(itemgetter(0), self.keys)):
+            end = start + sum(1 for _ in group)
+            spans[name] = range(start, end)
+            start = end
+        return spans
+
+    @classmethod
+    def from_methods(cls, methods: Sequence[UnifiedMethod]) -> MethodTable:
+        """The table of a unified method list, in list order.
+
+        Only the fault flags, the occurrence rows and the metric columns
+        are built here; identity keys, SLOC and each row's model-free item
+        bits are computed when read. Nothing made per method or row outlives
+        the build, which keeps the garbage collector and the memory out.
+        """
+        if not isinstance(methods, (list, tuple)):
+            methods = list(methods)
+        both = list(chain.from_iterable(map(_faulty_and_occurrences, methods)))
+        faulty, groups = both[0::2], both[1::2]
+        del both
+        records = list(chain.from_iterable(groups))
+        # Lists, not arrays: the records' metrics are Python ints already.
+        metrics = tuple([] for _ in range(_N_METRICS))
+        for start in range(0, len(records), _CHUNK):
+            chunk = records[start : start + _CHUNK]
+            flat = list(chain.from_iterable(map(_metric_values, map(_metrics_of, chunk))))
+            for m, column in enumerate(metrics):
+                column.extend(flat[m::_N_METRICS])
+        occurrences = _Spans(array("q", accumulate(map(len, groups))))
+        return cls(
+            _Lazy(len(methods), _method_key, methods),
+            faulty,
+            _Lazy(len(methods), _method_sloc, (metrics[0], occurrences)),
+            occurrences,
+            metrics,
+            _Lazy(len(records), _record_bits, records),
+        )
 
 
-def _as_unified(item: MethodRecord | UnifiedMethod) -> UnifiedMethod:
-    if isinstance(item, UnifiedMethod):
-        return item
-    return UnifiedMethod(item.identity, item.faulty, (item,))
+def as_table(methods: Sequence[UnifiedMethod] | MethodTable) -> MethodTable:
+    """A MethodTable as it is, or the table of a unified method list."""
+    return methods if isinstance(methods, MethodTable) else MethodTable.from_methods(methods)
 
 
-def unify(
-    all_methods: Sequence[MethodRecord | UnifiedMethod],
-    faulty_consolidated: Sequence[UnifiedMethod],
-    warn_unmatched: bool = True,
-) -> list[UnifiedMethod]:
-    """Build the unified dataset: each identity once, faulty entries replacing
-    their current-state counterparts.
+def build_unified(rows: Rows) -> MethodTable:
+    """Group rows into unified methods, in identity order.
 
-    Faulty identities absent from the current snapshot (deleted methods) are
-    still included, with a warning diagnostic when warn_unmatched is set.
+    The first current-state row of an identity stands for it, unless the
+    identity has faulty rows: then those are its occurrences, whether or
+    not a current-state row exists (serialized unified datasets carry
+    faulty rows of deleted methods by design).
     """
-    faulty_by_key = {u.identity.key(): u for u in faulty_consolidated}
-    out: list[UnifiedMethod] = []
-    seen: set[tuple] = set()
-    for item in all_methods:
-        u = _as_unified(item)
-        key = u.identity.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(faulty_by_key.get(key, u))
-    for u in faulty_consolidated:
-        key = u.identity.key()
-        if key not in seen:
-            seen.add(key)
-            if warn_unmatched:
-                warnings.warn(
-                    f"faulty method {u.identity.type_name}.{u.identity.method_name} "
-                    f"not found in current snapshot (deleted?)",
-                    UnmatchedFaultyWarning,
-                    stacklevel=2,
-                )
-            out.append(u)
-    out.sort(key=lambda u: u.identity)
-    return out
-
-
-def build_unified(records: Sequence[MethodRecord]) -> list[UnifiedMethod]:
-    """Standard assembly from a mixed record list (CSV contents).
-
-    Serialized unified datasets carry faulty rows without a current-state
-    counterpart by design, so the deleted-method diagnostic stays quiet here.
-    """
-    current = [r for r in records if not r.faulty]
-    faulty = consolidate_faulty([r for r in records if r.faulty])
-    return unify(current, faulty, warn_unmatched=False)
+    keys, faulty = rows.keys, rows.faulty
+    rows_of: dict[tuple, tuple[int, ...]] = {}  # the first current-state row, until
+    faulty_rows: dict[tuple, list[int]] = {}  # faulty rows replace it below
+    for row, key in enumerate(keys):
+        if faulty[row]:
+            faulty_rows.setdefault(key, []).append(row)
+        elif key not in rows_of:
+            rows_of[key] = (row,)
+    rows_of.update((key, tuple(group)) for key, group in faulty_rows.items())
+    order = sorted(rows_of)
+    occurrences = list(map(rows_of.__getitem__, order))
+    sloc = rows.metrics[0]
+    return MethodTable(
+        order,
+        list(map(faulty_rows.__contains__, order)),
+        [_upper_median(sloc, occ) for occ in occurrences],
+        occurrences,
+        rows.metrics,
+        rows.fixed,
+    )
 
 
 # -- CSV schema -----------------------------------------------------------
@@ -163,6 +312,10 @@ CSV_HEADER = (
 _COUNT_COLUMNS = _CONSTRUCT_COLUMNS + _METRIC_COLUMNS
 _FLAG_COLUMNS = ["faulty"] + _CATEGORY_COLUMNS
 
+_MAX_COUNT = 2**63 - 1  # counts and metrics are held in array('q') columns
+# read_csv's fast path reads a count in its plain spelling below 1024 by
+# lookup; any other spelling or value is parsed field by field.
+_PLAIN_COUNTS = {str(n): n for n in range(1024)}
 _BOOL = {"true": True, "false": False}
 _SNAPSHOT = {s.value: s for s in Snapshot}
 
@@ -213,6 +366,8 @@ def _parse_count(row_no: int, column: str, value: str) -> int:
         raise SchemaError(f"row {row_no}: column {column!r}: expected integer, got {value!r}")
     if count < 0:
         raise SchemaError(f"row {row_no}: column {column!r}: expected non-negative integer, got {value!r}")
+    if count > _MAX_COUNT:
+        raise SchemaError(f"row {row_no}: column {column!r}: expected integer below 2**63, got {value!r}")
     return count
 
 
@@ -224,20 +379,24 @@ def _parse_bool(row_no: int, column: str, value: str) -> bool:
 
 
 def _parse_fields(row_no: int, row: list[str], at: dict[str, int]) -> tuple:
-    """(snapshot, counts, flags) of one row, parsed field by field; raises a
-    SchemaError naming the first bad field in snapshot, faulty, counts,
-    categories order."""
+    """(faulty, counts, category flags) of one row, parsed field by field;
+    raises a SchemaError naming the first bad field in snapshot, faulty,
+    counts, categories order, then for a faulty row outside the faulty
+    state."""
     text = row[at["snapshot"]]
     if text not in _SNAPSHOT:
         raise SchemaError(f"row {row_no}: column 'snapshot': unknown value {text!r}")
     faulty = _parse_bool(row_no, "faulty", row[at["faulty"]])
     counts = tuple(_parse_count(row_no, c, row[at[c]]) for c in _COUNT_COLUMNS)
-    flags = [faulty] + [_parse_bool(row_no, c, row[at[c]]) for c in _CATEGORY_COLUMNS]
-    return _SNAPSHOT[text], counts, flags
+    categories = [_parse_bool(row_no, c, row[at[c]]) for c in _CATEGORY_COLUMNS]
+    if faulty and _SNAPSHOT[text] is not Snapshot.FAULTY:
+        raise SchemaError(f"row {row_no}: {_FAULTY_STATE_ONLY}")
+    return faulty, counts, categories
 
 
-def read_csv(path: str | Path) -> list[MethodRecord]:
-    """Read a metrics CSV; raises SchemaError naming the offending column/row."""
+def read_csv(path: str | Path) -> Rows:
+    """Read a metrics CSV into row columns; raises SchemaError naming the
+    offending column/row."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -250,45 +409,38 @@ def read_csv(path: str | Path) -> list[MethodRecord]:
         at = {name: header.index(name) for name in CSV_HEADER}
         identity_of = itemgetter(*(at[c] for c in _IDENTITY_COLUMNS))
         counts_of = itemgetter(*(at[c] for c in _COUNT_COLUMNS))
-        flags_of = itemgetter(*(at[c] for c in _FLAG_COLUMNS))
-        snapshot_at = at["snapshot"]
+        head_of = itemgetter(*(at[c] for c in ["snapshot"] + _FLAG_COLUMNS))
         width = len(header)
-        records = []
+        # (faulty, category bits) of each spelling of the snapshot, faulty
+        # and category fields met so far that parsed and agree.
+        heads: dict[tuple, tuple[bool, int]] = {}
+        signatures: dict[str, tuple] = {}
+        keys, faulty, fixed, metric_values = [], [], [], []
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) < width:
                 raise SchemaError(f"row {row_no}: expected {width} fields, got {len(row)}")
-            # The fast path takes exact spellings only; anything it refuses is
-            # parsed again field by field, which accepts padded booleans and
-            # raises the SchemaError for a bad field.
+            # The fast path takes known head spellings and plain counts only;
+            # anything it refuses is parsed again field by field, which
+            # accepts padded values and raises the SchemaError for a bad field.
             try:
-                snapshot = _SNAPSHOT[row[snapshot_at]]
-                flags = list(map(_BOOL.__getitem__, flags_of(row)))
-                counts = tuple(map(int, counts_of(row)))
-                if min(counts) < 0:
-                    raise ValueError
-            except (KeyError, ValueError):
-                snapshot, counts, flags = _parse_fields(row_no, row, at)
-            faulty = flags[0]
-            categories = CategoryFlags(*flags[1:])
+                is_faulty, category_bits = heads[head_of(row)]
+                counts = tuple(map(_PLAIN_COUNTS.__getitem__, counts_of(row)))
+            except KeyError:
+                is_faulty, counts, categories = _parse_fields(row_no, row, at)
+                category_bits = category_mask(categories)
+                heads[head_of(row)] = is_faulty, category_bits
             project, file_path, type_name, method_name, signature = identity_of(row)
-            identity = MethodIdentity(
-                project,
-                file_path,
-                type_name,
-                method_name,
-                tuple(filter(None, signature.split(";"))),
-                categories.is_constructor,
-            )
-            metrics = RawMetrics(*counts[N_CONSTRUCT_KINDS:], counts[:N_CONSTRUCT_KINDS])
-            try:
-                records.append(
-                    MethodRecord(identity, metrics, categories, faulty=faulty, snapshot=snapshot)
-                )
-            except ValueError as exc:
-                raise SchemaError(f"row {row_no}: {exc}")
-        return records
+            params = signatures.get(signature)
+            if params is None:
+                params = signatures[signature] = tuple(filter(None, signature.split(";")))
+            keys.append((project, file_path, type_name, method_name, params))
+            faulty.append(is_faulty)
+            fixed.append(count_items_mask(counts) | category_bits)
+            metric_values.extend(counts[N_CONSTRUCT_KINDS:])
+        metrics = tuple(array("q", metric_values[m::_N_METRICS]) for m in range(_N_METRICS))
+        return Rows(keys, faulty, metrics, fixed)
 
 
 def read_label_file(path: str | Path) -> set[tuple]:

@@ -1,4 +1,4 @@
-"""Tertile discretization and binary itemization of method records.
+"""Tertile discretization and binary itemization of the rows of a method table.
 
 The five numeric metrics are split into three classes at the sorted
 one-third and two-thirds boundary values, extended to the last occurrence
@@ -10,6 +10,14 @@ fixed and identical across projects.
 An item vector is one int mask: bit i is set iff ATTRIBUTE_ITEMS[i] holds.
 The same mask is balanced, matched against rule antecedent masks, and
 expanded into item names only for the miner's transactions.
+
+Both layers read a `MethodTable` (see `lowrisk.dataset`) by index.
+`fit_discretization` counts the values of the table's five metric columns
+over its occurrence rows and reads the tertile bounds off the sorted
+distinct values. The 34 bits that need no model (26 has-no, 2 derived,
+6 category) are computed once per row when the table is loaded
+(`count_items_mask`, `category_mask`); `itemize` ORs in the 5 tertile bits
+it gets by bisecting a row's metrics into the model's bounds.
 """
 
 from __future__ import annotations
@@ -17,15 +25,18 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter, lshift, not_
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter, lshift, not_
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from lowrisk.dataset import MethodRecord, UnifiedMethod
 from lowrisk.errors import DegenerateDistributionWarning, SchemaError, VocabularyMismatchError
 from lowrisk.java.metrics import CategoryFlags, ConstructKind, arithmetic_counts, condition_counts
+
+if TYPE_CHECKING:
+    from lowrisk.dataset import MethodTable
 
 TERTILE_METRICS = (
     ("sloc", "Sloc"),
@@ -91,9 +102,10 @@ _LOWEST_THIRD_BITS = tuple(1 << (3 * m) for m in range(len(TERTILE_METRICS)))
 _NO_ITEM_BITS = tuple(_ITEM_BIT[NO_ITEM_NAMES[kind]] for kind in ConstructKind)
 _NO_CONDITIONS_BIT = _ITEM_BIT["NoConditions"]
 _NO_ARITHMETIC_BIT = _ITEM_BIT["NoArithmeticOperations"]
+# The has-no bits whose conjunction is NoConditions, and NoArithmeticOperations.
+_CONDITION_NO_BITS = sum(condition_counts(_NO_ITEM_BITS))
+_ARITHMETIC_NO_BITS = sum(arithmetic_counts(_NO_ITEM_BITS))
 _CATEGORY_BITS = tuple(_ITEM_BIT[name] for name in _CATEGORY_ITEMS)
-_tertile_values = attrgetter(*(metric for metric, _ in TERTILE_METRICS))
-_category_values = attrgetter(*CategoryFlags.FIELDS)
 
 
 def item_mask(names: Iterable[str]) -> int:
@@ -163,33 +175,46 @@ class DiscretizationModel:
         return cls(bounds)
 
 
+def _counted_bounds(counts: Counter, n: int) -> MetricBounds:
+    """The values at ranks ceil(n/3) - 1 and ceil(2n/3) - 1 of n counted
+    values in sorted order."""
+    rank1, rank2 = math.ceil(n / 3) - 1, math.ceil(2 * n / 3) - 1
+    seen, c1 = 0, None
+    for value in sorted(counts):
+        seen += counts[value]
+        if c1 is None and seen > rank1:
+            c1 = value
+        if seen > rank2:
+            return MetricBounds(c1, value)
+
+
 def tertile_bounds(values: Sequence) -> MetricBounds:
     """Boundary values at the end of the first and second sorted thirds."""
     if not values:
         raise ValueError("no values to discretize")
-    ordered = sorted(values)
-    n = len(ordered)
-    c1 = ordered[math.ceil(n / 3) - 1]
-    c2 = ordered[math.ceil(2 * n / 3) - 1]
-    return MetricBounds(c1, c2)
+    return _counted_bounds(Counter(values), len(values))
 
 
-def fit_discretization(records: Iterable[MethodRecord]) -> DiscretizationModel:
-    """Fit tertile boundaries over all given records (training data only)."""
-    records = list(records)
-    if len(records) < 3:
-        raise ValueError(f"need at least 3 records to fit tertiles, got {len(records)}")
+def fit_discretization(table: MethodTable) -> DiscretizationModel:
+    """Fit tertile boundaries over every occurrence row of the table's
+    methods (training data only)."""
+    rows = table.occurrence_rows()
+    if len(rows) < 3:
+        raise ValueError(f"need at least 3 records to fit tertiles, got {len(rows)}")
+    # A row belongs to one method at most, so as many rows as the columns
+    # hold are all of them.
+    gather = None if len(rows) == len(table.metrics[0]) else itemgetter(*rows)
     bounds = {}
-    for metric, _ in TERTILE_METRICS:
-        values = [getattr(r.metrics, metric) for r in records]
-        if len(set(values)) == 1:
+    for (metric, _), column in zip(TERTILE_METRICS, table.metrics):
+        counts = Counter(column if gather is None else gather(column))
+        if len(counts) == 1:
             warnings.warn(
-                f"metric {metric!r} has a single distinct value ({values[0]}); "
+                f"metric {metric!r} has a single distinct value ({next(iter(counts))}); "
                 "all methods map to class 1",
                 DegenerateDistributionWarning,
                 stacklevel=2,
             )
-        bounds[metric] = tertile_bounds(values)
+        bounds[metric] = _counted_bounds(counts, len(rows))
     return DiscretizationModel(bounds)
 
 
@@ -219,20 +244,21 @@ class ItemVector:
         return frozenset(names)
 
 
-def _record_mask(record: MethodRecord, model: DiscretizationModel) -> int:
-    """The item mask of one occurrence."""
-    metrics = record.metrics
-    counts = metrics.construct_counts
+def count_items_mask(construct_counts: Sequence[int]) -> int:
+    """The 26 has-no bits and the 2 derived ones of a row's construct counts,
+    given in ConstructKind order (later entries are ignored)."""
     # Each sum adds distinct bits, so it is their union.
-    mask = sum(
-        map(lshift, _LOWEST_THIRD_BITS, map(bisect_left, model._upper_bounds, _tertile_values(metrics)))
-    )
-    mask |= sum(compress(_NO_ITEM_BITS, map(not_, counts)))
-    if not any(condition_counts(counts)):
+    mask = sum(compress(_NO_ITEM_BITS, map(not_, construct_counts)))
+    if mask & _CONDITION_NO_BITS == _CONDITION_NO_BITS:
         mask |= _NO_CONDITIONS_BIT
-    if not any(arithmetic_counts(counts)):
+    if mask & _ARITHMETIC_NO_BITS == _ARITHMETIC_NO_BITS:
         mask |= _NO_ARITHMETIC_BIT
-    return mask | sum(compress(_CATEGORY_BITS, _category_values(record.categories)))
+    return mask
+
+
+def category_mask(flags: Iterable[bool]) -> int:
+    """The 6 category bits of flags given in CategoryFlags.FIELDS order."""
+    return sum(compress(_CATEGORY_BITS, flags))
 
 
 def _vote(masks: Sequence[int]) -> int:
@@ -248,18 +274,24 @@ def _vote(masks: Sequence[int]) -> int:
     return voted
 
 
-def itemize(method: UnifiedMethod | MethodRecord, model: DiscretizationModel) -> ItemVector:
-    """Build the binary item vector for one (unified) method.
+def _row_mask(table: MethodTable, row: int, bounds: tuple) -> int:
+    """The item mask of one occurrence row: its model-free bits and the class
+    bit of each tertile metric."""
+    sloc, cc, nesting, chaining, variables = table.metrics
+    values = (sloc[row], cc[row], nesting[row], chaining[row], variables[row])
+    # Each sum adds distinct bits, so it is their union.
+    return table.fixed[row] | sum(map(lshift, _LOWEST_THIRD_BITS, map(bisect_left, bounds, values)))
+
+
+def itemize(table: MethodTable, index: int, model: DiscretizationModel) -> ItemVector:
+    """Build the binary item vector of the table's method at `index`.
 
     For methods with several faulty occurrences, each attribute is set by
     majority vote over the per-occurrence discretized values.
     """
-    if isinstance(method, MethodRecord):
-        occurrences = (method,)
+    rows, bounds = table.occurrences[index], model._upper_bounds
+    if len(rows) == 1:
+        mask = _row_mask(table, rows[0], bounds)
     else:
-        occurrences = method.occurrences
-    if len(occurrences) == 1:
-        mask = _record_mask(occurrences[0], model)
-    else:
-        mask = _vote([_record_mask(r, model) for r in occurrences])
-    return ItemVector(mask, LABEL_FAULTY if method.faulty else LABEL_NOT_FAULTY)
+        mask = _vote([_row_mask(table, row, bounds) for row in rows])
+    return ItemVector(mask, LABEL_FAULTY if table.faulty[index] else LABEL_NOT_FAULTY)

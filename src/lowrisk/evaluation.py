@@ -4,6 +4,12 @@ Fold hygiene: discretization, balancing, mining, and prefix selection see
 training data only; the held-out partition is itemized with the training
 fold's discretization model. Per-project numbers are computed on the pooled
 held-out predictions; per-fold numbers are additionally reported.
+
+Both evaluators read a `MethodTable`: folds and cross-project training sets
+are lists of method indices into it, and scoring reads its fault flags and
+SLOC by index. A unified method list (or a mapping of them) is turned into
+a table on entry. Prediction-dump rows are built only when the dump is
+iterated, that is when it is written.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, fields
+from itertools import compress
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from lowrisk.classifier import LfrClassifier, Variant
-from lowrisk.dataset import UnifiedMethod
+from lowrisk.dataset import MethodTable, UnifiedMethod, as_table
 from lowrisk.discretize import DiscretizationModel, itemize
 from lowrisk.errors import TooFewMinorityError
 from lowrisk.pipeline import PipelineConfig, derive_seed, train_on
@@ -39,16 +46,10 @@ def compute_fdr(lfr_fraction: float, matched_fault_fraction: float) -> float:
     return lfr_fraction / matched_fault_fraction
 
 
-def stratified_kfold(
-    methods: Sequence[UnifiedMethod], k: int = 10, seed: int = 0
-) -> list[list[UnifiedMethod]]:
-    """Split into k partitions preserving the faulty/non-faulty ratio.
-
-    Partition sizes differ by at most one, and so do per-partition faulty
-    counts; deterministic given the seed.
-    """
-    faulty = [m for m in methods if m.faulty]
-    clean = [m for m in methods if not m.faulty]
+def _kfold_indices(is_faulty: Sequence[bool], k: int, seed: int) -> list[list[int]]:
+    """stratified_kfold over method indices, given each method's fault flag."""
+    faulty = [i for i, f in enumerate(is_faulty) if f]
+    clean = [i for i, f in enumerate(is_faulty) if not f]
     if len(faulty) < k or len(clean) < k:
         raise TooFewMinorityError(
             f"stratified {k}-fold needs at least {k} methods of each class "
@@ -57,13 +58,25 @@ def stratified_kfold(
     rng = random.Random(seed)
     rng.shuffle(faulty)
     rng.shuffle(clean)
-    folds: list[list[UnifiedMethod]] = [[] for _ in range(k)]
+    folds: list[list[int]] = [[] for _ in range(k)]
     for i, m in enumerate(faulty):
         folds[i % k].append(m)
     offset = len(faulty) % k
     for i, m in enumerate(clean):
         folds[(offset + i) % k].append(m)
     return folds
+
+
+def stratified_kfold(
+    methods: Sequence[UnifiedMethod], k: int = 10, seed: int = 0
+) -> list[list[UnifiedMethod]]:
+    """Split into k partitions preserving the faulty/non-faulty ratio.
+
+    Partition sizes differ by at most one, and so do per-partition faulty
+    counts; deterministic given the seed.
+    """
+    folds = _kfold_indices([m.faulty for m in methods], k, seed)
+    return [[methods[i] for i in fold] for fold in folds]
 
 
 @dataclass(frozen=True)
@@ -90,16 +103,18 @@ class ScopeMetrics:
 
 
 def score_predictions(
-    predictions: Sequence[tuple[UnifiedMethod, bool]], scope: str, n_rules: int
+    table: MethodTable, indices: Sequence[int], predicted_lfr: Sequence[bool], scope: str, n_rules: int
 ) -> ScopeMetrics:
-    """Aggregate (method, predicted_lfr) pairs into scope metrics."""
-    methods_total = len(predictions)
-    faulty_total = sum(1 for m, _ in predictions if m.faulty)
-    sloc_total = sum(m.sloc for m, _ in predictions)
-    lfr = [(m, p) for m, p in predictions if p]
+    """Aggregate the predictions for the table's methods at `indices` into
+    scope metrics."""
+    is_faulty, sloc = table.faulty.__getitem__, table.sloc.__getitem__
+    methods_total = len(indices)
+    faulty_total = sum(map(is_faulty, indices))
+    sloc_total = sum(map(sloc, indices))
+    lfr = list(compress(indices, predicted_lfr))
     lfr_methods = len(lfr)
-    lfr_sloc = sum(m.sloc for m, _ in lfr)
-    faulty_in_lfr = sum(1 for m, _ in lfr if m.faulty)
+    lfr_sloc = sum(map(sloc, lfr))
+    faulty_in_lfr = sum(map(is_faulty, lfr))
     clean_in_lfr = lfr_methods - faulty_in_lfr
     clean_total = methods_total - faulty_total
 
@@ -161,69 +176,87 @@ class PredictionRow:
     matched_rule_index: int | None
 
 
+class PredictionDump:
+    """Per-method predictions of one evaluation, kept as method indices and
+    matched rule indices; iterating builds the PredictionRows."""
+
+    def __init__(self, table: MethodTable):
+        self.table = table
+        self.parts: list[tuple[Variant, Sequence[int], list[int | None]]] = []
+
+    def add(self, variant: Variant, indices: Sequence[int], matched: list[int | None]) -> None:
+        self.parts.append((variant, indices, matched))
+
+    def __len__(self) -> int:
+        return sum(len(indices) for _, indices, _ in self.parts)
+
+    def __iter__(self) -> Iterator[PredictionRow]:
+        keys, is_faulty = self.table.keys, self.table.faulty
+        for variant, indices, matched in self.parts:
+            for i, idx in zip(indices, matched):
+                project, file_path, type_name, method_name, params = keys[i]
+                yield PredictionRow(
+                    project=project,
+                    file_path=file_path,
+                    type_name=type_name,
+                    method_name=method_name,
+                    param_signature=";".join(params),
+                    variant=variant.value,
+                    predicted_lfr=idx is not None,
+                    faulty=is_faulty[i],
+                    matched_rule_index=idx,
+                )
+
+
 def _predict(
     discretization: DiscretizationModel,
     classifiers: Mapping[Variant, LfrClassifier],
-    methods: Sequence[UnifiedMethod],
-) -> dict[Variant, list[tuple[UnifiedMethod, bool, int | None]]]:
-    """Per variant, (method, predicted_lfr, matched rule index) for each method.
+    table: MethodTable,
+    indices: Sequence[int],
+) -> dict[Variant, list[int | None]]:
+    """Per variant, the matched rule index (None: not LFR) of the table's
+    methods at `indices`.
 
     Each method is itemized once and its mask matched by every classifier.
     """
-    vectors = [itemize(m, discretization) for m in methods]
-    out = {}
-    for variant, clf in classifiers.items():
-        preds = []
-        for m, vector in zip(methods, vectors):
-            idx = clf.matched_rule_index(vector)
-            preds.append((m, idx is not None, idx))
-        out[variant] = preds
-    return out
+    vectors = [itemize(table, i, discretization) for i in indices]
+    return {
+        variant: [clf.matched_rule_index(vector) for vector in vectors]
+        for variant, clf in classifiers.items()
+    }
 
 
-def _rows_for(project_predictions, variant: Variant) -> list[PredictionRow]:
-    rows = []
-    for m, lfr, idx in project_predictions:
-        ident = m.identity
-        rows.append(
-            PredictionRow(
-                project=ident.project,
-                file_path=ident.file_path,
-                type_name=ident.type_name,
-                method_name=ident.method_name,
-                param_signature=";".join(ident.param_signature),
-                variant=variant.value,
-                predicted_lfr=lfr,
-                faulty=m.faulty,
-                matched_rule_index=idx,
-            )
-        )
-    return rows
+def _lfr(matched: list[int | None]) -> list[bool]:
+    return [idx is not None for idx in matched]
 
 
 def evaluate_within_project(
-    methods: Sequence[UnifiedMethod], project: str, config: PipelineConfig
-) -> tuple[dict[Variant, ProjectReport], list[PredictionRow]]:
+    methods: Sequence[UnifiedMethod] | MethodTable, project: str, config: PipelineConfig
+) -> tuple[dict[Variant, ProjectReport], PredictionDump]:
     """Stratified k-fold evaluation of both variants on one project."""
-    folds = stratified_kfold(methods, config.folds, derive_seed(config.seed, "kfold", project))
-    pooled = {v: [] for v in Variant}
+    table = as_table(methods)
+    folds = _kfold_indices(table.faulty, config.folds, derive_seed(config.seed, "kfold", project))
+    pooled: dict[Variant, list[int | None]] = {v: [] for v in Variant}
     fold_metrics = {v: [] for v in Variant}
-    dump: list[PredictionRow] = []
+    dump = PredictionDump(table)
     for fold_idx, held_out in enumerate(folds):
-        training = [m for j, fold in enumerate(folds) if j != fold_idx for m in fold]
-        trained = train_on(training, config, scope=(project, fold_idx))
-        fold_preds = _predict(trained.discretization, trained.classifiers, held_out)
+        training = [i for j, fold in enumerate(folds) if j != fold_idx for i in fold]
+        trained = train_on(table.take(training), config, scope=(project, fold_idx))
+        fold_preds = _predict(trained.discretization, trained.classifiers, table, held_out)
         for variant in Variant:
-            preds = fold_preds[variant]
-            pooled[variant].extend(preds)
+            matched = fold_preds[variant]
+            pooled[variant].extend(matched)
             fold_metrics[variant].append(
                 score_predictions(
-                    [(m, p) for m, p, _ in preds],
+                    table,
+                    held_out,
+                    _lfr(matched),
                     scope=f"fold:{fold_idx}",
                     n_rules=trained.classifiers[variant].n,
                 )
             )
-            dump.extend(_rows_for(preds, variant))
+            dump.add(variant, held_out, matched)
+    held_out_order = [i for fold in folds for i in fold]
     reports = {}
     for variant in Variant:
         mean_n = statistics.mean(fm.n_rules for fm in fold_metrics[variant])
@@ -232,7 +265,9 @@ def evaluate_within_project(
             variant=variant,
             mode="within",
             pooled=score_predictions(
-                [(m, p) for m, p, _ in pooled[variant]],
+                table,
+                held_out_order,
+                _lfr(pooled[variant]),
                 scope=f"project:{project}",
                 n_rules=round(mean_n),
             ),
@@ -241,34 +276,55 @@ def evaluate_within_project(
     return reports, dump
 
 
+def _as_projects(
+    datasets: Mapping[str, Sequence[UnifiedMethod]] | MethodTable,
+) -> tuple[MethodTable, dict[str, range]]:
+    """One table and the method index range of each project in it."""
+    if isinstance(datasets, MethodTable):
+        return datasets, datasets.projects()
+    spans, start = {}, 0
+    for name in sorted(datasets):
+        spans[name] = range(start, start + len(datasets[name]))
+        start = spans[name].stop
+    return MethodTable.from_methods([m for name in spans for m in datasets[name]]), spans
+
+
 def evaluate_cross_project(
-    datasets: Mapping[str, Sequence[UnifiedMethod]],
+    datasets: Mapping[str, Sequence[UnifiedMethod]] | MethodTable,
     target: str,
     config: PipelineConfig,
-) -> tuple[dict[Variant, ProjectReport], list[PredictionRow]]:
-    """Train once on the union of all other projects, evaluate on the target."""
-    if target not in datasets:
+) -> tuple[dict[Variant, ProjectReport], PredictionDump]:
+    """Train once on the union of all other projects, evaluate on the target.
+
+    `datasets` maps project names to unified method lists, or is a table in
+    identity order holding every project.
+    """
+    table, spans = _as_projects(datasets)
+    if target not in spans:
         raise ValueError(f"target project {target!r} not among the datasets")
-    if len(datasets) < 2:
+    if len(spans) < 2:
         raise ValueError("cross-project prediction needs at least 2 projects")
-    training = [m for name in sorted(datasets) if name != target for m in datasets[name]]
-    trained = train_on(training, config, scope=(target, "cross"))
-    target_preds = _predict(trained.discretization, trained.classifiers, list(datasets[target]))
+    training = [i for name, span in spans.items() if name != target for i in span]
+    trained = train_on(table.take(training), config, scope=(target, "cross"))
+    target_methods = spans[target]
+    target_preds = _predict(trained.discretization, trained.classifiers, table, target_methods)
     reports = {}
-    dump: list[PredictionRow] = []
+    dump = PredictionDump(table)
     for variant in Variant:
-        preds = target_preds[variant]
+        matched = target_preds[variant]
         reports[variant] = ProjectReport(
             project=target,
             variant=variant,
             mode="cross",
             pooled=score_predictions(
-                [(m, p) for m, p, _ in preds],
+                table,
+                target_methods,
+                _lfr(matched),
                 scope=f"project:{target}",
                 n_rules=trained.classifiers[variant].n,
             ),
         )
-        dump.extend(_rows_for(preds, variant))
+        dump.add(variant, target_methods, matched)
     return reports, dump
 
 
@@ -402,7 +458,7 @@ def emit_report(
     return written
 
 
-def write_prediction_dump(rows: Sequence[PredictionRow], path: str | Path) -> None:
+def write_prediction_dump(rows: Iterable[PredictionRow], path: str | Path) -> None:
     header = [
         "project",
         "file_path",

@@ -7,16 +7,17 @@ double-colon operators (recognized so that lambda-bearing methods can be
 detected and rejected upstream).
 
 One master pattern, compiled at import, reads the source with ``finditer``.
-Each match skips spaces, tabs, carriage returns and form feeds, then takes
-the first of these named groups that fits: a newline, an ASCII identifier,
-a ``//`` comment, a ``/* */`` comment, a number (hex form first), a string
-literal, a char literal, an unterminated ``/*``, ``"`` or ``'``, an operator
-(longest first), any one other character, and the end of input. The
-one-character group makes every character part of some match, so none is
-skipped silently. Lines are counted on the newline group and on the
-newlines inside block comments. Inside a literal a backslash escapes any
-character but a newline, so a backslash before a line break leaves the
-literal unterminated, as javac has it.
+Each match skips spaces, tabs and form feeds, then takes the first of these
+named groups that fits: a line terminator (CR LF, CR or LF, as in Java), an
+ASCII identifier, a ``//`` comment, a ``/* */`` comment, a number (hex form
+first), a string literal, a char literal, an unterminated ``/*``, ``"`` or
+``'``, an operator (longest first), any one other character, and the end of
+input. The one-character group makes every character part of some match, so
+none is skipped silently. Lines are counted on the newline group and on the line
+terminators inside block comments, so CR-only, LF and CRLF sources give
+the same lines and columns. Inside a literal a backslash escapes any
+character but a line terminator, so a backslash before a line break leaves
+the literal unterminated, as javac has it.
 
 Identifiers outside ASCII take a slow path: a non-ASCII character reaches
 the one-character group, and if Python accepts it in an identifier it joins
@@ -93,18 +94,18 @@ ASSIGNMENT_OPS = frozenset(
 _IDENT_PART = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$0123456789")
 
 _TOKEN_RE = re.compile(
-    r"[ \t\r\f]*(?:"
-    r"(?P<newline>\n)"
+    r"[ \t\f]*(?:"
+    r"(?P<newline>\r\n?|\n)"
     r"|(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)"
-    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<line_comment>//[^\r\n]*)"
     r"|(?P<block_comment>/\*[\s\S]*?\*/)"
     # A sign belongs to a hex literal only after the binary exponent 'p' of
     # a hex float, never after the hex digit 'e'; a decimal literal stops
     # before '..' so that 1..toString() keeps its member access.
     r"|(?P<number>0[xX](?:[pP][+-]?|[0-9a-fA-F._lL])*"
     r"|(?:[0-9]|\.[0-9])(?:[eE][+-]?|[0-9a-fA-FxXbBlLfFdD_]|\.(?!\.))*)"
-    r'|(?P<string>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")'
-    r"|(?P<char>'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*')"
+    r'|(?P<string>"[^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*")'
+    r"|(?P<char>'[^'\\\r\n]*(?:\\[^\r\n][^'\\\r\n]*)*')"
     r"""|(?P<unterminated>/\*|["'])"""
     r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS))
     + "|[" + re.escape("+-*/%=<>!~&|^?:;,.()[]{}@") + "])"
@@ -144,10 +145,11 @@ def tokenize(text: str, file_path: str | None = None) -> list[Token]:
                 line_start = m.end()
             elif kind == "block_comment":
                 i, j = m.span(kind)
-                newlines = text.count("\n", i, j)
+                # CR LF is one line terminator, a lone CR or LF is one too.
+                newlines = text.count("\n", i, j) + text.count("\r", i, j) - text.count("\r\n", i, j)
                 if newlines:
                     line += newlines
-                    line_start = text.rfind("\n", i, j) + 1
+                    line_start = max(text.rfind("\n", i, j), text.rfind("\r", i, j)) + 1
             elif kind == "unterminated":
                 col = m.start(kind) - line_start + 1
                 raise JavaParseError(_UNTERMINATED[m[kind]], file_path, line, col)

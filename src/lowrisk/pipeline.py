@@ -1,11 +1,13 @@
 """Training pipeline shared by the CLI and the evaluator.
 
-One training run is: fit tertile discretization on the training records,
-itemize, balance (unless disabled), mine the non-redundant rules with the
-NotFaulty consequent, order them, and select the top-n prefix for each
-classifier variant against the unbalanced faulty methods. Only what is read
-is itemized: the faulty methods, and the clean ones that balancing samples
-(all of them when it does not undersample, or with balancing disabled).
+One training run is: fit tertile discretization on the training methods'
+occurrence rows, itemize, balance (unless disabled), mine the non-redundant
+rules with the NotFaulty consequent, order them, and select the top-n prefix
+for each classifier variant against the unbalanced faulty methods. Only what
+is read is itemized: the faulty methods, and the clean ones that balancing
+samples (all of them when it does not undersample, or with balancing
+disabled). `train_on` reads a `MethodTable`; a unified method list is turned
+into one on entry.
 `TrainedModel.to_json` and `TrainedModel.from_json` are the writer and the
 reader of the classifier file that `lowrisk train` hands to `lowrisk predict`.
 """
@@ -14,12 +16,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 
 from lowrisk.balance import BalanceConfig, balance
 from lowrisk.classifier import LfrClassifier, Variant, order_rules, select_prefix
-from lowrisk.dataset import UnifiedMethod
+from lowrisk.dataset import MethodTable, UnifiedMethod, as_table
 from lowrisk.discretize import VOCABULARY, DiscretizationModel, fit_discretization, itemize
 from lowrisk.errors import SchemaError, TooFewMinorityError, VocabularyMismatchError
 from lowrisk.mining import AssociationRule, MiningConfig, mine
@@ -170,42 +175,47 @@ class TrainedModel:
 
 
 class _Itemized(Sequence):
-    """The item vectors of `methods`, each itemized when it is read."""
+    """The item vectors of the table's methods at `indices`, each itemized
+    when it is read."""
 
-    def __init__(self, methods: Sequence[UnifiedMethod], model: DiscretizationModel):
-        self.methods, self.model = methods, model
+    def __init__(self, table: MethodTable, indices: Sequence[int], model: DiscretizationModel):
+        self.table, self.indices, self.model = table, indices, model
 
     def __len__(self) -> int:
-        return len(self.methods)
+        return len(self.indices)
 
     def __getitem__(self, index: int):
-        return itemize(self.methods[index], self.model)
+        return itemize(self.table, self.indices[index], self.model)
+
+
+def _vectors(table: MethodTable, config: PipelineConfig, scope: tuple):
+    """(discretization, faulty vectors, mining vectors) of a training table:
+    the part of a training that reads the table."""
+    is_faulty = table.faulty
+    if not any(is_faulty):
+        raise TooFewMinorityError("training set contains no faulty methods")
+    model = fit_discretization(table)
+    if config.no_smote:
+        mining_vectors = [itemize(table, i, model) for i in range(len(table))]
+        return model, list(compress(mining_vectors, is_faulty)), mining_vectors
+    faulty = [itemize(table, i, model) for i in compress(range(len(table)), is_faulty)]
+    clean = _Itemized(table, array("q", compress(range(len(table)), map(not_, is_faulty))), model)
+    cfg = BalanceConfig(
+        percent_over=config.smote_over,
+        percent_under=config.smote_under,
+        k_neighbors=config.smote_k,
+        rng_seed=derive_seed(config.seed, "smote", *scope),
+    )
+    return model, faulty, balance(faulty, clean, cfg)
 
 
 def train_on(
-    methods: Sequence[UnifiedMethod], config: PipelineConfig, scope: tuple = ()
+    methods: Sequence[UnifiedMethod] | MethodTable, config: PipelineConfig, scope: tuple = ()
 ) -> TrainedModel:
-    """Train both classifier variants on a unified method list."""
-    n_faulty = sum(1 for u in methods if u.faulty)
-    if n_faulty == 0:
-        raise TooFewMinorityError("training set contains no faulty methods")
-    records = [rec for u in methods for rec in u.occurrences]
-    model = fit_discretization(records)
-
-    if config.no_smote:
-        mining_vectors = [itemize(u, model) for u in methods]
-        faulty = [v for u, v in zip(methods, mining_vectors) if u.faulty]
-    else:
-        faulty = [itemize(u, model) for u in methods if u.faulty]
-        clean = _Itemized([u for u in methods if not u.faulty], model)
-        cfg = BalanceConfig(
-            percent_over=config.smote_over,
-            percent_under=config.smote_under,
-            k_neighbors=config.smote_k,
-            rng_seed=derive_seed(config.seed, "smote", *scope),
-        )
-        mining_vectors = balance(faulty, clean, cfg)
-
+    """Train both classifier variants on a unified method list or table."""
+    # A table made here from a method list is freed before mining starts.
+    model, faulty, mining_vectors = _vectors(as_table(methods), config, scope)
+    n_faulty = len(faulty)
     transactions = [v.to_itemset() for v in mining_vectors]
     mining_stats: dict = {}
     rules = order_rules(mine(transactions, config.mining, stats=mining_stats))

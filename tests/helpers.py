@@ -1,7 +1,14 @@
 """Shared builders for dataset objects used across the test modules."""
 
-from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
-from lowrisk.discretize import LABEL_FAULTY, LABEL_NOT_FAULTY, ItemVector, item_mask
+from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
+from lowrisk.discretize import (
+    LABEL_FAULTY,
+    LABEL_NOT_FAULTY,
+    ItemVector,
+    fit_discretization,
+    item_mask,
+    itemize,
+)
 from lowrisk.java.analyzer import MethodIdentity
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
 
@@ -71,3 +78,21 @@ def split(vectors):
     classes that `balance` takes."""
     faulty = [v for v in vectors if v.label_item == LABEL_FAULTY]
     return faulty, [v for v in vectors if v.label_item != LABEL_FAULTY]
+
+
+def table_of(items) -> MethodTable:
+    """The table of unified methods and records, in order; each record is a
+    method of its own."""
+    return MethodTable.from_methods(
+        [u if isinstance(u, UnifiedMethod) else UnifiedMethod(u.identity, u.faulty, (u,)) for u in items]
+    )
+
+
+def itemize_one(method, model) -> ItemVector:
+    """itemize of one record or unified method, through a one-method table."""
+    return itemize(table_of([method]), 0, model)
+
+
+def fit_on(records):
+    """fit_discretization over records, through their table."""
+    return fit_discretization(table_of(records))

@@ -6,12 +6,16 @@ redundancy filtering is the naive pairwise check, and prefix selection
 recomputes every prefix from scratch. The kNN and itemization oracles are
 the earlier O(m^2) neighbor sort and bool-tuple item construction, kept as
 references for the mask-based implementations. The CSV oracle is the earlier
-field-by-field reader, kept as the reference for read_csv's positional fast
-path. The eager balance and training oracles are the earlier pipeline that
-itemized every training method and split the classes by label inside
-balance, kept as the reference for the lazily itemized majority. The
-lexer oracle is the earlier per-character tokenizer, kept as the reference
-for the master-regex tokenizer.
+field-by-field reader of metric records, kept as the reference for
+read_csv's columnar fast path; the record-based unification
+(consolidate_faulty, unify, build_unified_records) and the tertile fit over
+records (fit_records, which sorts and indexes) are the earlier loader and
+fit, kept as the reference for the method table. The eager balance and
+training oracles are the earlier pipeline that itemized every training
+method and split the classes by label inside balance, kept as the reference
+for the lazily itemized majority. The lexer oracle is the earlier
+per-character tokenizer, kept as the reference for the master-regex
+tokenizer.
 """
 
 from itertools import combinations
@@ -177,6 +181,8 @@ def read_csv_per_field(path):
             raise SchemaError(
                 f"row {row_no}: column {column!r}: expected non-negative integer, got {value!r}"
             )
+        if count >= 2**63:
+            raise SchemaError(f"row {row_no}: column {column!r}: expected integer below 2**63, got {value!r}")
         return count
 
     def parse_bool(row_no, column, value):
@@ -243,6 +249,104 @@ def read_csv_per_field(path):
         return records
 
 
+def consolidate_faulty(records):
+    """Collapse multiple faulty occurrences of the same method into one entry.
+
+    All occurrences are retained; majority voting over discretized attributes
+    happens at itemization time, once a discretization model is fixed.
+    """
+    from lowrisk.dataset import UnifiedMethod
+
+    by_key = {}
+    for rec in records:
+        if not rec.faulty:
+            raise ValueError("consolidate_faulty expects faulty records only")
+        by_key.setdefault(rec.identity.key(), []).append(rec)
+    return [UnifiedMethod(recs[0].identity, True, tuple(recs)) for recs in by_key.values()]
+
+
+def unify(all_methods, faulty_consolidated, warn_unmatched=True):
+    """The unified dataset: each identity once, faulty entries replacing their
+    current-state counterparts, sorted by identity.
+
+    Faulty identities absent from the current snapshot (deleted methods) are
+    still included, with a warning when warn_unmatched is set.
+    """
+    import warnings
+
+    from lowrisk.dataset import MethodRecord, UnifiedMethod
+    from lowrisk.errors import UnmatchedFaultyWarning
+
+    faulty_by_key = {u.identity.key(): u for u in faulty_consolidated}
+    out = []
+    seen = set()
+    for item in all_methods:
+        u = UnifiedMethod(item.identity, item.faulty, (item,)) if isinstance(item, MethodRecord) else item
+        key = u.identity.key()
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(faulty_by_key.get(key, u))
+    for u in faulty_consolidated:
+        key = u.identity.key()
+        if key not in seen:
+            seen.add(key)
+            if warn_unmatched:
+                warnings.warn(
+                    f"faulty method {u.identity.type_name}.{u.identity.method_name} "
+                    f"not found in current snapshot (deleted?)",
+                    UnmatchedFaultyWarning,
+                    stacklevel=2,
+                )
+            out.append(u)
+    out.sort(key=lambda u: u.identity)
+    return out
+
+
+def build_unified_records(records):
+    """The unified methods of a mixed record list (CSV contents), with the
+    deleted-method warning off."""
+    current = [r for r in records if not r.faulty]
+    faulty = consolidate_faulty([r for r in records if r.faulty])
+    return unify(current, faulty, warn_unmatched=False)
+
+
+def fit_records(records):
+    """Tertile boundaries over the records, one getattr pass per metric: the
+    values at the end of the first and second sorted thirds."""
+    import math
+    import warnings
+
+    from lowrisk.discretize import TERTILE_METRICS, DiscretizationModel, MetricBounds
+    from lowrisk.errors import DegenerateDistributionWarning
+
+    records = list(records)
+    if len(records) < 3:
+        raise ValueError(f"need at least 3 records to fit tertiles, got {len(records)}")
+    bounds = {}
+    for metric, _ in TERTILE_METRICS:
+        values = [getattr(r.metrics, metric) for r in records]
+        if len(set(values)) == 1:
+            warnings.warn(
+                f"metric {metric!r} has a single distinct value ({values[0]}); "
+                "all methods map to class 1",
+                DegenerateDistributionWarning,
+                stacklevel=2,
+            )
+        ordered = sorted(values)
+        n = len(ordered)
+        bounds[metric] = MetricBounds(ordered[math.ceil(n / 3) - 1], ordered[math.ceil(2 * n / 3) - 1])
+    return DiscretizationModel(bounds)
+
+
+def itemize_records(method, model):
+    """ItemVector of a record or unified method from the bool-tuple oracle."""
+    from lowrisk.discretize import LABEL_FAULTY, LABEL_NOT_FAULTY, ItemVector
+
+    mask = bools_to_mask(itemize_bool_tuple(method, model))
+    return ItemVector(mask, LABEL_FAULTY if method.faulty else LABEL_NOT_FAULTY)
+
+
 def eager_balance(training, cfg):
     """balance() of the earlier eager pipeline: one mixed list of vectors,
     split by label inside, with every vector already built. The kNN is the
@@ -294,11 +398,11 @@ def eager_balance(training, cfg):
 
 
 def eager_train_on(methods, config, scope=()):
-    """train_on() of the earlier eager pipeline: itemize every method, balance
-    the mixed list with eager_balance, select prefixes over all methods."""
+    """train_on() of the earlier eager pipeline over records: fit with
+    fit_records, itemize every method with the bool-tuple oracle, balance the
+    mixed list with eager_balance, select prefixes over all methods."""
     from lowrisk.balance import BalanceConfig
     from lowrisk.classifier import LfrClassifier, Variant, order_rules, select_prefix
-    from lowrisk.discretize import fit_discretization, itemize
     from lowrisk.errors import TooFewMinorityError
     from lowrisk.mining import mine
     from lowrisk.pipeline import TrainedModel, derive_seed
@@ -306,8 +410,8 @@ def eager_train_on(methods, config, scope=()):
     n_faulty = sum(1 for u in methods if u.faulty)
     if n_faulty == 0:
         raise TooFewMinorityError("training set contains no faulty methods")
-    model = fit_discretization([rec for u in methods for rec in u.occurrences])
-    vectors = [itemize(u, model) for u in methods]
+    model = fit_records([rec for u in methods for rec in u.occurrences])
+    vectors = [itemize_records(u, model) for u in methods]
     if config.no_smote:
         mining_vectors = vectors
     else:
@@ -363,9 +467,12 @@ _HEX_PART = _DIGITS | set("abcdefABCDEF._pPlL")
 def reference_tokenize(text, file_path=None):
     """The earlier per-character lexer, kept as the reference for tokenize.
 
-    Its one change: a backslash before a newline inside a string or char
-    literal no longer escapes the newline, so the literal is unterminated.
+    Its two changes: a backslash before a newline inside a string or char
+    literal no longer escapes the newline, so the literal is unterminated;
+    and CR LF and a lone CR are line terminators, as in Java, read as LF.
+    Only a CR before an LF is dropped, at a line end, so no column moves.
     """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     tokens = []
     i = 0
     n = len(text)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from oracles import read_csv_per_field
 from lowrisk import dataset as ds
 from lowrisk.cli import main
 from lowrisk.synthetic import generate_corpus, generate_project
@@ -101,7 +102,7 @@ class TestExtract:
         assert run(["extract", "--root", root, "--project", "p", "--out", out,
                     "--jobs", "1"]) == 0
         assert "Bad.java" in capsys.readouterr().err
-        records = ds.read_csv(out)
+        records = read_csv_per_field(out)
         assert [r.identity.method_name for r in records] == ["f"]
 
     def test_labels_mark_methods_faulty(self, tmp_path):
@@ -120,7 +121,7 @@ class TestExtract:
         out = tmp_path / "m.csv"
         assert run(["extract", "--root", root, "--project", "p", "--out", out,
                     "--labels", labels, "--jobs", "1"]) == 0
-        by_name = {r.identity.method_name: r for r in ds.read_csv(out)}
+        by_name = {r.identity.method_name: r for r in read_csv_per_field(out)}
         assert by_name["buggy"].faulty
         assert by_name["buggy"].snapshot is ds.Snapshot.FAULTY
         assert not by_name["safe"].faulty

@@ -1,25 +1,50 @@
 import csv
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_metrics, make_record, make_unified
-from oracles import read_csv_per_field
+from helpers import make_metrics, make_record, make_unified, table_of
+from oracles import (
+    build_unified_records,
+    consolidate_faulty,
+    fit_records,
+    itemize_records,
+    read_csv_per_field,
+    unify,
+)
 from lowrisk.dataset import (
     CSV_HEADER,
     MethodRecord,
+    MethodTable,
+    Rows,
     Snapshot,
     build_unified,
-    consolidate_faulty,
     read_csv,
-    unify,
     write_csv,
 )
+from lowrisk.discretize import NO_ITEM_NAMES, fit_discretization, item_mask, itemize
 from lowrisk.errors import SchemaError, UnmatchedFaultyWarning
-from lowrisk.java.metrics import ConstructKind
-from lowrisk.synthetic import generate_project
+from lowrisk.java.metrics import CategoryFlags, ConstructKind
+from lowrisk.synthetic import generate_corpus, generate_project
+
+_IDENTITY = ("project", "file_path", "type_name", "method_name", "param_signature")
+
+
+def rows_view(rows):
+    """Per row: identity key, fault flag, the five tertile metrics and the
+    model-free item bits, as read_csv holds them."""
+    return [
+        (key, faulty, tuple(column[r] for column in rows.metrics), rows.fixed[r])
+        for r, (key, faulty) in enumerate(zip(rows.keys, rows.faulty))
+    ]
+
+
+def records_view(records):
+    """rows_view of the same records, through their table."""
+    return rows_view(table_of(records))
 
 
 def test_faulty_record_requires_faulty_snapshot():
@@ -112,18 +137,19 @@ class TestUnify:
         out = unify(records, [])
         assert [u.identity.method_name for u in out] == ["a", "b", "c"]
 
-    def test_build_unified_from_mixed_rows(self):
+    def test_build_unified_from_mixed_rows(self, tmp_path):
         rows = [
             make_record("a"),
             make_record("b"),
             make_record("b", faulty=True),
             make_record("b", faulty=True),
         ]
-        out = build_unified(rows)
-        by_name = {u.identity.method_name: u for u in out}
+        write_csv(rows, tmp_path / "mixed.csv")
+        out = build_unified(read_csv(tmp_path / "mixed.csv"))
+        by_name = {key[3]: i for i, key in enumerate(out.keys)}
         assert len(out) == 2
-        assert by_name["b"].faulty
-        assert len(by_name["b"].occurrences) == 2
+        assert out.faulty[by_name["b"]]
+        assert len(out.occurrences[by_name["b"]]) == 2
 
 
 class TestCsv:
@@ -134,7 +160,8 @@ class TestCsv:
         ]
         path = tmp_path / "data.csv"
         write_csv(records, path)
-        assert read_csv(path) == records
+        assert read_csv_per_field(path) == records
+        assert rows_view(read_csv(path)) == records_view(records)
 
     def test_missing_column_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -168,9 +195,10 @@ class TestCsv:
             ",".join(CSV_HEADER) + "\n" + ",".join(row[c] for c in CSV_HEADER) + "\n",
             encoding="utf-8",
         )
-        (rec,) = read_csv(path)
-        assert rec.identity.param_signature == ("int", "String")
-        assert rec.metrics.sloc == 3
+        rows = read_csv(path)
+        assert len(rows) == 1
+        assert rows.keys[0] == ("ext", "X.java", "X", "m", ("int", "String"))
+        assert rows.metrics[0][0] == 3
 
     def test_faulty_with_current_snapshot_rejected(self, tmp_path):
         records = [make_record("a", faulty=True)]
@@ -203,7 +231,8 @@ class TestCsv:
         rows[1][CSV_HEADER.index("sloc")] = "+12"
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
-        assert read_csv(path) == records
+        assert read_csv_per_field(path) == records
+        assert rows_view(read_csv(path)) == records_view(records)
 
 
 def _write_rows(path, header, rows):
@@ -228,10 +257,12 @@ def _shuffled_csv(rng, path, records):
 
 
 def _outcome(reader, path):
+    """The rows_view of what reader reads from path, or its SchemaError text."""
     try:
-        return reader(path)
+        rows = reader(path)
     except SchemaError as exc:
         return f"SchemaError: {exc}"
+    return rows_view(rows) if reader is read_csv else records_view(rows)
 
 
 # (column, value, whether the row is then malformed)
@@ -241,6 +272,7 @@ _FIELD_EDITS = [
     ("cc", "", True),
     ("anonymous_classes", "-1", True),
     ("unique_vars", "-0", False),
+    ("sloc", str(2**63), True),
     ("max_nesting", " 4 ", False),
     ("string_literals", "1_0", False),
     ("faulty", "yes", True),
@@ -261,7 +293,8 @@ class TestReadCsvAgainstPerFieldOracle:
             rng.shuffle(records)
             path = tmp_path / f"valid{case}.csv"
             _shuffled_csv(rng, path, records)
-            assert read_csv(path) == read_csv_per_field(path) == records
+            assert read_csv_per_field(path) == records
+            assert rows_view(read_csv(path)) == records_view(records)
 
     @pytest.mark.parametrize("column,value,malformed", _FIELD_EDITS)
     def test_single_field_edits(self, tmp_path, column, value, malformed):
@@ -310,8 +343,149 @@ class TestReadCsvAgainstPerFieldOracle:
 
     def test_counts_follow_construct_kind_order(self, tmp_path):
         rng = random.Random(13)
-        records = [make_record("a", metrics=make_metrics(**{k.column: k + 1 for k in ConstructKind}))]
+        counts = {k.column: k % 2 * (k + 1) for k in ConstructKind}  # zero for even kinds
+        metrics = make_metrics(sloc=11, cc=12, nesting=13, chaining=14, variables=15, **counts)
+        records = [make_record("a", metrics=metrics)]
         path = tmp_path / "data.csv"
         _shuffled_csv(rng, path, records)
-        (rec,) = read_csv(path)
-        assert rec.metrics.construct_counts == tuple(range(1, len(ConstructKind) + 1))
+        (rec,) = read_csv_per_field(path)
+        assert rec.metrics.construct_counts == tuple(k % 2 * (k + 1) for k in ConstructKind)
+        rows = read_csv(path)
+        assert tuple(column[0] for column in rows.metrics) == (11, 12, 13, 14, 15)
+        no_items = item_mask(NO_ITEM_NAMES[k] for k in ConstructKind if k % 2 == 0)
+        # if_conditions and arithmetic_infix_ops are odd kinds: neither derived item holds.
+        assert rows.fixed[0] == no_items
+
+
+# -- the method table against the record-based loader it replaced ------------
+
+_BAD_VALUES = {
+    "snapshot": ["currentstate", "", "Faulty"],
+    "faulty": ["yes", "", "1"],
+    "count": ["x", "1.5", "", "-2", str(2**63)],
+    "flag": ["", "maybe", "0"],
+}
+_PADDED = {"true": [" TRUE ", "True", "true "], "false": [" false", "FALSE", "False "]}
+
+
+def _random_records(rng, project):
+    """Rows of one project: clean methods (some with duplicate current-state
+    rows, of which the first stands), faulty methods with one to three
+    occurrences, with and without a current-state row, in random order."""
+    records = []
+    for i in range(rng.randint(3, 30)):
+        identity = dict(
+            project=project,
+            file_path=rng.choice(["A.java", "b/B.java"]),
+            type_name=rng.choice(["A", "A.In"]),
+            params=rng.choice([(), ("int",), ("int", "String")]),
+        )
+
+        def record(faulty):
+            counts = {k.column: rng.choice([0, 0, 1, rng.randint(2, 9)]) for k in ConstructKind}
+            metrics = make_metrics(
+                sloc=rng.randint(1, 40), cc=rng.randint(1, 6), nesting=rng.randint(0, 3),
+                chaining=rng.randint(0, 3), variables=rng.randint(0, 9), **counts,
+            )
+            categories = CategoryFlags(**{f: rng.random() < 0.2 for f in CategoryFlags.FIELDS})
+            return make_record(f"m{i}", metrics=metrics, categories=categories, faulty=faulty, **identity)
+
+        kind = rng.choice(["clean", "duplicates", "faulty", "faulty only"])
+        if kind != "faulty only":
+            records.extend(record(False) for _ in range(rng.randint(2, 3) if kind == "duplicates" else 1))
+        if kind.startswith("faulty"):
+            records.extend(record(True) for _ in range(rng.choice([1, 2, 3])))
+    rng.shuffle(records)
+    return records
+
+
+def _pad_booleans(rng, header, rows):
+    flags = [i for i, c in enumerate(header) if c == "faulty" or c.startswith("is_")]
+    for row in rows:
+        for i in flags:
+            if rng.random() < 0.1:
+                row[i] = rng.choice(_PADDED[row[i]])
+
+
+def _check_table(table, records):
+    """The table holds what the record oracle computes, method by method."""
+    expected = build_unified_records(records)
+    assert list(table.keys) == [u.identity.key() for u in expected]
+    assert list(table.faulty) == [u.faulty for u in expected]
+    assert list(table.sloc) == [u.sloc for u in expected]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_discretization(table)
+        assert model == fit_records([r for u in expected for r in u.occurrences])
+        half = list(range(0, len(table), 2))
+        if sum(len(table.occurrences[i]) for i in half) >= 3:
+            assert fit_discretization(table.take(half)) == fit_records(
+                [r for i in half for r in expected[i].occurrences]
+            )
+    for i, u in enumerate(expected):
+        assert itemize(table, i, model) == itemize_records(u, model)
+    return expected
+
+
+class TestTableAgainstRecordOracle:
+    def test_random_csvs(self, tmp_path):
+        for seed in range(200):
+            rng = random.Random(seed)
+            records = _random_records(rng, "p") + (_random_records(rng, "q") if seed % 3 == 0 else [])
+            rng.shuffle(records)
+            path = tmp_path / "rows.csv"
+            header, rows = _shuffled_csv(rng, path, records)
+            _pad_booleans(rng, header, rows)
+            _write_rows(path, header, rows)
+            loaded = read_csv(path)
+            assert len(loaded) == len(records)
+            expected = _check_table(build_unified(loaded), read_csv_per_field(path))
+            assert len({u.identity.project for u in expected}) == (2 if seed % 3 == 0 else 1)
+
+    def test_single_field_corruptions(self, tmp_path):
+        for seed in range(200):
+            rng = random.Random(seed)
+            records = _random_records(rng, "p")
+            header, rows = _shuffled_csv(rng, tmp_path / "base.csv", records)
+            _pad_booleans(rng, header, rows)
+            column = rng.choice([c for c in header if c in CSV_HEADER and c not in _IDENTITY])
+            kind = (
+                column if column in ("snapshot", "faulty")
+                else "flag" if column.startswith("is_") else "count"
+            )
+            if column in ("all_conditions", "all_arithmetic"):
+                continue  # derived columns are not read
+            target = rng.randrange(len(rows))
+            rows[target][header.index(column)] = rng.choice(_BAD_VALUES[kind])
+            path = tmp_path / "edited.csv"
+            _write_rows(path, header, rows)
+            got, want = _outcome(read_csv, path), _outcome(read_csv_per_field, path)
+            assert got == want
+            assert got.startswith(f"SchemaError: row {target + 2}: column {column!r}")
+
+    def test_acceptance_corpus(self, tmp_path):
+        rng = random.Random(11)
+        paths, records = [], []
+        for name, methods in generate_corpus(6, seed=11).items():
+            rows = [r for u in methods for r in u.occurrences]
+            rng.shuffle(rows)
+            paths.append(tmp_path / f"{name}.csv")
+            write_csv(rows, paths[-1])
+            records.extend(read_csv_per_field(paths[-1]))
+        rows = Rows.concat([read_csv(p) for p in paths])
+        assert len(rows) == len(records) == 12117
+        table = build_unified(rows)
+        expected = _check_table(table, records)
+        spans = table.projects()
+        assert list(spans) == [f"synth{i}" for i in range(6)]
+        for name, span in spans.items():
+            assert [expected[i].identity.project for i in span] == [name] * len(span)
+        # A unified method list gives the same table contents.
+        _check_table(MethodTable.from_methods(expected), records)
+
+    def test_first_current_row_stands(self, tmp_path):
+        first = make_record("a", metrics=make_metrics(sloc=3))
+        later = make_record("a", metrics=make_metrics(sloc=30, loops=1))
+        write_csv([first, later], tmp_path / "dup.csv")
+        table = build_unified(read_csv(tmp_path / "dup.csv"))
+        assert len(table) == 1 and table.occurrences[0] == (0,) and table.sloc == [3]

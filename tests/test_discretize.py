@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import random
 
-from helpers import make_metrics, make_record, make_unified
-from oracles import bools_to_mask, itemize_bool_tuple
+from helpers import fit_on, itemize_one, make_metrics, make_record, make_unified, table_of
+from oracles import bools_to_mask, fit_records, itemize_bool_tuple
 from lowrisk.dataset import from_analyzed
 from lowrisk.discretize import (
     ATTRIBUTE_ITEMS,
@@ -49,12 +49,12 @@ class TestTertiles:
     def test_degenerate_single_value(self):
         records = [make_record(str(i), metrics=make_metrics(sloc=5)) for i in range(5)]
         with pytest.warns(DegenerateDistributionWarning):
-            model = fit_discretization(records)
+            model = fit_on(records)
         assert all(model.classify("sloc", 5) == 1 for _ in range(3))
 
     def test_requires_three_records(self):
         with pytest.raises(ValueError):
-            fit_discretization([make_record("a"), make_record("b")])
+            fit_on([make_record("a"), make_record("b")])
 
     @settings(max_examples=200)
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=60))
@@ -81,7 +81,7 @@ class TestTertiles:
             )
             for i in range(9)
         ]
-        model = fit_discretization(records)
+        model = fit_on(records)
         text = json.dumps(model.to_json(), allow_nan=False)
         assert DiscretizationModel.from_json(json.loads(text)) == model
 
@@ -97,7 +97,7 @@ class TestTertiles:
         for value in range(-1, 8):
             rec = make_record("m", metrics=make_metrics(sloc=value))
             third = ("LowestThird", "MiddleThird", "HighestThird")[model.classify("sloc", value) - 1]
-            assert itemize(rec, model).items & item_mask([f"Sloc{third}"])
+            assert itemize_one(rec, model).items & item_mask([f"Sloc{third}"])
 
 
 def simple_model():
@@ -114,7 +114,7 @@ class TestItemize:
             metrics=make_metrics(sloc=1, assignments=1),
             categories=CategoryFlags(is_setter=True),
         )
-        vec = itemize(rec, simple_model())
+        vec = itemize_one(rec, simple_model())
         items = vec.to_itemset()
         assert "SlocLowestThird" in items
         assert "NoLoops" in items
@@ -123,20 +123,20 @@ class TestItemize:
 
     def test_has_no_item_false_when_count_positive(self):
         rec = make_record("m", metrics=make_metrics(method_invocations=2))
-        items = itemize(rec, simple_model()).to_itemset()
+        items = itemize_one(rec, simple_model()).to_itemset()
         assert "NoMethodInvocations" not in items
 
     def test_label_items(self):
-        clean = itemize(make_record("m"), simple_model())
+        clean = itemize_one(make_record("m"), simple_model())
         assert clean.label_item == LABEL_NOT_FAULTY
         assert "NotFaulty" in clean.to_itemset()
-        faulty = itemize(make_record("m", faulty=True), simple_model())
+        faulty = itemize_one(make_record("m", faulty=True), simple_model())
         assert faulty.label_item == LABEL_FAULTY
         assert "NotFaulty" not in faulty.to_itemset()
 
     def test_exactly_one_class_item_per_metric(self):
         for sloc in (1, 2, 3, 5, 6, 99):
-            vec = itemize(make_record("m", metrics=make_metrics(sloc=sloc)), simple_model())
+            vec = itemize_one(make_record("m", metrics=make_metrics(sloc=sloc)), simple_model())
             items = vec.to_itemset()
             thirds = [n for n in items if n.startswith("Sloc")]
             assert len(thirds) == 1
@@ -149,7 +149,7 @@ class TestItemize:
         a = make_record("a", metrics=make_metrics(sloc=1, loops=1))
         b = make_record("b", metrics=make_metrics(sloc=2, loops=2))
         model = simple_model()
-        va, vb = itemize(a, model), itemize(b, model)
+        va, vb = itemize_one(a, model), itemize_one(b, model)
         # Same classes and same zero-flags and categories => same items.
         assert va.items == vb.items
 
@@ -161,7 +161,7 @@ class TestMajorityVote:
             make_record("a", faulty=True, metrics=make_metrics(loops=0)),
             make_record("a", faulty=True, metrics=make_metrics(loops=3)),
         ]
-        vec = itemize(make_unified(occ), simple_model())
+        vec = itemize_one(make_unified(occ), simple_model())
         assert "NoLoops" in vec.to_itemset()
 
     def test_class_tie_resolves_to_higher_class(self):
@@ -169,7 +169,7 @@ class TestMajorityVote:
             make_record("a", faulty=True, metrics=make_metrics(sloc=1)),  # class 1
             make_record("a", faulty=True, metrics=make_metrics(sloc=9)),  # class 3
         ]
-        vec = itemize(make_unified(occ), simple_model())
+        vec = itemize_one(make_unified(occ), simple_model())
         assert "SlocHighestThird" in vec.to_itemset()
 
     def test_binary_tie_resolves_to_true(self):
@@ -177,7 +177,7 @@ class TestMajorityVote:
             make_record("a", faulty=True, metrics=make_metrics(loops=0)),
             make_record("a", faulty=True, metrics=make_metrics(loops=2)),
         ]
-        vec = itemize(make_unified(occ), simple_model())
+        vec = itemize_one(make_unified(occ), simple_model())
         assert "NoLoops" in vec.to_itemset()
 
 
@@ -208,23 +208,27 @@ class TestMaskEqualsBoolTupleConstruction:
     def test_golden_corpus(self, corpus_dir):
         methods, _ = analyze_project(corpus_dir, "corpus")
         records = from_analyzed(methods)
-        model = fit_discretization(records)
-        for rec in records:
-            assert itemize(rec, model).items == bools_to_mask(itemize_bool_tuple(rec, model))
+        table = table_of(records)
+        model = fit_discretization(table)
+        assert model == fit_records(records)
+        for i, rec in enumerate(records):
+            assert itemize(table, i, model).items == bools_to_mask(itemize_bool_tuple(rec, model))
 
     def test_multi_occurrence_methods(self):
         methods = generate_project("multi", seed=3, n_methods=400)
-        model = fit_discretization([r for u in methods for r in u.occurrences])
+        table = table_of(methods)
+        model = fit_discretization(table)
+        assert model == fit_records([r for u in methods for r in u.occurrences])
         rng = random.Random(4)
         records = [r for u in methods for r in u.occurrences]
         checked = 0
-        for u in methods:
-            assert itemize(u, model).items == bools_to_mask(itemize_bool_tuple(u, model))
+        for i, u in enumerate(methods):
+            assert itemize(table, i, model).items == bools_to_mask(itemize_bool_tuple(u, model))
             checked += len(u.occurrences) > 1
         for _ in range(200):  # 2 to 4 occurrences: ties in both classes and flags
             occ = rng.sample(records, rng.randint(2, 4))
             u = make_unified(occ, faulty=True)
-            assert itemize(u, model).items == bools_to_mask(itemize_bool_tuple(u, model))
+            assert itemize_one(u, model).items == bools_to_mask(itemize_bool_tuple(u, model))
         assert checked > 0
 
 

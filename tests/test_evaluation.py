@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from helpers import make_record, make_unified
+from helpers import make_record, make_unified, table_of
 from lowrisk.classifier import Variant
 from lowrisk.errors import TooFewMinorityError
 from lowrisk.evaluation import (
@@ -28,6 +28,12 @@ TEST_CONFIG = PipelineConfig(
     mining=MiningConfig(min_support=0.05, min_confidence=0.95, max_antecedent_len=2),
     seed=5,
 )
+
+
+def score_pairs(preds, scope, n_rules):
+    """score_predictions of (method, predicted_lfr) pairs, through their table."""
+    table = table_of([m for m, _ in preds])
+    return score_predictions(table, range(len(table)), [p for _, p in preds], scope=scope, n_rules=n_rules)
 
 
 def project(n=100, n_faulty=10, name="p"):
@@ -104,7 +110,7 @@ class TestScorePredictions:
             (methods[8], False),
             (methods[9], False),
         ]
-        sm = score_predictions(preds, scope="fixture", n_rules=1)
+        sm = score_pairs(preds, scope="fixture", n_rules=1)
         assert sm.lfr_methods == 4
         assert sm.faulty_in_lfr == 1
         assert sm.precision == 3 / 4  # non-faulty LFR / all LFR
@@ -114,7 +120,7 @@ class TestScorePredictions:
 
     def test_nothing_matched_flags_zero_over_zero(self):
         methods = project(10, 3)
-        sm = score_predictions([(m, False) for m in methods], scope="s", n_rules=0)
+        sm = score_pairs([(m, False) for m in methods], scope="s", n_rules=0)
         assert sm.lfr_method_fraction == 0.0
         assert sm.fdr_methods == 0.0
         assert sm.fdr_flag == FDR_FLAG_UNDEFINED
@@ -122,7 +128,7 @@ class TestScorePredictions:
     def test_no_matched_faults_flags_infinity(self):
         methods = project(10, 3)
         preds = [(m, not m.faulty) for m in methods]
-        sm = score_predictions(preds, scope="s", n_rules=1)
+        sm = score_pairs(preds, scope="s", n_rules=1)
         assert sm.fdr_methods == math.inf
         assert sm.fdr_flag == FDR_FLAG_NO_MATCHED_FAULTS
 
@@ -167,7 +173,7 @@ class TestEvaluateWithinProject:
             reports_a, dump_a = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
             reports_b, dump_b = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
         assert reports_a == reports_b
-        assert dump_a == dump_b
+        assert list(dump_a) == list(dump_b)
 
 
 class TestEvaluateCrossProject:
@@ -195,7 +201,7 @@ def fixed_report(project, variant, **overrides):
     methods = [make_unified(make_record(f"m{i}", project=project, faulty=i < 5))
                for i in range(50)]
     preds = [(m, i % 2 == 0) for i, m in enumerate(methods)]
-    pooled = score_predictions(preds, scope=f"project:{project}", n_rules=3)
+    pooled = score_pairs(preds, scope=f"project:{project}", n_rules=3)
     return ProjectReport(project=project, variant=variant, mode="within", pooled=pooled)
 
 
@@ -249,7 +255,7 @@ class TestEmitReport:
     def test_infinity_serialized_consistently(self, tmp_path):
         methods = [make_unified(make_record(f"m{i}", faulty=i < 2)) for i in range(10)]
         preds = [(m, not m.faulty) for m in methods]
-        pooled = score_predictions(preds, scope="project:x", n_rules=1)
+        pooled = score_pairs(preds, scope="project:x", n_rules=1)
         rep = ProjectReport(project="x", variant=Variant.STRICT, mode="within", pooled=pooled)
         csv_path, json_path = emit_report([rep], tmp_path, mode="within")
         rows = list(csv.reader(open(csv_path, newline="")))

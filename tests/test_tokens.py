@@ -5,6 +5,7 @@ import pytest
 from oracles import LEXER_OPERATORS, LEXER_SINGLE_OPS, reference_tokenize
 
 from lowrisk.errors import JavaParseError
+from lowrisk.java.analyzer import analyze_source
 from lowrisk.java.tokens import tokenize
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -100,6 +101,21 @@ def test_backslash_before_newline_leaves_a_literal_unterminated():
     )
 
 
+def test_a_lone_carriage_return_ends_a_line():
+    assert [(t.text, t.line, t.col) for t in tokenize("a;\rb;")] == [
+        ("a", 1, 1), (";", 1, 2), ("b", 2, 1), (";", 2, 2),
+    ]
+    source = 'a; // note\n/* two\n lines */ b\n  "s" + \'c\';\n\n  d;'
+    lf = tokenize(source)
+    assert [t.line for t in lf] == [1, 1, 3, 4, 4, 4, 4, 6, 6]
+    assert tokenize(source.replace("\n", "\r\n")) == lf
+    assert tokenize(source.replace("\n", "\r")) == lf
+    for bad in ('x = "a\rb";', 'x = "a\\\rb";', "c = '\r';", "c = '\\\r';"):
+        with pytest.raises(JavaParseError, match="unterminated") as err:
+            tokenize(bad)
+        assert (err.value.line, err.value.col) == (1, 5)
+
+
 @pytest.mark.parametrize(
     "source, message, line, col",
     [
@@ -147,6 +163,25 @@ def test_data_files_lex_as_the_reference_lexer_does(path):
 def test_every_data_file_is_compared():
     assert {p.name for p in JAVA_FILES} >= {"Accounts.java", "Lambdas.java", "Stress.java"}
     assert len(JAVA_FILES) >= 6
+
+
+def _analysis(source):
+    """analyze_source's methods, or the parts of the error it raised."""
+    try:
+        return analyze_source(source, "Ends.java", "p")
+    except JavaParseError as e:
+        return (str(e), e.line, e.col)
+
+
+@pytest.mark.parametrize("path", JAVA_FILES, ids=lambda p: p.name)
+def test_analysis_is_the_same_for_every_line_ending(path):
+    source = path.read_text(encoding="utf-8")
+    broken = source.replace("{", "{ #", 3)  # an error on a later line
+    for text in (source, broken):
+        lf = _analysis(text)
+        assert _analysis(text.replace("\n", "\r\n")) == lf
+        assert _analysis(text.replace("\n", "\r")) == lf
+    assert isinstance(_analysis(broken), tuple)
 
 
 SOUP_PIECES = (
