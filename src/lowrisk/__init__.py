@@ -9,20 +9,14 @@ them with within-project cross-validation and cross-project prediction.
 from lowrisk.balance import BalanceConfig, balance
 from lowrisk.classifier import Classification, LfrClassifier, Variant, order_rules, select_prefix
 from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
-from lowrisk.discretize import (
-    VOCABULARY,
-    DiscretizationModel,
-    ItemVector,
-    fit_discretization,
-    itemize,
-)
+from lowrisk.discretize import VOCABULARY, DiscretizationModel, fit_discretization, itemize
 from lowrisk.evaluation import (
     compute_fdr,
     evaluate_cross_project,
     evaluate_within_project,
     stratified_kfold,
 )
-from lowrisk.mining import AssociationRule, MiningConfig, confidence, mine, prune_redundant, support
+from lowrisk.mining import AssociationRule, MiningConfig, mine, prune_redundant
 from lowrisk.pipeline import PipelineConfig, train_on
 
 __version__ = "0.1.0"
@@ -32,7 +26,6 @@ __all__ = [
     "BalanceConfig",
     "Classification",
     "DiscretizationModel",
-    "ItemVector",
     "LfrClassifier",
     "MethodRecord",
     "MethodTable",
@@ -44,7 +37,6 @@ __all__ = [
     "Variant",
     "balance",
     "compute_fdr",
-    "confidence",
     "evaluate_cross_project",
     "evaluate_within_project",
     "fit_discretization",
@@ -54,6 +46,5 @@ __all__ = [
     "prune_redundant",
     "select_prefix",
     "stratified_kfold",
-    "support",
     "train_on",
 ]

@@ -5,6 +5,9 @@ vector copies every attribute independently from a source drawn uniformly
 among the seed and its k nearest minority neighbors (Hamming distance).
 With the default 100% over- and 200% under-sampling rates the output is an
 exact 50/50 split of minority and majority vectors.
+
+Vectors are item masks (see `lowrisk.discretize`). The two classes are
+taken and returned apart, so no label travels with a mask.
 """
 
 from __future__ import annotations
@@ -14,10 +17,21 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from lowrisk.discretize import ATTRIBUTE_ITEMS, ItemVector
+from lowrisk.discretize import ATTRIBUTE_ITEMS, transpose
 from lowrisk.errors import ImbalanceUnachievableWarning, InsufficientMinorityError
 
 _ATTRIBUTE_BITS = tuple(1 << a for a in range(len(ATTRIBUTE_ITEMS)))
+
+
+@dataclass(frozen=True)
+class Classes:
+    """The item masks of a training set, one list per class; `len` counts both."""
+
+    faulty: list[int]
+    clean: list[int]
+
+    def __len__(self) -> int:
+        return len(self.faulty) + len(self.clean)
 
 
 @dataclass(frozen=True)
@@ -52,13 +66,8 @@ def _nearest_neighbors(masks: Sequence[int], k: int) -> list[list[int]]:
     distinct = list(groups)
     members = list(groups.values())
     everyone = (1 << len(distinct)) - 1
-    columns = []  # per attribute: the distinct masks that have it, and those that lack it
-    for a in range(max(distinct).bit_length()):
-        has = 0
-        for u, mask in enumerate(distinct):
-            if mask >> a & 1:
-                has |= 1 << u
-        columns.append((has, everyone ^ has))
+    # Per attribute: the distinct masks that have it, and those that lack it.
+    columns = [(has, everyone ^ has) for has in transpose(distinct)]
     n_planes = len(columns).bit_length()
     wanted = min(k + 1, len(masks))
     nearest: dict[int, list[int]] = {}
@@ -90,11 +99,9 @@ def _nearest_neighbors(masks: Sequence[int], k: int) -> list[list[int]]:
     return out
 
 
-def balance(
-    faulty: Sequence[ItemVector], clean: Sequence[ItemVector], cfg: BalanceConfig
-) -> list[ItemVector]:
-    """Balance a training set, given as its two classes, to a 50/50 split
-    (at default rates).
+def balance(faulty: Sequence[int], clean: Sequence[int], cfg: BalanceConfig) -> Classes:
+    """Balance a training set, given as the item masks of its two classes, to
+    a 50/50 split (at default rates).
 
     The minority class is oversampled by percent_over (synthetic vectors in
     addition to the originals); the majority class is uniformly undersampled
@@ -104,9 +111,8 @@ def balance(
     majority entry is read at most once, and only if sampled, so `clean`
     may be a lazy sequence. Fully deterministic given cfg.rng_seed.
     """
-    minority, majority = faulty, clean
-    if len(minority) > len(majority):
-        minority, majority = majority, minority
+    swap = len(faulty) > len(clean)
+    minority, majority = (clean, faulty) if swap else (faulty, clean)
     minority = list(minority)
     m = len(minority)
     if m < cfg.k_neighbors + 1:
@@ -117,23 +123,29 @@ def balance(
         raise InsufficientMinorityError("no majority vectors to sample from")
 
     rng = random.Random(cfg.rng_seed)
+    getrandbits = rng.getrandbits
     n_synthetic = (cfg.percent_over * m) // 100
     per_seed, extra = divmod(n_synthetic, m)
     extra_seeds = set(rng.sample(range(m), extra)) if extra else set()
-    masks = [v.items for v in minority]
-    neighbors = _nearest_neighbors(masks, cfg.k_neighbors)
+    neighbors = _nearest_neighbors(minority, cfg.k_neighbors)
 
-    synthetic: list[ItemVector] = []
-    for idx, seed_vec in enumerate(minority):
+    synthetic: list[int] = []
+    for idx, mask in enumerate(minority):
         rounds = per_seed + (1 if idx in extra_seeds else 0)
-        sources = [masks[idx]] + [masks[j] for j in neighbors[idx]]
+        sources = [mask] + [minority[j] for j in neighbors[idx]]
         n_sources = len(sources)
+        width = n_sources.bit_length()
         for _ in range(rounds):
-            # One draw per attribute, in attribute order.
+            # One draw per attribute, in attribute order. Each is
+            # rng.randrange(n_sources), drawn as Random._randbelow_with_getrandbits
+            # draws it, so the stream of random numbers is the same.
             items = 0
             for bit in _ATTRIBUTE_BITS:
-                items |= sources[rng.randrange(n_sources)] & bit
-            synthetic.append(ItemVector(items, seed_vec.label_item))
+                r = getrandbits(width)
+                while r >= n_sources:
+                    r = getrandbits(width)
+                items |= sources[r] & bit
+            synthetic.append(items)
 
     n_pool = len(majority)
     n_majority = (cfg.percent_under * len(synthetic)) // 100
@@ -148,4 +160,5 @@ def balance(
         sampled = pool + [pool[rng.randrange(n_pool)] for _ in range(n_majority - n_pool)]
     else:
         sampled = [majority[i] for i in sorted(rng.sample(range(n_pool), n_majority))]
-    return minority + synthetic + sampled
+    grown = minority + synthetic
+    return Classes(sampled, grown) if swap else Classes(grown, sampled)

@@ -3,7 +3,9 @@
 A method is classified "low fault risk" when at least one of the top n
 rules matches (logical or). n is the largest prefix length whose matched
 methods contain at most budget * (all faulty methods) faulty methods in
-the original, unbalanced training set.
+the original, unbalanced training set. Methods and rule antecedents are
+both item masks, so a rule matches a method when its antecedent has no bit
+that the method's mask lacks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from lowrisk.discretize import VOCABULARY, ItemVector
+from lowrisk.discretize import VOCABULARY
 from lowrisk.errors import NoAdmissibleRulesWarning, VocabularyMismatchError
 from lowrisk.mining import AssociationRule
 
@@ -100,27 +102,22 @@ class LfrClassifier:
 
     @cached_property
     def _active_masks(self) -> tuple[int, ...]:
-        """Antecedent masks of the top-n rules, computed on first use.
-
-        Every rule, not only the top n, must name attribute items only, so a
-        classifier holding a rule outside the vocabulary is rejected whole.
-        """
+        """Antecedent masks of the top-n rules, computed on first use."""
         if self.vocabulary != VOCABULARY:
             raise VocabularyMismatchError(
                 "classifier vocabulary does not match the item vector vocabulary"
             )
-        masks = tuple(rule.antecedent_mask for rule in self.ordered_rules)
-        return masks[: self.n]
+        return tuple(rule.antecedent_mask for rule in self.active_rules)
 
-    def matched_rule_index(self, vector: ItemVector) -> int | None:
-        """Index (into the ordered list) of the first matching top-n rule."""
-        absent = ~vector.items
+    def matched_rule_index(self, mask: int) -> int | None:
+        """Index (into the ordered list) of the first top-n rule matching the item mask."""
+        absent = ~mask
         for idx, antecedent in enumerate(self._active_masks):
             if not antecedent & absent:
                 return idx
         return None
 
-    def classify(self, vector: ItemVector) -> Classification:
-        if self.matched_rule_index(vector) is None:
+    def classify(self, mask: int) -> Classification:
+        if self.matched_rule_index(mask) is None:
             return Classification.NOT_CLASSIFIED
         return Classification.LOW_FAULT_RISK

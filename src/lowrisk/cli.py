@@ -244,7 +244,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
     names = sorted(spans)
     if args.mode == "within":
-        items = [(name, table.take(spans[name]), config) for name in names]
+        items = [(name, table.take(spans[name]).own_rows(), config) for name in names]
         worker = _eval_within_worker
     else:
         items = [(table, target, config) for target in names]

@@ -8,8 +8,11 @@ category flags pass through unchanged. The resulting item vocabulary is
 fixed and identical across projects.
 
 An item vector is one int mask: bit i is set iff ATTRIBUTE_ITEMS[i] holds.
-The same mask is balanced, matched against rule antecedent masks, and
-expanded into item names only for the miner's transactions.
+The fault label is not part of it: the table's fault flag says which class
+a method belongs to. The same mask is balanced, mined, and matched against
+rule antecedent masks; item names appear only where rules are written or
+read (`item_names`, `item_mask`). `transpose` turns a list of masks into
+the per-attribute bitmaps that mining and the balancer's kNN count with.
 
 Both layers read a `MethodTable` (see `lowrisk.dataset`) by index.
 `fit_discretization` counts the values of the table's five metric columns
@@ -23,7 +26,9 @@ it gets by bisecting a row's metrics into the model's bounds.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -85,7 +90,6 @@ _CATEGORY_ITEMS = tuple(
 # -> IsConstructor, IsGetter, IsSetter, IsEmpty, IsDelegation, IsToString
 
 LABEL_NOT_FAULTY = "NotFaulty"
-LABEL_FAULTY = "Faulty"
 
 ATTRIBUTE_ITEMS: tuple[str, ...] = (
     tuple(f"{prefix}{third}" for _, prefix in TERTILE_METRICS for third in _THIRDS)
@@ -106,6 +110,33 @@ _NO_ARITHMETIC_BIT = _ITEM_BIT["NoArithmeticOperations"]
 _CONDITION_NO_BITS = sum(condition_counts(_NO_ITEM_BITS))
 _ARITHMETIC_NO_BITS = sum(arithmetic_counts(_NO_ITEM_BITS))
 _CATEGORY_BITS = tuple(_ITEM_BIT[name] for name in _CATEGORY_ITEMS)
+
+
+_NAMED_BITS = tuple((name, 1 << i) for i, name in enumerate(ATTRIBUTE_ITEMS))
+# Per bit position b, the byte table mapping each byte to b"1" if its bit b is set, else b"0".
+_BIT_DIGITS = tuple(bytes(ord("01"[v >> b & 1]) for v in range(256)) for b in range(8))
+
+
+def item_names(mask: int) -> frozenset[str]:
+    """The names of the attribute items whose bits are set in the mask."""
+    return frozenset(name for name, bit in _NAMED_BITS if mask & bit)
+
+
+def transpose(masks: Sequence[int]) -> list[int]:
+    """Per bit position a, up to the highest bit set in any of the masks (all
+    below 2**64), the bitmap whose bit t is bit a of masks[t].
+
+    The masks are packed as 8-byte words; bit a of every word is read out at
+    once by a byte slice and a digit table, then parsed as a binary number.
+    """
+    words = array("Q", masks)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    return [
+        int(raw[a >> 3 :: 8].translate(_BIT_DIGITS[a & 7])[::-1], 2)
+        for a in range(max(masks, default=0).bit_length())
+    ]
 
 
 def item_mask(names: Iterable[str]) -> int:
@@ -218,32 +249,6 @@ def fit_discretization(table: MethodTable) -> DiscretizationModel:
     return DiscretizationModel(bounds)
 
 
-@dataclass(frozen=True)
-class ItemVector:
-    """Binary attribute items as an int mask (bit i is ATTRIBUTE_ITEMS[i]) plus the fault label."""
-
-    items: int
-    label_item: str  # LABEL_FAULTY or LABEL_NOT_FAULTY
-
-    def __post_init__(self):
-        if not isinstance(self.items, int) or self.items < 0 or self.items >> len(ATTRIBUTE_ITEMS):
-            raise ValueError(f"expected a mask over {len(ATTRIBUTE_ITEMS)} items, got {self.items!r}")
-        if self.label_item not in (LABEL_FAULTY, LABEL_NOT_FAULTY):
-            raise ValueError(f"unknown label item {self.label_item!r}")
-
-    @property
-    def not_faulty(self) -> bool:
-        return self.label_item == LABEL_NOT_FAULTY
-
-    def to_itemset(self) -> frozenset[str]:
-        """Transaction view for the miner: true attribute items plus the NotFaulty item."""
-        mask = self.items
-        names = [name for i, name in enumerate(ATTRIBUTE_ITEMS) if mask >> i & 1]
-        if self.not_faulty:
-            names.append(LABEL_NOT_FAULTY)
-        return frozenset(names)
-
-
 def count_items_mask(construct_counts: Sequence[int]) -> int:
     """The 26 has-no bits and the 2 derived ones of a row's construct counts,
     given in ConstructKind order (later entries are ignored)."""
@@ -283,15 +288,13 @@ def _row_mask(table: MethodTable, row: int, bounds: tuple) -> int:
     return table.fixed[row] | sum(map(lshift, _LOWEST_THIRD_BITS, map(bisect_left, bounds, values)))
 
 
-def itemize(table: MethodTable, index: int, model: DiscretizationModel) -> ItemVector:
-    """Build the binary item vector of the table's method at `index`.
+def itemize(table: MethodTable, index: int, model: DiscretizationModel) -> int:
+    """The item mask of the table's method at `index`.
 
     For methods with several faulty occurrences, each attribute is set by
     majority vote over the per-occurrence discretized values.
     """
     rows, bounds = table.occurrences[index], model._upper_bounds
     if len(rows) == 1:
-        mask = _row_mask(table, rows[0], bounds)
-    else:
-        mask = _vote([_row_mask(table, row, bounds) for row in rows])
-    return ItemVector(mask, LABEL_FAULTY if table.faulty[index] else LABEL_NOT_FAULTY)
+        return _row_mask(table, rows[0], bounds)
+    return _vote([_row_mask(table, row, bounds) for row in rows])

@@ -28,11 +28,7 @@ class SchemaError(LowriskError):
 
 
 class EmptyDatabaseError(LowriskError):
-    """Mining or support computation was attempted on zero transactions."""
-
-
-class ZeroAntecedentSupportError(LowriskError):
-    """Confidence is undefined because the antecedent never occurs."""
+    """Mining was attempted on zero transactions."""
 
 
 class InsufficientMinorityError(LowriskError):

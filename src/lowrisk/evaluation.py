@@ -8,8 +8,9 @@ held-out predictions; per-fold numbers are additionally reported.
 Both evaluators read a `MethodTable`: folds and cross-project training sets
 are lists of method indices into it, and scoring reads its fault flags and
 SLOC by index. A unified method list (or a mapping of them) is turned into
-a table on entry. Prediction-dump rows are built only when the dump is
-iterated, that is when it is written.
+a table on entry. Held-out methods are itemized into masks and matched
+against the rule antecedent masks. A prediction dump keeps method and
+matched rule indices; its CSV rows are built only when it is written.
 """
 
 from __future__ import annotations
@@ -161,24 +162,22 @@ class ProjectReport:
     folds: tuple[ScopeMetrics, ...] = ()
 
 
-@dataclass(frozen=True)
-class PredictionRow:
-    """One per-method prediction for the optional dump CSV."""
-
-    project: str
-    file_path: str
-    type_name: str
-    method_name: str
-    param_signature: str
-    variant: str
-    predicted_lfr: bool
-    faulty: bool
-    matched_rule_index: int | None
+PREDICTION_HEADER = [
+    "project",
+    "file_path",
+    "type_name",
+    "method_name",
+    "param_signature",
+    "variant",
+    "predicted_lfr",
+    "faulty",
+    "matched_rule_index",
+]
 
 
 class PredictionDump:
     """Per-method predictions of one evaluation, kept as method indices and
-    matched rule indices; iterating builds the PredictionRows."""
+    matched rule indices; iterating yields the rows of predictions.csv."""
 
     def __init__(self, table: MethodTable):
         self.table = table
@@ -190,22 +189,23 @@ class PredictionDump:
     def __len__(self) -> int:
         return sum(len(indices) for _, indices, _ in self.parts)
 
-    def __iter__(self) -> Iterator[PredictionRow]:
+    def __iter__(self) -> Iterator[list[str]]:
+        """One row of fields per prediction, in PREDICTION_HEADER order."""
         keys, is_faulty = self.table.keys, self.table.faulty
         for variant, indices, matched in self.parts:
             for i, idx in zip(indices, matched):
                 project, file_path, type_name, method_name, params = keys[i]
-                yield PredictionRow(
-                    project=project,
-                    file_path=file_path,
-                    type_name=type_name,
-                    method_name=method_name,
-                    param_signature=";".join(params),
-                    variant=variant.value,
-                    predicted_lfr=idx is not None,
-                    faulty=is_faulty[i],
-                    matched_rule_index=idx,
-                )
+                yield [
+                    project,
+                    file_path,
+                    type_name,
+                    method_name,
+                    ";".join(params),
+                    variant.value,
+                    _fmt(idx is not None),
+                    _fmt(is_faulty[i]),
+                    "" if idx is None else str(idx),
+                ]
 
 
 def _predict(
@@ -219,9 +219,9 @@ def _predict(
 
     Each method is itemized once and its mask matched by every classifier.
     """
-    vectors = [itemize(table, i, discretization) for i in indices]
+    masks = [itemize(table, i, discretization) for i in indices]
     return {
-        variant: [clf.matched_rule_index(vector) for vector in vectors]
+        variant: [clf.matched_rule_index(mask) for mask in masks]
         for variant, clf in classifiers.items()
     }
 
@@ -458,32 +458,9 @@ def emit_report(
     return written
 
 
-def write_prediction_dump(rows: Iterable[PredictionRow], path: str | Path) -> None:
-    header = [
-        "project",
-        "file_path",
-        "type_name",
-        "method_name",
-        "param_signature",
-        "variant",
-        "predicted_lfr",
-        "faulty",
-        "matched_rule_index",
-    ]
+def write_prediction_dump(rows: Iterable[list[str]], path: str | Path) -> None:
+    """Write predictions.csv from the rows of one or more PredictionDumps."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.project,
-                    row.file_path,
-                    row.type_name,
-                    row.method_name,
-                    row.param_signature,
-                    row.variant,
-                    _fmt(row.predicted_lfr),
-                    _fmt(row.faulty),
-                    "" if row.matched_rule_index is None else str(row.matched_rule_index),
-                ]
-            )
+        writer.writerow(PREDICTION_HEADER)
+        writer.writerows(rows)

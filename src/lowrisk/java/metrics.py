@@ -159,7 +159,6 @@ class _Scanner:
         # Dense view of the body interior with nested-type holes excised.
         holes = sorted(decl.holes)
         self.toks: list[Token] = []
-        self.orig: list[int] = []
         h = 0
         for i in range(decl.body_open + 1, decl.body_close):
             while h < len(holes) and i > holes[h][1]:
@@ -167,7 +166,6 @@ class _Scanner:
             if h < len(holes) and holes[h][0] <= i <= holes[h][1]:
                 continue
             self.toks.append(tokens[i])
-            self.orig.append(i)
         self.counts[ConstructKind.ANONYMOUS_CLASS] = sum(
             1 for hole in decl.holes if tokens[hole[0]].text == "{"
         )

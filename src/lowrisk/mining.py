@@ -1,9 +1,12 @@
-"""Association rule mining targeted at a single consequent item.
+"""Association rule mining targeted at the NotFaulty consequent.
 
 Antecedents are grown level-wise (Apriori) with downward-closure pruning on
-the support of antecedent-plus-consequent. Transactions are held as
-per-item bitmaps over the transaction list, so candidate counting is a few
-big-integer ANDs and popcounts per candidate.
+the support of antecedent-plus-consequent. Transactions are the item masks
+of a training set's two classes; they are held vertically, as one bitmap
+over the transactions per attribute item (`discretize.transpose`) plus one
+for the NotFaulty class, after Zaki 2000 (Eclat) and Burdick et al. 2001
+(MAFIA). Candidates and their antecedents are item masks too, so candidate
+counting is a few big-integer ANDs and popcounts per candidate.
 
 The walk visits only generators (free itemsets: no (k-1)-subset covers the
 same transactions), after Bastide et al. 2000 and Zaki 2000. A candidate
@@ -14,7 +17,8 @@ either. An itemset with confidence 1 yields its rule but is not extended,
 since its rule dominates those of all its supersets. Singletons are never
 compared with the empty set. A final `prune_redundant` pass drops the
 generator rules that a subset with higher confidence still dominates, so
-`mine` returns the non-redundant rules directly.
+`mine` returns the non-redundant rules directly. Item names appear only in
+a rule's JSON form and in the tie-break of the canonical rule order.
 """
 
 from __future__ import annotations
@@ -22,49 +26,46 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import AbstractSet, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from lowrisk.discretize import item_mask
-from lowrisk.errors import (
-    AntecedentCapWarning,
-    EmptyDatabaseError,
-    ZeroAntecedentSupportError,
-)
+from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_NOT_FAULTY, item_names, transpose
+from lowrisk.errors import AntecedentCapWarning, EmptyDatabaseError
 
 
 @dataclass(frozen=True)
 class AssociationRule:
-    """antecedent -> {consequent} with support and confidence over the DB."""
+    """antecedent -> {NotFaulty} with support and confidence over the DB.
 
-    antecedent: frozenset[str]
-    consequent: str
+    The antecedent is an attribute item mask; its item names are derived
+    when first read.
+    """
+
+    antecedent_mask: int
     support: float
     confidence: float
 
     def __post_init__(self):
-        if not self.antecedent:
-            raise ValueError("antecedent must be non-empty")
-        if self.consequent in self.antecedent:
-            raise ValueError("antecedent and consequent must be disjoint")
+        if not 0 < self.antecedent_mask < 1 << len(ATTRIBUTE_ITEMS):
+            raise ValueError(
+                f"antecedent must be a non-empty mask of the {len(ATTRIBUTE_ITEMS)} attribute items"
+            )
 
     @cached_property
-    def antecedent_mask(self) -> int:
-        """The antecedent as an attribute item mask, computed on first use."""
-        return item_mask(self.antecedent)
+    def antecedent(self) -> frozenset[str]:
+        return item_names(self.antecedent_mask)
 
     def sort_key(self) -> tuple:
         return (
             -self.confidence,
             -self.support,
-            len(self.antecedent),
+            self.antecedent_mask.bit_count(),
             tuple(sorted(self.antecedent)),
         )
 
     def to_json(self) -> dict:
         return {
             "antecedent": sorted(self.antecedent),
-            "consequent": self.consequent,
+            "consequent": LABEL_NOT_FAULTY,
             "support": self.support,
             "confidence": self.confidence,
         }
@@ -92,36 +93,14 @@ class MiningConfig:
         }
 
 
-def support(itemset: AbstractSet[str], transactions: Sequence[AbstractSet[str]]) -> float:
-    """Fraction of transactions containing the whole itemset."""
-    if len(transactions) == 0:
-        raise EmptyDatabaseError("support is undefined on an empty database")
-    itemset = frozenset(itemset)
-    hits = sum(1 for t in transactions if itemset <= t)
-    return hits / len(transactions)
-
-
-def confidence(
-    antecedent: AbstractSet[str], consequent: str, transactions: Sequence[AbstractSet[str]]
-) -> float:
-    """Fraction of antecedent-containing transactions that also hold the consequent."""
-    if len(transactions) == 0:
-        raise EmptyDatabaseError("confidence is undefined on an empty database")
-    antecedent = frozenset(antecedent)
-    n_ant = sum(1 for t in transactions if antecedent <= t)
-    if n_ant == 0:
-        raise ZeroAntecedentSupportError(f"antecedent {sorted(antecedent)} never occurs")
-    n_both = sum(1 for t in transactions if antecedent <= t and consequent in t)
-    return n_both / n_ant
-
-
 def mine(
-    transactions: Sequence[AbstractSet[str]],
+    faulty: Sequence[int],
+    clean: Sequence[int],
     cfg: MiningConfig,
-    target: str = "NotFaulty",
     stats: dict | None = None,
 ) -> list[AssociationRule]:
-    """Mine the non-redundant rules {A} -> {target} meeting the thresholds.
+    """Mine the non-redundant rules {A} -> {NotFaulty} meeting the thresholds
+    over the item masks of the faulty and the clean (NotFaulty) transactions.
 
     Returns exactly `prune_redundant` of the rules with support >=
     min_support, confidence >= min_confidence and 1 <= |A| <=
@@ -130,64 +109,68 @@ def mine(
     rules the generator walk emits is stored under `rules_mined` and the
     number left after the dominance pass under `rules_kept`.
     """
-    n = len(transactions)
+    n = len(faulty) + len(clean)
     if n == 0:
         raise EmptyDatabaseError("cannot mine an empty database")
 
-    # Vertical representation: per item, a bitmap of the transactions holding it.
-    item_bits: dict[str, int] = {}
-    for t_idx, t in enumerate(transactions):
-        bit = 1 << t_idx
-        for item in t:
-            item_bits[item] = item_bits.get(item, 0) | bit
-    target_bits = item_bits.get(target, 0)
+    # Vertical representation: per attribute item (up to the highest one that
+    # occurs), a bitmap of the transactions holding it; the clean transactions
+    # come after the faulty ones.
+    item_bits = transpose([*faulty, *clean])
+    target_bits = ((1 << len(clean)) - 1) << len(faulty)
 
-    items = sorted(name for name in item_bits if name != target)
     rules: list[AssociationRule] = []
-    # The live itemsets of a level: transaction bitmap and its popcount.
-    level: dict[tuple[str, ...], int] = {}
-    counts: dict[tuple[str, ...], int] = {}
+    # The live itemsets of a level: antecedent mask -> transaction bitmap, and its popcount.
+    level: dict[int, int] = {}
+    counts: dict[int, int] = {}
 
-    def visit(cand: tuple[str, ...], bits: int, n_ant: int) -> None:
+    def visit(cand: int, bits: int, n_ant: int) -> None:
         """Emit cand's rule if it qualifies; keep cand alive unless confidence is 1."""
         n_both = (bits & target_bits).bit_count()
         if n_both / n < cfg.min_support:
             return
         conf = n_both / n_ant
         if conf >= cfg.min_confidence:
-            rules.append(AssociationRule(frozenset(cand), target, n_both / n, conf))
+            rules.append(AssociationRule(cand, n_both / n, conf))
         if n_both < n_ant:
             level[cand] = bits
             counts[cand] = n_ant
 
     # Singletons are never compared with the empty set: an item held by
     # every transaction still yields a rule.
-    for name in items:
-        bits = item_bits[name]
-        visit((name,), bits, bits.bit_count())
+    for a, bits in enumerate(item_bits):
+        visit(1 << a, bits, bits.bit_count())
 
     size = 1
     while level and size < cfg.max_antecedent_len:
         size += 1
         prev, prev_counts = level, counts
         level, counts = {}, {}
-        by_prefix: dict[tuple[str, ...], list[str]] = {}
-        for key in sorted(prev):
-            by_prefix.setdefault(key[:-1], []).append(key[-1])
-        for prefix, lasts in by_prefix.items():
-            for a, b in combinations(lasts, 2):
-                cand = prefix + (a, b)
-                # Every (size-1)-subset must be alive: frequent, a generator
-                # and below confidence 1.
-                sub_counts = [prev_counts.get(sub) for sub in combinations(cand, size - 1)]
-                if None in sub_counts:
-                    continue
-                bits = prev[prefix + (a,)] & item_bits[b]
-                n_ant = bits.bit_count()
-                # A subset's bitmap contains the candidate's, so equal counts
-                # mean equal bitmaps: the candidate is no generator.
-                if n_ant < min(sub_counts):
-                    visit(cand, bits, n_ant)
+        # Join the live itemsets that differ only in their highest item.
+        by_prefix: dict[int, list[int]] = {}
+        for key in prev:
+            top = 1 << (key.bit_length() - 1)
+            by_prefix.setdefault(key ^ top, []).append(top)
+        for prefix, tops in by_prefix.items():
+            # prefix | a | b less one prefix item: its subsets other than
+            # prefix | a and prefix | b (none at level 2).
+            others = [prefix ^ (1 << i) for i in range(prefix.bit_length()) if prefix >> i & 1]
+            for i, a in enumerate(tops):
+                bits_a, n_a = prev[prefix | a], prev_counts[prefix | a]
+                for b in tops[i + 1 :]:
+                    bits = bits_a & item_bits[b.bit_length() - 1]
+                    n_ant = bits.bit_count()
+                    # Every (size-1)-subset must be alive (frequent, a generator
+                    # and below confidence 1) and cover more transactions: a
+                    # subset's bitmap contains the candidate's, so equal counts
+                    # mean equal bitmaps and the candidate is no generator.
+                    if (
+                        n_ant < n_a
+                        and n_ant < prev_counts[prefix | b]
+                        and (not others or all(n_ant < prev_counts.get(o | a | b, 0)
+                                                   for o in others))
+                    ):
+                        visit(prefix | a | b, bits, n_ant)
     if level and size == cfg.max_antecedent_len:
         warnings.warn(
             f"generators are still alive at the antecedent length cap ({cfg.max_antecedent_len})",
@@ -206,16 +189,15 @@ def prune_redundant(rules: Iterable[AssociationRule]) -> list[AssociationRule]:
 
     Processing antecedents in ascending size order means checking survivors
     is sufficient: any removed dominator is itself dominated by a smaller
-    survivor that also dominates the rule at hand.
+    survivor that also dominates the rule at hand. Rules of one size never
+    dominate each other, so their order among themselves does not matter.
     """
-    ordered = sorted(rules, key=lambda r: (len(r.antecedent),) + r.sort_key())
     survivors: list[AssociationRule] = []
-    for rule in ordered:
-        dominated = any(
-            s.antecedent < rule.antecedent and s.confidence >= rule.confidence
-            for s in survivors
-        )
-        if not dominated:
+    kept: list[tuple[int, float]] = []  # antecedent mask and confidence of each survivor
+    for rule in sorted(rules, key=lambda r: r.antecedent_mask.bit_count()):
+        mask, conf = rule.antecedent_mask, rule.confidence
+        if not any(c >= conf and s & ~mask == 0 and s != mask for s, c in kept):
             survivors.append(rule)
+            kept.append((mask, conf))
     survivors.sort(key=AssociationRule.sort_key)
     return survivors

@@ -2,11 +2,14 @@
 
 One training run is: fit tertile discretization on the training methods'
 occurrence rows, itemize, balance (unless disabled), mine the non-redundant
-rules with the NotFaulty consequent, order them, and select the top-n prefix
-for each classifier variant against the unbalanced faulty methods. Only what
+rules with the NotFaulty consequent in classifier order, and select the
+top-n prefix for each classifier variant against the unbalanced faulty
+methods. Only what
 is read is itemized: the faulty methods, and the clean ones that balancing
 samples (all of them when it does not undersample, or with balancing
-disabled). `train_on` reads a `MethodTable`; a unified method list is turned
+disabled). From itemization to prediction every method is an item mask and
+the two classes are kept apart; item names appear only in the classifier
+file. `train_on` reads a `MethodTable`; a unified method list is turned
 into one on entry.
 `TrainedModel.to_json` and `TrainedModel.from_json` are the writer and the
 reader of the classifier file that `lowrisk train` hands to `lowrisk predict`.
@@ -22,10 +25,17 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import not_
 
-from lowrisk.balance import BalanceConfig, balance
-from lowrisk.classifier import LfrClassifier, Variant, order_rules, select_prefix
+from lowrisk.balance import BalanceConfig, Classes, balance
+from lowrisk.classifier import LfrClassifier, Variant, select_prefix
 from lowrisk.dataset import MethodTable, UnifiedMethod, as_table
-from lowrisk.discretize import VOCABULARY, DiscretizationModel, fit_discretization, itemize
+from lowrisk.discretize import (
+    LABEL_NOT_FAULTY,
+    VOCABULARY,
+    DiscretizationModel,
+    fit_discretization,
+    item_mask,
+    itemize,
+)
 from lowrisk.errors import SchemaError, TooFewMinorityError, VocabularyMismatchError
 from lowrisk.mining import AssociationRule, MiningConfig, mine
 
@@ -142,11 +152,14 @@ class TrainedModel:
             antecedent = _entry(rule, "antecedent", list, rule_where)
             if not all(isinstance(item, str) for item in antecedent):
                 raise SchemaError(f"{rule_where} has an antecedent item that is not a string")
+            if _entry(rule, "consequent", str, rule_where) != LABEL_NOT_FAULTY:
+                raise SchemaError(
+                    f"{rule_where} has a 'consequent' other than {LABEL_NOT_FAULTY!r}"
+                )
             try:
                 rules.append(
                     AssociationRule(
-                        antecedent=frozenset(antecedent),
-                        consequent=_entry(rule, "consequent", str, rule_where),
+                        item_mask(antecedent),
                         support=_entry(rule, "support", (int, float), rule_where),
                         confidence=_entry(rule, "confidence", (int, float), rule_where),
                     )
@@ -175,7 +188,7 @@ class TrainedModel:
 
 
 class _Itemized(Sequence):
-    """The item vectors of the table's methods at `indices`, each itemized
+    """The item masks of the table's methods at `indices`, each itemized
     when it is read."""
 
     def __init__(self, table: MethodTable, indices: Sequence[int], model: DiscretizationModel):
@@ -184,20 +197,21 @@ class _Itemized(Sequence):
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, index: int):
+    def __getitem__(self, index: int) -> int:
         return itemize(self.table, self.indices[index], self.model)
 
 
 def _vectors(table: MethodTable, config: PipelineConfig, scope: tuple):
-    """(discretization, faulty vectors, mining vectors) of a training table:
-    the part of a training that reads the table."""
+    """(discretization, faulty masks, mining set) of a training table: the
+    part of a training that reads the table."""
     is_faulty = table.faulty
     if not any(is_faulty):
         raise TooFewMinorityError("training set contains no faulty methods")
     model = fit_discretization(table)
     if config.no_smote:
-        mining_vectors = [itemize(table, i, model) for i in range(len(table))]
-        return model, list(compress(mining_vectors, is_faulty)), mining_vectors
+        masks = [itemize(table, i, model) for i in range(len(table))]
+        faulty = list(compress(masks, is_faulty))
+        return model, faulty, Classes(faulty, list(compress(masks, map(not_, is_faulty))))
     faulty = [itemize(table, i, model) for i in compress(range(len(table)), is_faulty)]
     clean = _Itemized(table, array("q", compress(range(len(table)), map(not_, is_faulty))), model)
     cfg = BalanceConfig(
@@ -214,17 +228,14 @@ def train_on(
 ) -> TrainedModel:
     """Train both classifier variants on a unified method list or table."""
     # A table made here from a method list is freed before mining starts.
-    model, faulty, mining_vectors = _vectors(as_table(methods), config, scope)
+    model, faulty, mining_set = _vectors(as_table(methods), config, scope)
     n_faulty = len(faulty)
-    transactions = [v.to_itemset() for v in mining_vectors]
     mining_stats: dict = {}
-    rules = order_rules(mine(transactions, config.mining, stats=mining_stats))
-
-    faulty_masks = [v.items for v in faulty]  # prefix selection counts faults only
+    rules = mine(mining_set.faulty, mining_set.clean, config.mining, stats=mining_stats)
     meta = {
         "training_methods": len(methods),
         "training_faulty": n_faulty,
-        "balanced_size": len(mining_vectors),
+        "balanced_size": len(mining_set),
         "rules_mined": mining_stats["rules_mined"],
         "rules_kept": mining_stats["rules_kept"],
         "scope": list(scope),
@@ -232,7 +243,8 @@ def train_on(
     classifiers = {}
     for variant in Variant:
         budget = config.budget(variant)
-        n = select_prefix(rules, faulty_masks, [True] * n_faulty, budget)
+        # Prefix selection counts faults only.
+        n = select_prefix(rules, faulty, [True] * n_faulty, budget)
         classifiers[variant] = LfrClassifier(
             ordered_rules=tuple(rules),
             n=n,

@@ -2,14 +2,14 @@
 
 from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
 from lowrisk.discretize import (
-    LABEL_FAULTY,
+    ATTRIBUTE_ITEMS,
     LABEL_NOT_FAULTY,
-    ItemVector,
     fit_discretization,
     item_mask,
     itemize,
 )
 from lowrisk.java.analyzer import MethodIdentity
+from lowrisk.mining import AssociationRule
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
 
 _BY_COLUMN = {kind.column: kind for kind in ConstructKind}
@@ -68,16 +68,35 @@ def make_unified(record_or_records, faulty=None) -> UnifiedMethod:
     return UnifiedMethod(records[0].identity, faulty, tuple(records))
 
 
-def make_vector(true_items=(), not_faulty=True) -> ItemVector:
-    """ItemVector with the named attribute items set to true."""
-    return ItemVector(item_mask(true_items), LABEL_NOT_FAULTY if not_faulty else LABEL_FAULTY)
+# The item names of the tests' hand-made transaction databases, each mapped
+# to an attribute item. The items run backwards through the vocabulary, so
+# their bit order and their name order disagree.
+_TEST_ITEMS = ["A", "B", "C", "D", "X", "Y", "ALL", "TWIN0", "BOTH12"] + [f"I{i}" for i in range(12)]
+_AS_ITEM = dict(zip(_TEST_ITEMS, ATTRIBUTE_ITEMS[::-2]))
 
 
-def split(vectors):
-    """(faulty, clean) vectors of a mixed list, each in input order: the two
-    classes that `balance` takes."""
-    faulty = [v for v in vectors if v.label_item == LABEL_FAULTY]
-    return faulty, [v for v in vectors if v.label_item != LABEL_FAULTY]
+def vocabulary_item(name: str) -> str:
+    """The attribute item that stands for a test item name."""
+    return _AS_ITEM[name]
+
+
+def as_vocabulary(db):
+    """A transaction database over test item names, with every name but
+    NotFaulty mapped to its attribute item."""
+    return [frozenset(n if n == LABEL_NOT_FAULTY else _AS_ITEM[n] for n in t) for t in db]
+
+
+def classes(db):
+    """(faulty, clean) item masks of a database over attribute item names, in
+    database order; a transaction holding NotFaulty is clean. These are the
+    two arguments `mine` takes before its config."""
+    faulty = [item_mask(t) for t in db if LABEL_NOT_FAULTY not in t]
+    return faulty, [item_mask(t - {LABEL_NOT_FAULTY}) for t in db if LABEL_NOT_FAULTY in t]
+
+
+def make_rule(items, conf, supp):
+    """The rule {items} -> NotFaulty, given by attribute item names."""
+    return AssociationRule(item_mask(items), supp, conf)
 
 
 def table_of(items) -> MethodTable:
@@ -88,7 +107,7 @@ def table_of(items) -> MethodTable:
     )
 
 
-def itemize_one(method, model) -> ItemVector:
+def itemize_one(method, model) -> int:
     """itemize of one record or unified method, through a one-method table."""
     return itemize(table_of([method]), 0, model)
 

@@ -10,19 +10,131 @@ field-by-field reader of metric records, kept as the reference for
 read_csv's columnar fast path; the record-based unification
 (consolidate_faulty, unify, build_unified_records) and the tertile fit over
 records (fit_records, which sorts and indexes) are the earlier loader and
-fit, kept as the reference for the method table. The eager balance and
-training oracles are the earlier pipeline that itemized every training
-method and split the classes by label inside balance, kept as the reference
-for the lazily itemized majority. The lexer oracle is the earlier
-per-character tokenizer, kept as the reference for the master-regex
-tokenizer.
+fit, kept as the reference for the method table. The eager training
+oracles (eager_mining_set, eager_train_on) are the earlier pipeline that
+itemized every training method, kept as the reference for the lazily
+itemized majority. Their balance (reference_balance) draws each synthetic
+attribute with `rng.randrange`, the reference for the inlined draws, and
+their rule mining is the earlier name-keyed path (`to_itemset` turns each
+mask back into a set of item names, `mine_names` builds per-item bitmaps
+keyed by name), the reference for the mask miner. `support` and
+`confidence` count over sets of item names. The
+lexer oracle is the earlier per-character tokenizer, kept as the reference
+for the master-regex tokenizer.
 """
 
+import warnings
 from itertools import combinations
 
-from lowrisk.errors import JavaParseError
+from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_NOT_FAULTY, item_mask
+from lowrisk.errors import AntecedentCapWarning, EmptyDatabaseError, JavaParseError, LowriskError
 from lowrisk.java.tokens import KEYWORDS, Token
 from lowrisk.mining import AssociationRule
+
+
+class ZeroAntecedentSupportError(LowriskError):
+    """Confidence is undefined because the antecedent never occurs."""
+
+
+def support(itemset, transactions):
+    """Fraction of transactions containing the whole itemset."""
+    if len(transactions) == 0:
+        raise EmptyDatabaseError("support is undefined on an empty database")
+    itemset = frozenset(itemset)
+    hits = sum(1 for t in transactions if itemset <= t)
+    return hits / len(transactions)
+
+
+def confidence(antecedent, consequent, transactions):
+    """Fraction of antecedent-containing transactions that also hold the consequent."""
+    if len(transactions) == 0:
+        raise EmptyDatabaseError("confidence is undefined on an empty database")
+    antecedent = frozenset(antecedent)
+    n_ant = sum(1 for t in transactions if antecedent <= t)
+    if n_ant == 0:
+        raise ZeroAntecedentSupportError(f"antecedent {sorted(antecedent)} never occurs")
+    n_both = sum(1 for t in transactions if antecedent <= t and consequent in t)
+    return n_both / n_ant
+
+
+def to_itemset(mask, not_faulty):
+    """Transaction view of an item mask: the set attribute items plus the NotFaulty item."""
+    names = [name for i, name in enumerate(ATTRIBUTE_ITEMS) if mask >> i & 1]
+    if not_faulty:
+        names.append(LABEL_NOT_FAULTY)
+    return frozenset(names)
+
+
+def _prune_names(rules):
+    """The earlier prune_redundant over (antecedent names, support, confidence)."""
+    def sort_key(rule):
+        names, supp, conf = rule
+        return (-conf, -supp, len(names), tuple(sorted(names)))
+
+    survivors = []
+    for rule in sorted(rules, key=lambda r: (len(r[0]),) + sort_key(r)):
+        if not any(s[0] < rule[0] and s[2] >= rule[2] for s in survivors):
+            survivors.append(rule)
+    survivors.sort(key=sort_key)
+    return survivors
+
+
+def mine_names(transactions, cfg, target=LABEL_NOT_FAULTY, stats=None):
+    """The earlier name-keyed miner: the non-redundant generator rules
+    {A} -> {target} over transactions given as sets of item names, as
+    (antecedent names, support, confidence) in canonical order."""
+    n = len(transactions)
+    if n == 0:
+        raise EmptyDatabaseError("cannot mine an empty database")
+    item_bits = {}
+    for t_idx, t in enumerate(transactions):
+        bit = 1 << t_idx
+        for item in t:
+            item_bits[item] = item_bits.get(item, 0) | bit
+    target_bits = item_bits.get(target, 0)
+    items = sorted(name for name in item_bits if name != target)
+    rules = []
+    level, counts = {}, {}
+
+    def visit(cand, bits, n_ant):
+        n_both = (bits & target_bits).bit_count()
+        if n_both / n < cfg.min_support:
+            return
+        conf = n_both / n_ant
+        if conf >= cfg.min_confidence:
+            rules.append((frozenset(cand), n_both / n, conf))
+        if n_both < n_ant:
+            level[cand] = bits
+            counts[cand] = n_ant
+
+    for name in items:
+        bits = item_bits[name]
+        visit((name,), bits, bits.bit_count())
+    size = 1
+    while level and size < cfg.max_antecedent_len:
+        size += 1
+        prev, prev_counts = level, counts
+        level, counts = {}, {}
+        by_prefix = {}
+        for key in sorted(prev):
+            by_prefix.setdefault(key[:-1], []).append(key[-1])
+        for prefix, lasts in by_prefix.items():
+            for a, b in combinations(lasts, 2):
+                cand = prefix + (a, b)
+                sub_counts = [prev_counts.get(sub) for sub in combinations(cand, size - 1)]
+                if None in sub_counts:
+                    continue
+                bits = prev[prefix + (a,)] & item_bits[b]
+                n_ant = bits.bit_count()
+                if n_ant < min(sub_counts):
+                    visit(cand, bits, n_ant)
+    if level and size == cfg.max_antecedent_len:
+        warnings.warn("generators are still alive at the antecedent length cap", AntecedentCapWarning)
+    kept = _prune_names(rules)
+    if stats is not None:
+        stats["rules_mined"] = len(rules)
+        stats["rules_kept"] = len(kept)
+    return kept
 
 
 def brute_force_rules(transactions, min_support, min_confidence, max_len, target="NotFaulty"):
@@ -66,7 +178,7 @@ def brute_force_nonredundant(transactions, min_support, min_confidence, max_len,
                               target="NotFaulty"):
     """The pruned rule set: exhaustive enumeration, then the pairwise check."""
     rules = brute_force_rules(transactions, min_support, min_confidence, max_len, target)
-    return brute_force_prune(AssociationRule(a, target, s, c) for a, s, c in rules)
+    return brute_force_prune(AssociationRule(item_mask(a), s, c) for a, s, c in rules)
 
 
 def prefix_scan_oracle(ordered_rules, training_items, training_faulty, budget):
@@ -104,8 +216,7 @@ def random_rule(rng, vocab, max_len=4):
     size = rng.randint(1, min(max_len, len(vocab)))
     antecedent = frozenset(rng.sample(vocab, size))
     return AssociationRule(
-        antecedent=antecedent,
-        consequent="NotFaulty",
+        item_mask(antecedent),
         support=rng.randint(1, 100) / 200,
         confidence=rng.randint(50, 100) / 100,
     )
@@ -340,27 +451,20 @@ def fit_records(records):
 
 
 def itemize_records(method, model):
-    """ItemVector of a record or unified method from the bool-tuple oracle."""
-    from lowrisk.discretize import LABEL_FAULTY, LABEL_NOT_FAULTY, ItemVector
-
-    mask = bools_to_mask(itemize_bool_tuple(method, model))
-    return ItemVector(mask, LABEL_FAULTY if method.faulty else LABEL_NOT_FAULTY)
+    """Item mask of a record or unified method from the bool-tuple oracle."""
+    return bools_to_mask(itemize_bool_tuple(method, model))
 
 
-def eager_balance(training, cfg):
-    """balance() of the earlier eager pipeline: one mixed list of vectors,
-    split by label inside, with every vector already built. The kNN is the
-    sorting oracle, which gives the same neighbors as the bit-sliced one."""
+def reference_balance(faulty, clean, cfg):
+    """balance() of the earlier pipeline, as (faulty masks, clean masks):
+    every majority vector already built, the sorting kNN oracle, and one
+    rng.randrange call per synthetic attribute."""
     import random
-    import warnings
 
-    from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY, ItemVector
     from lowrisk.errors import ImbalanceUnachievableWarning, InsufficientMinorityError
 
-    minority = [v for v in training if v.label_item == LABEL_FAULTY]
-    majority = [v for v in training if v.label_item != LABEL_FAULTY]
-    if len(minority) > len(majority):
-        minority, majority = majority, minority
+    swap = len(faulty) > len(clean)
+    minority, majority = (list(clean), list(faulty)) if swap else (list(faulty), list(clean))
     m = len(minority)
     if m < cfg.k_neighbors + 1:
         raise InsufficientMinorityError(
@@ -373,17 +477,16 @@ def eager_balance(training, cfg):
     n_synthetic = (cfg.percent_over * m) // 100
     per_seed, extra = divmod(n_synthetic, m)
     extra_seeds = set(rng.sample(range(m), extra)) if extra else set()
-    masks = [v.items for v in minority]
-    neighbors = nearest_neighbors_oracle(masks, cfg.k_neighbors)
+    neighbors = nearest_neighbors_oracle(minority, cfg.k_neighbors)
     synthetic = []
-    for idx, seed_vec in enumerate(minority):
+    for idx, mask in enumerate(minority):
         rounds = per_seed + (1 if idx in extra_seeds else 0)
-        sources = [masks[idx]] + [masks[j] for j in neighbors[idx]]
+        sources = [mask] + [minority[j] for j in neighbors[idx]]
         for _ in range(rounds):
             items = 0
             for a in range(len(ATTRIBUTE_ITEMS)):
                 items |= sources[rng.randrange(len(sources))] & (1 << a)
-            synthetic.append(ItemVector(items, seed_vec.label_item))
+            synthetic.append(items)
 
     n_majority = (cfg.percent_under * len(synthetic)) // 100
     if n_majority > len(majority):
@@ -394,44 +497,54 @@ def eager_balance(training, cfg):
         )
     else:
         sampled = [majority[i] for i in sorted(rng.sample(range(len(majority)), n_majority))]
-    return list(minority) + synthetic + sampled
+    grown = minority + synthetic
+    return (sampled, grown) if swap else (grown, sampled)
 
 
-def eager_train_on(methods, config, scope=()):
-    """train_on() of the earlier eager pipeline over records: fit with
-    fit_records, itemize every method with the bool-tuple oracle, balance the
-    mixed list with eager_balance, select prefixes over all methods."""
+def eager_mining_set(methods, config, scope=()):
+    """(model, every method's mask, faulty masks, clean masks) that the earlier
+    eager pipeline mines: fit with fit_records, itemize every method with the
+    bool-tuple oracle, and balance the classes with reference_balance unless
+    balancing is off."""
     from lowrisk.balance import BalanceConfig
-    from lowrisk.classifier import LfrClassifier, Variant, order_rules, select_prefix
-    from lowrisk.errors import TooFewMinorityError
-    from lowrisk.mining import mine
-    from lowrisk.pipeline import TrainedModel, derive_seed
+    from lowrisk.pipeline import derive_seed
 
-    n_faulty = sum(1 for u in methods if u.faulty)
-    if n_faulty == 0:
-        raise TooFewMinorityError("training set contains no faulty methods")
     model = fit_records([rec for u in methods for rec in u.occurrences])
-    vectors = [itemize_records(u, model) for u in methods]
-    if config.no_smote:
-        mining_vectors = vectors
-    else:
+    masks = [itemize_records(u, model) for u in methods]
+    faulty = [mask for mask, u in zip(masks, methods) if u.faulty]
+    clean = [mask for mask, u in zip(masks, methods) if not u.faulty]
+    if not config.no_smote:
         cfg = BalanceConfig(
             percent_over=config.smote_over,
             percent_under=config.smote_under,
             k_neighbors=config.smote_k,
             rng_seed=derive_seed(config.seed, "smote", *scope),
         )
-        mining_vectors = eager_balance(vectors, cfg)
+        faulty, clean = reference_balance(faulty, clean, cfg)
+    return model, masks, faulty, clean
+
+
+def eager_train_on(methods, config, scope=()):
+    """train_on() of the earlier eager pipeline over records: the classes of
+    eager_mining_set, mined as item-name transactions with mine_names, and
+    prefixes selected over all methods."""
+    from lowrisk.classifier import LfrClassifier, Variant, select_prefix
+    from lowrisk.errors import TooFewMinorityError
+    from lowrisk.pipeline import TrainedModel
+
+    n_faulty = sum(1 for u in methods if u.faulty)
+    if n_faulty == 0:
+        raise TooFewMinorityError("training set contains no faulty methods")
+    model, masks, faulty, clean = eager_mining_set(methods, config, scope)
+    transactions = [to_itemset(m, False) for m in faulty] + [to_itemset(m, True) for m in clean]
     mining_stats = {}
-    rules = order_rules(
-        mine([v.to_itemset() for v in mining_vectors], config.mining, stats=mining_stats)
-    )
-    training_masks = [v.items for v in vectors]
+    mined = mine_names(transactions, config.mining, stats=mining_stats)
+    rules = [AssociationRule(item_mask(a), s, c) for a, s, c in mined]
     training_faulty = [u.faulty for u in methods]
     meta = {
         "training_methods": len(methods),
         "training_faulty": n_faulty,
-        "balanced_size": len(mining_vectors),
+        "balanced_size": len(transactions),
         "rules_mined": mining_stats["rules_mined"],
         "rules_kept": mining_stats["rules_kept"],
         "scope": list(scope),
@@ -439,7 +552,7 @@ def eager_train_on(methods, config, scope=()):
     classifiers = {}
     for variant in Variant:
         budget = config.budget(variant)
-        n = select_prefix(rules, training_masks, training_faulty, budget)
+        n = select_prefix(rules, masks, training_faulty, budget)
         classifiers[variant] = LfrClassifier(
             ordered_rules=tuple(rules),
             n=n,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_vector, split
+from helpers import as_vocabulary, classes
 from oracles import (
     as_rule_set,
     brute_force_prune,
@@ -26,7 +26,7 @@ from oracles import (
 from lowrisk.balance import BalanceConfig, balance
 from lowrisk.classifier import Variant, order_rules, select_prefix
 from lowrisk.dataset import from_analyzed, record_to_row
-from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY, item_mask, tertile_bounds
+from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask, tertile_bounds
 from lowrisk.errors import NoAdmissibleRulesWarning
 from lowrisk.evaluation import (
     compute_fdr,
@@ -62,6 +62,7 @@ def test_c1_apriori_oracle_equivalence():
             if rng.random() < 0.5:
                 t.add("NotFaulty")
             db.append(frozenset(t))
+        db = as_vocabulary(db)
         cfg = MiningConfig(
             min_support=rng.uniform(0.02, 0.45),
             min_confidence=rng.uniform(0.3, 1.0),
@@ -69,14 +70,14 @@ def test_c1_apriori_oracle_equivalence():
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            mined = prune_redundant(mine(db, cfg))
+            mined = prune_redundant(mine(*classes(db), cfg))
         oracle_rules = brute_force_rules(
             db, cfg.min_support, cfg.min_confidence, cfg.max_antecedent_len
         )
         from lowrisk.mining import AssociationRule
 
         oracle_pruned = brute_force_prune(
-            [AssociationRule(a, "NotFaulty", s, c) for a, s, c in oracle_rules]
+            [AssociationRule(item_mask(a), s, c) for a, s, c in oracle_rules]
         )
         assert as_rule_set(mined) == as_rule_set(oracle_pruned), f"case {case} diverged"
     elapsed = time.monotonic() - start
@@ -116,8 +117,9 @@ def _run_smote_battery(master_seed):
         n = rng.randint(120, 240)
         minority_fraction = rng.uniform(0.05, 0.40)
         n_min = max(6, round(n * minority_fraction))
-        data = []
+        data = {}
         for klass, count in (("min", n_min), ("maj", n - n_min)):
+            data[klass] = []
             for _ in range(count):
                 bias = 0.3 if klass == "min" else 0.7
                 true_names = [
@@ -125,17 +127,16 @@ def _run_smote_battery(master_seed):
                     for j, name in enumerate(ATTRIBUTE_ITEMS)
                     if rng.random() < (bias if j < 10 else 0.5)
                 ]
-                data.append(make_vector(true_names, not_faulty=(klass == "maj")))
+                data[klass].append(item_mask(true_names))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = balance(*split(data), BalanceConfig(rng_seed=master_seed * 100 + case))
-        n_faulty = sum(1 for v in out if v.label_item == LABEL_FAULTY)
-        gap = abs(n_faulty - (len(out) - n_faulty))
+            out = balance(data["min"], data["maj"], BalanceConfig(rng_seed=master_seed * 100 + case))
+        n_faulty = len(out.faulty)
+        gap = abs(n_faulty - len(out.clean))
         worst_gap = max(worst_gap, gap)
-        transactions = [v.to_itemset() for v in out]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rules = mine(transactions, MiningConfig(0.10, 0.95, 3))
+            rules = mine(out.faulty, out.clean, MiningConfig(0.10, 0.95, 3))
         bound = 0.5 + 1 / len(out)
         if any(r.support > bound for r in rules):
             support_bound_ok = False

@@ -5,82 +5,100 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_vector, split
-from oracles import nearest_neighbors_oracle
+from oracles import nearest_neighbors_oracle, reference_balance
 from lowrisk.balance import BalanceConfig, _nearest_neighbors, balance
-from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_FAULTY
+from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask
 from lowrisk.errors import ImbalanceUnachievableWarning, InsufficientMinorityError
 
 
-def random_vector(rng, not_faulty=True, bias=0.5):
-    items = [rng.random() < bias for _ in ATTRIBUTE_ITEMS]
-    true_names = [n for n, on in zip(ATTRIBUTE_ITEMS, items) if on]
-    return make_vector(true_names, not_faulty=not_faulty)
+def random_mask(rng, bias=0.5):
+    return sum(1 << i for i in range(len(ATTRIBUTE_ITEMS)) if rng.random() < bias)
 
 
-def split_counts(vectors):
-    faulty = sum(1 for v in vectors if v.label_item == LABEL_FAULTY)
-    return faulty, len(vectors) - faulty
+def random_masks(rng, n, bias=0.5):
+    return [random_mask(rng, bias) for _ in range(n)]
 
 
 def test_default_rates_double_minority_and_match_majority():
     rng = random.Random(1)
-    data = [random_vector(rng, not_faulty=False) for _ in range(10)]
-    data += [random_vector(rng) for _ in range(90)]
-    out = balance(*split(data), BalanceConfig(rng_seed=3))
-    faulty, clean = split_counts(out)
-    assert (faulty, clean) == (20, 20)
+    faulty, clean = random_masks(rng, 10), random_masks(rng, 90)
+    out = balance(faulty, clean, BalanceConfig(rng_seed=3))
+    assert (len(out.faulty), len(out.clean)) == (20, 20)
+    assert len(out) == 40
+    assert out.faulty[:10] == faulty
 
 
 def test_already_balanced_input_stays_balanced():
     rng = random.Random(2)
-    data = [random_vector(rng, not_faulty=False) for _ in range(12)]
-    data += [random_vector(rng) for _ in range(12)]
+    faulty, clean = random_masks(rng, 12), random_masks(rng, 12)
     with pytest.warns(ImbalanceUnachievableWarning):
-        out = balance(*split(data), BalanceConfig(rng_seed=3))
-    faulty, clean = split_counts(out)
-    assert faulty == clean
+        out = balance(faulty, clean, BalanceConfig(rng_seed=3))
+    assert len(out.faulty) == len(out.clean)
 
 
 def test_identical_minority_vectors_yield_identical_synthetics():
-    seed_vec = make_vector(["NoLoops", "IsGetter"], not_faulty=False)
-    data = [seed_vec] * 8 + [make_vector(["NoLoops"]) for _ in range(40)]
-    out = balance(*split(data), BalanceConfig(rng_seed=5))
-    minority = [v for v in out if v.label_item == LABEL_FAULTY]
-    assert len(minority) == 16
-    assert all(v.items == seed_vec.items for v in minority)
+    seed_mask = item_mask(["NoLoops", "IsGetter"])
+    out = balance([seed_mask] * 8, [item_mask(["NoLoops"])] * 40, BalanceConfig(rng_seed=5))
+    assert len(out.faulty) == 16
+    assert all(mask == seed_mask for mask in out.faulty)
 
 
 def test_deterministic_given_seed():
     rng = random.Random(7)
-    data = [random_vector(rng, not_faulty=False) for _ in range(15)]
-    data += [random_vector(rng) for _ in range(85)]
-    a = balance(*split(data), BalanceConfig(rng_seed=11))
-    b = balance(*split(data), BalanceConfig(rng_seed=11))
+    faulty, clean = random_masks(rng, 15), random_masks(rng, 85)
+    a = balance(faulty, clean, BalanceConfig(rng_seed=11))
+    b = balance(faulty, clean, BalanceConfig(rng_seed=11))
     assert a == b
-    c = balance(*split(data), BalanceConfig(rng_seed=12))
+    c = balance(faulty, clean, BalanceConfig(rng_seed=12))
     assert c != a  # overwhelmingly likely for random data
 
 
 def test_insufficient_minority_raises():
     rng = random.Random(9)
-    data = [random_vector(rng, not_faulty=False) for _ in range(4)]
-    data += [random_vector(rng) for _ in range(20)]
     with pytest.raises(InsufficientMinorityError):
-        balance(*split(data), BalanceConfig(k_neighbors=5, rng_seed=0))
+        balance(random_masks(rng, 4), random_masks(rng, 20), BalanceConfig(k_neighbors=5, rng_seed=0))
 
 
 def test_synthetic_attributes_come_from_real_minority_vectors():
     rng = random.Random(13)
-    minority = [random_vector(rng, not_faulty=False, bias=0.2) for _ in range(12)]
-    majority = [random_vector(rng, bias=0.8) for _ in range(60)]
-    out = balance(*split(minority + majority), BalanceConfig(rng_seed=17))
-    synthetic = [v for v in out if v.label_item == LABEL_FAULTY][12:]
+    minority = random_masks(rng, 12, bias=0.2)
+    majority = random_masks(rng, 60, bias=0.8)
+    out = balance(minority, majority, BalanceConfig(rng_seed=17))
+    synthetic = out.faulty[12:]
     assert len(synthetic) == 12
-    for vec in synthetic:
+    for mask in synthetic:
         for idx in range(len(ATTRIBUTE_ITEMS)):
-            value = vec.items >> idx & 1
-            assert any(real.items >> idx & 1 == value for real in minority)
+            value = mask >> idx & 1
+            assert any(real >> idx & 1 == value for real in minority)
+
+
+def test_equals_the_randrange_reference_for_200_configs():
+    """The inlined draws give the same vectors as one rng.randrange call per
+    attribute: clean and faulty minorities, 2 to 9 sources per seed (powers
+    of two and not), rates that leave extra seeds, and pool deficits."""
+    rng = random.Random(29)
+    swapped = deficits = 0
+    for case in range(200):
+        k = rng.randint(1, 8)
+        n_min = rng.randint(k + 1, k + 30)
+        n_maj = rng.randint(k + 1, 4 * n_min)
+        faulty, clean = random_masks(rng, n_min, rng.random()), random_masks(rng, n_maj, rng.random())
+        if case % 3 == 0:
+            faulty, clean = clean, faulty
+        cfg = BalanceConfig(
+            percent_over=rng.choice((100, 100, 50, 150, 230)),
+            percent_under=rng.choice((200, 200, 100, 300)),
+            k_neighbors=k,
+            rng_seed=rng.getrandbits(64),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = balance(faulty, clean, cfg)
+            expected = reference_balance(faulty, clean, cfg)
+        assert (got.faulty, got.clean) == expected, f"case {case}"
+        swapped += len(faulty) > len(clean)
+        deficits += bool(caught)
+    assert swapped >= 30 and deficits >= 10
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,13 +109,11 @@ def test_synthetic_attributes_come_from_real_minority_vectors():
 )
 def test_property_output_is_balanced_within_one(n_min, n_maj, seed):
     rng = random.Random(seed)
-    data = [random_vector(rng, not_faulty=False) for _ in range(n_min)]
-    data += [random_vector(rng) for _ in range(n_maj)]
+    faulty, clean = random_masks(rng, n_min), random_masks(rng, n_maj)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ImbalanceUnachievableWarning)
-        out = balance(*split(data), BalanceConfig(rng_seed=seed))
-    faulty, clean = split_counts(out)
-    assert abs(faulty - clean) <= 1
+        out = balance(faulty, clean, BalanceConfig(rng_seed=seed))
+    assert abs(len(out.faulty) - len(out.clean)) <= 1
 
 
 def test_balanced_split_over_random_imbalance_levels():
@@ -106,11 +122,9 @@ def test_balanced_split_over_random_imbalance_levels():
         n = rng.randint(120, 200)
         minority_fraction = rng.uniform(0.06, 0.30)
         n_min = max(6, int(n * minority_fraction))
-        data = [random_vector(rng, not_faulty=False) for _ in range(n_min)]
-        data += [random_vector(rng) for _ in range(n - n_min)]
-        out = balance(*split(data), BalanceConfig(rng_seed=trial))
-        faulty, clean = split_counts(out)
-        assert abs(faulty - clean) <= 1
+        faulty, clean = random_masks(rng, n_min), random_masks(rng, n - n_min)
+        out = balance(faulty, clean, BalanceConfig(rng_seed=trial))
+        assert abs(len(out.faulty) - len(out.clean)) <= 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

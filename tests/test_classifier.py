@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from helpers import make_vector
+from helpers import make_rule
 from oracles import matched_set, prefix_scan_oracle, random_rule
 from lowrisk.classifier import (
     Classification,
@@ -22,10 +22,11 @@ from lowrisk.synthetic import generate_project
 # Eight attribute items spread over the tertile, has-no and category items.
 ITEMS = ATTRIBUTE_ITEMS[:48:6]
 A, B, C = "NoLoops", "IsSetter", "NoNullChecks"
+# Four items in name order whose bits run the other way.
+W, X, Y, Z = "IsDelegation", "NoAnonymousClasses", "NoArrayCreations", "NoCastExpressions"
+assert item_mask([W]) > item_mask([X]) > item_mask([Y]) > item_mask([Z])
 
-
-def rule(items, conf, supp):
-    return AssociationRule(frozenset(items), "NotFaulty", supp, conf)
+rule = make_rule
 
 
 def masks(item_sets):
@@ -34,20 +35,22 @@ def masks(item_sets):
 
 class TestOrderRules:
     def test_confidence_then_support(self):
-        a = rule({"A"}, 0.99, 0.2)
-        b = rule({"B"}, 0.95, 0.4)
-        c = rule({"C"}, 0.99, 0.3)
+        a = rule({W}, 0.99, 0.2)
+        b = rule({X}, 0.95, 0.4)
+        c = rule({Y}, 0.99, 0.3)
         assert order_rules([a, b, c]) == [c, a, b]
 
     def test_single_rule_unchanged(self):
-        a = rule({"A"}, 0.9, 0.1)
+        a = rule({W}, 0.9, 0.1)
         assert order_rules([a]) == [a]
 
     def test_full_tie_breaks_lexicographically(self):
-        a = rule({"B", "C"}, 0.9, 0.2)
-        b = rule({"A", "D"}, 0.9, 0.2)
-        c = rule({"A", "B"}, 0.9, 0.2)
+        # By item names, not by bits: the masks order these the other way.
+        a = rule({X, Y}, 0.9, 0.2)
+        b = rule({W, Z}, 0.9, 0.2)
+        c = rule({W, X}, 0.9, 0.2)
         assert order_rules([a, b, c]) == [c, b, a]
+        assert order_rules([c, b, a]) == [c, b, a]
 
 
 class TestSelectPrefix:
@@ -105,13 +108,16 @@ class TestSelectPrefix:
             assert got == prefix_scan_oracle(rules, items, faulty, budget)
 
     def test_unknown_antecedent_item_rejected(self):
-        rules = [rule({"R0"}, 0.99, 0.2)]
+        # A rule names attribute items only, so one that names another item
+        # cannot be built, let alone reach select_prefix.
         with pytest.raises(VocabularyMismatchError):
-            select_prefix(rules, masks([{A}]), [True], budget=0.5)
+            rule({"R0"}, 0.99, 0.2)
+        with pytest.raises(ValueError):
+            AssociationRule(1 << len(ATTRIBUTE_ITEMS), 0.2, 0.99)
 
     def test_matched_set_monotone_in_n(self):
         rng = random.Random(1)
-        vocab = [f"I{i}" for i in range(6)]
+        vocab = list(ATTRIBUTE_ITEMS[1:49:8])
         rules = order_rules({random_rule(rng, vocab, max_len=2) for _ in range(8)})
         items = [frozenset(rng.sample(vocab, rng.randint(0, 4))) for _ in range(30)]
         previous = set()
@@ -130,28 +136,30 @@ def classifier_with(rules, n, variant=Variant.STRICT):
 class TestClassify:
     def test_zero_rules_never_classifies(self):
         clf = classifier_with([rule({"NoLoops"}, 0.99, 0.2)], n=0)
-        vec = make_vector(["NoLoops"])
-        assert clf.classify(vec) is Classification.NOT_CLASSIFIED
+        assert clf.classify(item_mask(["NoLoops"])) is Classification.NOT_CLASSIFIED
 
     def test_exact_antecedent_match(self):
         clf = classifier_with([rule({"NoLoops", "IsSetter"}, 0.99, 0.2)], n=1)
-        assert clf.classify(make_vector(["NoLoops", "IsSetter"])) is Classification.LOW_FAULT_RISK
-        assert clf.classify(make_vector(["NoLoops"])) is Classification.NOT_CLASSIFIED
+        assert clf.classify(item_mask(["NoLoops", "IsSetter"])) is Classification.LOW_FAULT_RISK
+        assert clf.classify(item_mask(["NoLoops"])) is Classification.NOT_CLASSIFIED
 
     def test_rule_outside_prefix_ignored(self):
         rules = [rule({"NoLoops"}, 0.99, 0.2), rule({"IsSetter"}, 0.98, 0.2)]
         clf = classifier_with(rules, n=1)
-        assert clf.classify(make_vector(["IsSetter"])) is Classification.NOT_CLASSIFIED
+        assert clf.classify(item_mask(["IsSetter"])) is Classification.NOT_CLASSIFIED
 
     def test_label_ignored_during_matching(self):
+        # An item mask holds attribute items only: the fault label is no bit
+        # of it, and no antecedent can name the NotFaulty item.
         clf = classifier_with([rule({"NoLoops"}, 0.99, 0.2)], n=1)
-        faulty_vec = make_vector(["NoLoops"], not_faulty=False)
-        assert clf.classify(faulty_vec) is Classification.LOW_FAULT_RISK
+        assert clf.classify(item_mask(["NoLoops"])) is Classification.LOW_FAULT_RISK
+        with pytest.raises(VocabularyMismatchError):
+            rule({"NoLoops", "NotFaulty"}, 0.99, 0.2)
 
     def test_matched_rule_index_reports_first_match(self):
         rules = [rule({"IsSetter"}, 0.99, 0.2), rule({"NoLoops"}, 0.98, 0.2)]
         clf = classifier_with(rules, n=2)
-        assert clf.matched_rule_index(make_vector(["NoLoops"])) == 1
+        assert clf.matched_rule_index(item_mask(["NoLoops"])) == 1
 
     def test_vocabulary_mismatch(self):
         clf = LfrClassifier(
@@ -162,12 +170,12 @@ class TestClassify:
             vocabulary=("Other",),
         )
         with pytest.raises(VocabularyMismatchError):
-            clf.classify(make_vector(["NoLoops"]))
+            clf.classify(item_mask(["NoLoops"]))
 
     def test_unknown_antecedent_item_rejected(self):
-        clf = classifier_with([rule({"NoLoops"}, 0.99, 0.2), rule({"R0"}, 0.98, 0.2)], n=1)
+        # Outside the top n too: such a rule cannot be built.
         with pytest.raises(VocabularyMismatchError):
-            clf.classify(make_vector(["NoLoops"]))
+            classifier_with([rule({"NoLoops"}, 0.99, 0.2), rule({"R0"}, 0.98, 0.2)], n=1)
 
     def test_strict_subset_of_lenient(self):
         rng = random.Random(2)
@@ -175,7 +183,7 @@ class TestClassify:
         for _ in range(20):
             rules = order_rules({random_rule(rng, vocab, max_len=2) for _ in range(10)})
             vectors = [
-                make_vector(rng.sample(vocab, rng.randint(0, 4))) for _ in range(30)
+                item_mask(rng.sample(vocab, rng.randint(0, 4))) for _ in range(30)
             ]
             n_strict = rng.randint(0, len(rules))
             n_lenient = rng.randint(n_strict, len(rules))

@@ -1,11 +1,13 @@
 import csv
 import json
+import pickle
 import shutil
 import time
 
 import pytest
 
 from oracles import read_csv_per_field
+from lowrisk import cli
 from lowrisk import dataset as ds
 from lowrisk.cli import main
 from lowrisk.synthetic import generate_corpus, generate_project
@@ -428,5 +430,27 @@ class TestEvaluate:
         dirs = [tmp_path / "serial", tmp_path / "parallel"]
         for d, jobs in zip(dirs, ("1", "2")):
             assert run(["evaluate", *synth_csvs, "--mode", "within", "--out-dir", d,
-                        "--jobs", jobs] + FAST_FLAGS) == 0
-        assert (dirs[0] / "report.csv").read_bytes() == (dirs[1] / "report.csv").read_bytes()
+                        "--jobs", jobs, "--dump-predictions"] + FAST_FLAGS) == 0
+        for name in ("report.csv", "predictions.csv"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    def test_within_work_items_carry_only_their_projects_rows(self, synth_csvs, tmp_path,
+                                                              monkeypatch):
+        """What --jobs N sends a worker per project pickles no larger than the
+        table of that project's CSV loaded alone."""
+        items = []
+        worker = cli._eval_within_worker
+
+        def recording_worker(item):
+            items.append(item)
+            return worker(item)
+
+        monkeypatch.setattr(cli, "_eval_within_worker", recording_worker)
+        assert run(["evaluate", *synth_csvs, "--mode", "within", "--out-dir", tmp_path,
+                    "--jobs", "1"] + FAST_FLAGS) == 0
+        assert [name for name, _, _ in items] == ["proj0", "proj1"]
+        for item, path in zip(items, synth_csvs):
+            alone = ds.build_unified(ds.read_csv(path))
+            table = item[1]
+            assert len(table) == len(alone) and len(table.fixed) == len(alone.fixed)
+            assert len(pickle.dumps(item)) <= len(pickle.dumps(alone))

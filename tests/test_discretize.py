@@ -11,16 +11,15 @@ from oracles import bools_to_mask, fit_records, itemize_bool_tuple
 from lowrisk.dataset import from_analyzed
 from lowrisk.discretize import (
     ATTRIBUTE_ITEMS,
-    LABEL_FAULTY,
-    LABEL_NOT_FAULTY,
     VOCABULARY,
     DiscretizationModel,
-    ItemVector,
     MetricBounds,
     fit_discretization,
     item_mask,
+    item_names,
     itemize,
     tertile_bounds,
+    transpose,
 )
 from lowrisk.errors import DegenerateDistributionWarning, SchemaError, VocabularyMismatchError
 from lowrisk.java.analyzer import analyze_project
@@ -97,7 +96,7 @@ class TestTertiles:
         for value in range(-1, 8):
             rec = make_record("m", metrics=make_metrics(sloc=value))
             third = ("LowestThird", "MiddleThird", "HighestThird")[model.classify("sloc", value) - 1]
-            assert itemize_one(rec, model).items & item_mask([f"Sloc{third}"])
+            assert itemize_one(rec, model) & item_mask([f"Sloc{third}"])
 
 
 def simple_model():
@@ -114,8 +113,7 @@ class TestItemize:
             metrics=make_metrics(sloc=1, assignments=1),
             categories=CategoryFlags(is_setter=True),
         )
-        vec = itemize_one(rec, simple_model())
-        items = vec.to_itemset()
+        items = item_names(itemize_one(rec, simple_model()))
         assert "SlocLowestThird" in items
         assert "NoLoops" in items
         assert "IsSetter" in items
@@ -123,21 +121,21 @@ class TestItemize:
 
     def test_has_no_item_false_when_count_positive(self):
         rec = make_record("m", metrics=make_metrics(method_invocations=2))
-        items = itemize_one(rec, simple_model()).to_itemset()
+        items = item_names(itemize_one(rec, simple_model()))
         assert "NoMethodInvocations" not in items
 
     def test_label_items(self):
-        clean = itemize_one(make_record("m"), simple_model())
-        assert clean.label_item == LABEL_NOT_FAULTY
-        assert "NotFaulty" in clean.to_itemset()
-        faulty = itemize_one(make_record("m", faulty=True), simple_model())
-        assert faulty.label_item == LABEL_FAULTY
-        assert "NotFaulty" not in faulty.to_itemset()
+        # The label is the table's fault flag, never a bit of the item mask.
+        table = table_of([make_record("a"), make_record("b", faulty=True)])
+        clean, faulty = itemize(table, 0, simple_model()), itemize(table, 1, simple_model())
+        assert list(table.faulty) == [False, True]
+        assert clean == faulty
+        assert "NotFaulty" not in item_names(clean) and clean >> len(ATTRIBUTE_ITEMS) == 0
 
     def test_exactly_one_class_item_per_metric(self):
         for sloc in (1, 2, 3, 5, 6, 99):
             vec = itemize_one(make_record("m", metrics=make_metrics(sloc=sloc)), simple_model())
-            items = vec.to_itemset()
+            items = item_names(vec)
             thirds = [n for n in items if n.startswith("Sloc")]
             assert len(thirds) == 1
 
@@ -151,7 +149,7 @@ class TestItemize:
         model = simple_model()
         va, vb = itemize_one(a, model), itemize_one(b, model)
         # Same classes and same zero-flags and categories => same items.
-        assert va.items == vb.items
+        assert va == vb
 
 
 class TestMajorityVote:
@@ -162,7 +160,7 @@ class TestMajorityVote:
             make_record("a", faulty=True, metrics=make_metrics(loops=3)),
         ]
         vec = itemize_one(make_unified(occ), simple_model())
-        assert "NoLoops" in vec.to_itemset()
+        assert "NoLoops" in item_names(vec)
 
     def test_class_tie_resolves_to_higher_class(self):
         occ = [
@@ -170,7 +168,7 @@ class TestMajorityVote:
             make_record("a", faulty=True, metrics=make_metrics(sloc=9)),  # class 3
         ]
         vec = itemize_one(make_unified(occ), simple_model())
-        assert "SlocHighestThird" in vec.to_itemset()
+        assert "SlocHighestThird" in item_names(vec)
 
     def test_binary_tie_resolves_to_true(self):
         occ = [
@@ -178,7 +176,7 @@ class TestMajorityVote:
             make_record("a", faulty=True, metrics=make_metrics(loops=2)),
         ]
         vec = itemize_one(make_unified(occ), simple_model())
-        assert "NoLoops" in vec.to_itemset()
+        assert "NoLoops" in item_names(vec)
 
 
 class TestItemMask:
@@ -193,15 +191,29 @@ class TestItemMask:
             item_mask(["NotFaulty"])
 
     def test_vector_rejects_bits_outside_the_vocabulary(self):
+        # A rule antecedent is the one mask that is checked when it is made.
+        from lowrisk.mining import AssociationRule
+
         with pytest.raises(ValueError):
-            ItemVector(1 << len(ATTRIBUTE_ITEMS), LABEL_FAULTY)
+            AssociationRule(1 << len(ATTRIBUTE_ITEMS), 0.5, 0.5)
         with pytest.raises(ValueError):
-            ItemVector(-1, LABEL_FAULTY)
+            AssociationRule(-1, 0.5, 0.5)
 
     def test_transaction_view_names_the_set_bits(self):
         names = {"SlocMiddleThird", "NoLoops", "IsToString"}
-        assert ItemVector(item_mask(names), LABEL_NOT_FAULTY).to_itemset() == names | {"NotFaulty"}
-        assert ItemVector(item_mask(names), LABEL_FAULTY).to_itemset() == names
+        assert item_names(item_mask(names)) == names
+        assert item_names(0) == frozenset()
+        assert item_names(item_mask(ATTRIBUTE_ITEMS)) == set(ATTRIBUTE_ITEMS)
+
+    def test_transpose_reads_each_bit_of_every_mask(self):
+        rng = random.Random(5)
+        for n in (1, 2, 7, 8, 9, 300):
+            masks = [rng.getrandbits(rng.choice((1, 8, 49, 64))) for _ in range(n)]
+            columns = transpose(masks)
+            assert len(columns) == max(masks).bit_length()
+            for a, column in enumerate(columns):
+                assert column == sum(1 << t for t, mask in enumerate(masks) if mask >> a & 1)
+        assert transpose([]) == [] and transpose([0, 0]) == []
 
 
 class TestMaskEqualsBoolTupleConstruction:
@@ -212,7 +224,7 @@ class TestMaskEqualsBoolTupleConstruction:
         model = fit_discretization(table)
         assert model == fit_records(records)
         for i, rec in enumerate(records):
-            assert itemize(table, i, model).items == bools_to_mask(itemize_bool_tuple(rec, model))
+            assert itemize(table, i, model) == bools_to_mask(itemize_bool_tuple(rec, model))
 
     def test_multi_occurrence_methods(self):
         methods = generate_project("multi", seed=3, n_methods=400)
@@ -223,12 +235,12 @@ class TestMaskEqualsBoolTupleConstruction:
         records = [r for u in methods for r in u.occurrences]
         checked = 0
         for i, u in enumerate(methods):
-            assert itemize(table, i, model).items == bools_to_mask(itemize_bool_tuple(u, model))
+            assert itemize(table, i, model) == bools_to_mask(itemize_bool_tuple(u, model))
             checked += len(u.occurrences) > 1
         for _ in range(200):  # 2 to 4 occurrences: ties in both classes and flags
             occ = rng.sample(records, rng.randint(2, 4))
             u = make_unified(occ, faulty=True)
-            assert itemize_one(u, model).items == bools_to_mask(itemize_bool_tuple(u, model))
+            assert itemize_one(u, model) == bools_to_mask(itemize_bool_tuple(u, model))
         assert checked > 0
 
 

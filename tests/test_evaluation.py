@@ -12,6 +12,7 @@ from lowrisk.errors import TooFewMinorityError
 from lowrisk.evaluation import (
     FDR_FLAG_NO_MATCHED_FAULTS,
     FDR_FLAG_UNDEFINED,
+    PREDICTION_HEADER,
     ProjectReport,
     compute_fdr,
     emit_report,
@@ -155,15 +156,16 @@ class TestEvaluateWithinProject:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, dump = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
+        rows = [dict(zip(PREDICTION_HEADER, row)) for row in dump]
         strict = {
-            (r.method_name, r.param_signature): r.predicted_lfr
-            for r in dump
-            if r.variant == "strict"
+            (r["method_name"], r["param_signature"]): r["predicted_lfr"] == "true"
+            for r in rows
+            if r["variant"] == "strict"
         }
         lenient = {
-            (r.method_name, r.param_signature): r.predicted_lfr
-            for r in dump
-            if r.variant == "lenient"
+            (r["method_name"], r["param_signature"]): r["predicted_lfr"] == "true"
+            for r in rows
+            if r["variant"] == "lenient"
         }
         assert all(not lfr or lenient[key] for key, lfr in strict.items())
 
@@ -184,7 +186,7 @@ class TestEvaluateCrossProject:
             warnings.simplefilter("ignore")
             reports, dump = evaluate_cross_project({"a": a, "b": b}, "b", TEST_CONFIG)
         assert reports[Variant.STRICT].pooled.methods_total == len(b)
-        assert {r.project for r in dump} == {"b"}
+        assert {row[PREDICTION_HEADER.index("project")] for row in dump} == {"b"}
 
     def test_missing_target_raises(self):
         a = generate_project("a", seed=1, n_methods=300)

@@ -4,22 +4,25 @@ from itertools import combinations
 
 import pytest
 
+from helpers import as_vocabulary, classes, make_rule, vocabulary_item
 from oracles import (
     as_rule_set,
     brute_force_nonredundant,
     brute_force_prune,
     brute_force_rules,
+    confidence,
+    mine_names,
     random_rule,
-)
-from lowrisk.errors import (
-    AntecedentCapWarning,
-    EmptyDatabaseError,
+    support,
     ZeroAntecedentSupportError,
 )
-from lowrisk.mining import AssociationRule, MiningConfig, confidence, mine, prune_redundant, support
+from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask
+from lowrisk.errors import AntecedentCapWarning, EmptyDatabaseError, VocabularyMismatchError
+from lowrisk.mining import AssociationRule, MiningConfig, mine, prune_redundant
 
 
 def random_db(rng, n_items=None, n_transactions=None):
+    """Transactions over the test item names I0, I1, ..., half of them NotFaulty."""
     n_items = n_items or rng.randint(3, 8)
     n_transactions = n_transactions or rng.randint(10, 60)
     items = [f"I{i}" for i in range(n_items)]
@@ -89,42 +92,49 @@ class TestConfidence:
             assert confidence(a, "NotFaulty", db) == n_both / n_a
 
 
+def mine_db(db, cfg, stats=None):
+    """mine over a database of attribute item names (see helpers.classes)."""
+    return mine(*classes(db), cfg, stats=stats)
+
+
 class TestMine:
     def test_constructed_fixture(self):
         # X and NotFaulty co-occur in 6 of 10; X never appears without NotFaulty.
-        db = [frozenset({"X", "NotFaulty"})] * 6 + [frozenset({"Y"})] * 4
-        rules = mine(db, MiningConfig(min_support=0.5, min_confidence=0.9))
+        db = as_vocabulary([frozenset({"X", "NotFaulty"})] * 6 + [frozenset({"Y"})] * 4)
+        rules = mine_db(db, MiningConfig(min_support=0.5, min_confidence=0.9))
         assert len(rules) == 1
         rule = rules[0]
-        assert rule.antecedent == frozenset({"X"})
+        assert rule.antecedent == frozenset({vocabulary_item("X")})
+        assert rule.antecedent_mask == item_mask([vocabulary_item("X")])
         assert rule.support == 0.6
         assert rule.confidence == 1.0
 
     def test_threshold_excludes_all(self):
         # min_support above the best achievable rule support yields nothing.
-        db = [frozenset({"X", "NotFaulty"})] * 4 + [frozenset({"X"})] * 6
-        assert mine(db, MiningConfig(min_support=0.5, min_confidence=0.1)) == []
+        db = as_vocabulary([frozenset({"X", "NotFaulty"})] * 4 + [frozenset({"X"})] * 6)
+        assert mine_db(db, MiningConfig(min_support=0.5, min_confidence=0.1)) == []
 
     def test_empty_database_raises(self):
         with pytest.raises(EmptyDatabaseError):
-            mine([], MiningConfig())
+            mine([], [], MiningConfig())
 
     def test_label_items_never_in_antecedents(self):
         rng = random.Random(3)
-        db = random_db(rng)
-        for rule in mine(db, MiningConfig(min_support=0.05, min_confidence=0.1)):
+        db = as_vocabulary(random_db(rng))
+        for rule in mine_db(db, MiningConfig(min_support=0.05, min_confidence=0.1)):
             assert "NotFaulty" not in rule.antecedent
+            assert rule.antecedent <= set(ATTRIBUTE_ITEMS)
 
     def test_equals_exhaustive_enumeration(self):
         rng = random.Random(4)
         for _ in range(25):
-            db = random_db(rng)
+            db = as_vocabulary(random_db(rng))
             cfg = MiningConfig(
                 min_support=rng.uniform(0.05, 0.4),
                 min_confidence=rng.uniform(0.3, 1.0),
                 max_antecedent_len=8,
             )
-            mined = as_rule_set(mine(db, cfg))
+            mined = as_rule_set(mine_db(db, cfg))
             oracle = brute_force_nonredundant(
                 db, cfg.min_support, cfg.min_confidence, cfg.max_antecedent_len
             )
@@ -142,7 +152,7 @@ class TestMine:
                     t.add("TWIN0")
                 if case % 3 == 0 and {"I1", "I2"} <= t:
                     t.add("BOTH12")
-            db = [frozenset(t) for t in db]
+            db = as_vocabulary(db)
             cfg = MiningConfig(
                 min_support=rng.uniform(0.02, 0.4),
                 min_confidence=rng.uniform(0.3, 1.0),
@@ -151,7 +161,7 @@ class TestMine:
             stats = {}
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AntecedentCapWarning)
-                rules = mine(db, cfg, stats=stats)
+                rules = mine_db(db, cfg, stats=stats)
             oracle = brute_force_nonredundant(
                 db, cfg.min_support, cfg.min_confidence, cfg.max_antecedent_len
             )
@@ -173,57 +183,86 @@ class TestMine:
         # {A} has confidence 3/4 and {C} confidence 1; {A, B} is a generator
         # with confidence 2/3, which {A} dominates; {A, C} covers what {C}
         # covers, so it is not a generator; {B} is below min_confidence.
-        db = ([frozenset({"A", "B", "NotFaulty"})] * 2 + [frozenset({"A", "B"})]
-              + [frozenset({"A", "C", "NotFaulty"})] + [frozenset({"B"})])
+        db = as_vocabulary([frozenset({"A", "B", "NotFaulty"})] * 2 + [frozenset({"A", "B"})]
+                           + [frozenset({"A", "C", "NotFaulty"})] + [frozenset({"B"})])
         stats = {}
-        rules = mine(db, MiningConfig(min_support=0.1, min_confidence=0.6), stats=stats)
-        assert {r.antecedent for r in rules} == {frozenset("A"), frozenset("C")}
+        rules = mine_db(db, MiningConfig(min_support=0.1, min_confidence=0.6), stats=stats)
+        assert {r.antecedent for r in rules} == {
+            frozenset({vocabulary_item("A")}), frozenset({vocabulary_item("C")})
+        }
         assert stats == {"rules_mined": 3, "rules_kept": 2}
 
     def test_permutation_invariance(self):
         rng = random.Random(5)
-        db = random_db(rng, n_items=6, n_transactions=40)
+        db = as_vocabulary(random_db(rng, n_items=6, n_transactions=40))
         cfg = MiningConfig(min_support=0.1, min_confidence=0.5)
-        base = mine(db, cfg)
+        base = mine_db(db, cfg)
         shuffled = list(db)
         rng.shuffle(shuffled)
-        assert mine(shuffled, cfg) == base
+        assert mine_db(shuffled, cfg) == base
 
     def test_canonical_order(self):
         rng = random.Random(6)
-        db = random_db(rng, n_items=6, n_transactions=50)
-        rules = mine(db, MiningConfig(min_support=0.05, min_confidence=0.2))
+        db = as_vocabulary(random_db(rng, n_items=6, n_transactions=50))
+        rules = mine_db(db, MiningConfig(min_support=0.05, min_confidence=0.2))
         keys = [r.sort_key() for r in rules]
         assert keys == sorted(keys)
 
     def test_antecedent_cap_warns(self):
         # Every combination of A, B and C, with and without NotFaulty: each
         # pair is a generator below confidence 1, still alive at cap 2.
-        db = [
+        db = as_vocabulary([
             frozenset(combo + label)
             for size in range(4)
             for combo in combinations("ABC", size)
             for label in ((), ("NotFaulty",))
-        ] + [frozenset({"A", "B", "C", "NotFaulty"})]
+        ] + [frozenset({"A", "B", "C", "NotFaulty"})])
         with pytest.warns(AntecedentCapWarning):
-            rules = mine(db, MiningConfig(min_support=0.05, min_confidence=0.5,
+            rules = mine_db(db, MiningConfig(min_support=0.05, min_confidence=0.5,
                                           max_antecedent_len=2))
         assert all(len(r.antecedent) <= 2 for r in rules)
 
     def test_identical_transactions_never_reach_the_cap(self):
         # Every pair covers what its singletons cover, so no generator
         # outlives level 1 and the cap of 2 is never reached.
-        db = [frozenset({"A", "B", "C", "D", "NotFaulty"})] * 9 + [frozenset({"A", "B", "C", "D"})]
+        db = as_vocabulary(
+            [frozenset({"A", "B", "C", "D", "NotFaulty"})] * 9 + [frozenset({"A", "B", "C", "D"})]
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", AntecedentCapWarning)
-            rules = mine(db, MiningConfig(min_support=0.1, min_confidence=0.5,
-                                          max_antecedent_len=2))
-        assert {r.antecedent for r in rules} == {frozenset(i) for i in "ABCD"}
+            rules = mine_db(db, MiningConfig(min_support=0.1, min_confidence=0.5,
+                                             max_antecedent_len=2))
+        assert {r.antecedent for r in rules} == {frozenset({vocabulary_item(i)}) for i in "ABCD"}
+
+    def test_equals_the_name_keyed_miner(self):
+        """The same rules, in the same order, with the same support, confidence
+        and counts as the earlier miner over item-name transactions."""
+        rng = random.Random(11)
+        for case in range(120):
+            db = [set(t) for t in random_db(rng, n_items=rng.randint(2, 12))]
+            for t in db:
+                if case % 2:
+                    t.add("ALL")
+                if "I0" in t:
+                    t.add("TWIN0")
+            db = as_vocabulary(db)
+            cfg = MiningConfig(
+                min_support=rng.uniform(0.02, 0.4),
+                min_confidence=rng.uniform(0.3, 1.0),
+                max_antecedent_len=case % 8 + 1,
+            )
+            stats, expected_stats = {}, {}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AntecedentCapWarning)
+                rules = mine_db(db, cfg, stats=stats)
+                expected = mine_names(db, cfg, stats=expected_stats)
+            assert [(r.antecedent, r.support, r.confidence) for r in rules] == expected, case
+            assert stats == expected_stats, case
 
 
 class TestPrune:
     def rule(self, items, conf, supp=0.2):
-        return AssociationRule(frozenset(items), "NotFaulty", supp, conf)
+        return make_rule(map(vocabulary_item, items), conf, supp)
 
     def test_equal_confidence_generalization_wins(self):
         general = self.rule({"A"}, 0.96)
@@ -238,14 +277,14 @@ class TestPrune:
 
     def test_matches_pairwise_oracle(self):
         rng = random.Random(7)
-        vocab = [f"I{i}" for i in range(6)]
+        vocab = [vocabulary_item(f"I{i}") for i in range(6)]
         for _ in range(30):
             rules = list({random_rule(rng, vocab) for _ in range(rng.randint(1, 25))})
             assert set(prune_redundant(rules)) == set(brute_force_prune(rules))
 
     def test_no_survivor_is_redundant(self):
         rng = random.Random(8)
-        vocab = [f"I{i}" for i in range(5)]
+        vocab = [vocabulary_item(f"I{i}") for i in range(5)]
         for _ in range(20):
             rules = list({random_rule(rng, vocab) for _ in range(20)})
             survivors = prune_redundant(rules)
@@ -259,9 +298,17 @@ class TestPrune:
 
 def test_rule_invariants():
     with pytest.raises(ValueError):
-        AssociationRule(frozenset(), "NotFaulty", 0.5, 0.5)
+        AssociationRule(0, 0.5, 0.5)  # empty antecedent
     with pytest.raises(ValueError):
-        AssociationRule(frozenset({"NotFaulty"}), "NotFaulty", 0.5, 0.5)
+        AssociationRule(1 << len(ATTRIBUTE_ITEMS), 0.5, 0.5)  # a bit outside the vocabulary
+    with pytest.raises(VocabularyMismatchError):
+        item_mask({"NotFaulty"})  # the consequent is no attribute item
+    rule = AssociationRule(item_mask({"NoLoops", "IsGetter"}), 0.25, 0.5)
+    assert rule.antecedent == {"NoLoops", "IsGetter"}
+    assert rule.to_json() == {
+        "antecedent": ["IsGetter", "NoLoops"], "consequent": "NotFaulty",
+        "support": 0.25, "confidence": 0.5,
+    }
 
 
 def test_mining_config_validation():

@@ -1,7 +1,9 @@
 """train_on itemizes the faulty methods eagerly and the clean ones only when
-balance samples them. The eager pipeline it replaced is kept in
-tests/oracles.py; these tests check that both give the same balanced vectors
-and the same TrainedModel, and count the itemize calls one training makes."""
+balance samples them, and mines item masks. The eager, name-keyed pipeline
+it replaced is kept in tests/oracles.py; these tests check that both give
+the same balanced vectors and the same TrainedModel, on random projects and
+on every training of the acceptance corpus, and count the itemize calls one
+training makes."""
 
 import random
 import warnings
@@ -9,16 +11,22 @@ from collections.abc import Sequence
 
 import pytest
 
-from helpers import make_identity, make_vector, split
-from oracles import eager_balance, eager_train_on
+from helpers import make_identity
+from oracles import eager_mining_set, eager_train_on, reference_balance
 import lowrisk.pipeline as pipeline
 from lowrisk.balance import BalanceConfig, balance
-from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
-from lowrisk.discretize import ATTRIBUTE_ITEMS
-from lowrisk.errors import ImbalanceUnachievableWarning
+from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
+from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask
+from lowrisk.errors import (
+    ImbalanceUnachievableWarning,
+    InsufficientMinorityError,
+    TooFewMinorityError,
+)
+from lowrisk.evaluation import _kfold_indices
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, RawMetrics
 from lowrisk.mining import MiningConfig
-from lowrisk.pipeline import PipelineConfig, train_on
+from lowrisk.pipeline import PipelineConfig, derive_seed, train_on
+from lowrisk.synthetic import generate_corpus
 
 MINING = MiningConfig(min_support=0.05, min_confidence=0.6, max_antecedent_len=2)
 
@@ -93,14 +101,8 @@ class _CountingView(Sequence):
         return self.vectors[index]
 
 
-def random_vectors(rng, n_faulty, n_clean):
-    data = []
-    for not_faulty, n in ((False, n_faulty), (True, n_clean)):
-        for _ in range(n):
-            names = [name for name in ATTRIBUTE_ITEMS if rng.random() < 0.4]
-            data.append(make_vector(names, not_faulty=not_faulty))
-    rng.shuffle(data)
-    return data
+def random_masks(rng, n):
+    return [item_mask(name for name in ATTRIBUTE_ITEMS if rng.random() < 0.4) for _ in range(n)]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -110,19 +112,18 @@ def test_balance_equals_the_eager_oracle(case, seed):
     rng = random.Random(seed)
     n = rng.randint(40, 160)
     n_faulty = max(6, round(n * fault_rate))
-    data = random_vectors(rng, n_faulty, n - n_faulty)
-    faulty, clean = split(data)
+    faulty, clean = random_masks(rng, n_faulty), random_masks(rng, n - n_faulty)
     view = _CountingView(clean)
     cfg = BalanceConfig(k_neighbors=rng.randint(1, 5), rng_seed=seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = balance(faulty, view, cfg)
-        expected = eager_balance(data, cfg)
-    assert got == expected  # same vectors in the same order: same RNG calls
+        expected = reference_balance(faulty, clean, cfg)
+    assert (got.faulty, got.clean) == expected  # same vectors in the same order: same RNG calls
     assert [w.category for w in caught] == [ImbalanceUnachievableWarning] * (2 if deficit else 0)
     assert len(set(view.reads)) == len(view.reads)  # each clean entry read at most once
     if case == "default":
-        assert len(view.reads) == len(got) - 2 * len(faulty)
+        assert len(view.reads) == len(got) - 2 * len(faulty) == len(got.clean)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -144,6 +145,7 @@ def test_train_on_equals_the_eager_oracle(case, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_no_smote_train_on_equals_the_eager_oracle(seed):
+    """With balancing off the classes are mined as they are, in any order."""
     methods = random_project(seed, fault_rate=0.2)
     config = PipelineConfig(mining=MINING, no_smote=True, seed=seed)
     new, old, _, _ = train_both(methods, config)
@@ -184,3 +186,80 @@ def test_itemize_calls_per_training(case, itemize_calls):
     assert len(set(itemize_calls)) == len(itemize_calls)  # none twice
     if case == "no_smote":
         assert itemize_calls == list(range(len(methods)))  # in method order
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mining_set_equals_the_reference_for_50_configs(seed):
+    """The classes train_on mines equal the eager pipeline's (bool-tuple
+    itemization, randrange draws, sorting kNN) over 4 x 50 seeded configs:
+    faulty and clean minorities, 2 to 7 sources per seed, no_smote."""
+    rng = random.Random(seed)
+    refused = swapped = 0
+    for case in range(50):
+        fault_rate = rng.choice((0.1, 0.3, 0.7, 0.85))
+        methods = random_project(rng.getrandbits(32), fault_rate, rng.randint(40, 90))
+        config = PipelineConfig(
+            mining=MINING,
+            smote_over=rng.choice((100, 100, 150)),
+            smote_under=rng.choice((200, 200, 100)),
+            smote_k=rng.randint(1, 6),
+            no_smote=case % 10 == 0,
+            seed=rng.getrandbits(16),
+        )
+        scope = ("p", case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                _, faulty, got = pipeline._vectors(MethodTable.from_methods(methods), config, scope)
+            except (InsufficientMinorityError, TooFewMinorityError) as exc:
+                # No faulty methods, or too small a minority: the oracle refuses too.
+                with pytest.raises(type(exc)):
+                    eager_train_on(methods, config, scope)
+                refused += 1
+                continue
+            _, masks, *expected = eager_mining_set(methods, config, scope)
+        assert [got.faulty, got.clean] == expected, f"seed {seed} case {case}"
+        assert faulty == [mask for mask, u in zip(masks, methods) if u.faulty]
+        swapped += not config.no_smote and 2 * len(faulty) > len(methods)
+    assert refused <= 10 and swapped >= 5
+
+
+def acceptance_trainings():
+    """Every training that evaluate runs on the acceptance corpus, as loaded
+    from its CSVs (methods in identity order): 10 folds per project within
+    (cap 3, min support 0.05) and one per target across (cap 5, 0.10)."""
+    corpus = {
+        name: sorted(methods, key=lambda u: u.identity)
+        for name, methods in generate_corpus(6, seed=11).items()
+    }
+    within = PipelineConfig(mining=MiningConfig(0.05, 0.95, 3), seed=7)
+    for name in sorted(corpus):
+        methods = corpus[name]
+        folds = _kfold_indices([u.faulty for u in methods], within.folds, derive_seed(7, "kfold", name))
+        for k in range(within.folds):
+            training = [methods[i] for j, fold in enumerate(folds) if j != k for i in fold]
+            yield "within", training, within, (name, k)
+    cross = PipelineConfig(mining=MiningConfig(0.10, 0.95, 5), seed=7)
+    for target in sorted(corpus):
+        training = [u for name in sorted(corpus) if name != target for u in corpus[name]]
+        yield "cross", training, cross, (target, "cross")
+
+
+def test_every_acceptance_corpus_training_equals_the_name_keyed_pipeline():
+    """Same rules in the same order, same support, confidence, n and counts as
+    the eager pipeline with the name-keyed miner, on all 66 trainings. The
+    totals are the tracer counts the benchmark's smoke run checks."""
+    totals = {"within": [0, 0, 0], "cross": [0, 0, 0]}
+    for mode, training, config, scope in acceptance_trainings():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            new = train_on(MethodTable.from_methods(training), config, scope=scope)
+            old = eager_train_on(training, config, scope=scope)
+        assert new == old, scope
+        assert new.meta == old.meta, scope
+        assert [clf.n for clf in new.classifiers.values()] == [clf.n for clf in old.classifiers.values()]
+        total = totals[mode]
+        total[0] += 1
+        total[1] += new.meta["balanced_size"]
+        total[2] += new.meta["rules_kept"]
+    assert totals == {"within": [60, 12420, 1931], "cross": [6, 6900, 26]}
