@@ -74,7 +74,7 @@ def analyze_source(
         if decl.has_lambda:
             skipped.append(SkippedMethod(identity, "lambda expression in body"))
             continue
-        metrics, categories = scan_method(unit.tokens, decl)
+        metrics, categories = scan_method(unit, decl)
         analyzed.append(AnalyzedMethod(identity, metrics, categories))
     analyzed.sort(key=lambda m: m.identity)
     return analyzed, skipped

@@ -1,5 +1,15 @@
 """Method-level metric computation over token spans.
 
+The scanner sees a method body as a dense view: the file's token columns
+sliced around the holes of nested types, between sentinels (one before, two
+after), so it indexes without bounds checks. It reads delimiter partners
+from the file's partner list (`structure.match_delimiters`), sliced with
+the view; only a body with holes has its view matched again, because a pair
+may span a hole. A closer whose opener is outside the view makes the body
+malformed. SLOC is the number of distinct line numbers over the slices of
+the declaration and the body. Errors map the view index back to the file
+token, so they carry the file path, line and column.
+
 The scanner makes two passes over a method body. A statement pass walks the
 statement structure recursively, producing control-construct counts, scope
 nesting depth, declared variable names, and the statement list used for
@@ -17,12 +27,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from lowrisk.errors import JavaParseError
-from lowrisk.java.structure import MethodDecl
-from lowrisk.java.tokens import ASSIGNMENT_OPS, PRIMITIVE_TYPES, Token
+from lowrisk.java.structure import CompilationUnit, MethodDecl, match_delimiters
+from lowrisk.java.tokens import ASSIGNMENT_OPS, PRIMITIVE_TYPES
 
 
 class ConstructKind(enum.IntEnum):
@@ -131,19 +141,21 @@ class _Stmt(NamedTuple):
 
 _OPERAND_END_KINDS = {"ident", "number", "string", "char"}
 _OPERAND_END_TEXTS = {")", "]", "++", "--", "this", "null", "true", "false", "class"}
-_CAST_FOLLOWERS_KINDS = {"ident", "number", "string", "char"}
 _CAST_FOLLOWERS_TEXTS = {"(", "this", "super", "new", "!", "~", "null", "true", "false"}
+# Texts besides identifiers that a type-argument list may hold.
+_TYPE_ARGUMENT_TEXTS = {".", ",", "?", "extends", "super", "[", "]", "&"} | PRIMITIVE_TYPES
 
 
-def scan_method(tokens: list[Token], decl: MethodDecl) -> tuple[RawMetrics, CategoryFlags]:
+def scan_method(unit: CompilationUnit, decl: MethodDecl) -> tuple[RawMetrics, CategoryFlags]:
     """Compute raw metrics and category flags for one method declaration."""
-    scanner = _Scanner(tokens, decl)
+    scanner = _Scanner(unit, decl)
     scanner.run()
     return scanner.metrics(), scanner.categories()
 
 
 class _Scanner:
-    def __init__(self, tokens: list[Token], decl: MethodDecl):
+    def __init__(self, unit: CompilationUnit, decl: MethodDecl):
+        self.tokens = tokens = unit.tokens
         self.decl = decl
         self.counts = [0] * N_CONSTRUCT_KINDS
         self.max_depth = 0
@@ -156,70 +168,65 @@ class _Scanner:
         self.creation_bracket: set[int] = set()
         self.cast_close: set[int] = set()
         self.statements: list[_Stmt] = []
-        # Dense view of the body interior with nested-type holes excised.
+        # The body interior as file index ranges, with nested-type holes cut out.
         holes = sorted(decl.holes)
-        self.toks: list[Token] = []
-        h = 0
-        for i in range(decl.body_open + 1, decl.body_close):
-            while h < len(holes) and i > holes[h][1]:
-                h += 1
-            if h < len(holes) and holes[h][0] <= i <= holes[h][1]:
-                continue
-            self.toks.append(tokens[i])
-        self.counts[ConstructKind.ANONYMOUS_CLASS] = sum(
-            1 for hole in decl.holes if tokens[hole[0]].text == "{"
+        self.ranges: list[tuple[int, int]] = []
+        start = decl.body_open + 1
+        for hole_start, hole_end in holes:
+            self.ranges.append((start, hole_start))
+            start = hole_end + 1
+        self.ranges.append((start, decl.body_close))
+        # The dense view: the ranges' column slices between sentinels.
+        texts, kinds = [""], [""]
+        for a, b in self.ranges:
+            texts += tokens.texts[a:b]
+            kinds += tokens.kinds[a:b]
+        self.n = len(texts) - 1
+        texts += ("", "")
+        kinds += ("", "")
+        self.texts, self.kinds = texts, kinds
+        if holes:
+            self.partner = match_delimiters(texts)
+        else:
+            self.partner = [0, *unit.partner[start : decl.body_close], 0, 0]
+        # A closer whose opener is not in the view points at or before index 0.
+        if min(map(add, range(1, self.n + 1), self.partner[1 : self.n + 1]), default=1) < 1:
+            i = next(i for i in range(1, self.n + 1) if i + self.partner[i] < 1)
+            raise self._err("unbalanced delimiter in method body", i)
+        self.counts[ConstructKind.ANONYMOUS_CLASS] = sum(1 for a, _ in holes if tokens.texts[a] == "{")
+        lines = tokens.lines
+        self._sloc = len(
+            set(lines[decl.decl_start : decl.body_open + 1]).union(
+                *(lines[a:b] for a, b in self.ranges), (lines[decl.body_close],)
+            )
         )
-        self._sloc = self._count_sloc(tokens, decl, holes)
-        self.paren_match: dict[int, int] = {}
-        self.bracket_match: dict[int, int] = {}
-        self._match_delims()
-
-    # -- setup -----------------------------------------------------------
-
-    @staticmethod
-    def _count_sloc(tokens: list[Token], decl: MethodDecl, holes) -> int:
-        lines: set[int] = set()
-        h = 0
-        for i in range(decl.decl_start, decl.body_close + 1):
-            while h < len(holes) and i > holes[h][1]:
-                h += 1
-            if h < len(holes) and holes[h][0] <= i <= holes[h][1]:
-                continue
-            lines.add(tokens[i].line)
-        return len(lines)
-
-    def _match_delims(self) -> None:
-        stack: list[tuple[str, int]] = []
-        pairs = {")": "(", "]": "["}
-        for i, tok in enumerate(self.toks):
-            t = tok.text
-            if t in ("(", "["):
-                stack.append((t, i))
-            elif t in (")", "]"):
-                if not stack or stack[-1][0] != pairs[t]:
-                    raise self._err("unbalanced delimiter in method body", i)
-                opener, j = stack.pop()
-                if opener == "(":
-                    self.paren_match[j] = i
-                else:
-                    self.bracket_match[j] = i
 
     def _err(self, msg: str, i: int) -> JavaParseError:
-        if 0 <= i < len(self.toks):
-            t = self.toks[i]
-            return JavaParseError(msg, line=t.line, col=t.col)
-        return JavaParseError(msg)
+        """The error at dense index i, located at its token in the file."""
+        k = i - 1
+        if k < 0:
+            return self.tokens.error(msg, self.decl.body_open)
+        for a, b in self.ranges:
+            if k < b - a:
+                return self.tokens.error(msg, a + k)
+            k -= b - a
+        return self.tokens.error(msg, self.decl.body_close)
 
-    # -- accessors ---------------------------------------------------------
+    def _partner(self, i: int) -> int | None:
+        """The index of the closer that matches the opener at i in the view."""
+        j = i + self.partner[i]
+        return j if i < j <= self.n else None
 
-    def _text(self, i: int) -> str | None:
-        return self.toks[i].text if 0 <= i < len(self.toks) else None
-
-    def _kind(self, i: int) -> str | None:
-        return self.toks[i].kind if 0 <= i < len(self.toks) else None
+    def _close(self, i: int) -> int:
+        j = self._partner(i)
+        if j is None:
+            raise self._err(f"unbalanced {self.texts[i]!r}", i)
+        return j
 
     def run(self) -> None:
-        self._parse_statements(0, len(self.toks), 0)
+        i = 1
+        while i <= self.n and self.texts[i] != "}":
+            i = self._parse_statement(i, 0)
         self._expression_pass()
 
     def metrics(self) -> RawMetrics:
@@ -255,14 +262,10 @@ class _Scanner:
 
     # -- category helpers --------------------------------------------------
 
-    def _stmt_texts(self, stmt: _Stmt) -> list[str]:
-        return [self.toks[i].text for i in range(stmt.start, stmt.end)]
-
     def _is_getter(self, single: _Stmt | None) -> bool:
         if single is None or single.kind != "return":
             return False
-        body = self._stmt_texts(single)  # ['return', ..., ';']
-        expr = body[1:-1]
+        expr = self.texts[single.start + 1 : single.end - 1]  # between 'return' and ';'
         if len(expr) == 3 and expr[0] == "this" and expr[1] == ".":
             expr = expr[2:]
         return len(expr) == 1 and expr[0] in self.decl.field_names
@@ -270,8 +273,7 @@ class _Scanner:
     def _is_setter(self, single: _Stmt | None) -> bool:
         if single is None or single.kind != "expr":
             return False
-        body = self._stmt_texts(single)
-        expr = body[:-1]
+        expr = self.texts[single.start : single.end - 1]  # up to ';'
         if len(expr) == 5 and expr[0] == "this" and expr[1] == ".":
             expr = expr[2:]
         return (
@@ -284,26 +286,25 @@ class _Scanner:
     def _is_delegation(self, single: _Stmt | None) -> bool:
         if single is None or single.kind not in ("expr", "return"):
             return False
+        texts, kinds = self.texts, self.kinds
         i, end = single.start, single.end - 1  # drop ';'
         if single.kind == "return":
             i += 1
-        if self._text(i) in ("this", "super") and self._text(i + 1) == ".":
+        if texts[i] in ("this", "super") and texts[i + 1] == ".":
             i += 2
-        callee = self._text(i)
-        if self._kind(i) not in ("ident", "keyword") or self._text(i + 1) != "(":
+        callee = texts[i]
+        if kinds[i] not in ("ident", "keyword") or texts[i + 1] != "(":
             return False
         same_name = callee == self.decl.name or (self.decl.is_constructor and callee == "this")
         if not same_name:
             return False
-        close = self.paren_match.get(i + 1)
+        close = self._partner(i + 1)
         if close is None or close != end - 1:
             return False
         args = self._split_args(i + 2, close)
         if len(args) <= len(self.decl.param_names):
             return False
-        single_ident_args = {
-            self.toks[a].text for a, b in args if b - a == 1 and self.toks[a].kind == "ident"
-        }
+        single_ident_args = {texts[a] for a, b in args if b - a == 1 and kinds[a] == "ident"}
         return set(self.decl.param_names) <= single_ident_args
 
     def _split_args(self, start: int, close: int) -> list[tuple[int, int]]:
@@ -311,7 +312,7 @@ class _Scanner:
         depth = 0
         a = start
         for i in range(start, close):
-            t = self.toks[i].text
+            t = self.texts[i]
             if t in ("(", "["):
                 depth += 1
             elif t in (")", "]"):
@@ -329,17 +330,13 @@ class _Scanner:
         if depth > self.max_depth:
             self.max_depth = depth
 
-    def _parse_statements(self, i: int, end: int, depth: int) -> int:
-        while i < end and self._text(i) != "}":
-            i = self._parse_statement(i, depth)
-        return i
-
     def _parse_block(self, i: int, depth: int) -> int:
         """Parse '{ ... }' whose statements run at scope `depth`."""
-        assert self._text(i) == "{"
+        if self.texts[i] != "{":
+            raise self._err("expected '{'", i)
         j = i + 1
-        while self._text(j) != "}":
-            if j >= len(self.toks):
+        while self.texts[j] != "}":
+            if j > self.n:
                 raise self._err("unterminated block", i)
             j = self._parse_statement(j, depth)
         return j + 1
@@ -347,49 +344,33 @@ class _Scanner:
     def _child(self, i: int, depth: int) -> int:
         """Parse the body of a control statement (block or single statement)."""
         self._record_scope(depth)
-        if self._text(i) == "{":
+        if self.texts[i] == "{":
             self.statements.append(_Stmt("block", i, -1))
             return self._parse_block(i, depth)
         return self._parse_statement(i, depth)
 
     def _skip_parens(self, i: int) -> int:
-        if self._text(i) != "(":
+        if self.texts[i] != "(":
             raise self._err("expected '('", i)
-        return self.paren_match[i] + 1
+        return self._close(i) + 1
 
     def _skip_to_semicolon(self, i: int) -> int:
-        while i < len(self.toks):
-            t = self._text(i)
+        texts = self.texts
+        while i <= self.n:
+            t = texts[i]
             if t == ";":
                 return i + 1
-            if t == "(":
-                i = self.paren_match[i] + 1
-            elif t == "[":
-                i = self.bracket_match[i] + 1
-            elif t == "{":
-                i = self._skip_braces(i)
+            if t in ("(", "[", "{"):
+                i = self._close(i) + 1
             elif t in (")", "]", "}"):
                 raise self._err("malformed statement", i)
             else:
                 i += 1
         raise self._err("missing ';'", i - 1)
 
-    def _skip_braces(self, i: int) -> int:
-        depth = 0
-        while i < len(self.toks):
-            t = self._text(i)
-            if t == "{":
-                depth += 1
-            elif t == "}":
-                depth -= 1
-                if depth == 0:
-                    return i + 1
-            i += 1
-        raise self._err("unbalanced '{'", i - 1)
-
     def _parse_statement(self, i: int, depth: int) -> int:
-        t = self._text(i)
-        kind = self._kind(i)
+        texts = self.texts
+        t = texts[i]
         if t == ";":
             return i + 1
         if t == "{":
@@ -401,9 +382,9 @@ class _Scanner:
             self.statements.append(_Stmt("if", i, -1))
             j = self._skip_parens(i + 1)
             j = self._child(j, depth + 1)
-            if self._text(j) == "else":
+            if texts[j] == "else":
                 self.counts[ConstructKind.ELSE_BLOCK] += 1
-                if self._text(j + 1) == "if":
+                if texts[j + 1] == "if":
                     # else-if chains stay at the parent's nesting level
                     j = self._parse_statement(j + 1, depth)
                 else:
@@ -418,27 +399,27 @@ class _Scanner:
             self.counts[ConstructKind.LOOP] += 1
             self.statements.append(_Stmt("loop", i, -1))
             j = self._child(i + 1, depth + 1)
-            if self._text(j) != "while":
+            if texts[j] != "while":
                 raise self._err("expected 'while' after do body", j)
             j = self._skip_parens(j + 1)
-            if self._text(j) != ";":
+            if texts[j] != ";":
                 raise self._err("expected ';' after do-while", j)
             return j + 1
         if t == "for":
             self.counts[ConstructKind.LOOP] += 1
             self.statements.append(_Stmt("loop", i, -1))
-            close = self.paren_match[i + 1]
+            close = self._skip_parens(i + 1) - 1
             self._parse_for_header(i + 2, close)
             return self._child(close + 1, depth + 1)
         if t == "switch":
             self.statements.append(_Stmt("switch", i, -1))
             j = self._skip_parens(i + 1)
-            if self._text(j) != "{":
+            if texts[j] != "{":
                 raise self._err("expected switch block", j)
             self._record_scope(depth + 1)
             j += 1
-            while self._text(j) != "}":
-                tj = self._text(j)
+            while texts[j] != "}":
+                tj = texts[j]
                 if tj in ("case", "default"):
                     if tj == "case":
                         self.counts[ConstructKind.SWITCH_CASE_BLOCK] += 1
@@ -450,18 +431,19 @@ class _Scanner:
             self.counts[ConstructKind.TRY_BLOCK] += 1
             self.statements.append(_Stmt("try", i, -1))
             j = i + 1
-            if self._text(j) == "(":
-                self._parse_resources(j + 1, self.paren_match[j])
-                j = self.paren_match[j] + 1
+            if texts[j] == "(":
+                close = self._close(j)
+                self._parse_resources(j + 1, close)
+                j = close + 1
             self._record_scope(depth + 1)
             j = self._parse_block(j, depth + 1)
-            while self._text(j) == "catch":
+            while texts[j] == "catch":
                 self.counts[ConstructKind.CATCH_CLAUSE] += 1
-                close = self.paren_match[j + 1]
+                close = self._skip_parens(j + 1) - 1
                 self._parse_catch_params(j + 2, close)
                 self._record_scope(depth + 1)
                 j = self._parse_block(close + 1, depth + 1)
-            if self._text(j) == "finally":
+            if texts[j] == "finally":
                 self.counts[ConstructKind.FINALLY_BLOCK] += 1
                 self._record_scope(depth + 1)
                 j = self._parse_block(j + 1, depth + 1)
@@ -477,7 +459,7 @@ class _Scanner:
             self.statements.append(_Stmt("throw", i, j))
             return j
         if t in ("break", "continue", "assert"):
-            if t != "assert" and self._kind(i + 1) == "ident":
+            if t != "assert" and self.kinds[i + 1] == "ident":
                 self.label_idx.add(i + 1)  # break/continue label, not a variable
             j = self._skip_to_semicolon(i + 1)
             self.statements.append(_Stmt(t, i, j))
@@ -487,7 +469,7 @@ class _Scanner:
             j = self._skip_parens(i + 1)
             self._record_scope(depth + 1)
             return self._parse_block(j, depth + 1)
-        if kind == "ident" and self._text(i + 1) == ":":
+        if self.kinds[i] == "ident" and texts[i + 1] == ":":
             self.label_idx.add(i)
             return self._parse_statement(i + 2, depth)
         decl_end = self._try_parse_declaration(i)
@@ -500,11 +482,12 @@ class _Scanner:
 
     def _skip_case_label(self, i: int) -> int:
         """Skip a case/default label expression up to and past its ':'."""
+        texts = self.texts
         pending = 0
-        while i < len(self.toks):
-            t = self._text(i)
+        while i <= self.n:
+            t = texts[i]
             if t == "(":
-                i = self.paren_match[i] + 1
+                i = self._close(i) + 1
                 continue
             if t == "?":
                 pending += 1
@@ -517,11 +500,12 @@ class _Scanner:
 
     def _parse_for_header(self, start: int, close: int) -> None:
         """Classify a for header; declare loop variables and mark type tokens."""
+        texts = self.texts
         depth = 0
         pending_ternary = 0
         colon = None
         for j in range(start, close):
-            t = self._text(j)
+            t = texts[j]
             if t in ("(", "["):
                 depth += 1
             elif t in (")", "]"):
@@ -539,31 +523,32 @@ class _Scanner:
                         break
         if colon is not None:
             j = start
-            while self._text(j) in ("final",) or self._text(j) == "@":
-                j = j + 2 if self._text(j) == "@" else j + 1
+            while texts[j] in ("final", "@"):
+                j = j + 2 if texts[j] == "@" else j + 1
             te = self._skip_type_ref_dense(j)
-            if te is not None and self._kind(te) == "ident" and te + 1 == colon:
+            if te is not None and self.kinds[te] == "ident" and te + 1 == colon:
                 self.type_idx.update(range(j, te))
-                self.declared.add(self._text(te))
+                self.declared.add(texts[te])
             return
         # Classic for: the init clause may be a declaration.
-        if self._text(start) != ";":
+        if texts[start] != ";":
             self._try_parse_declaration(start, stop=close)
 
     def _parse_resources(self, start: int, close: int) -> None:
+        texts = self.texts
         i = start
         while i < close:
-            while self._text(i) in ("final",):
+            while texts[i] == "final":
                 i += 1
             te = self._skip_type_ref_dense(i)
-            if te is None or self._kind(te) != "ident":
+            if te is None or self.kinds[te] != "ident":
                 return  # not a resource declaration shape; leave to expr pass
             self.type_idx.update(range(i, te))
-            self.declared.add(self._text(te))
+            self.declared.add(texts[te])
             i = te + 1
             depth = 0
             while i < close:
-                t = self._text(i)
+                t = texts[i]
                 if t in ("(", "["):
                     depth += 1
                 elif t in (")", "]"):
@@ -575,91 +560,83 @@ class _Scanner:
 
     def _parse_catch_params(self, start: int, close: int) -> None:
         i = start
-        while self._text(i) in ("final",):
+        while self.texts[i] == "final":
             i += 1
         while i < close:
             te = self._skip_type_ref_dense(i)
             if te is None:
                 return
             self.type_idx.update(range(i, te))
-            if self._text(te) == "|":
+            if self.texts[te] == "|":
                 i = te + 1
                 continue
-            if self._kind(te) == "ident":
-                self.declared.add(self._text(te))
+            if self.kinds[te] == "ident":
+                self.declared.add(self.texts[te])
             return
 
     def _skip_type_ref_dense(self, i: int) -> int | None:
-        t = self.toks[i] if i < len(self.toks) else None
-        if t is None:
-            return None
-        if t.kind == "keyword" and t.text in PRIMITIVE_TYPES:
+        texts, kinds = self.texts, self.kinds
+        if texts[i] in PRIMITIVE_TYPES:
             j = i + 1
-        elif t.kind == "ident":
+        elif kinds[i] == "ident":
             j = i + 1
-            while self._text(j) == "." and self._kind(j + 1) == "ident":
+            while texts[j] == "." and kinds[j + 1] == "ident":
                 j += 2
         else:
             return None
-        if self._text(j) == "<":
+        if texts[j] == "<":
             j = self._skip_generic_dense(j)
             if j is None:
                 return None
-        while self._text(j) == "[" and self._text(j + 1) == "]":
+        while texts[j] == "[" and texts[j + 1] == "]":
             j += 2
         return j
 
     def _skip_generic_dense(self, i: int) -> int | None:
         """Skip a plausible type-argument list at '<'; None when not one."""
-        allowed_texts = {".", ",", "?", "extends", "super", "[", "]", "&"}
+        texts, kinds = self.texts, self.kinds
         depth = 0
         j = i
-        while j < len(self.toks):
-            tok = self.toks[j]
-            t = tok.text
+        while True:
+            t = texts[j]
             if t == "<":
                 depth += 1
             elif t in (">", ">>", ">>>"):
                 depth -= len(t)
                 if depth <= 0:
                     return j + 1
-            elif tok.kind == "ident" or t in allowed_texts or (
-                tok.kind == "keyword" and t in PRIMITIVE_TYPES
-            ):
-                pass
-            else:
+            elif not (kinds[j] == "ident" or t in _TYPE_ARGUMENT_TEXTS):
                 return None
             j += 1
-        return None
 
     def _try_parse_declaration(self, i: int, stop: int | None = None) -> int | None:
         """Parse a local variable declaration; returns end index or None."""
-        start = i
-        while self._text(i) == "final":
+        texts, kinds = self.texts, self.kinds
+        while texts[i] == "final":
             i += 1
-        while self._text(i) == "@" and self._kind(i + 1) == "ident":
+        while texts[i] == "@" and kinds[i + 1] == "ident":
             i += 2
-            if self._text(i) == "(":
-                i = self.paren_match[i] + 1
+            if texts[i] == "(":
+                i = self._close(i) + 1
         te = self._skip_type_ref_dense(i)
-        if te is None or self._kind(te) != "ident":
+        if te is None or kinds[te] != "ident":
             return None
-        nxt = self._text(te + 1)
-        if nxt not in ("=", ";", ",") and not (nxt == "[" and self._text(te + 2) == "]"):
+        nxt = texts[te + 1]
+        if nxt not in ("=", ";", ",") and not (nxt == "[" and texts[te + 2] == "]"):
             return None
         self.type_idx.update(range(i, te))
         j = te
         while True:
-            if self._kind(j) != "ident":
+            if kinds[j] != "ident":
                 raise self._err("malformed declaration", j)
-            self.declared.add(self._text(j))
+            self.declared.add(texts[j])
             j += 1
-            while self._text(j) == "[" and self._text(j + 1) == "]":
+            while texts[j] == "[" and texts[j + 1] == "]":
                 self.type_idx.update((j, j + 1))
                 j += 2
-            if self._text(j) == "=":
+            if texts[j] == "=":
                 j = self._skip_initializer(j + 1, stop)
-            t = self._text(j)
+            t = texts[j]
             if t == ",":
                 j += 1
                 continue
@@ -670,23 +647,21 @@ class _Scanner:
             raise self._err("malformed declaration", j)
 
     def _skip_initializer(self, i: int, stop: int | None) -> int:
-        while i < len(self.toks) and (stop is None or i < stop):
-            t = self._text(i)
+        texts = self.texts
+        end = self.n + 1 if stop is None else min(stop, self.n + 1)
+        while i < end:
+            t = texts[i]
             if t in (",", ";"):
                 return i
-            if t == "(":
-                i = self.paren_match[i] + 1
-            elif t == "[":
-                i = self.bracket_match[i] + 1
-            elif t == "{":
-                i = self._skip_braces(i)
+            if t in ("(", "[", "{"):
+                i = self._close(i) + 1
             elif t in (")", "]", "}"):
                 return i
             elif t == "new":
                 # Protect generic-argument commas of the creation's type.
                 te = self._skip_type_ref_dense(i + 1)
                 i = te if te is not None else i + 1
-            elif t == "<" and self._text(i - 1) == ".":
+            elif t == "<" and texts[i - 1] == ".":
                 skipped = self._skip_generic_dense(i)
                 i = skipped if skipped is not None else i + 1
             else:
@@ -697,26 +672,25 @@ class _Scanner:
 
     def _expression_pass(self) -> None:
         chain_at_close: dict[int, int] = {}
-        toks = self.toks
-        n = len(toks)
-        i = 0
-        while i < n:
+        texts, kinds = self.texts, self.kinds
+        counts = self.counts
+        n = self.n
+        i = 1
+        while i <= n:
             if i in self.type_idx or i in self.label_idx:
                 i += 1
                 continue
-            tok = toks[i]
-            t = tok.text
-            kind = tok.kind
-            prev = self._text(i - 1)
-            nxt = self._text(i + 1)
+            t = texts[i]
+            kind = kinds[i]
+            prev = texts[i - 1]
+            nxt = texts[i + 1]
             if kind == "ident":
                 if nxt == "(" and prev != "@":
-                    self.counts[ConstructKind.METHOD_INVOCATION] += 1
+                    counts[ConstructKind.METHOD_INVOCATION] += 1
                     chain = 1
-                    if prev == "." and self._text(i - 2) == ")" and (i - 2) in chain_at_close:
+                    if prev == "." and texts[i - 2] == ")" and (i - 2) in chain_at_close:
                         chain = chain_at_close[i - 2] + 1
-                    close = self.paren_match[i + 1]
-                    chain_at_close[close] = chain
+                    chain_at_close[self._close(i + 1)] = chain
                     if chain > self.max_chain:
                         self.max_chain = chain
                 elif prev not in (".", "::", "@"):
@@ -725,7 +699,7 @@ class _Scanner:
                 i += 1
                 continue
             if kind == "string":
-                self.counts[ConstructKind.STRING_LITERAL] += 1
+                counts[ConstructKind.STRING_LITERAL] += 1
                 i += 1
                 continue
             if kind == "keyword":
@@ -733,104 +707,75 @@ class _Scanner:
                     i = self._scan_creation_expr(i)
                     continue
                 if t in ("this", "super") and nxt == "(":
-                    self.counts[ConstructKind.METHOD_INVOCATION] += 1
+                    counts[ConstructKind.METHOD_INVOCATION] += 1
                     if self.max_chain < 1:
                         self.max_chain = 1
-                    i += 1
-                    continue
-                if t == "instanceof":
-                    self.counts[ConstructKind.INSTANCEOF_EXPRESSION] += 1
+                elif t == "instanceof":
+                    counts[ConstructKind.INSTANCEOF_EXPRESSION] += 1
                     te = self._skip_type_ref_dense(i + 1)
                     if te is not None:
                         self.type_idx.update(range(i + 1, te))
-                    i += 1
-                    continue
-                if t == "null":
-                    self.counts[ConstructKind.NULL_LITERAL] += 1
-                    i += 1
-                    continue
+                elif t == "null":
+                    counts[ConstructKind.NULL_LITERAL] += 1
                 i += 1
                 continue
             # Operators and punctuation.
             if t == "(" and self._is_cast(i):
-                self.counts[ConstructKind.CAST_EXPRESSION] += 1
-                self.type_idx.update(range(i + 1, self.paren_match[i]))
-                self.cast_close.add(self.paren_match[i])
-                i += 1
-                continue
-            if t == "?":
+                counts[ConstructKind.CAST_EXPRESSION] += 1
+                close = i + self.partner[i]
+                self.type_idx.update(range(i + 1, close))
+                self.cast_close.add(close)
+            elif t == "?":
                 if prev not in ("<", ","):
-                    self.counts[ConstructKind.TERNARY_OPERATION] += 1
-                i += 1
-                continue
-            if t in ("==", "!="):
-                self.counts[ConstructKind.COMPARISON_OPERATOR] += 1
+                    counts[ConstructKind.TERNARY_OPERATION] += 1
+            elif t in ("==", "!="):
+                counts[ConstructKind.COMPARISON_OPERATOR] += 1
                 if prev == "null" or nxt == "null":
-                    self.counts[ConstructKind.NULL_CHECK] += 1
-                i += 1
-                continue
-            if t == "<":
+                    counts[ConstructKind.NULL_CHECK] += 1
+            elif t == "<":
                 if prev == ".":
                     skipped = self._skip_generic_dense(i)
                     if skipped is not None:
                         self.type_idx.update(range(i, skipped))
                         i = skipped
                         continue
-                self.counts[ConstructKind.COMPARISON_OPERATOR] += 1
-                i += 1
-                continue
-            if t in (">", "<=", ">="):
-                self.counts[ConstructKind.COMPARISON_OPERATOR] += 1
-                i += 1
-                continue
-            if t in ("&&", "||"):
-                self.counts[ConstructKind.LOGICAL_OPERATOR] += 1
+                counts[ConstructKind.COMPARISON_OPERATOR] += 1
+            elif t in (">", "<=", ">="):
+                counts[ConstructKind.COMPARISON_OPERATOR] += 1
+            elif t in ("&&", "||"):
+                counts[ConstructKind.LOGICAL_OPERATOR] += 1
                 self.short_circuit += 1
-                i += 1
-                continue
-            if t == "!":
-                self.counts[ConstructKind.LOGICAL_OPERATOR] += 1
-                i += 1
-                continue
-            if t in ASSIGNMENT_OPS:
-                self.counts[ConstructKind.ASSIGNMENT] += 1
-                i += 1
-                continue
-            if t == "++":
-                self.counts[ConstructKind.INCREMENTATION] += 1
-                i += 1
-                continue
-            if t == "--":
-                self.counts[ConstructKind.DECREMENTATION] += 1
-                i += 1
-                continue
-            if t in ("+", "-", "*", "/", "%"):
-                operand_before = (
-                    self._kind(i - 1) in _OPERAND_END_KINDS or prev in _OPERAND_END_TEXTS
-                )
+            elif t == "!":
+                counts[ConstructKind.LOGICAL_OPERATOR] += 1
+            elif t in ASSIGNMENT_OPS:
+                counts[ConstructKind.ASSIGNMENT] += 1
+            elif t == "++":
+                counts[ConstructKind.INCREMENTATION] += 1
+            elif t == "--":
+                counts[ConstructKind.DECREMENTATION] += 1
+            elif t in ("+", "-", "*", "/", "%"):
+                operand_before = kinds[i - 1] in _OPERAND_END_KINDS or prev in _OPERAND_END_TEXTS
                 if operand_before and (i - 1) not in self.type_idx and (i - 1) not in self.cast_close:
-                    self.counts[ConstructKind.ARITHMETIC_INFIX_OP] += 1
-                i += 1
-                continue
-            if t == "[":
+                    counts[ConstructKind.ARITHMETIC_INFIX_OP] += 1
+            elif t == "[":
                 if (
                     i not in self.creation_bracket
                     and nxt != "]"
-                    and (self._kind(i - 1) in ("ident", "string") or prev in (")", "]"))
+                    and (kinds[i - 1] in ("ident", "string") or prev in (")", "]"))
                     and (i - 1) not in self.type_idx
                 ):
-                    self.counts[ConstructKind.ARRAY_ACCESS] += 1
-                i += 1
-                continue
+                    counts[ConstructKind.ARRAY_ACCESS] += 1
             i += 1
 
     def _package_like(self, i: int) -> bool:
-        """True when tokens[i] roots a dotted chain that reaches a capitalized
-        segment, i.e. a package/class qualifier rather than a variable."""
+        """True when the token at i roots a dotted chain that reaches a
+        capitalized segment, i.e. a package/class qualifier rather than a
+        variable."""
+        texts, kinds = self.texts, self.kinds
         j = i
-        while self._text(j + 1) == "." and self._kind(j + 2) == "ident":
+        while texts[j + 1] == "." and kinds[j + 2] == "ident":
             j += 2
-            if self._text(j)[0].isupper():
+            if texts[j][0].isupper():
                 return True
         return False
 
@@ -841,27 +786,23 @@ class _Scanner:
         if te is None:
             return i + 1
         self.type_idx.update(range(j, te))
-        if self._text(te) == "[":
+        if self.texts[te] == "[":
             self.counts[ConstructKind.ARRAY_CREATION] += 1
             k = te
-            while self._text(k) == "[":
+            while self.texts[k] == "[":
                 self.creation_bracket.add(k)
-                k = self.bracket_match[k] + 1
-            return te
-        if self._text(te) == "(":
+                k = self._close(k) + 1
+        elif self.texts[te] == "(":
             self.counts[ConstructKind.OBJECT_CREATION] += 1
-            return te
         return te
 
     def _is_cast(self, i: int) -> bool:
-        close = self.paren_match.get(i)
+        texts, kinds = self.texts, self.kinds
+        close = self._partner(i)
         if close is None or close == i + 1:
             return False
-        if self._kind(i - 1) in ("ident", "number", "string", "char") or self._text(i - 1) in (")", "]"):
+        if kinds[i - 1] in _OPERAND_END_KINDS or texts[i - 1] in (")", "]"):
             return False
-        te = self._skip_type_ref_dense(i + 1)
-        if te != close:
+        if self._skip_type_ref_dense(i + 1) != close:
             return False
-        after_kind = self._kind(close + 1)
-        after_text = self._text(close + 1)
-        return after_kind in _CAST_FOLLOWERS_KINDS or after_text in _CAST_FOLLOWERS_TEXTS
+        return kinds[close + 1] in _OPERAND_END_KINDS or texts[close + 1] in _CAST_FOLLOWERS_TEXTS

@@ -1,45 +1,45 @@
 """Tokenizer for Java source files.
 
-Produces a flat token stream with comments and whitespace stripped; line
-numbers are retained so line-based metrics can be derived from the tokens
-alone. Covers the Java 7 lexical grammar plus the Java 8 arrow and
-double-colon operators (recognized so that lambda-bearing methods can be
-detected and rejected upstream).
+Produces token columns with comments and whitespace stripped; line numbers
+are kept so that line-based metrics can be derived from the tokens alone.
+Covers the Java 7 lexical grammar plus the Java 8 arrow and double-colon
+operators (recognized so that lambda-bearing methods can be detected and
+rejected upstream).
 
-One master pattern, compiled at import, reads the source with ``finditer``.
-Each match skips spaces, tabs and form feeds, then takes the first of these
-named groups that fits: a line terminator (CR LF, CR or LF, as in Java), an
-ASCII identifier, a ``//`` comment, a ``/* */`` comment, a number (hex form
-first), a string literal, a char literal, an unterminated ``/*``, ``"`` or
-``'``, an operator (longest first), any one other character, and the end of
-input. The one-character group makes every character part of some match, so
-none is skipped silently. Lines are counted on the newline group and on the line
-terminators inside block comments, so CR-only, LF and CRLF sources give
-the same lines and columns. Inside a literal a backslash escapes any
-character but a line terminator, so a backslash before a line break leaves
-the literal unterminated, as javac has it.
+`tokenize` returns a `Tokens`: three parallel lists, `texts`, `kinds` and
+`lines`, in which token k (counted from 1) sits at index k. Index 0 and the
+two indexes after the last token hold sentinels (text and kind "", line 0),
+so a reader may look one token before the first or two past the last
+without a bounds check, and no real token has an empty text.
 
-Identifiers outside ASCII take a slow path: a non-ASCII character reaches
-the one-character group, and if Python accepts it in an identifier it joins
-the ASCII identifier just before it, or starts one, and is read on by hand;
-the pattern then resumes after the identifier. Any other character there is
-an error.
+One master pattern, compiled at import, splits the source with one
+``findall``. Each match skips spaces, tabs and form feeds, then captures
+the first of these that fits: a line terminator (CR LF, CR or LF, as in
+Java), a word (an identifier or keyword; a word holding non-ASCII
+characters is checked against Python's identifier rules), a ``//`` comment,
+a ``/* */`` comment, a number (hex form first), a string literal, a char
+literal, an unterminated ``/*``, ``"`` or ``'``, an operator (longest
+first), any one other character, and the end of input. The one-character
+alternative makes every character part of some match, so none is skipped
+silently. One loop reads the captured strings, classifies each by its first
+character through a dict, and counts lines on line terminators and inside
+block comments, so CR-only, LF and CRLF sources give the same lines. Inside
+a literal a backslash escapes any character but a line terminator, so a
+backslash before a line break leaves the literal unterminated, as javac has
+it. A Ctrl-Z (U+001A) that is the last character of the source is ignored
+(JLS 3.5); anywhere else it is an error.
+
+Columns are not kept: `token_columns` walks the same pattern with
+``finditer`` and yields them, and it runs only when a `JavaParseError`
+needs one (`Tokens.error` and the lexer's own errors).
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from lowrisk.errors import JavaParseError
-
-
-class Token(NamedTuple):
-    kind: str  # 'ident' | 'keyword' | 'number' | 'string' | 'char' | 'op'
-    text: str
-    line: int
-    col: int
-
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -60,59 +60,47 @@ MODIFIERS = frozenset(
 
 # Maximal-munch operator table, longest first.
 _OPERATORS = [
-    ">>>=",
-    "...",
-    ">>>",
-    "<<=",
-    ">>=",
-    "->",
-    "::",
-    "<<",
-    ">>",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
+    ">>>=", "...", ">>>", "<<=", ">>=", "->", "::", "<<", ">>", "<=", ">=",
+    "==", "!=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=",
+    "|=", "^=",
 ]
+_SINGLE_OPS = "+-*/%=<>!~&|^?:;,.()[]{}@"
 
 ASSIGNMENT_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 )
 
-_IDENT_PART = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$0123456789")
-
+_WORD_START = "A-Za-z_$\x80-\U0010ffff"
 _TOKEN_RE = re.compile(
-    r"[ \t\f]*(?:"
-    r"(?P<newline>\r\n?|\n)"
-    r"|(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)"
-    r"|(?P<line_comment>//[^\r\n]*)"
-    r"|(?P<block_comment>/\*[\s\S]*?\*/)"
+    r"[ \t\f]*("
+    r"\r\n?|\n"
+    rf"|[{_WORD_START}][0-9{_WORD_START}]*"
+    r"|//[^\r\n]*"
+    r"|/\*[\s\S]*?\*/"
     # A sign belongs to a hex literal only after the binary exponent 'p' of
     # a hex float, never after the hex digit 'e'; a decimal literal stops
     # before '..' so that 1..toString() keeps its member access.
-    r"|(?P<number>0[xX](?:[pP][+-]?|[0-9a-fA-F._lL])*"
-    r"|(?:[0-9]|\.[0-9])(?:[eE][+-]?|[0-9a-fA-FxXbBlLfFdD_]|\.(?!\.))*)"
-    r'|(?P<string>"[^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*")'
-    r"|(?P<char>'[^'\\\r\n]*(?:\\[^\r\n][^'\\\r\n]*)*')"
-    r"""|(?P<unterminated>/\*|["'])"""
-    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS))
-    + "|[" + re.escape("+-*/%=<>!~&|^?:;,.()[]{}@") + "])"
-    r"|(?P<other>[\s\S])"
-    r"|(?P<end>\Z)"
+    r"|0[xX](?:[pP][+-]?|[0-9a-fA-F._lL])*"
+    r"|(?:[0-9]|\.[0-9])(?:[eE][+-]?|[0-9a-fA-FxXbBlLfFdD_]|\.(?!\.))*"
+    r'|"[^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*"'
+    r"|'[^'\\\r\n]*(?:\\[^\r\n][^'\\\r\n]*)*'"
+    r"""|/\*|["']"""
+    r"|" + "|".join(map(re.escape, _OPERATORS)) + "|[" + re.escape(_SINGLE_OPS) + "]"
+    r"|[\s\S]"
+    r"|\Z"
     r")"
 )
+
+# The class of a captured string, by its first character. A string whose
+# first character is missing here is a word with a non-ASCII start or a
+# character no token starts with.
+_CLASS = (
+    dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$", "word")
+    | dict.fromkeys("0123456789", "number")
+    | dict.fromkeys(_SINGLE_OPS, "op")
+    | {"\n": "newline", "\r": "newline", "/": "slash", ".": "dot", '"': "string", "'": "char"}
+)
+_WORD_KIND = dict.fromkeys(KEYWORDS, "keyword")
 
 _UNTERMINATED = {
     "/*": "unterminated block comment",
@@ -121,73 +109,122 @@ _UNTERMINATED = {
 }
 
 
-def tokenize(text: str, file_path: str | None = None) -> list[Token]:
-    """Tokenize Java source, raising JavaParseError on lexical errors."""
-    tokens: list[Token] = []
-    append = tokens.append
-    # Builds a Token without the Python-level __new__ that NamedTuple
-    # generates; per token this is a tenth of the lexer's time.
-    new = tuple.__new__
-    line = 1
-    line_start = 0
-    pos = 0
-    while True:
-        for m in _TOKEN_RE.finditer(text, pos):
-            kind = m.lastgroup
-            if kind == "ident":
-                word = m[kind]
-                col = m.start(kind) - line_start + 1
-                append(new(Token, ("keyword" if word in KEYWORDS else "ident", word, line, col)))
-            elif kind == "op" or kind == "number" or kind == "string" or kind == "char":
-                append(new(Token, (kind, m[kind], line, m.start(kind) - line_start + 1)))
-            elif kind == "newline":
-                line += 1
-                line_start = m.end()
-            elif kind == "block_comment":
-                i, j = m.span(kind)
-                # CR LF is one line terminator, a lone CR or LF is one too.
-                newlines = text.count("\n", i, j) + text.count("\r", i, j) - text.count("\r\n", i, j)
-                if newlines:
-                    line += newlines
-                    line_start = max(text.rfind("\n", i, j), text.rfind("\r", i, j)) + 1
-            elif kind == "unterminated":
-                col = m.start(kind) - line_start + 1
-                raise JavaParseError(_UNTERMINATED[m[kind]], file_path, line, col)
-            elif kind == "other":
-                i = m.start(kind)
-                start = _non_ascii_identifier_start(tokens, text, i, line)
-                if start is None:
-                    col = i - line_start + 1
-                    raise JavaParseError(f"unexpected character {text[i]!r}", file_path, line, col)
-                j = i + 1
-                while j < len(text) and (text[j] in _IDENT_PART or _is_identifier_part(text[j])):
-                    j += 1
-                col = tokens.pop().col if start < i else i - line_start + 1
-                append(Token("ident", text[start:j], line, col))
-                pos = j
-                break
-        else:
-            return tokens
+class Tokens:
+    """The token columns of one source file (see the module docstring)."""
+
+    __slots__ = ("texts", "kinds", "lines", "source", "file_path")
+
+    def __init__(self, texts, kinds, lines, source, file_path=None):
+        self.texts: list[str] = texts
+        self.kinds: list[str] = kinds  # 'ident' | 'keyword' | 'number' | 'string' | 'char' | 'op'
+        self.lines: list[int] = lines
+        self.source = source
+        self.file_path = file_path
+
+    def __len__(self) -> int:
+        return len(self.texts) - 3
+
+    def error(self, message: str, i: int) -> JavaParseError:
+        """A JavaParseError located at token i, or at the end of the file."""
+        if 0 < i <= len(self):
+            return JavaParseError(message, self.file_path, self.lines[i], _column(self.source, i - 1))
+        return JavaParseError(message + " (at end of file)", self.file_path)
 
 
-def _is_identifier_part(c: str) -> bool:
-    return c > "\x7f" and ("a" + c).isidentifier()
+def token_columns(source: str):
+    """Yield the column of each token of source, then of the item after them.
 
-
-def _non_ascii_identifier_start(tokens: list[Token], text: str, i: int, line: int) -> int | None:
-    """Where the identifier holding the non-ASCII character text[i] starts.
-
-    The master pattern's identifier group stops at such a character, so an
-    identifier it read just before position i (same line, no gap) is
-    continued; otherwise text[i] must itself be able to start an identifier.
-    None means text[i] is no identifier character.
+    Walks the master pattern with finditer; line terminators and comments
+    only move the start of the current line. A consumer stops at the token
+    it needs, so finding one column costs a walk up to that token.
     """
-    c = text[i]
-    if not _is_identifier_part(c):
-        return None
-    if tokens:
-        prev = tokens[-1]
-        start = i - len(prev.text)
-        if prev.kind in ("ident", "keyword") and prev.line == line and text.startswith(prev.text, start):
-            return start
-    return i if c.isidentifier() else None
+    line_start = 0
+    for m in _TOKEN_RE.finditer(source):
+        s = m[1]
+        if s[:1] in ("\n", "\r"):
+            line_start = m.end()
+        elif s.startswith("//") or (s.startswith("/*") and len(s) > 2):
+            last = max(s.rfind("\n"), s.rfind("\r"))
+            if last >= 0:
+                line_start = m.start(1) + last + 1
+        else:
+            yield m.start(1) - line_start + 1
+
+
+def tokenize(text: str, file_path: str | None = None) -> Tokens:
+    """Tokenize Java source, raising JavaParseError on lexical errors."""
+    if text.endswith("\x1a"):
+        text = text[:-1]
+    items = _TOKEN_RE.findall(text)
+    while items and not items[-1]:
+        items.pop()  # the end of input, after any trailing blanks
+    texts = [""]
+    kinds = [""]
+    lines = [0]
+    add_text, add_kind, add_line = texts.append, kinds.append, lines.append
+    classify = _CLASS.get
+    word_kind = _WORD_KIND.get
+    line = 1
+    for s in items:
+        c = classify(s[0])
+        if c == "newline":
+            line += 1
+            continue
+        if c == "op" or c == "number":
+            add_kind(c)
+        elif c == "word":
+            if not s.isascii():
+                _check_word(s, text, file_path, line, len(texts) - 1)
+            add_kind(word_kind(s, "ident"))
+        elif c == "slash":
+            if s == "/" or s == "/=":
+                add_kind("op")
+            elif s == "/*":
+                raise _lexical_error(_UNTERMINATED[s], text, file_path, line, len(texts) - 1)
+            else:  # a comment
+                if s[1] == "*":
+                    line += s.count("\n") + s.count("\r") - s.count("\r\n")
+                continue
+        elif c == "dot":
+            add_kind("op" if s == "." or s == "..." else "number")
+        elif c == "string" or c == "char":
+            if len(s) == 1:
+                raise _lexical_error(_UNTERMINATED[s], text, file_path, line, len(texts) - 1)
+            add_kind(c)
+        else:
+            _check_word(s, text, file_path, line, len(texts) - 1)
+            add_kind("ident")
+        add_text(s)
+        add_line(line)
+    texts += ("", "")
+    kinds += ("", "")
+    lines += (0, 0)
+    return Tokens(texts, kinds, lines, text, file_path)
+
+
+def _check_word(word: str, text: str, file_path: str | None, line: int, k: int) -> None:
+    """Raise unless word, the text of the k-th token, is a Java identifier.
+
+    The word pattern takes a run of ASCII identifier characters and
+    non-ASCII characters, and the one-character alternative any other
+    character. The first character must be able to start an identifier,
+    and a later non-ASCII one must be able to continue one, by Python's
+    rules; the error points at the first character that fails.
+    """
+    if word[0] == "$" or word[0].isidentifier():
+        bad = next((j for j, c in enumerate(word) if c > "\x7f" and not ("a" + c).isidentifier()), None)
+    else:
+        bad = 0
+    if bad is not None:
+        raise _lexical_error(f"unexpected character {word[bad]!r}", text, file_path, line, k, bad)
+
+
+def _lexical_error(
+    message: str, text: str, file_path: str | None, line: int, k: int, offset: int = 0
+) -> JavaParseError:
+    """The error at offset characters into the k-th item (0-based) of token_columns(text)."""
+    return JavaParseError(message, file_path, line, _column(text, k) + offset)
+
+
+def _column(source: str, k: int) -> int:
+    return next(islice(token_columns(source), k, None))

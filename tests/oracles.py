@@ -25,10 +25,11 @@ for the master-regex tokenizer.
 
 import warnings
 from itertools import combinations
+from typing import NamedTuple
 
 from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_NOT_FAULTY, item_mask
 from lowrisk.errors import AntecedentCapWarning, EmptyDatabaseError, JavaParseError, LowriskError
-from lowrisk.java.tokens import KEYWORDS, Token
+from lowrisk.java.tokens import KEYWORDS
 from lowrisk.mining import AssociationRule
 
 
@@ -563,6 +564,15 @@ def eager_train_on(methods, config, scope=()):
     return TrainedModel(model, tuple(rules), classifiers, meta)
 
 
+class Token(NamedTuple):
+    """One token as the earlier lexer produced it."""
+
+    kind: str  # 'ident' | 'keyword' | 'number' | 'string' | 'char' | 'op'
+    text: str
+    line: int
+    col: int
+
+
 # The earlier lexer's character tables and maximal-munch operator table.
 LEXER_OPERATORS = [
     ">>>=", "...", ">>>", "<<=", ">>=", "->", "::", "<<", ">>", "<=", ">=",
@@ -580,11 +590,14 @@ _HEX_PART = _DIGITS | set("abcdefABCDEF._pPlL")
 def reference_tokenize(text, file_path=None):
     """The earlier per-character lexer, kept as the reference for tokenize.
 
-    Its two changes: a backslash before a newline inside a string or char
+    Its three changes: a backslash before a newline inside a string or char
     literal no longer escapes the newline, so the literal is unterminated;
-    and CR LF and a lone CR are line terminators, as in Java, read as LF.
-    Only a CR before an LF is dropped, at a line end, so no column moves.
+    CR LF and a lone CR are line terminators, as in Java, read as LF (only
+    a CR before an LF is dropped, at a line end, so no column moves); and a
+    Ctrl-Z that ends the text is ignored (JLS 3.5).
     """
+    if text.endswith("\x1a"):
+        text = text[:-1]
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     tokens = []
     i = 0

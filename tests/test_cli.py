@@ -107,6 +107,17 @@ class TestExtract:
         records = read_csv_per_field(out)
         assert [r.identity.method_name for r in records] == ["f"]
 
+    def test_a_malformed_method_body_is_skipped_with_its_location(self, corpus_dir, golden_csv, tmp_path, capsys):
+        root = tmp_path / "src"
+        shutil.copytree(corpus_dir, root)
+        (root / "Broken.java").write_text("class Broken {\n  void f() {\n    foo(;\n  }\n}\n", encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert run(["extract", "--root", root, "--project", "corpus", "--out", out, "--jobs", "1"]) == 0
+        assert "skipped (parse error): Broken.java: Broken.java:3:8: unbalanced '('" in capsys.readouterr().err
+        sidecar = json.loads(out.with_name(out.name + ".run.json").read_text())
+        assert sidecar["parse_failures"] == [["Broken.java", "Broken.java:3:8: unbalanced '('"]]
+        assert out.read_text(encoding="utf-8") == golden_csv.read_text(encoding="utf-8")
+
     def test_labels_mark_methods_faulty(self, tmp_path):
         root = tmp_path / "src"
         root.mkdir()

@@ -1,0 +1,78 @@
+"""Malformed Java ends in a located JavaParseError, never in another exception.
+
+The method-body shapes below used to end in a raw KeyError or
+AssertionError from the metric scanner; the fuzz deletes or inserts one
+delimiter or ';' in every Java file of the test data.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from lowrisk.errors import JavaParseError
+from lowrisk.java.analyzer import analyze_source
+
+DATA_DIR = Path(__file__).parent / "data"
+JAVA_FILES = sorted(DATA_DIR.rglob("*.java"))
+
+
+@pytest.mark.parametrize(
+    "body, message, col",
+    [
+        ("foo(;", "unbalanced '('", 25),
+        ("a[;", "unbalanced '['", 23),
+        ("int x = (1;", "unbalanced '('", 30),
+        ("new int[;", "unbalanced '['", 29),
+        ("for x;", "expected '('", 26),
+        ("try {} catch x {}", "expected '('", 35),
+        ("try x;", "expected '{'", 26),
+    ],
+)
+def test_malformed_method_body_is_a_parse_error(body, message, col):
+    with pytest.raises(JavaParseError) as err:
+        analyze_source("class A { void f() { " + body + " } }", "A.java")
+    e = err.value
+    assert (str(e), e.file_path, e.line, e.col) == (f"A.java:1:{col}: {message}", "A.java", 1, col)
+
+
+def test_scanner_errors_carry_file_line_and_column():
+    with pytest.raises(JavaParseError) as err:
+        analyze_source("class A { void f() { foo() } }", "A.java")
+    assert str(err.value) == "A.java:1:26: missing ';'"
+    # A scanner error past the last body token points at the body's '}'.
+    with pytest.raises(JavaParseError) as err:
+        analyze_source("class A {\n  void f() {\n    int x = 1\n  }\n}", "A.java")
+    assert str(err.value) == "A.java:4:3: malformed declaration"
+
+
+def test_crossed_delimiters_in_a_body_are_a_parse_error():
+    for body in ("a[(];", "f([)];", "x = a);", "y = b];"):
+        with pytest.raises(JavaParseError, match="unbalanced delimiter in method body"):
+            analyze_source("class A { void f() { " + body + " } }", "A.java")
+
+
+def mutations(source, rng, inserts):
+    """Every deletion of one delimiter or ';', then seeded single insertions."""
+    for i, c in enumerate(source):
+        if c in "()[]{};":
+            yield source[:i] + source[i + 1 :]
+    for _ in range(inserts):
+        i = rng.randrange(len(source) + 1)
+        yield source[:i] + rng.choice("()[]{};") + source[i:]
+
+
+@pytest.mark.parametrize("path", JAVA_FILES, ids=lambda p: p.name)
+def test_one_delimiter_more_or_less_parses_or_is_a_parse_error(path):
+    source = path.read_text(encoding="utf-8")
+    rng = random.Random(path.name)
+    parsed = failed = 0
+    for mutant in mutations(source, rng, inserts=200):
+        try:
+            analyze_source(mutant, path.name, "p")
+        except JavaParseError as e:
+            assert e.file_path == path.name
+            failed += 1
+        else:
+            parsed += 1
+    assert parsed > 0 and failed > 0

@@ -2,21 +2,37 @@ import random
 from pathlib import Path
 
 import pytest
-from oracles import LEXER_OPERATORS, LEXER_SINGLE_OPS, reference_tokenize
+from oracles import LEXER_OPERATORS, LEXER_SINGLE_OPS, Token, reference_tokenize
 
 from lowrisk.errors import JavaParseError
 from lowrisk.java.analyzer import analyze_source
-from lowrisk.java.tokens import tokenize
+from lowrisk.java.tokens import token_columns, tokenize
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
+def token_list(source, file_path=None):
+    """tokenize's columns as Token tuples, with the columns from token_columns."""
+    toks = tokenize(source, file_path)
+    cols = token_columns(toks.source)
+    return [Token(toks.kinds[i], toks.texts[i], toks.lines[i], next(cols)) for i in range(1, len(toks) + 1)]
+
+
 def texts(source):
-    return [t.text for t in tokenize(source)]
+    return [t.text for t in token_list(source)]
 
 
 def kinds(source):
-    return [(t.kind, t.text) for t in tokenize(source)]
+    return [(t.kind, t.text) for t in token_list(source)]
+
+
+def test_columns_are_padded_with_sentinels():
+    toks = tokenize("a = b;\n")
+    assert len(toks) == 4
+    assert toks.texts == ["", "a", "=", "b", ";", "", ""]
+    assert toks.kinds == ["", "ident", "op", "ident", "op", "", ""]
+    assert toks.lines == [0, 1, 1, 1, 1, 0, 0]
+    assert len(tokenize("")) == 0 and tokenize(" // c").texts == ["", "", ""]
 
 
 def test_keywords_and_identifiers():
@@ -31,8 +47,8 @@ def test_numbers():
 
 
 def test_string_and_char_literals():
-    toks = tokenize(r'x = "a \" b" + '
-                    r"'\''" + ";")
+    toks = token_list(r'x = "a \" b" + '
+                      r"'\''" + ";")
     assert [t.kind for t in toks] == ["ident", "op", "string", "op", "char", "op"]
     assert toks[2].text == r'"a \" b"'
 
@@ -47,7 +63,7 @@ def test_maximal_munch_operators():
 
 
 def test_comments_are_stripped_and_lines_tracked():
-    toks = tokenize("a // trailing\n/* block\n comment */ b")
+    toks = token_list("a // trailing\n/* block\n comment */ b")
     assert [t.text for t in toks] == ["a", "b"]
     assert toks[0].line == 1
     assert toks[1].line == 3
@@ -73,7 +89,7 @@ def test_unexpected_character():
 def test_non_ascii_identifiers():
     assert kinds("int café;") == [("keyword", "int"), ("ident", "café"), ("op", ";")]
     assert texts("éa = aéb + café2 + inté") == ["éa", "=", "aéb", "+", "café2", "+", "inté"]
-    assert [t.col for t in tokenize("x + café")] == [1, 3, 5]
+    assert [t.col for t in token_list("x + café")] == [1, 3, 5]
 
 
 def test_hex_float_keeps_its_binary_exponent():
@@ -101,15 +117,23 @@ def test_backslash_before_newline_leaves_a_literal_unterminated():
     )
 
 
+def test_a_final_ctrl_z_is_ignored():
+    assert token_list("x\x1a") == [Token("ident", "x", 1, 1)]
+    assert token_list("a;\n\x1a") == [Token("ident", "a", 1, 1), Token("op", ";", 1, 2)]
+    assert token_list("/* c */ \x1a") == [] and token_list("\x1a") == []
+    with pytest.raises(JavaParseError, match="unterminated block comment"):
+        tokenize("/* open\x1a")
+
+
 def test_a_lone_carriage_return_ends_a_line():
-    assert [(t.text, t.line, t.col) for t in tokenize("a;\rb;")] == [
+    assert [(t.text, t.line, t.col) for t in token_list("a;\rb;")] == [
         ("a", 1, 1), (";", 1, 2), ("b", 2, 1), (";", 2, 2),
     ]
     source = 'a; // note\n/* two\n lines */ b\n  "s" + \'c\';\n\n  d;'
-    lf = tokenize(source)
+    lf = token_list(source)
     assert [t.line for t in lf] == [1, 1, 3, 4, 4, 4, 4, 6, 6]
-    assert tokenize(source.replace("\n", "\r\n")) == lf
-    assert tokenize(source.replace("\n", "\r")) == lf
+    assert token_list(source.replace("\n", "\r\n")) == lf
+    assert token_list(source.replace("\n", "\r")) == lf
     for bad in ('x = "a\rb";', 'x = "a\\\rb";', "c = '\r';", "c = '\\\r';"):
         with pytest.raises(JavaParseError, match="unterminated") as err:
             tokenize(bad)
@@ -134,6 +158,11 @@ def test_a_lone_carriage_return_ends_a_line():
         ("x\n\u00a7", "unexpected character '\u00a7'", 2, 1),
         ("int \u0661x = 1;", "unexpected character '\u0661'", 1, 5),
         ("y /* c\n */ \u0661x", "unexpected character '\u0661'", 2, 5),
+        # Only a Ctrl-Z that ends the source is ignored (JLS 3.5).
+        ("x\x1a\x1a", "unexpected character '\\x1a'", 1, 2),
+        ("\x1ax", "unexpected character '\\x1a'", 1, 1),
+        ("x\x1a\n", "unexpected character '\\x1a'", 1, 2),
+        ("a;\n  \x1a b;\x1a", "unexpected character '\\x1a'", 2, 3),
     ],
 )
 def test_lexer_error_table(source, message, line, col):
@@ -144,7 +173,11 @@ def test_lexer_error_table(source, message, line, col):
 
 
 def outcome(lexer, source):
-    """A lexer's token list, or the parts of the error it raised."""
+    """A lexer's token list, or the parts of the error it raised.
+
+    Both reference_tokenize and token_list return Token tuples, so kind,
+    text, line and column of every token are compared.
+    """
     try:
         return lexer(source, "Soup.java")
     except JavaParseError as e:
@@ -157,7 +190,7 @@ JAVA_FILES = sorted(DATA_DIR.rglob("*.java"))
 @pytest.mark.parametrize("path", JAVA_FILES, ids=lambda p: p.name)
 def test_data_files_lex_as_the_reference_lexer_does(path):
     source = path.read_text(encoding="utf-8")
-    assert tokenize(source, path.name) == reference_tokenize(source, path.name)
+    assert token_list(source, path.name) == reference_tokenize(source, path.name)
 
 
 def test_every_data_file_is_compared():
@@ -192,11 +225,11 @@ SOUP_PIECES = (
     + ["0x", "0X1P-3f", "1e+", "1", "0", ".5", "e", "p", "L", "f", "_", "$", "...", ".."]
     + ["a", "ab", "int", "class", "x9"]
     + ["\u00e9", "\u03c0", "\u53d8", "\u0301", "\u00b7"]
-    + ["\u20ac", "\u2028", " \u0661x", "\u0661"]
+    + ["\u20ac", "\u2028", " \u0661x", "\u0661", "\x1a"]
 )
 # Most soups with a quote or a lone backslash end in an error; soups drawn
 # without them reach the end of input often enough to compare token lists.
-_ERROR_PRONE = {'"', "'", "\\", "\\\\", "/*", "\u20ac", "\u2028", " \u0661x", "\u0661"}
+_ERROR_PRONE = {'"', "'", "\\", "\\\\", "/*", "\u20ac", "\u2028", " \u0661x", "\u0661", "\x1a"}
 CALM_PIECES = [p for p in SOUP_PIECES if p not in _ERROR_PRONE]
 
 
@@ -208,9 +241,9 @@ def test_random_soups_lex_as_the_reference_lexer_does(seed):
         pieces = SOUP_PIECES if rng.random() < 0.5 else CALM_PIECES
         source = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
         if rng.random() < 0.25:
-            source += rng.choice([" ", "\t", " \r\f", "\n  "])
+            source += rng.choice([" ", "\t", " \r\f", "\n  ", "\x1a"])
         expected = outcome(reference_tokenize, source)
-        assert outcome(tokenize, source) == expected, repr(source)
+        assert outcome(token_list, source) == expected, repr(source)
         if isinstance(expected, list):
             ok += 1
         else:
