@@ -132,22 +132,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
     ]
 
     faulty_keys = ds.read_label_file(args.labels) if args.labels else set()
-    records = []
-    for m in methods:
-        faulty = m.identity.key() in faulty_keys
-        records.append(
-            ds.MethodRecord(
-                m.identity,
-                m.metrics,
-                m.categories,
-                faulty=faulty,
-                snapshot=ds.Snapshot.FAULTY if faulty else ds.Snapshot.CURRENT,
-            )
-        )
+    records = [
+        ds.MethodRecord(*m, True, ds.Snapshot.FAULTY)
+        if faulty_keys and m.identity.key() in faulty_keys
+        else ds.MethodRecord(*m)
+        for m in methods
+    ]
     out = Path(args.out)
     ds.write_csv(records, out)
-    for rel, message in report.parse_failures:
-        print(f"skipped (parse error): {rel}: {message}", file=sys.stderr)
+    # Each error text names its file already, so the path is printed once.
+    for _, message in report.parse_failures:
+        print(f"skipped (parse error): {message}", file=sys.stderr)
     for line in skipped_methods:
         print(f"skipped (method): {line}", file=sys.stderr)
     _write_run_sidecar(
@@ -160,7 +155,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             "exclude": args.exclude or [],
             "labels": str(args.labels) if args.labels else None,
             "files_analyzed": report.files_analyzed,
-            "parse_failures": [list(f) for f in report.parse_failures],
+            "parse_failures": [
+                [rel, message.removeprefix(rel + ":").lstrip()] for rel, message in report.parse_failures
+            ],
             "skipped_methods": skipped_methods,
             "methods": len(records),
         },

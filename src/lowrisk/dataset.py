@@ -13,8 +13,11 @@ index; a training set is `table.take(indices)`.
 
 `MethodRecord` and `UnifiedMethod` are the object form of the same data,
 used by `extract`, `write_csv`, the synthetic generator and library callers.
-The public training and evaluation entry points turn a `UnifiedMethod` list
-into a table once, with `as_table`.
+Both are named tuples, as are the identity, metrics and flags they hold, so
+building, sorting and pickling them runs in C. `write_csv` is the only CSV
+writer; it hands the ints of each row to one `writerows` call. The public
+training and evaluation entry points turn a `UnifiedMethod` list into a
+table once, with `as_table`.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from enum import Enum
 from itertools import accumulate, chain, groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from lowrisk.discretize import TERTILE_METRICS, category_mask, count_items_mask
 from lowrisk.errors import SchemaError
-from lowrisk.java.analyzer import AnalyzedMethod, MethodIdentity
-from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
+from lowrisk.java.analyzer import MethodIdentity
+from lowrisk.java.metrics import (
+    N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics, arithmetic_counts, condition_counts,
+)
 
 _FAULTY_STATE_ONLY = "faulty records carry metrics computed at the faulty state"
 
@@ -43,23 +48,26 @@ class Snapshot(Enum):
     FAULTY = "FaultyState"
 
 
-@dataclass(frozen=True)
-class MethodRecord:
-    """One method observation: identity, metrics, categories, fault label."""
-
+class _RecordFields(NamedTuple):
     identity: MethodIdentity
     metrics: RawMetrics
     categories: CategoryFlags
     faulty: bool = False
     snapshot: Snapshot = Snapshot.CURRENT
 
-    def __post_init__(self):
-        if self.faulty and self.snapshot is not Snapshot.FAULTY:
+
+class MethodRecord(_RecordFields):
+    """One method observation: identity, metrics, categories, fault label."""
+
+    __slots__ = ()
+
+    def __new__(cls, identity, metrics, categories, faulty=False, snapshot=Snapshot.CURRENT):
+        if faulty and snapshot is not Snapshot.FAULTY:
             raise ValueError(_FAULTY_STATE_ONLY)
+        return tuple.__new__(cls, (identity, metrics, categories, faulty, snapshot))
 
 
-@dataclass(frozen=True)
-class UnifiedMethod:
+class UnifiedMethod(NamedTuple):
     """One method after unification; faulty methods keep every occurrence."""
 
     identity: MethodIdentity
@@ -71,14 +79,6 @@ class UnifiedMethod:
         # Upper median keeps single-occurrence methods exact and resolves
         # even-count ties consistently with the class-vote tie rule.
         return statistics.median_high([r.metrics.sloc for r in self.occurrences])
-
-
-def from_analyzed(methods: Iterable[AnalyzedMethod], faulty: bool = False) -> list[MethodRecord]:
-    snapshot = Snapshot.FAULTY if faulty else Snapshot.CURRENT
-    return [
-        MethodRecord(m.identity, m.metrics, m.categories, faulty=faulty, snapshot=snapshot)
-        for m in methods
-    ]
 
 
 # -- the columnar table ----------------------------------------------------
@@ -153,7 +153,6 @@ def _upper_median(column: Sequence[int], rows: Sequence[int]) -> int:
     return sorted(map(column.__getitem__, rows))[len(rows) // 2]
 
 
-_category_values = attrgetter(*CategoryFlags.FIELDS)
 _metric_values = attrgetter(*(metric for metric, _ in TERTILE_METRICS))
 _faulty_and_occurrences = attrgetter("faulty", "occurrences")
 _metrics_of = attrgetter("metrics")
@@ -161,9 +160,7 @@ _metrics_of = attrgetter("metrics")
 
 def _record_bits(records: Sequence[MethodRecord], row: int) -> int:
     record = records[row]
-    return count_items_mask(record.metrics.construct_counts) | category_mask(
-        _category_values(record.categories)
-    )
+    return count_items_mask(record.metrics.construct_counts) | category_mask(record.categories)
 
 
 def _method_key(methods: Sequence[UnifiedMethod], index: int) -> tuple:
@@ -328,42 +325,29 @@ _MAX_COUNT = 2**63 - 1  # counts and metrics are held in array('q') columns
 # lookup; any other spelling or value is parsed field by field.
 _PLAIN_COUNTS = {str(n): n for n in range(1024)}
 _BOOL = {"true": True, "false": False}
+_BOOL_TEXT = {True: "true", False: "false"}
 _SNAPSHOT = {s.value: s for s in Snapshot}
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def record_to_row(rec: MethodRecord) -> list[str]:
-    m = rec.metrics
-    row = [
-        rec.identity.project,
-        rec.identity.file_path,
-        rec.identity.type_name,
-        rec.identity.method_name,
-        ";".join(rec.identity.param_signature),
-        rec.snapshot.value,
-        _fmt_bool(rec.faulty),
-        str(m.sloc),
-        str(m.cyclomatic_complexity),
-        str(m.max_nesting),
-        str(m.max_chaining),
-        str(m.unique_variable_ids),
-    ]
-    row.extend(map(str, m.construct_counts))
-    row.append(str(m.all_conditions))
-    row.append(str(m.all_arithmetic))
-    row.extend(_fmt_bool(getattr(rec.categories, f)) for f in CategoryFlags.FIELDS)
-    return row
+def _rows(records: Iterable[MethodRecord]):
+    """The CSV row of each record: the identity and snapshot strings, the
+    fault flag, the metrics and counts as ints, then the category flags."""
+    flag = _BOOL_TEXT.__getitem__
+    for identity, metrics, categories, faulty, snapshot in records:
+        counts = metrics.construct_counts
+        yield [
+            *identity[:4], ";".join(identity.param_signature), snapshot.value, flag(faulty),
+            *metrics[:5], *counts, sum(condition_counts(counts)), sum(arithmetic_counts(counts)),
+            *map(flag, categories),
+        ]
 
 
 def write_csv(records: Iterable[MethodRecord], path: str | Path) -> None:
+    """Write the header and one row per record; the csv writer formats the ints."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(record_to_row(rec))
+        writer.writerows(_rows(records))
 
 
 def write_unified_csv(methods: Iterable[UnifiedMethod], path: str | Path) -> None:

@@ -4,21 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from lowrisk.errors import LowriskError
+from lowrisk.errors import JavaParseError, LowriskError
 from lowrisk.java.metrics import CategoryFlags, RawMetrics, scan_method
-from lowrisk.java.structure import MethodDecl, parse_compilation_unit
+from lowrisk.java.structure import parse_compilation_unit
 
 
-@dataclass(frozen=True, order=True)
-class MethodIdentity:
+class MethodIdentity(NamedTuple):
     """Stable identity of a method within a project snapshot.
 
     (file_path, type_name, method_name, param_signature) uniquely identify a
     method within a project; the signature is built from declared parameter
-    types, never argument names.
+    types, never argument names. Identities order as their field tuples.
     """
 
     project: str
@@ -29,33 +29,23 @@ class MethodIdentity:
     is_constructor: bool = False
 
     def key(self) -> tuple:
-        return (self.project, self.file_path, self.type_name, self.method_name, self.param_signature)
+        return self[:5]
 
 
-@dataclass(frozen=True)
-class AnalyzedMethod:
+class AnalyzedMethod(NamedTuple):
     identity: MethodIdentity
     metrics: RawMetrics
     categories: CategoryFlags
 
 
-@dataclass(frozen=True)
-class SkippedMethod:
+class SkippedMethod(NamedTuple):
     """A method excluded from analysis, with the reason (e.g. lambda body)."""
 
     identity: MethodIdentity
     reason: str
 
 
-def _identity_for(decl: MethodDecl, file_path: str, project: str) -> MethodIdentity:
-    return MethodIdentity(
-        project=project,
-        file_path=file_path,
-        type_name=".".join(decl.type_chain),
-        method_name=decl.name,
-        param_signature=decl.param_types,
-        is_constructor=decl.is_constructor,
-    )
+_identity_of = itemgetter(0)  # the identity of an AnalyzedMethod
 
 
 def analyze_source(
@@ -70,13 +60,15 @@ def analyze_source(
     analyzed: list[AnalyzedMethod] = []
     skipped: list[SkippedMethod] = []
     for decl in unit.methods:
-        identity = _identity_for(decl, file_path, project)
+        identity = MethodIdentity(
+            project, file_path, ".".join(decl.type_chain), decl.name, decl.param_types, decl.is_constructor
+        )
         if decl.has_lambda:
             skipped.append(SkippedMethod(identity, "lambda expression in body"))
             continue
         metrics, categories = scan_method(unit, decl)
         analyzed.append(AnalyzedMethod(identity, metrics, categories))
-    analyzed.sort(key=lambda m: m.identity)
+    analyzed.sort(key=_identity_of)
     return analyzed, skipped
 
 
@@ -85,7 +77,7 @@ class ProjectScanReport:
     """Per-run diagnostics from walking a source tree."""
 
     files_analyzed: int = 0
-    parse_failures: list[tuple[str, str]] = field(default_factory=list)
+    parse_failures: list[tuple[str, str]] = field(default_factory=list)  # (path, error text naming it)
     skipped_methods: list[SkippedMethod] = field(default_factory=list)
 
 
@@ -107,12 +99,15 @@ def iter_java_files(
 
 
 def _analyze_file(job: tuple[Path, str, str]):
-    """analyze_source on one file, or the error text when it cannot be read or parsed."""
+    """analyze_source on one file, or the error text, which starts with the
+    file's path, when it cannot be read or parsed."""
     path, rel, project = job
     try:
         return analyze_source(path.read_text(encoding="utf-8"), rel, project)
-    except (LowriskError, UnicodeDecodeError) as exc:
+    except JavaParseError as exc:
         return str(exc)
+    except (LowriskError, UnicodeDecodeError) as exc:
+        return f"{rel}: {exc}"
 
 
 def analyze_project(
@@ -150,5 +145,5 @@ def analyze_project(
         report.files_analyzed += 1
         report.skipped_methods.extend(skipped)
         methods.extend(analyzed)
-    methods.sort(key=lambda m: m.identity)
+    methods.sort(key=_identity_of)
     return methods, report

@@ -2,20 +2,22 @@
 
 The scanner sees a method body as a dense view: the file's token columns
 sliced around the holes of nested types, between sentinels (one before, two
-after), so it indexes without bounds checks. It reads delimiter partners
-from the file's partner list (`structure.match_delimiters`), sliced with
-the view; only a body with holes has its view matched again, because a pair
-may span a hole. A closer whose opener is outside the view makes the body
-malformed. SLOC is the number of distinct line numbers over the slices of
-the declaration and the body. Errors map the view index back to the file
-token, so they carry the file path, line and column.
+after), so it indexes without bounds checks; a body without holes is one
+slice whose braces and next token become the sentinels. It reads delimiter
+partners from the file's partner list (`structure.match_delimiters`),
+sliced with the view; only a body with holes has its view matched again,
+because a pair may span a hole. A closer whose opener is outside the view
+makes the body malformed. SLOC is the number of distinct line numbers over
+the slices of the declaration and the body. Errors map the view index back
+to the file token, so they carry the file path, line and column.
 
 The scanner makes two passes over a method body. A statement pass walks the
 statement structure recursively, producing control-construct counts, scope
 nesting depth, declared variable names, and the statement list used for
-category checks. An expression pass then walks the remaining tokens linearly
-and counts expression-level constructs, invocation chains, and variable
-identifiers.
+category checks; a statement keyword inside a statement means a missing
+';'. An expression pass then walks the tokens not in its skip set (types,
+labels, creation brackets, cast closers) linearly and counts
+expression-level constructs, invocation chains, and variable identifiers.
 
 No symbol resolution is performed. Variable detection is a token-level
 heuristic: declared parameters and locals always count; other identifiers
@@ -26,7 +28,6 @@ member after '.') and do not follow the capitalized class-name convention.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -86,16 +87,14 @@ condition_counts = itemgetter(
 arithmetic_counts = itemgetter(
     ConstructKind.INCREMENTATION, ConstructKind.DECREMENTATION, ConstructKind.ARITHMETIC_INFIX_OP
 )
+# The counts that the cyclomatic complexity adds to 1 and the short-circuit operators.
+_complexity_counts = itemgetter(
+    ConstructKind.IF_CONDITION, ConstructKind.LOOP, ConstructKind.SWITCH_CASE_BLOCK,
+    ConstructKind.CATCH_CLAUSE, ConstructKind.TERNARY_OPERATION,
+)
 
 
-@dataclass(frozen=True)
-class RawMetrics:
-    """Raw per-method metric values; derived sums are recomputed, never stored.
-
-    construct_counts holds one int per ConstructKind, in ConstructKind order,
-    so counts[kind] reads the count of kind.
-    """
-
+class _MetricFields(NamedTuple):
     sloc: int
     cyclomatic_complexity: int
     max_nesting: int
@@ -103,12 +102,25 @@ class RawMetrics:
     unique_variable_ids: int
     construct_counts: tuple[int, ...]
 
-    def __post_init__(self):
-        counts = self.construct_counts
-        if type(counts) is not tuple or len(counts) != N_CONSTRUCT_KINDS:
+
+class RawMetrics(_MetricFields):
+    """Raw per-method metric values; derived sums are recomputed, never stored.
+
+    construct_counts holds one int per ConstructKind, in ConstructKind order,
+    so counts[kind] reads the count of kind.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, sloc, cyclomatic_complexity, max_nesting, max_chaining, unique_variable_ids, construct_counts
+    ):
+        if type(construct_counts) is not tuple or len(construct_counts) != N_CONSTRUCT_KINDS:
             raise TypeError(
-                f"construct_counts must be a tuple of {N_CONSTRUCT_KINDS} counts, got {counts!r}"
+                f"construct_counts must be a tuple of {N_CONSTRUCT_KINDS} counts, got {construct_counts!r}"
             )
+        fields = sloc, cyclomatic_complexity, max_nesting, max_chaining, unique_variable_ids, construct_counts
+        return tuple.__new__(cls, fields)
 
     @property
     def all_conditions(self) -> int:
@@ -119,8 +131,7 @@ class RawMetrics:
         return sum(arithmetic_counts(self.construct_counts))
 
 
-@dataclass(frozen=True)
-class CategoryFlags:
+class CategoryFlags(NamedTuple):
     """Purpose categories; a method may set zero, one, or more flags."""
 
     is_constructor: bool = False
@@ -142,15 +153,34 @@ class _Stmt(NamedTuple):
 _OPERAND_END_KINDS = {"ident", "number", "string", "char"}
 _OPERAND_END_TEXTS = {")", "]", "++", "--", "this", "null", "true", "false", "class"}
 _CAST_FOLLOWERS_TEXTS = {"(", "this", "super", "new", "!", "~", "null", "true", "false"}
+# Keywords that begin a statement or a part of one, and no expression; met
+# inside an expression, they show that the ';' before them is missing.
+_STATEMENT_KEYWORDS = frozenset(
+    """return if else while do for switch case default try catch finally throw break continue
+    synchronized assert""".split()
+)
+# The texts that begin a statement other than a label, a declaration or an expression.
+_STATEMENT_STARTS = _STATEMENT_KEYWORDS - {"else", "case", "default", "catch", "finally"} | {";", "{"}
+# The tokens at which the statement and initializer skips stop to look.
+_STATEMENT_STOPS = frozenset(";()[]{}") | _STATEMENT_KEYWORDS
+_INITIALIZER_STOPS = _STATEMENT_STOPS | {",", "new", "<"}
+# The construct that an operator counts wherever it occurs.
+_OPERATOR_COUNTS = {
+    **dict.fromkeys(ASSIGNMENT_OPS, ConstructKind.ASSIGNMENT),
+    **dict.fromkeys((">", "<=", ">="), ConstructKind.COMPARISON_OPERATOR),
+    "!": ConstructKind.LOGICAL_OPERATOR,
+    "++": ConstructKind.INCREMENTATION,
+    "--": ConstructKind.DECREMENTATION,
+}
+# The operators whose count depends on the tokens around them.
+_CONTEXT_OPERATORS = frozenset(("(", "?", "==", "!=", "<", "&&", "||", "[", "+", "-", "*", "/", "%"))
 # Texts besides identifiers that a type-argument list may hold.
 _TYPE_ARGUMENT_TEXTS = {".", ",", "?", "extends", "super", "[", "]", "&"} | PRIMITIVE_TYPES
 
 
 def scan_method(unit: CompilationUnit, decl: MethodDecl) -> tuple[RawMetrics, CategoryFlags]:
     """Compute raw metrics and category flags for one method declaration."""
-    scanner = _Scanner(unit, decl)
-    scanner.run()
-    return scanner.metrics(), scanner.categories()
+    return _Scanner(unit, decl).run()
 
 
 class _Scanner:
@@ -158,48 +188,49 @@ class _Scanner:
         self.tokens = tokens = unit.tokens
         self.decl = decl
         self.counts = [0] * N_CONSTRUCT_KINDS
-        self.max_depth = 0
-        self.max_chain = 0
-        self.short_circuit = 0
-        self.declared: set[str] = set(decl.param_names)
-        self.var_names: set[str] = set()
-        self.type_idx: set[int] = set()
-        self.label_idx: set[int] = set()
-        self.creation_bracket: set[int] = set()
-        self.cast_close: set[int] = set()
+        self.max_depth = self.max_chain = self.short_circuit = 0
+        self.names: set[str] = set(decl.param_names)  # parameters, locals and variable identifiers
+        # The view indices the expression pass passes over: type tokens,
+        # labels, the '[' of array creations and the ')' of casts.
+        self.skip: set[int] = set()
         self.statements: list[_Stmt] = []
         # The body interior as file index ranges, with nested-type holes cut out.
-        holes = sorted(decl.holes)
-        self.ranges: list[tuple[int, int]] = []
-        start = decl.body_open + 1
-        for hole_start, hole_end in holes:
-            self.ranges.append((start, hole_start))
-            start = hole_end + 1
-        self.ranges.append((start, decl.body_close))
-        # The dense view: the ranges' column slices between sentinels.
-        texts, kinds = [""], [""]
-        for a, b in self.ranges:
-            texts += tokens.texts[a:b]
-            kinds += tokens.kinds[a:b]
-        self.n = len(texts) - 1
-        texts += ("", "")
-        kinds += ("", "")
-        self.texts, self.kinds = texts, kinds
-        if holes:
-            self.partner = match_delimiters(texts)
-        else:
-            self.partner = [0, *unit.partner[start : decl.body_close], 0, 0]
-        # A closer whose opener is not in the view points at or before index 0.
-        if min(map(add, range(1, self.n + 1), self.partner[1 : self.n + 1]), default=1) < 1:
-            i = next(i for i in range(1, self.n + 1) if i + self.partner[i] < 1)
-            raise self._err("unbalanced delimiter in method body", i)
-        self.counts[ConstructKind.ANONYMOUS_CLASS] = sum(1 for a, _ in holes if tokens.texts[a] == "{")
+        start, end, holes = decl.body_open + 1, decl.body_close, decl.holes
         lines = tokens.lines
-        self._sloc = len(
-            set(lines[decl.decl_start : decl.body_open + 1]).union(
-                *(lines[a:b] for a, b in self.ranges), (lines[decl.body_close],)
+        if holes:
+            self.ranges = ranges = []
+            for hole_start, hole_end in sorted(holes):
+                ranges.append((start, hole_start))
+                start = hole_end + 1
+            ranges.append((start, end))
+            # The dense view: the ranges' column slices between sentinels.
+            texts, kinds = [""], [""]
+            for a, b in ranges:
+                texts += tokens.texts[a:b]
+                kinds += tokens.kinds[a:b]
+            texts += ("", "")
+            kinds += ("", "")
+            self.partner = match_delimiters(texts)
+            self.counts[ConstructKind.ANONYMOUS_CLASS] = sum(1 for a, _ in holes if tokens.texts[a] == "{")
+            self._sloc = len(
+                set(lines[decl.decl_start : decl.body_open + 1]).union(
+                    *(lines[a:b] for a, b in ranges), (lines[end],)
+                )
             )
-        )
+        else:
+            self.ranges = ((start, end),)
+            # The view is the body between its braces, which become sentinels.
+            texts, kinds = tokens.texts[start - 1 : end + 2], tokens.kinds[start - 1 : end + 2]
+            self.partner = partner = unit.partner[start - 1 : end + 2]
+            texts[0] = texts[-2] = texts[-1] = kinds[0] = kinds[-2] = kinds[-1] = ""
+            partner[0] = partner[-2] = partner[-1] = 0
+            self._sloc = len(set(lines[decl.decl_start : end + 1]))
+        self.texts, self.kinds = texts, kinds
+        self.n = n = len(texts) - 3
+        # A closer whose opener is not in the view points at or before index 0.
+        if min(map(add, range(1, n + 1), self.partner[1 : n + 1]), default=1) < 1:
+            i = next(i for i in range(1, n + 1) if i + self.partner[i] < 1)
+            raise self._err("unbalanced delimiter in method body", i)
 
     def _err(self, msg: str, i: int) -> JavaParseError:
         """The error at dense index i, located at its token in the file."""
@@ -223,56 +254,44 @@ class _Scanner:
             raise self._err(f"unbalanced {self.texts[i]!r}", i)
         return j
 
-    def run(self) -> None:
+    def run(self) -> tuple[RawMetrics, CategoryFlags]:
+        """Both passes, then the metrics and the category flags."""
+        texts, n = self.texts, self.n
         i = 1
-        while i <= self.n and self.texts[i] != "}":
+        while i <= n and texts[i] != "}":
             i = self._parse_statement(i, 0)
         self._expression_pass()
-
-    def metrics(self) -> RawMetrics:
-        cc = (
-            1
-            + self.counts[ConstructKind.IF_CONDITION]
-            + self.counts[ConstructKind.LOOP]
-            + self.counts[ConstructKind.SWITCH_CASE_BLOCK]
-            + self.counts[ConstructKind.CATCH_CLAUSE]
-            + self.counts[ConstructKind.TERNARY_OPERATION]
-            + self.short_circuit
+        counts, decl, statements = self.counts, self.decl, self.statements
+        metrics = RawMetrics(
+            self._sloc,
+            1 + sum(_complexity_counts(counts)) + self.short_circuit,
+            self.max_depth,
+            self.max_chain,
+            len(self.names),
+            tuple(counts),
         )
-        return RawMetrics(
-            sloc=self._sloc,
-            cyclomatic_complexity=cc,
-            max_nesting=self.max_depth,
-            max_chaining=self.max_chain,
-            unique_variable_ids=len(self.declared | self.var_names),
-            construct_counts=tuple(self.counts),
-        )
-
-    def categories(self) -> CategoryFlags:
-        decl = self.decl
-        single = self.statements[0] if len(self.statements) == 1 else None
-        return CategoryFlags(
-            is_constructor=decl.is_constructor,
-            is_getter=self._is_getter(single),
-            is_setter=self._is_setter(single),
-            is_empty=not self.statements,
-            is_delegation=self._is_delegation(single),
-            is_to_string=(not decl.is_constructor and decl.name == "toString" and not decl.param_types),
+        is_to_string = not decl.is_constructor and decl.name == "toString" and not decl.param_types
+        if len(statements) != 1:
+            return metrics, CategoryFlags(decl.is_constructor, False, False, not statements, False, is_to_string)
+        single = statements[0]
+        return metrics, CategoryFlags(
+            decl.is_constructor,
+            single.kind == "return" and self._is_getter(single),
+            single.kind == "expr" and self._is_setter(single),
+            False,
+            single.kind in ("expr", "return") and self._is_delegation(single),
+            is_to_string,
         )
 
     # -- category helpers --------------------------------------------------
 
-    def _is_getter(self, single: _Stmt | None) -> bool:
-        if single is None or single.kind != "return":
-            return False
+    def _is_getter(self, single: _Stmt) -> bool:
         expr = self.texts[single.start + 1 : single.end - 1]  # between 'return' and ';'
         if len(expr) == 3 and expr[0] == "this" and expr[1] == ".":
             expr = expr[2:]
         return len(expr) == 1 and expr[0] in self.decl.field_names
 
-    def _is_setter(self, single: _Stmt | None) -> bool:
-        if single is None or single.kind != "expr":
-            return False
+    def _is_setter(self, single: _Stmt) -> bool:
         expr = self.texts[single.start : single.end - 1]  # up to ';'
         if len(expr) == 5 and expr[0] == "this" and expr[1] == ".":
             expr = expr[2:]
@@ -283,9 +302,7 @@ class _Scanner:
             and expr[2] in self.decl.param_names
         )
 
-    def _is_delegation(self, single: _Stmt | None) -> bool:
-        if single is None or single.kind not in ("expr", "return"):
-            return False
+    def _is_delegation(self, single: _Stmt) -> bool:
         texts, kinds = self.texts, self.kinds
         i, end = single.start, single.end - 1  # drop ';'
         if single.kind == "return":
@@ -355,22 +372,37 @@ class _Scanner:
         return self._close(i) + 1
 
     def _skip_to_semicolon(self, i: int) -> int:
-        texts = self.texts
-        while i <= self.n:
+        texts, n = self.texts, self.n
+        while i <= n:
             t = texts[i]
-            if t == ";":
+            if t not in _STATEMENT_STOPS:
+                i += 1
+            elif t == ";":
                 return i + 1
-            if t in ("(", "[", "{"):
+            elif t in ("(", "[", "{"):
                 i = self._close(i) + 1
             elif t in (")", "]", "}"):
                 raise self._err("malformed statement", i)
-            else:
-                i += 1
+            else:  # a statement keyword: the ';' before it is missing
+                break
         raise self._err("missing ';'", i - 1)
 
     def _parse_statement(self, i: int, depth: int) -> int:
         texts = self.texts
         t = texts[i]
+        if t not in _STATEMENT_STARTS:  # a label, a local declaration or an expression
+            if self.kinds[i] == "ident" and texts[i + 1] == ":":
+                self.skip.add(i)
+                return self._parse_statement(i + 2, depth)
+            if t in _STATEMENT_KEYWORDS:  # an 'else', 'case', 'catch', ... that no statement takes
+                raise self._err(f"unexpected {t!r}", i)
+            decl_end = self._try_parse_declaration(i)
+            if decl_end is not None:
+                self.statements.append(_Stmt("decl", i, decl_end))
+                return decl_end
+            j = self._skip_to_semicolon(i)
+            self.statements.append(_Stmt("expr", i, j))
+            return j
         if t == ";":
             return i + 1
         if t == "{":
@@ -460,25 +492,15 @@ class _Scanner:
             return j
         if t in ("break", "continue", "assert"):
             if t != "assert" and self.kinds[i + 1] == "ident":
-                self.label_idx.add(i + 1)  # break/continue label, not a variable
+                self.skip.add(i + 1)  # break/continue label, not a variable
             j = self._skip_to_semicolon(i + 1)
             self.statements.append(_Stmt(t, i, j))
             return j
-        if t == "synchronized":
-            self.statements.append(_Stmt("synchronized", i, -1))
-            j = self._skip_parens(i + 1)
-            self._record_scope(depth + 1)
-            return self._parse_block(j, depth + 1)
-        if self.kinds[i] == "ident" and texts[i + 1] == ":":
-            self.label_idx.add(i)
-            return self._parse_statement(i + 2, depth)
-        decl_end = self._try_parse_declaration(i)
-        if decl_end is not None:
-            self.statements.append(_Stmt("decl", i, decl_end))
-            return decl_end
-        j = self._skip_to_semicolon(i)
-        self.statements.append(_Stmt("expr", i, j))
-        return j
+        # The last of _STATEMENT_STARTS: 'synchronized'.
+        self.statements.append(_Stmt("synchronized", i, -1))
+        j = self._skip_parens(i + 1)
+        self._record_scope(depth + 1)
+        return self._parse_block(j, depth + 1)
 
     def _skip_case_label(self, i: int) -> int:
         """Skip a case/default label expression up to and past its ':'."""
@@ -527,8 +549,8 @@ class _Scanner:
                 j = j + 2 if texts[j] == "@" else j + 1
             te = self._skip_type_ref_dense(j)
             if te is not None and self.kinds[te] == "ident" and te + 1 == colon:
-                self.type_idx.update(range(j, te))
-                self.declared.add(texts[te])
+                self.skip.update(range(j, te))
+                self.names.add(texts[te])
             return
         # Classic for: the init clause may be a declaration.
         if texts[start] != ";":
@@ -543,8 +565,8 @@ class _Scanner:
             te = self._skip_type_ref_dense(i)
             if te is None or self.kinds[te] != "ident":
                 return  # not a resource declaration shape; leave to expr pass
-            self.type_idx.update(range(i, te))
-            self.declared.add(texts[te])
+            self.skip.update(range(i, te))
+            self.names.add(texts[te])
             i = te + 1
             depth = 0
             while i < close:
@@ -566,12 +588,12 @@ class _Scanner:
             te = self._skip_type_ref_dense(i)
             if te is None:
                 return
-            self.type_idx.update(range(i, te))
+            self.skip.update(range(i, te))
             if self.texts[te] == "|":
                 i = te + 1
                 continue
             if self.kinds[te] == "ident":
-                self.declared.add(self.texts[te])
+                self.names.add(self.texts[te])
             return
 
     def _skip_type_ref_dense(self, i: int) -> int | None:
@@ -624,15 +646,15 @@ class _Scanner:
         nxt = texts[te + 1]
         if nxt not in ("=", ";", ",") and not (nxt == "[" and texts[te + 2] == "]"):
             return None
-        self.type_idx.update(range(i, te))
+        self.skip.update(range(i, te))
         j = te
         while True:
             if kinds[j] != "ident":
                 raise self._err("malformed declaration", j)
-            self.declared.add(texts[j])
+            self.names.add(texts[j])
             j += 1
             while texts[j] == "[" and texts[j + 1] == "]":
-                self.type_idx.update((j, j + 1))
+                self.skip.update((j, j + 1))
                 j += 2
             if texts[j] == "=":
                 j = self._skip_initializer(j + 1, stop)
@@ -651,12 +673,14 @@ class _Scanner:
         end = self.n + 1 if stop is None else min(stop, self.n + 1)
         while i < end:
             t = texts[i]
-            if t in (",", ";"):
+            if t not in _INITIALIZER_STOPS:
+                i += 1
+            elif t in (",", ";", ")", "]", "}"):
                 return i
-            if t in ("(", "[", "{"):
+            elif t in ("(", "[", "{"):
                 i = self._close(i) + 1
-            elif t in (")", "]", "}"):
-                return i
+            elif t in _STATEMENT_KEYWORDS:
+                raise self._err("missing ';'", i - 1)
             elif t == "new":
                 # Protect generic-argument commas of the creation's type.
                 te = self._skip_type_ref_dense(i + 1)
@@ -672,20 +696,18 @@ class _Scanner:
 
     def _expression_pass(self) -> None:
         chain_at_close: dict[int, int] = {}
-        texts, kinds = self.texts, self.kinds
-        counts = self.counts
+        texts, kinds, counts, skip, names = self.texts, self.kinds, self.counts, self.skip, self.names
         n = self.n
         i = 1
         while i <= n:
-            if i in self.type_idx or i in self.label_idx:
+            if i in skip:
                 i += 1
                 continue
             t = texts[i]
             kind = kinds[i]
-            prev = texts[i - 1]
-            nxt = texts[i + 1]
             if kind == "ident":
-                if nxt == "(" and prev != "@":
+                prev = texts[i - 1]
+                if texts[i + 1] == "(" and prev != "@":
                     counts[ConstructKind.METHOD_INVOCATION] += 1
                     chain = 1
                     if prev == "." and texts[i - 2] == ")" and (i - 2) in chain_at_close:
@@ -693,9 +715,9 @@ class _Scanner:
                     chain_at_close[self._close(i + 1)] = chain
                     if chain > self.max_chain:
                         self.max_chain = chain
-                elif prev not in (".", "::", "@"):
-                    if (t[0].islower() or t[0] in "_$") and not self._package_like(i):
-                        self.var_names.add(t)
+                elif prev not in (".", "::", "@") and t not in names:
+                    if (t[0].islower() or t[0] in "_$") and (texts[i + 1] != "." or not self._package_like(i)):
+                        names.add(t)
                 i += 1
                 continue
             if kind == "string":
@@ -706,7 +728,7 @@ class _Scanner:
                 if t == "new":
                     i = self._scan_creation_expr(i)
                     continue
-                if t in ("this", "super") and nxt == "(":
+                if t in ("this", "super") and texts[i + 1] == "(":
                     counts[ConstructKind.METHOD_INVOCATION] += 1
                     if self.max_chain < 1:
                         self.max_chain = 1
@@ -714,57 +736,50 @@ class _Scanner:
                     counts[ConstructKind.INSTANCEOF_EXPRESSION] += 1
                     te = self._skip_type_ref_dense(i + 1)
                     if te is not None:
-                        self.type_idx.update(range(i + 1, te))
+                        skip.update(range(i + 1, te))
                 elif t == "null":
                     counts[ConstructKind.NULL_LITERAL] += 1
                 i += 1
                 continue
-            # Operators and punctuation.
-            if t == "(" and self._is_cast(i):
-                counts[ConstructKind.CAST_EXPRESSION] += 1
-                close = i + self.partner[i]
-                self.type_idx.update(range(i + 1, close))
-                self.cast_close.add(close)
+            # Operators and punctuation; most count whatever their context.
+            counted = _OPERATOR_COUNTS.get(t)
+            if counted is not None:
+                counts[counted] += 1
+            elif t not in _CONTEXT_OPERATORS:
+                pass
+            elif t == "(":
+                if self._is_cast(i):
+                    counts[ConstructKind.CAST_EXPRESSION] += 1
+                    close = i + self.partner[i]
+                    skip.update(range(i + 1, close + 1))
             elif t == "?":
-                if prev not in ("<", ","):
+                if texts[i - 1] not in ("<", ","):
                     counts[ConstructKind.TERNARY_OPERATION] += 1
-            elif t in ("==", "!="):
+            elif t == "==" or t == "!=":
                 counts[ConstructKind.COMPARISON_OPERATOR] += 1
-                if prev == "null" or nxt == "null":
+                if texts[i - 1] == "null" or texts[i + 1] == "null":
                     counts[ConstructKind.NULL_CHECK] += 1
             elif t == "<":
-                if prev == ".":
+                if texts[i - 1] == ".":
                     skipped = self._skip_generic_dense(i)
                     if skipped is not None:
-                        self.type_idx.update(range(i, skipped))
+                        skip.update(range(i, skipped))
                         i = skipped
                         continue
                 counts[ConstructKind.COMPARISON_OPERATOR] += 1
-            elif t in (">", "<=", ">="):
-                counts[ConstructKind.COMPARISON_OPERATOR] += 1
-            elif t in ("&&", "||"):
+            elif t == "&&" or t == "||":
                 counts[ConstructKind.LOGICAL_OPERATOR] += 1
                 self.short_circuit += 1
-            elif t == "!":
-                counts[ConstructKind.LOGICAL_OPERATOR] += 1
-            elif t in ASSIGNMENT_OPS:
-                counts[ConstructKind.ASSIGNMENT] += 1
-            elif t == "++":
-                counts[ConstructKind.INCREMENTATION] += 1
-            elif t == "--":
-                counts[ConstructKind.DECREMENTATION] += 1
-            elif t in ("+", "-", "*", "/", "%"):
-                operand_before = kinds[i - 1] in _OPERAND_END_KINDS or prev in _OPERAND_END_TEXTS
-                if operand_before and (i - 1) not in self.type_idx and (i - 1) not in self.cast_close:
-                    counts[ConstructKind.ARITHMETIC_INFIX_OP] += 1
             elif t == "[":
                 if (
-                    i not in self.creation_bracket
-                    and nxt != "]"
-                    and (kinds[i - 1] in ("ident", "string") or prev in (")", "]"))
-                    and (i - 1) not in self.type_idx
+                    texts[i + 1] != "]"
+                    and (kinds[i - 1] in ("ident", "string") or texts[i - 1] in (")", "]"))
+                    and (i - 1) not in skip
                 ):
                     counts[ConstructKind.ARRAY_ACCESS] += 1
+            elif kinds[i - 1] in _OPERAND_END_KINDS or texts[i - 1] in _OPERAND_END_TEXTS:  # + - * / %
+                if (i - 1) not in skip:
+                    counts[ConstructKind.ARITHMETIC_INFIX_OP] += 1
             i += 1
 
     def _package_like(self, i: int) -> bool:
@@ -785,12 +800,12 @@ class _Scanner:
         te = self._skip_type_ref_dense(j)
         if te is None:
             return i + 1
-        self.type_idx.update(range(j, te))
+        self.skip.update(range(j, te))
         if self.texts[te] == "[":
             self.counts[ConstructKind.ARRAY_CREATION] += 1
             k = te
             while self.texts[k] == "[":
-                self.creation_bracket.add(k)
+                self.skip.add(k)
                 k = self._close(k) + 1
         elif self.texts[te] == "(":
             self.counts[ConstructKind.OBJECT_CREATION] += 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, count
+from typing import NamedTuple
 
 from lowrisk.errors import JavaParseError
 from lowrisk.java.tokens import MODIFIERS, PRIMITIVE_TYPES, Tokens, tokenize
@@ -28,6 +29,8 @@ _TYPE_KEYWORDS = {"class", "interface", "enum"}
 _PRIMITIVE_OR_VOID = PRIMITIVE_TYPES | {"void"}
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = frozenset("()[]{}")
+# The tokens that may begin a local class declaration.
+_LOCAL_CLASS_STARTS = frozenset(("class", "final", "abstract", "strictfp", "@"))
 
 
 def match_delimiters(texts: list[str]) -> list[int]:
@@ -69,8 +72,7 @@ def match_delimiters(texts: list[str]) -> list[int]:
     return partner
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+class MethodDecl(NamedTuple):
     """One method or constructor declaration with a body."""
 
     type_chain: tuple[str, ...]
@@ -467,12 +469,15 @@ class CompilationUnit:
                 if nxt > i + 1:
                     i = nxt
                     continue
-            elif t == "class" and local_classes and texts[i - 1] != ".":
-                # Local class declaration inside a code block.
-                start = i
-                i = self._parse_type_decl(i, chain)
-                region.holes.append((start, i - 1))
-                continue
+            elif t in _LOCAL_CLASS_STARTS and local_classes and texts[i - 1] != ".":
+                # A local class declaration inside a code block; its hole
+                # starts at its first modifier or annotation.
+                j = self._skip_annotations_and_modifiers(i)
+                if texts[j] == "class":
+                    start = i
+                    i = self._parse_type_decl(j, chain)
+                    region.holes.append((start, i - 1))
+                    continue
             elif t == "->":
                 region.has_lambda = True
             i += 1

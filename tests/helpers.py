@@ -57,12 +57,15 @@ def make_record(
     )
 
 
+def from_analyzed(methods, faulty=False) -> list[MethodRecord]:
+    """The metric records of analyzed methods, all current or all faulty."""
+    snapshot = Snapshot.FAULTY if faulty else Snapshot.CURRENT
+    return [MethodRecord(*m, faulty=faulty, snapshot=snapshot) for m in methods]
+
+
 def make_unified(record_or_records, faulty=None) -> UnifiedMethod:
-    records = (
-        list(record_or_records)
-        if isinstance(record_or_records, (list, tuple))
-        else [record_or_records]
-    )
+    # A record is a tuple itself, so only a record is taken as one.
+    records = [record_or_records] if isinstance(record_or_records, MethodRecord) else list(record_or_records)
     if faulty is None:
         faulty = records[0].faulty
     return UnifiedMethod(records[0].identity, faulty, tuple(records))

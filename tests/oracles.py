@@ -5,10 +5,12 @@ rule enumeration scans the full antecedent power set with direct counting,
 redundancy filtering is the naive pairwise check, and prefix selection
 recomputes every prefix from scratch. The kNN and itemization oracles are
 the earlier O(m^2) neighbor sort and bool-tuple item construction, kept as
-references for the mask-based implementations. The CSV oracle is the earlier
+references for the mask-based implementations. The CSV oracles are the earlier
 field-by-field reader of metric records, kept as the reference for
-read_csv's columnar fast path; the record-based unification
-(consolidate_faulty, unify, build_unified_records) and the tertile fit over
+read_csv's columnar fast path, and the earlier string-per-field row builder
+(reference_row), kept as the reference for write_csv's rows; the
+record-based unification (consolidate_faulty, unify, build_unified_records)
+and the tertile fit over
 records (fit_records, which sorts and indexes) are the earlier loader and
 fit, kept as the reference for the method table. The eager training
 oracles (eager_mining_set, eager_train_on) are the earlier pipeline that
@@ -359,6 +361,35 @@ def read_csv_per_field(path):
             except ValueError as exc:
                 raise SchemaError(f"row {row_no}: {exc}")
         return records
+
+
+def reference_row(rec):
+    """The CSV row of one metric record, every field formatted as a string."""
+    from lowrisk.java.metrics import CategoryFlags
+
+    def fmt_bool(value):
+        return "true" if value else "false"
+
+    m = rec.metrics
+    row = [
+        rec.identity.project,
+        rec.identity.file_path,
+        rec.identity.type_name,
+        rec.identity.method_name,
+        ";".join(rec.identity.param_signature),
+        rec.snapshot.value,
+        fmt_bool(rec.faulty),
+        str(m.sloc),
+        str(m.cyclomatic_complexity),
+        str(m.max_nesting),
+        str(m.max_chaining),
+        str(m.unique_variable_ids),
+    ]
+    row.extend(map(str, m.construct_counts))
+    row.append(str(m.all_conditions))
+    row.append(str(m.all_arithmetic))
+    row.extend(fmt_bool(getattr(rec.categories, f)) for f in CategoryFlags.FIELDS)
+    return row
 
 
 def consolidate_faulty(records):

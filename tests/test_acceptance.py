@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_vocabulary, classes
+from helpers import as_vocabulary, classes, from_analyzed
 from oracles import (
     as_rule_set,
     brute_force_prune,
@@ -25,7 +25,7 @@ from oracles import (
 )
 from lowrisk.balance import BalanceConfig, balance
 from lowrisk.classifier import Variant, order_rules, select_prefix
-from lowrisk.dataset import from_analyzed, record_to_row
+from lowrisk.dataset import write_csv
 from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask, tertile_bounds
 from lowrisk.errors import NoAdmissibleRulesWarning
 from lowrisk.evaluation import (
@@ -248,16 +248,22 @@ def test_c5_prefix_selection_against_oracle():
 # -- criterion 6: golden metric extraction -------------------------------------
 
 
-def test_c6_golden_metric_extraction(corpus_dir, golden_csv):
+def test_c6_golden_metric_extraction(corpus_dir, golden_csv, tmp_path):
     import csv as csv_mod
 
-    with open(golden_csv, newline="", encoding="utf-8") as fh:
-        reader = csv_mod.reader(fh)
-        next(reader)
-        golden_rows = list(reader)
+    def rows_of(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv_mod.reader(fh)
+            next(reader)
+            return list(reader)
+
+    golden_rows = rows_of(golden_csv)
     methods, _ = analyze_project(corpus_dir, "corpus")
-    actual_rows = [record_to_row(r) for r in from_analyzed(methods)]
+    out = tmp_path / "metrics.csv"
+    write_csv(from_analyzed(methods), out)
+    actual_rows = rows_of(out)
     ok = actual_rows == golden_rows
+    ok = ok and out.read_bytes().replace(b"\r\n", b"\n") == golden_csv.read_bytes()
     chain_values = {row[10] for row in actual_rows}
     ok = ok and {"2", "3"} <= chain_values and len(golden_rows) >= 30
     report(

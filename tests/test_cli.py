@@ -113,9 +113,11 @@ class TestExtract:
         (root / "Broken.java").write_text("class Broken {\n  void f() {\n    foo(;\n  }\n}\n", encoding="utf-8")
         out = tmp_path / "m.csv"
         assert run(["extract", "--root", root, "--project", "corpus", "--out", out, "--jobs", "1"]) == 0
-        assert "skipped (parse error): Broken.java: Broken.java:3:8: unbalanced '('" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "skipped (parse error): Broken.java:3:8: unbalanced '('\n" in err
+        assert err.count("Broken.java") == 1
         sidecar = json.loads(out.with_name(out.name + ".run.json").read_text())
-        assert sidecar["parse_failures"] == [["Broken.java", "Broken.java:3:8: unbalanced '('"]]
+        assert sidecar["parse_failures"] == [["Broken.java", "3:8: unbalanced '('"]]
         assert out.read_text(encoding="utf-8") == golden_csv.read_text(encoding="utf-8")
 
     def test_labels_mark_methods_faulty(self, tmp_path):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_metrics, make_record, make_unified, table_of
+from helpers import make_identity, make_metrics, make_record, make_unified, table_of
 from oracles import (
     build_unified_records,
     consolidate_faulty,
     fit_records,
     itemize_records,
     read_csv_per_field,
+    reference_row,
     unify,
 )
 from lowrisk.dataset import (
@@ -160,6 +161,26 @@ class TestCsv:
         ]
         path = tmp_path / "data.csv"
         write_csv(records, path)
+        assert read_csv_per_field(path) == records
+        assert rows_view(read_csv(path)) == records_view(records)
+
+    def test_rows_equal_the_reference_rows(self, tmp_path):
+        """write_csv's bytes equal the csv-written rows of the string-per-field
+        reference, and both readers read the records back."""
+        rng = random.Random(12)
+        records = [_writer_record(rng) for _ in range(500)]
+        assert {r.faulty for r in records} == {True, False}
+        assert {r.snapshot for r in records} == set(Snapshot)
+        assert {len(r.identity.param_signature) for r in records} == {0, 1, 3}
+        for field in CategoryFlags.FIELDS:
+            assert {getattr(r.categories, field) for r in records} == {True, False}
+        counts = {c for r in records for c in r.metrics.construct_counts}
+        assert {0, 2**63 - 1} <= counts
+        path, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
+        write_csv(records, path)
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([CSV_HEADER] + [reference_row(r) for r in records])
+        assert path.read_bytes() == reference.read_bytes()
         assert read_csv_per_field(path) == records
         assert rows_view(read_csv(path)) == records_view(records)
 
@@ -397,6 +418,26 @@ def _random_records(rng, project):
             records.extend(record(True) for _ in range(rng.choice([1, 2, 3])))
     rng.shuffle(records)
     return records
+
+
+def _writer_record(rng):
+    """A record with a random field of each shape write_csv meets: names that
+    need quoting, signatures of 0, 1 or 3 types, counts and metrics from 0 to
+    2**63 - 1, every flag either way, current and faulty records."""
+    names = ["m", "a,b", 'say "hi"', "two words", "naïve", "x\ny"]
+    flags = CategoryFlags(*(rng.random() < 0.5 for _ in CategoryFlags.FIELDS))
+    big = [0, 1, rng.randint(2, 10**6), 2**63 - 1]
+    identity = make_identity(
+        rng.choice(names), project=rng.choice(["p", "p,q"]), file_path=rng.choice(["A.java", "a b/C.java"]),
+        type_name=rng.choice(names), params=rng.choice([(), ("int",), ("int", "List<K,V>", "String[]")]),
+    )._replace(is_constructor=flags.is_constructor)
+    metrics = make_metrics(
+        sloc=rng.choice(big), cc=rng.choice(big), nesting=rng.choice(big), chaining=rng.choice(big),
+        variables=rng.choice(big), **{k.column: rng.choice(big) for k in ConstructKind},
+    )
+    faulty = rng.random() < 0.3
+    snapshot = Snapshot.FAULTY if faulty or rng.random() < 0.2 else Snapshot.CURRENT
+    return MethodRecord(identity, metrics, flags, faulty, snapshot)
 
 
 def _pad_booleans(rng, header, rows):

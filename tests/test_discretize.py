@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 import random
 
-from helpers import fit_on, itemize_one, make_metrics, make_record, make_unified, table_of
+from helpers import fit_on, from_analyzed, itemize_one, make_metrics, make_record, make_unified, table_of
 from oracles import bools_to_mask, fit_records, itemize_bool_tuple
-from lowrisk.dataset import from_analyzed
 from lowrisk.discretize import (
     ATTRIBUTE_ITEMS,
     VOCABULARY,
@@ -249,7 +248,7 @@ def test_construct_counts_must_be_a_tuple_of_every_kind():
     counts = metrics.construct_counts
     assert len(counts) == len(ConstructKind)
     assert counts[ConstructKind.LOOP] == 2 and counts[ConstructKind.IF_CONDITION] == 1
-    fields = dict(metrics.__dict__)
+    fields = metrics._asdict()
     for bad in (counts[:-1], counts + (0,), (), list(counts), dict(zip(ConstructKind, counts)), None):
         with pytest.raises(TypeError, match="construct_counts"):
             RawMetrics(**{**fields, "construct_counts": bad})

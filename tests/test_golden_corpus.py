@@ -4,7 +4,8 @@ examples, all construct kinds, and all six categories."""
 
 import csv
 
-from lowrisk.dataset import CSV_HEADER, from_analyzed, record_to_row
+from helpers import from_analyzed
+from lowrisk.dataset import CSV_HEADER, write_csv
 from lowrisk.java.analyzer import analyze_project
 from lowrisk.java.metrics import ConstructKind
 
@@ -16,14 +17,19 @@ def load_golden(path):
         return header, list(reader)
 
 
-def test_golden_corpus_matches_exactly(corpus_dir, golden_csv):
+def test_golden_corpus_matches_exactly(corpus_dir, golden_csv, tmp_path):
     header, golden_rows = load_golden(golden_csv)
     assert header == CSV_HEADER
     methods, report = analyze_project(corpus_dir, "corpus")
-    actual_rows = [record_to_row(r) for r in from_analyzed(methods)]
+    out = tmp_path / "metrics.csv"
+    write_csv(from_analyzed(methods), out)
+    written_header, actual_rows = load_golden(out)
+    assert written_header == CSV_HEADER
     assert len(actual_rows) == len(golden_rows)
     for got, expected in zip(actual_rows, golden_rows):
         assert got == expected, f"row for {expected[:5]} diverges"
+    # The csv module ends rows with CRLF, the golden file with LF.
+    assert out.read_bytes().replace(b"\r\n", b"\n") == golden_csv.read_bytes()
     assert not report.parse_failures
 
 

@@ -46,6 +46,24 @@ def test_scanner_errors_carry_file_line_and_column():
     assert str(err.value) == "A.java:4:3: malformed declaration"
 
 
+@pytest.mark.parametrize(
+    "source, text",
+    [
+        # A declaration without its ';' before a return statement.
+        ("class A { int f() { int x = 1\n return x; } }", "A.java:1:29: missing ';'"),
+        # An expression statement without its ';' before a return statement.
+        ("class A { int f() { g()\n return 1; } }", "A.java:1:23: missing ';'"),
+        ("class A { void f() { x = 1\n if (x > 0) g(); } }", "A.java:1:26: missing ';'"),
+        ("class A { void f() { if (a) { } else { } else g(); } }", "A.java:1:42: unexpected 'else'"),
+    ],
+)
+def test_a_statement_keyword_inside_a_statement_is_a_missing_semicolon(source, text):
+    with pytest.raises(JavaParseError) as err:
+        analyze_source(source, "A.java")
+    e = err.value
+    assert (str(e), e.file_path, e.line, e.col) == (text, "A.java", *map(int, text.split(":")[1:3]))
+
+
 def test_crossed_delimiters_in_a_body_are_a_parse_error():
     for body in ("a[(];", "f([)];", "x = a);", "y = b];"):
         with pytest.raises(JavaParseError, match="unbalanced delimiter in method body"):

@@ -55,6 +55,12 @@ class TestChaining:
 
 
 class TestBasics:
+    def test_statements_after_a_modified_local_class_are_counted(self):
+        m = single_method("final class L { int g() { return 1; } } if (ok()) { return; } return;",
+                          prelude="boolean ok() { return true; }")
+        assert count(m, ConstructKind.RETURN_STATEMENT) == 2
+        assert count(m, ConstructKind.IF_CONDITION) == 1
+
     def test_local_declaration_and_cc(self):
         m = single_method("int x = 1; return x;")
         assert m.metrics.unique_variable_ids == 1

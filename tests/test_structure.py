@@ -99,6 +99,24 @@ def test_local_class_inside_method():
     assert ("A.Local", "inner") in names(src)
 
 
+def test_a_local_class_hole_starts_at_its_modifiers():
+    src = """
+    class A {
+        int outer() {
+            @Deprecated final class Local {
+                int inner() { return 1; }
+            }
+            abstract class Base { }
+            return 2;
+        }
+    }
+    """
+    outer = next(d for d in methods_of(src) if d.name == "outer")
+    unit = parse_compilation_unit(src, "T.java")
+    assert [(unit.texts[a], unit.texts[b]) for a, b in outer.holes] == [("@", "}"), ("abstract", "}")]
+    assert ("A.Local", "inner") in names(src)
+
+
 def test_enum_constant_body_methods():
     src = """
     enum E {
