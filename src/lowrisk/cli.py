@@ -19,8 +19,10 @@ from lowrisk import dataset as ds
 from lowrisk.classifier import Variant
 from lowrisk.errors import LowriskError
 from lowrisk.evaluation import (
+    REPORT_FORMATS,
     PredictionDump,
     _predict,
+    check_report_formats,
     emit_report,
     evaluate_cross_project,
     evaluate_within_project,
@@ -220,20 +222,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
 # -- evaluate ----------------------------------------------------------------
 
 
-def _eval_within_worker(item):
-    name, methods, config = item
-    reports, dump = evaluate_within_project(methods, name, config)
+def _eval_worker(item):
+    """One project's evaluation: `evaluate` is evaluate_within_project or
+    evaluate_cross_project, which take the same arguments."""
+    evaluate, table, name, config = item
+    reports, dump = evaluate(table, name, config)
     return name, list(reports.values()), dump
-
-
-def _eval_cross_worker(item):
-    table, target, config = item
-    reports, dump = evaluate_cross_project(table, target, config)
-    return target, list(reports.values()), dump
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
+    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
+    check_report_formats(formats)
     table = _load_projects(args.csv)
     spans = table.projects()
     if args.mode == "cross" and len(spans) < 2:
@@ -241,22 +241,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
     names = sorted(spans)
     if args.mode == "within":
-        items = [(name, table.take(spans[name]).own_rows(), config) for name in names]
-        worker = _eval_within_worker
+        items = [(evaluate_within_project, table.take(spans[name]).own_rows(), name, config) for name in names]
     else:
-        items = [(table, target, config) for target in names]
-        worker = _eval_cross_worker
-    results = []
+        items = [(evaluate_cross_project, table, target, config) for target in names]
     if args.jobs > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(worker, items))
+            results = list(pool.map(_eval_worker, items))
     else:
-        results = [worker(item) for item in items]
+        results = [_eval_worker(item) for item in items]
     results.sort(key=lambda r: r[0])
     reports = [rep for _, reps, _ in results for rep in reps]
 
     out_dir = Path(args.out_dir)
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
     written = emit_report(reports, out_dir, mode=args.mode, config=config, formats=formats)
     if args.dump_predictions:
         dump_path = out_dir / "predictions.csv"
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv", nargs="+", type=Path, help="labeled metrics CSV(s)")
     p.add_argument("--mode", choices=["within", "cross"], required=True)
     p.add_argument("--out-dir", required=True, type=Path)
-    p.add_argument("--formats", default="csv,json", help="comma list: csv,json,markdown-table")
+    p.add_argument("--formats", default="csv,json", help="comma list of " + ",".join(REPORT_FORMATS))
     p.add_argument("--dump-predictions", action="store_true")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_config_flags(p)

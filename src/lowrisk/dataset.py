@@ -15,15 +15,14 @@ index; a training set is `table.take(indices)`.
 used by `extract`, `write_csv`, the synthetic generator and library callers.
 Both are named tuples, as are the identity, metrics and flags they hold, so
 building, sorting and pickling them runs in C. `write_csv` is the only CSV
-writer; it hands the ints of each row to one `writerows` call. The public
-training and evaluation entry points turn a `UnifiedMethod` list into a
-table once, with `as_table`.
+writer; it hands the ints of each row to one `writerows` call. The
+evaluators take a table only; `train_on` also takes a `UnifiedMethod` list,
+which `MethodTable.from_methods` turns into a table in list order.
 """
 
 from __future__ import annotations
 
 import csv
-import statistics
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -73,12 +72,6 @@ class UnifiedMethod(NamedTuple):
     identity: MethodIdentity
     faulty: bool
     occurrences: tuple[MethodRecord, ...]
-
-    @property
-    def sloc(self) -> int:
-        # Upper median keeps single-occurrence methods exact and resolves
-        # even-count ties consistently with the class-vote tie rule.
-        return statistics.median_high([r.metrics.sloc for r in self.occurrences])
 
 
 # -- the columnar table ----------------------------------------------------
@@ -147,7 +140,10 @@ class _Spans(Sequence):
 
 
 def _upper_median(column: Sequence[int], rows: Sequence[int]) -> int:
-    """statistics.median_high of the column over the rows."""
+    """statistics.median_high of the column over the rows.
+
+    The upper median keeps single-occurrence methods exact and resolves
+    even-count ties consistently with the class-vote tie rule."""
     if len(rows) == 1:
         return column[rows[0]]
     return sorted(map(column.__getitem__, rows))[len(rows) // 2]
@@ -263,11 +259,6 @@ class MethodTable:
         )
 
 
-def as_table(methods: Sequence[UnifiedMethod] | MethodTable) -> MethodTable:
-    """A MethodTable as it is, or the table of a unified method list."""
-    return methods if isinstance(methods, MethodTable) else MethodTable.from_methods(methods)
-
-
 def build_unified(rows: Rows) -> MethodTable:
     """Group rows into unified methods, in identity order.
 
@@ -348,10 +339,6 @@ def write_csv(records: Iterable[MethodRecord], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         writer.writerows(_rows(records))
-
-
-def write_unified_csv(methods: Iterable[UnifiedMethod], path: str | Path) -> None:
-    write_csv((rec for u in methods for rec in u.occurrences), path)
 
 
 def _parse_count(row_no: int, column: str, value: str) -> int:

@@ -5,12 +5,15 @@ training data only; the held-out partition is itemized with the training
 fold's discretization model. Per-project numbers are computed on the pooled
 held-out predictions; per-fold numbers are additionally reported.
 
-Both evaluators read a `MethodTable`: folds and cross-project training sets
-are lists of method indices into it, and scoring reads its fault flags and
-SLOC by index. A unified method list (or a mapping of them) is turned into
-a table on entry. Held-out methods are itemized into masks and matched
+Both evaluators take a `MethodTable` only: folds and cross-project training
+sets are lists of method indices into it, cross-project prediction reads
+each project's index range from it, and scoring reads its fault flags and
+SLOC by index. Held-out methods are itemized into masks and matched
 against the rule antecedent masks. A prediction dump keeps method and
-matched rule indices; its CSV rows are built only when it is written.
+matched rule indices; its CSV rows are built only when it is written. The
+report's per-variant median and mean are computed once as numbers and
+formatted for each output: `_fmt` for the CSV and Markdown tables,
+`_json_number` for report.json.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from lowrisk.classifier import LfrClassifier, Variant
-from lowrisk.dataset import MethodTable, UnifiedMethod, as_table
+from lowrisk.dataset import MethodTable
 from lowrisk.discretize import DiscretizationModel, itemize
 from lowrisk.errors import TooFewMinorityError
 from lowrisk.pipeline import PipelineConfig, derive_seed, train_on
@@ -47,8 +50,13 @@ def compute_fdr(lfr_fraction: float, matched_fault_fraction: float) -> float:
     return lfr_fraction / matched_fault_fraction
 
 
-def _kfold_indices(is_faulty: Sequence[bool], k: int, seed: int) -> list[list[int]]:
-    """stratified_kfold over method indices, given each method's fault flag."""
+def stratified_kfold(is_faulty: Sequence[bool], k: int = 10, seed: int = 0) -> list[list[int]]:
+    """Split method indices into k partitions preserving the faulty/non-faulty
+    ratio, given each method's fault flag.
+
+    Partition sizes differ by at most one, and so do per-partition faulty
+    counts; deterministic given the seed.
+    """
     faulty = [i for i, f in enumerate(is_faulty) if f]
     clean = [i for i, f in enumerate(is_faulty) if not f]
     if len(faulty) < k or len(clean) < k:
@@ -66,18 +74,6 @@ def _kfold_indices(is_faulty: Sequence[bool], k: int, seed: int) -> list[list[in
     for i, m in enumerate(clean):
         folds[(offset + i) % k].append(m)
     return folds
-
-
-def stratified_kfold(
-    methods: Sequence[UnifiedMethod], k: int = 10, seed: int = 0
-) -> list[list[UnifiedMethod]]:
-    """Split into k partitions preserving the faulty/non-faulty ratio.
-
-    Partition sizes differ by at most one, and so do per-partition faulty
-    counts; deterministic given the seed.
-    """
-    folds = _kfold_indices([m.faulty for m in methods], k, seed)
-    return [[methods[i] for i in fold] for fold in folds]
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,6 @@ def score_predictions(
 class ProjectReport:
     project: str
     variant: Variant
-    mode: str  # "within" | "cross"
     pooled: ScopeMetrics
     folds: tuple[ScopeMetrics, ...] = ()
 
@@ -231,11 +226,10 @@ def _lfr(matched: list[int | None]) -> list[bool]:
 
 
 def evaluate_within_project(
-    methods: Sequence[UnifiedMethod] | MethodTable, project: str, config: PipelineConfig
+    table: MethodTable, project: str, config: PipelineConfig
 ) -> tuple[dict[Variant, ProjectReport], PredictionDump]:
-    """Stratified k-fold evaluation of both variants on one project."""
-    table = as_table(methods)
-    folds = _kfold_indices(table.faulty, config.folds, derive_seed(config.seed, "kfold", project))
+    """Stratified k-fold evaluation of both variants on one project's table."""
+    folds = stratified_kfold(table.faulty, config.folds, derive_seed(config.seed, "kfold", project))
     pooled: dict[Variant, list[int | None]] = {v: [] for v in Variant}
     fold_metrics = {v: [] for v in Variant}
     dump = PredictionDump(table)
@@ -263,7 +257,6 @@ def evaluate_within_project(
         reports[variant] = ProjectReport(
             project=project,
             variant=variant,
-            mode="within",
             pooled=score_predictions(
                 table,
                 held_out_order,
@@ -276,30 +269,14 @@ def evaluate_within_project(
     return reports, dump
 
 
-def _as_projects(
-    datasets: Mapping[str, Sequence[UnifiedMethod]] | MethodTable,
-) -> tuple[MethodTable, dict[str, range]]:
-    """One table and the method index range of each project in it."""
-    if isinstance(datasets, MethodTable):
-        return datasets, datasets.projects()
-    spans, start = {}, 0
-    for name in sorted(datasets):
-        spans[name] = range(start, start + len(datasets[name]))
-        start = spans[name].stop
-    return MethodTable.from_methods([m for name in spans for m in datasets[name]]), spans
-
-
 def evaluate_cross_project(
-    datasets: Mapping[str, Sequence[UnifiedMethod]] | MethodTable,
-    target: str,
-    config: PipelineConfig,
+    table: MethodTable, target: str, config: PipelineConfig
 ) -> tuple[dict[Variant, ProjectReport], PredictionDump]:
     """Train once on the union of all other projects, evaluate on the target.
 
-    `datasets` maps project names to unified method lists, or is a table in
-    identity order holding every project.
+    `table` holds every project, in identity order.
     """
-    table, spans = _as_projects(datasets)
+    spans = table.projects()
     if target not in spans:
         raise ValueError(f"target project {target!r} not among the datasets")
     if len(spans) < 2:
@@ -315,7 +292,6 @@ def evaluate_cross_project(
         reports[variant] = ProjectReport(
             project=target,
             variant=variant,
-            mode="cross",
             pooled=score_predictions(
                 table,
                 target_methods,
@@ -334,6 +310,16 @@ _SUMMARY_FIELDS = [f.name for f in fields(ScopeMetrics) if f.name not in ("scope
 
 REPORT_HEADER = ["project", "variant"] + _SUMMARY_FIELDS + ["fdr_flag"]
 
+# The formats emit_report writes, and the file each is written to.
+REPORT_FORMATS = {"csv": "report.csv", "json": "report.json", "markdown-table": "report.md"}
+
+
+def check_report_formats(formats: Sequence[str]) -> None:
+    """ValueError naming the first format that emit_report cannot write."""
+    for fmt in formats:
+        if fmt not in REPORT_FORMATS:
+            raise ValueError(f"unknown report format {fmt!r}")
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -351,19 +337,15 @@ def _metric_row(project: str, variant: str, sm: ScopeMetrics) -> list[str]:
     )
 
 
-def _summary_rows(reports: Sequence[ProjectReport]) -> list[list[str]]:
-    rows = []
+def _summary(reports: Sequence[ProjectReport]) -> Iterator[tuple[str, str, list]]:
+    """(label, variant, values): the median and the mean of each summary
+    field over the pooled metrics of each variant's projects."""
     for variant in Variant:
         group = [r.pooled for r in reports if r.variant is variant]
         if not group:
             continue
         for label, agg in (("median", statistics.median), ("mean", statistics.mean)):
-            values = [label, variant.value]
-            for name in _SUMMARY_FIELDS:
-                values.append(_fmt(agg([getattr(sm, name) for sm in group])))
-            values.append("")
-            rows.append(values)
-    return rows
+            yield label, variant.value, [agg([getattr(sm, name) for sm in group]) for name in _SUMMARY_FIELDS]
 
 
 def _sorted_reports(reports: Sequence[ProjectReport]) -> list[ProjectReport]:
@@ -374,7 +356,8 @@ def report_table(reports: Sequence[ProjectReport]) -> list[list[str]]:
     rows = [REPORT_HEADER]
     for rep in _sorted_reports(reports):
         rows.append(_metric_row(rep.project, rep.variant.value, rep.pooled))
-    rows.extend(_summary_rows(reports))
+    for label, variant, values in _summary(reports):
+        rows.append([label, variant, *map(_fmt, values), ""])
     return rows
 
 
@@ -403,24 +386,12 @@ def report_json(
             )
         entry[rep.variant.value] = item
     summary: dict = {}
-    for row in _summary_rows(reports):
-        label, variant = row[0], row[1]
-        summary.setdefault(variant, {})[label] = {
-            name: _parse_cell(cell) for name, cell in zip(_SUMMARY_FIELDS, row[2:])
-        }
+    for label, variant, values in _summary(reports):
+        summary.setdefault(variant, {})[label] = dict(zip(_SUMMARY_FIELDS, map(_json_number, values)))
     doc = {"mode": mode, "projects": projects, "summary": summary}
     if config is not None:
         doc["config"] = config.to_json()
     return doc
-
-
-def _parse_cell(cell: str):
-    if cell == "inf":
-        return cell
-    try:
-        return int(cell)
-    except ValueError:
-        return float(cell)
 
 
 def emit_report(
@@ -429,31 +400,30 @@ def emit_report(
     mode: str,
     config: PipelineConfig | None = None,
     formats: Sequence[str] = ("csv", "json"),
-    basename: str = "report",
 ) -> list[Path]:
-    """Write the evaluation report in the requested formats; returns paths."""
+    """Write the evaluation report in the requested formats; returns paths.
+
+    An unknown format raises ValueError before anything is created.
+    """
+    check_report_formats(formats)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     table = report_table(reports)
     for fmt in formats:
+        path = out_dir / REPORT_FORMATS[fmt]
         if fmt == "csv":
-            path = out_dir / f"{basename}.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows(table)
         elif fmt == "json":
-            path = out_dir / f"{basename}.json"
             doc = report_json(reports, config, mode)
             text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
             path.write_text(text + "\n", encoding="utf-8")
-        elif fmt == "markdown-table":
-            path = out_dir / f"{basename}.md"
+        else:
             lines = ["| " + " | ".join(table[0]) + " |"]
             lines.append("|" + "|".join([" --- "] * len(table[0])) + "|")
             lines.extend("| " + " | ".join(row) + " |" for row in table[1:])
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
         written.append(path)
     return written
 

@@ -86,16 +86,13 @@ def iter_java_files(
 ) -> list[Path]:
     include = tuple(include) or ("**/*.java",)
     exclude = tuple(exclude)
-    seen: set[Path] = set()
-    for pattern in include:
-        for path in sorted(root.glob(pattern)):
-            if not path.is_file():
-                continue
-            rel = path.relative_to(root).as_posix()
-            if any(fnmatch(rel, pat) for pat in exclude):
-                continue
-            seen.add(path)
-    return sorted(seen)
+    files = [path for path in {p for pattern in include for p in root.glob(pattern)} if path.is_file()]
+    if exclude:
+        files = [
+            path for path in files
+            if not any(fnmatch(path.relative_to(root).as_posix(), pat) for pat in exclude)
+        ]
+    return sorted(files)
 
 
 def _analyze_file(job: tuple[Path, str, str]):

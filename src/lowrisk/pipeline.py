@@ -4,13 +4,14 @@ One training run is: fit tertile discretization on the training methods'
 occurrence rows, itemize, balance (unless disabled), mine the non-redundant
 rules with the NotFaulty consequent in classifier order, and select the
 top-n prefix for each classifier variant against the unbalanced faulty
-methods. Only what
-is read is itemized: the faulty methods, and the clean ones that balancing
-samples (all of them when it does not undersample, or with balancing
-disabled). From itemization to prediction every method is an item mask and
-the two classes are kept apart; item names appear only in the classifier
-file. `train_on` reads a `MethodTable`; a unified method list is turned
-into one on entry.
+methods. Only what is read is itemized: the faulty methods, and the clean
+ones that balancing samples (all of them when it does not undersample, or
+with balancing disabled). Balancing gets the clean methods as a
+`dataset._Lazy` that itemizes each one when it is first read. From
+itemization to prediction every method is an item mask and the two classes
+are kept apart; item names appear only in the classifier file. `train_on`
+reads a `MethodTable`; a unified method list is turned into one on entry,
+in list order.
 `TrainedModel.to_json` and `TrainedModel.from_json` are the writer and the
 reader of the classifier file that `lowrisk train` hands to `lowrisk predict`.
 """
@@ -27,7 +28,7 @@ from operator import not_
 
 from lowrisk.balance import BalanceConfig, Classes, balance
 from lowrisk.classifier import LfrClassifier, Variant, select_prefix
-from lowrisk.dataset import MethodTable, UnifiedMethod, as_table
+from lowrisk.dataset import MethodTable, UnifiedMethod, _Lazy
 from lowrisk.discretize import (
     LABEL_NOT_FAULTY,
     VOCABULARY,
@@ -66,6 +67,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
+        BalanceConfig(self.smote_over, self.smote_under, self.smote_k)  # raises on bad SMOTE settings
 
     def budget(self, variant: Variant) -> float:
         return self.budget_strict if variant is Variant.STRICT else self.budget_lenient
@@ -187,18 +189,11 @@ class TrainedModel:
         return cls(discretization, rules, classifiers, meta)
 
 
-class _Itemized(Sequence):
-    """The item masks of the table's methods at `indices`, each itemized
-    when it is read."""
-
-    def __init__(self, table: MethodTable, indices: Sequence[int], model: DiscretizationModel):
-        self.table, self.indices, self.model = table, indices, model
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, index: int) -> int:
-        return itemize(self.table, self.indices[index], self.model)
+def _itemize_at(source: tuple, index: int) -> int:
+    """The item mask of the table's method at indices[index], for a `_Lazy`
+    over (table, indices, model)."""
+    table, indices, model = source
+    return itemize(table, indices[index], model)
 
 
 def _vectors(table: MethodTable, config: PipelineConfig, scope: tuple):
@@ -213,7 +208,8 @@ def _vectors(table: MethodTable, config: PipelineConfig, scope: tuple):
         faulty = list(compress(masks, is_faulty))
         return model, faulty, Classes(faulty, list(compress(masks, map(not_, is_faulty))))
     faulty = [itemize(table, i, model) for i in compress(range(len(table)), is_faulty)]
-    clean = _Itemized(table, array("q", compress(range(len(table)), map(not_, is_faulty))), model)
+    clean_indices = array("q", compress(range(len(table)), map(not_, is_faulty)))
+    clean = _Lazy(len(clean_indices), _itemize_at, (table, clean_indices, model))
     cfg = BalanceConfig(
         percent_over=config.smote_over,
         percent_under=config.smote_under,
@@ -226,9 +222,11 @@ def _vectors(table: MethodTable, config: PipelineConfig, scope: tuple):
 def train_on(
     methods: Sequence[UnifiedMethod] | MethodTable, config: PipelineConfig, scope: tuple = ()
 ) -> TrainedModel:
-    """Train both classifier variants on a unified method list or table."""
+    """Train both classifier variants on a table or a unified method list."""
     # A table made here from a method list is freed before mining starts.
-    model, faulty, mining_set = _vectors(as_table(methods), config, scope)
+    model, faulty, mining_set = _vectors(
+        methods if isinstance(methods, MethodTable) else MethodTable.from_methods(methods), config, scope
+    )
     n_faulty = len(faulty)
     mining_stats: dict = {}
     rules = mine(mining_set.faulty, mining_set.clean, config.mining, stats=mining_stats)

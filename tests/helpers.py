@@ -110,6 +110,12 @@ def table_of(items) -> MethodTable:
     )
 
 
+def projects_table(projects) -> MethodTable:
+    """The table of a mapping of project names to unified method lists: the
+    lists concatenated in sorted project order, each in its own order."""
+    return MethodTable.from_methods([u for name in sorted(projects) for u in projects[name]])
+
+
 def itemize_one(method, model) -> int:
     """itemize of one record or unified method, through a one-method table."""
     return itemize(table_of([method]), 0, model)

@@ -454,6 +454,13 @@ def build_unified_records(records):
     return unify(current, faulty, warn_unmatched=False)
 
 
+def method_sloc(method):
+    """The SLOC of a unified method: the upper median over its occurrences."""
+    import statistics
+
+    return statistics.median_high(r.metrics.sloc for r in method.occurrences)
+
+
 def fit_records(records):
     """Tertile boundaries over the records, one getattr pass per metric: the
     values at the end of the first and second sorted thirds."""

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_vocabulary, classes, from_analyzed
+from helpers import as_vocabulary, classes, from_analyzed, projects_table, table_of
 from oracles import (
     as_rule_set,
     brute_force_prune,
@@ -290,17 +290,16 @@ def _run_e2e(out_dir):
         warnings.simplefilter("ignore")
         for name, methods in corpus.items():
             t0 = time.monotonic()
-            reports, _ = evaluate_within_project(methods, name, E2E_CONFIG)
+            reports, _ = evaluate_within_project(table_of(methods), name, E2E_CONFIG)
             within_times[name] = time.monotonic() - t0
             within_reports.extend(reports.values())
         cross_reports = []
+        table = projects_table(corpus)
         for target in corpus:
-            reports, _ = evaluate_cross_project(corpus, target, E2E_CONFIG)
+            reports, _ = evaluate_cross_project(table, target, E2E_CONFIG)
             cross_reports.extend(reports.values())
-    emit_report(within_reports, out_dir, mode="within", config=E2E_CONFIG,
-                basename="within_report")
-    emit_report(cross_reports, out_dir, mode="cross", config=E2E_CONFIG,
-                basename="cross_report")
+    emit_report(within_reports, out_dir / "within", mode="within", config=E2E_CONFIG)
+    emit_report(cross_reports, out_dir / "cross", mode="cross", config=E2E_CONFIG)
     return within_reports, cross_reports, within_times
 
 
@@ -342,8 +341,8 @@ def test_c7_end_to_end_replication(e2e_runs):
 
 def test_c8_determinism(e2e_runs, smote_battery_runs, tmp_path):
     identical = True
-    for name in ("within_report.csv", "within_report.json", "cross_report.csv",
-                 "cross_report.json"):
+    for name in ("within/report.csv", "within/report.json", "cross/report.csv",
+                 "cross/report.json"):
         a = (e2e_runs[0]["dir"] / name).read_bytes()
         b = (e2e_runs[1]["dir"] / name).read_bytes()
         if a != b:

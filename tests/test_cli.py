@@ -28,7 +28,7 @@ def synth_csvs(tmp_path_factory):
     for i in range(2):
         methods = generate_project(f"proj{i}", seed=40 + i, n_methods=500)
         path = base / f"proj{i}.csv"
-        ds.write_unified_csv(methods, path)
+        ds.write_csv((r for u in methods for r in u.occurrences), path)
         paths.append(path)
     return paths
 
@@ -178,7 +178,7 @@ class TestTrain:
     def test_zero_faulty_rows_fails(self, tmp_path):
         methods = [m for m in generate_project("clean", seed=3, n_methods=60) if not m.faulty]
         path = tmp_path / "clean.csv"
-        ds.write_unified_csv(methods, path)
+        ds.write_csv((r for u in methods for r in u.occurrences), path)
         out = tmp_path / "clf.json"
         assert run(["train", path, "--out", out] + FAST_FLAGS) == 1
 
@@ -205,7 +205,7 @@ class TestTrain:
         paths = []
         for name, methods in generate_corpus(6, seed=11).items():
             paths.append(tmp_path / f"{name}.csv")
-            ds.write_unified_csv(methods, paths[-1])
+            ds.write_csv((r for u in methods for r in u.occurrences), paths[-1])
         out = tmp_path / "clf.json"
         start = time.monotonic()
         assert run(["train", *paths, "--out", out]) == 0
@@ -421,6 +421,23 @@ class TestEvaluate:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--formats", "csv,xml"], "unknown report format 'xml'"),
+        (["--smote-k", "0"], "k_neighbors must be at least 1"),
+        (["--smote-over", "0"], "over- and under-sampling rates must be positive"),
+        (["--smote-under", "0"], "over- and under-sampling rates must be positive"),
+    ])
+    def test_bad_formats_or_smote_refused_before_any_csv_is_read(self, flags, message, tmp_path,
+                                                                 capsys):
+        """The CSV does not exist, so an error that names the setting was
+        raised before the CSV was opened."""
+        out_dir = tmp_path / "out"
+        assert run(["evaluate", tmp_path / "missing.csv", "--mode", "within",
+                    "--out-dir", out_dir] + flags) == 1
+        err = capsys.readouterr().err
+        assert message in err and "missing.csv" not in err
+        assert not out_dir.exists()
+
     def test_cross_mode_requires_two_projects(self, synth_csvs, tmp_path):
         assert run(["evaluate", synth_csvs[0], "--mode", "cross",
                     "--out-dir", tmp_path / "x"] + FAST_FLAGS) == 1
@@ -439,10 +456,11 @@ class TestEvaluate:
         for name in ("report.csv", "report.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
-    def test_parallel_jobs_match_serial(self, synth_csvs, tmp_path):
+    @pytest.mark.parametrize("mode", ["within", "cross"])
+    def test_parallel_jobs_match_serial(self, mode, synth_csvs, tmp_path):
         dirs = [tmp_path / "serial", tmp_path / "parallel"]
         for d, jobs in zip(dirs, ("1", "2")):
-            assert run(["evaluate", *synth_csvs, "--mode", "within", "--out-dir", d,
+            assert run(["evaluate", *synth_csvs, "--mode", mode, "--out-dir", d,
                         "--jobs", jobs, "--dump-predictions"] + FAST_FLAGS) == 0
         for name in ("report.csv", "predictions.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
@@ -452,16 +470,16 @@ class TestEvaluate:
         """What --jobs N sends a worker per project pickles no larger than the
         table of that project's CSV loaded alone."""
         items = []
-        worker = cli._eval_within_worker
+        worker = cli._eval_worker
 
         def recording_worker(item):
             items.append(item)
             return worker(item)
 
-        monkeypatch.setattr(cli, "_eval_within_worker", recording_worker)
+        monkeypatch.setattr(cli, "_eval_worker", recording_worker)
         assert run(["evaluate", *synth_csvs, "--mode", "within", "--out-dir", tmp_path,
                     "--jobs", "1"] + FAST_FLAGS) == 0
-        assert [name for name, _, _ in items] == ["proj0", "proj1"]
+        assert [name for _, _, name, _ in items] == ["proj0", "proj1"]
         for item, path in zip(items, synth_csvs):
             alone = ds.build_unified(ds.read_csv(path))
             table = item[1]

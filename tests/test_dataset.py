@@ -12,6 +12,7 @@ from oracles import (
     consolidate_faulty,
     fit_records,
     itemize_records,
+    method_sloc,
     read_csv_per_field,
     reference_row,
     unify,
@@ -79,7 +80,7 @@ class TestConsolidate:
     def test_median_sloc_uses_upper_median(self):
         occ = [make_record("a", faulty=True, metrics=make_metrics(sloc=s)) for s in (2, 8)]
         (u,) = consolidate_faulty(occ)
-        assert u.sloc == 8
+        assert list(table_of([u]).sloc) == [method_sloc(u)] == [8]
 
 
 class TestUnify:
@@ -453,7 +454,7 @@ def _check_table(table, records):
     expected = build_unified_records(records)
     assert list(table.keys) == [u.identity.key() for u in expected]
     assert list(table.faulty) == [u.faulty for u in expected]
-    assert list(table.sloc) == [u.sloc for u in expected]
+    assert list(table.sloc) == list(map(method_sloc, expected))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = fit_discretization(table)

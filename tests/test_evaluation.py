@@ -3,10 +3,11 @@ import json
 import math
 import statistics
 import warnings
+from dataclasses import replace
 
 import pytest
 
-from helpers import make_record, make_unified, table_of
+from helpers import make_record, make_unified, projects_table, table_of
 from lowrisk.classifier import Variant
 from lowrisk.errors import TooFewMinorityError
 from lowrisk.evaluation import (
@@ -45,34 +46,38 @@ def project(n=100, n_faulty=10, name="p"):
     return methods
 
 
+def fault_flags(n=100, n_faulty=10):
+    return [i < n_faulty for i in range(n)]
+
+
 class TestStratifiedKfold:
     def test_exact_divisibility(self):
-        folds = stratified_kfold(project(100, 10), k=10, seed=1)
+        is_faulty = fault_flags(100, 10)
+        folds = stratified_kfold(is_faulty, k=10, seed=1)
         assert all(len(f) == 10 for f in folds)
-        assert all(sum(1 for m in f if m.faulty) == 1 for f in folds)
+        assert all(sum(is_faulty[i] for i in f) == 1 for f in folds)
 
     def test_uneven_sizes_differ_by_at_most_one(self):
-        folds = stratified_kfold(project(101, 10), k=10, seed=1)
+        folds = stratified_kfold(fault_flags(101, 10), k=10, seed=1)
         sizes = sorted(len(f) for f in folds)
         assert sizes == [10] * 9 + [11]
 
     def test_deterministic(self):
-        a = stratified_kfold(project(100, 10), k=10, seed=9)
-        b = stratified_kfold(project(100, 10), k=10, seed=9)
+        a = stratified_kfold(fault_flags(100, 10), k=10, seed=9)
+        b = stratified_kfold(fault_flags(100, 10), k=10, seed=9)
         assert a == b
 
     def test_partitions_disjoint_and_exhaustive(self):
-        methods = project(73, 12)
-        folds = stratified_kfold(methods, k=10, seed=3)
-        seen = [m for f in folds for m in f]
-        assert len(seen) == len(methods)
-        assert {m.identity for m in seen} == {m.identity for m in methods}
-        faulty_counts = [sum(1 for m in f if m.faulty) for f in folds]
+        is_faulty = fault_flags(73, 12)
+        folds = stratified_kfold(is_faulty, k=10, seed=3)
+        seen = [i for f in folds for i in f]
+        assert sorted(seen) == list(range(len(is_faulty)))
+        faulty_counts = [sum(is_faulty[i] for i in f) for f in folds]
         assert max(faulty_counts) - min(faulty_counts) <= 1
 
     def test_too_few_minority(self):
         with pytest.raises(TooFewMinorityError):
-            stratified_kfold(project(100, 5), k=10, seed=0)
+            stratified_kfold(fault_flags(100, 5), k=10, seed=0)
 
 
 class TestComputeFdr:
@@ -136,7 +141,7 @@ class TestScorePredictions:
 
 @pytest.fixture(scope="module")
 def small_project():
-    return generate_project("evalproj", seed=123, n_methods=600)
+    return table_of(generate_project("evalproj", seed=123, n_methods=600))
 
 
 class TestEvaluateWithinProject:
@@ -184,19 +189,19 @@ class TestEvaluateCrossProject:
         b = generate_project("b", seed=2, n_methods=500)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reports, dump = evaluate_cross_project({"a": a, "b": b}, "b", TEST_CONFIG)
+            reports, dump = evaluate_cross_project(projects_table({"a": a, "b": b}), "b", TEST_CONFIG)
         assert reports[Variant.STRICT].pooled.methods_total == len(b)
         assert {row[PREDICTION_HEADER.index("project")] for row in dump} == {"b"}
 
     def test_missing_target_raises(self):
         a = generate_project("a", seed=1, n_methods=300)
         with pytest.raises(ValueError):
-            evaluate_cross_project({"a": a}, "zzz", TEST_CONFIG)
+            evaluate_cross_project(projects_table({"a": a}), "zzz", TEST_CONFIG)
 
     def test_single_project_raises(self):
         a = generate_project("a", seed=1, n_methods=300)
         with pytest.raises(ValueError):
-            evaluate_cross_project({"a": a}, "a", TEST_CONFIG)
+            evaluate_cross_project(projects_table({"a": a}), "a", TEST_CONFIG)
 
 
 def fixed_report(project, variant, **overrides):
@@ -204,7 +209,7 @@ def fixed_report(project, variant, **overrides):
                for i in range(50)]
     preds = [(m, i % 2 == 0) for i, m in enumerate(methods)]
     pooled = score_pairs(preds, scope=f"project:{project}", n_rules=3)
-    return ProjectReport(project=project, variant=variant, mode="within", pooled=pooled)
+    return ProjectReport(project=project, variant=variant, pooled=pooled)
 
 
 class TestEmitReport:
@@ -218,8 +223,6 @@ class TestEmitReport:
         assert data[2:] == median[2:] == mean[2:]
 
     def test_median_of_three(self, tmp_path):
-        from dataclasses import replace
-
         reports = []
         for name, fdr in (("a", 4.3), ("b", 5.7), ("c", 10.9)):
             rep = fixed_report(name, Variant.STRICT)
@@ -247,6 +250,25 @@ class TestEmitReport:
             for name in ("lfr_method_fraction", "precision", "recall", "fdr_methods"):
                 assert float(row[header.index(name)]) == entry[name]
 
+    def test_summary_keeps_the_type_of_each_number(self, tmp_path):
+        """A median or mean is written as the number computed: an int stays an
+        int in report.json and report.csv, a float stays a float."""
+        reports = [fixed_report(name, Variant.STRICT) for name in "abc"]
+        reports[2] = replace(reports[2], pooled=replace(reports[2].pooled, n_rules=4))
+        csv_path, json_path = emit_report(reports, tmp_path, mode="within")
+        rows = {row[0]: row for row in csv.reader(open(csv_path, newline=""))}
+        at = rows["project"].index("n_rules")
+        summary = json.loads(json_path.read_text())["summary"]["strict"]
+        assert summary["median"]["n_rules"] == 3 and isinstance(summary["median"]["n_rules"], int)
+        assert summary["mean"]["n_rules"] == 10 / 3
+        assert (rows["median"][at], rows["mean"][at]) == ("3", repr(10 / 3))
+
+    def test_unknown_format_refused_before_anything_is_written(self, tmp_path):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            emit_report([fixed_report("solo", Variant.STRICT)], out_dir, mode="within", formats=("csv", "xml"))
+        assert not out_dir.exists()
+
     def test_markdown_table_format(self, tmp_path):
         rep = fixed_report("solo", Variant.STRICT)
         (path,) = emit_report([rep], tmp_path, mode="within", formats=("markdown-table",))
@@ -258,7 +280,7 @@ class TestEmitReport:
         methods = [make_unified(make_record(f"m{i}", faulty=i < 2)) for i in range(10)]
         preds = [(m, not m.faulty) for m in methods]
         pooled = score_pairs(preds, scope="project:x", n_rules=1)
-        rep = ProjectReport(project="x", variant=Variant.STRICT, mode="within", pooled=pooled)
+        rep = ProjectReport(project="x", variant=Variant.STRICT, pooled=pooled)
         csv_path, json_path = emit_report([rep], tmp_path, mode="within")
         rows = list(csv.reader(open(csv_path, newline="")))
         header = rows[0]
@@ -268,8 +290,6 @@ class TestEmitReport:
         assert doc["summary"]["strict"]["median"]["fdr_methods"] == "inf"
 
     def test_json_is_strict_with_infinite_fold_median(self, tmp_path):
-        from dataclasses import replace
-
         rep = fixed_report("x", Variant.STRICT)
         folds = tuple(replace(rep.pooled, fdr_methods=fdr) for fdr in (math.inf, math.inf, 2.0))
         rep = replace(rep, pooled=replace(rep.pooled, fdr_methods=math.inf), folds=folds)

@@ -6,7 +6,7 @@ import csv
 
 from helpers import from_analyzed
 from lowrisk.dataset import CSV_HEADER, write_csv
-from lowrisk.java.analyzer import analyze_project
+from lowrisk.java.analyzer import analyze_project, iter_java_files
 from lowrisk.java.metrics import ConstructKind
 
 
@@ -70,3 +70,19 @@ def test_lambda_method_excluded_with_diagnostic(corpus_dir):
     methods, report = analyze_project(corpus_dir, "corpus")
     assert not any(m.identity.method_name == "lambdaStyle" for m in methods)
     assert any(s.identity.method_name == "lambdaStyle" for s in report.skipped_methods)
+
+
+def test_source_walk_unions_includes_drops_excludes_and_sorts_once(tmp_path):
+    """Overlapping include patterns give each file once, a directory named
+    like a Java file is not a file, exclude patterns match the path relative
+    to the root, and the result is sorted whatever order the globs gave."""
+    for rel in ["b/Z.java", "b/gen/G.java", "a/A.java", "A.java", "a/notes.txt"]:
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text("class X {}\n")
+    (tmp_path / "dir.java").mkdir()
+    rel = lambda paths: [p.relative_to(tmp_path).as_posix() for p in paths]  # noqa: E731
+    assert rel(iter_java_files(tmp_path)) == ["A.java", "a/A.java", "b/Z.java", "b/gen/G.java"]
+    assert rel(iter_java_files(tmp_path, ["b/**/*.java", "**/*.java", "*.txt"], ["*/gen/*"])) == [
+        "A.java", "a/A.java", "b/Z.java"
+    ]
+    assert rel(iter_java_files(tmp_path, ["a/*", "**/A.java"])) == ["A.java", "a/A.java", "a/notes.txt"]

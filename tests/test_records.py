@@ -98,7 +98,7 @@ def test_fields_keys_and_derived_sums():
     assert CategoryFlags() == (False,) * 6
     assert MethodRecord(identity, metrics, categories).snapshot is Snapshot.CURRENT
     assert (metrics.all_conditions, metrics.all_arithmetic) == (1, 2)
-    assert unified.sloc == 3 and isinstance(unified, UnifiedMethod)
+    assert unified.occurrences == (record,) and isinstance(unified, UnifiedMethod)
     assert (decl.name, decl.param_types, decl.param_names) == ("f", ("int",), ("x",))
 
 

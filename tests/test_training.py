@@ -22,7 +22,7 @@ from lowrisk.errors import (
     InsufficientMinorityError,
     TooFewMinorityError,
 )
-from lowrisk.evaluation import _kfold_indices
+from lowrisk.evaluation import stratified_kfold
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, RawMetrics
 from lowrisk.mining import MiningConfig
 from lowrisk.pipeline import PipelineConfig, derive_seed, train_on
@@ -235,7 +235,7 @@ def acceptance_trainings():
     within = PipelineConfig(mining=MiningConfig(0.05, 0.95, 3), seed=7)
     for name in sorted(corpus):
         methods = corpus[name]
-        folds = _kfold_indices([u.faulty for u in methods], within.folds, derive_seed(7, "kfold", name))
+        folds = stratified_kfold([u.faulty for u in methods], within.folds, derive_seed(7, "kfold", name))
         for k in range(within.folds):
             training = [methods[i] for j, fold in enumerate(folds) if j != k for i in fold]
             yield "within", training, within, (name, k)
