@@ -7,7 +7,10 @@ With the default 100% over- and 200% under-sampling rates the output is an
 exact 50/50 split of minority and majority vectors.
 
 Vectors are item masks (see `lowrisk.discretize`). The two classes are
-taken and returned apart, so no label travels with a mask.
+taken and returned apart, so no label travels with a mask. The neighbors
+are exact and found on packed bits: 16 distinct masks are queried at once,
+their Hamming distances to every distinct mask summed side by side into
+bit-sliced counters (`_nearest_neighbors`).
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from lowrisk.discretize import ATTRIBUTE_ITEMS, transpose
 from lowrisk.errors import ImbalanceUnachievableWarning, InsufficientMinorityError
 
 _ATTRIBUTE_BITS = tuple(1 << a for a in range(len(ATTRIBUTE_ITEMS)))
+# Queries per kNN block: their bits of an attribute are two bytes of its column.
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,15 @@ def _nearest_neighbors(masks: Sequence[int], k: int) -> list[list[int]]:
     break on index order.
 
     Exact, and equal to sorting all (distance, index) pairs per mask. Each
-    distinct mask is queried once: the distances to all distinct masks are
-    summed, one attribute at a time, into a bit-sliced counter (plane p holds
-    bit p of every distance), and distance levels are then read off the
-    planes from 0 upward until k + 1 indices are found.
+    distinct mask is queried once, 16 queries at a time: a block's distance
+    vectors lie side by side in lanes of whole bytes, one lane per query, and
+    are summed one attribute at a time into a bit-sliced counter (plane p
+    holds bit p of every distance in every lane). Per attribute, the lanes
+    start as the column of masks that have it, and the lanes of the queries
+    that have it too are flipped to those that lack it; the queries' bits are
+    two bytes of that same column. Distance levels are then read off the
+    planes from 0 upward, one `to_bytes` per level and block, until every
+    query of the block has k + 1 indices.
     """
     if not masks:
         return []
@@ -65,37 +75,62 @@ def _nearest_neighbors(masks: Sequence[int], k: int) -> list[list[int]]:
         groups.setdefault(mask, []).append(idx)
     distinct = list(groups)
     members = list(groups.values())
-    everyone = (1 << len(distinct)) - 1
-    # Per attribute: the distinct masks that have it, and those that lack it.
-    columns = [(has, everyone ^ has) for has in transpose(distinct)]
+    n_distinct = len(distinct)
+    everyone = (1 << n_distinct) - 1
+    # Per attribute, the distinct masks that have it.
+    columns = transpose(distinct)
     n_planes = len(columns).bit_length()
     wanted = min(k + 1, len(masks))
-    nearest: dict[int, list[int]] = {}
-    for mask in distinct:
+
+    lane_bytes = (n_distinct + 7) // 8
+    lane = 8 * lane_bytes
+    rep = sum(1 << (lane * q) for q in range(_BLOCK))  # 1 in every lane
+    lanes = [everyone << (lane * q) for q in range(_BLOCK)]
+    full = everyone * rep
+    # flip_low[v] and flip_high[v]: `everyone` in lane q and lane 8 + q for each bit q of byte v.
+    flip_low, flip_high = [0] * 256, [0] * 256
+    for v in range(1, 256):
+        low = v & -v
+        q = low.bit_length() - 1
+        flip_low[v] = flip_low[v ^ low] | lanes[q]
+        flip_high[v] = flip_high[v ^ low] | lanes[8 + q]
+    n_blocks = (n_distinct + _BLOCK - 1) // _BLOCK
+    spread = [(has * rep, has.to_bytes(2 * n_blocks, "little")) for has in columns]
+
+    nearest: list[list[int]] = []
+    for start in range(0, n_distinct, _BLOCK):
+        byte = start >> 3
         planes = [0] * n_planes
-        for a, (has, lacks) in enumerate(columns):
-            carry = lacks if mask >> a & 1 else has  # differs from mask at attribute a
+        for repeated, column in spread:
+            # In each query's lane: the masks that differ from it at this attribute.
+            carry = repeated ^ flip_low[column[byte]] ^ flip_high[column[byte + 1]]
             p = 0
             while carry:
                 planes[p], carry = planes[p] ^ carry, planes[p] & carry
                 p += 1
-        found: list[int] = []
+        found: list[list[int]] = [[] for _ in range(min(_BLOCK, n_distinct - start))]
+        pending = list(range(len(found)))
         for distance in range(len(columns) + 1):
-            level = everyone
+            level = full
             for p, plane in enumerate(planes):
-                level &= plane if distance >> p & 1 else everyone ^ plane
-            tied: list[int] = []
-            while level:
-                low = level & -level
-                tied.extend(members[low.bit_length() - 1])
-                level ^= low
-            found.extend(sorted(tied))
-            if len(found) >= wanted:
+                level &= plane if distance >> p & 1 else full ^ plane
+            raw = level.to_bytes(_BLOCK * lane_bytes, "little")
+            for q in pending:
+                at = int.from_bytes(raw[q * lane_bytes : (q + 1) * lane_bytes], "little")
+                tied: list[int] = []
+                while at:
+                    low = at & -at
+                    tied.extend(members[low.bit_length() - 1])
+                    at ^= low
+                found[q].extend(sorted(tied))
+            pending = [q for q in pending if len(found[q]) < wanted]
+            if not pending:
                 break
-        nearest[mask] = found[:wanted]
+        nearest.extend(f[:wanted] for f in found)
+    nearest_of = dict(zip(distinct, nearest))
     out = []
     for i, mask in enumerate(masks):
-        out.append([j for j in nearest[mask] if j != i][:k])
+        out.append([j for j in nearest_of[mask] if j != i][:k])
     return out
 
 

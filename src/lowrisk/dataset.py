@@ -217,14 +217,24 @@ class MethodTable:
         return list(chain.from_iterable(self.occurrences))
 
     def projects(self) -> dict[str, range]:
-        """The method index range of each project, for a table in identity order."""
-        spans: dict[str, range] = {}
-        start = 0
-        for name, group in groupby(map(itemgetter(0), self.keys)):
-            end = start + sum(1 for _ in group)
-            spans[name] = range(start, end)
-            start = end
-        return spans
+        """The method index range of each project, for a table in identity
+        order; computed once per table.
+
+        Raises ValueError naming a project whose methods are not contiguous.
+        """
+        spans = self.__dict__.get("_projects")
+        if spans is None:
+            spans = {}
+            start = 0
+            for name, group in groupby(map(itemgetter(0), self.keys)):
+                if name in spans:
+                    raise ValueError(f"the methods of project {name!r} are not contiguous")
+                end = start + len(list(group))
+                spans[name] = range(start, end)
+                start = end
+            # The table is frozen; its instance dict still holds the cache.
+            self.__dict__["_projects"] = spans
+        return dict(spans)
 
     @classmethod
     def from_methods(cls, methods: Sequence[UnifiedMethod]) -> MethodTable:

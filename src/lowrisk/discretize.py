@@ -20,7 +20,9 @@ over its occurrence rows and reads the tertile bounds off the sorted
 distinct values. The 34 bits that need no model (26 has-no, 2 derived,
 6 category) are computed once per row when the table is loaded
 (`count_items_mask`, `category_mask`); `itemize` ORs in the 5 tertile bits
-it gets by bisecting a row's metrics into the model's bounds.
+it gets by bisecting a row's metrics into the model's bounds. A method with
+several occurrence rows gets the majority vote of their masks, counted
+bit-sliced: one mask per count level, so every attribute is counted at once.
 """
 
 from __future__ import annotations
@@ -110,6 +112,9 @@ _NO_ARITHMETIC_BIT = _ITEM_BIT["NoArithmeticOperations"]
 _CONDITION_NO_BITS = sum(condition_counts(_NO_ITEM_BITS))
 _ARITHMETIC_NO_BITS = sum(arithmetic_counts(_NO_ITEM_BITS))
 _CATEGORY_BITS = tuple(_ITEM_BIT[name] for name in _CATEGORY_ITEMS)
+# The three class bits of each tertile metric and the highest of them; every other bit is a flag.
+_TERTILE_GROUPS = tuple((7 << low, 4 << low) for low in range(0, _N_TERTILE_BITS, 3))
+_FLAG_BITS = (1 << len(ATTRIBUTE_ITEMS)) - (1 << _N_TERTILE_BITS)
 
 
 _NAMED_BITS = tuple((name, 1 << i) for i, name in enumerate(ATTRIBUTE_ITEMS))
@@ -267,15 +272,27 @@ def category_mask(flags: Iterable[bool]) -> int:
 
 
 def _vote(masks: Sequence[int]) -> int:
-    """Majority vote per attribute; a class tie goes to the higher class, a flag tie to true."""
+    """Majority vote per attribute; a class tie goes to the higher class, a flag tie to true.
+
+    The masks are counted bit-sliced: after them, bit i of at_least[j] is
+    set iff bit i is set in more than j of the masks.
+    """
     n = len(masks)
-    counts = [sum(mask >> i & 1 for mask in masks) for i in range(len(ATTRIBUTE_ITEMS))]
-    voted = 0
-    for low in range(0, _N_TERTILE_BITS, 3):
-        voted |= 1 << max(range(low, low + 3), key=lambda i: (counts[i], i))
-    for i in range(_N_TERTILE_BITS, len(ATTRIBUTE_ITEMS)):
-        if counts[i] * 2 >= n:
-            voted |= 1 << i
+    at_least = [0] * n
+    for mask in masks:
+        for j in range(n - 1, 0, -1):
+            at_least[j] |= at_least[j - 1] & mask
+        at_least[0] |= mask
+    # 2 * count >= n, that is count > (n + 1) // 2 - 1.
+    voted = at_least[(n + 1) // 2 - 1] & _FLAG_BITS
+    for group, top in _TERTILE_GROUPS:
+        # The highest class with the highest count: the highest bit of the
+        # group in the highest level that meets it, or the top bit if none does.
+        for level in reversed(at_least):
+            if level & group:
+                top = 1 << ((level & group).bit_length() - 1)
+                break
+        voted |= top
     return voted
 
 

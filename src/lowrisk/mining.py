@@ -6,7 +6,10 @@ of a training set's two classes; they are held vertically, as one bitmap
 over the transactions per attribute item (`discretize.transpose`) plus one
 for the NotFaulty class, after Zaki 2000 (Eclat) and Burdick et al. 2001
 (MAFIA). Candidates and their antecedents are item masks too, so candidate
-counting is a few big-integer ANDs and popcounts per candidate.
+counting is a few big-integer ANDs and popcounts per candidate. A candidate
+is joined from two itemsets that share all but their highest item; its count
+is checked against theirs first, and only then are its other subsets looked
+up.
 
 The walk visits only generators (free itemsets: no (k-1)-subset covers the
 same transactions), after Bastide et al. 2000 and Zaki 2000. A candidate
@@ -123,14 +126,15 @@ def mine(
     # The live itemsets of a level: antecedent mask -> transaction bitmap, and its popcount.
     level: dict[int, int] = {}
     counts: dict[int, int] = {}
+    min_support, min_confidence = cfg.min_support, cfg.min_confidence
 
     def visit(cand: int, bits: int, n_ant: int) -> None:
         """Emit cand's rule if it qualifies; keep cand alive unless confidence is 1."""
         n_both = (bits & target_bits).bit_count()
-        if n_both / n < cfg.min_support:
+        if n_both / n < min_support:
             return
         conf = n_both / n_ant
-        if conf >= cfg.min_confidence:
+        if conf >= min_confidence:
             rules.append(AssociationRule(cand, n_both / n, conf))
         if n_both < n_ant:
             level[cand] = bits
@@ -145,6 +149,7 @@ def mine(
     while level and size < cfg.max_antecedent_len:
         size += 1
         prev, prev_counts = level, counts
+        count_of = prev_counts.get
         level, counts = {}, {}
         # Join the live itemsets that differ only in their highest item.
         by_prefix: dict[int, list[int]] = {}
@@ -152,25 +157,39 @@ def mine(
             top = 1 << (key.bit_length() - 1)
             by_prefix.setdefault(key ^ top, []).append(top)
         for prefix, tops in by_prefix.items():
-            # prefix | a | b less one prefix item: its subsets other than
-            # prefix | a and prefix | b (none at level 2).
-            others = [prefix ^ (1 << i) for i in range(prefix.bit_length()) if prefix >> i & 1]
-            for i, a in enumerate(tops):
-                bits_a, n_a = prev[prefix | a], prev_counts[prefix | a]
-                for b in tops[i + 1 :]:
-                    bits = bits_a & item_bits[b.bit_length() - 1]
+            if len(tops) < 2:
+                continue
+            # The prefix items: removing one from prefix | a | b gives its
+            # subsets other than prefix | a and prefix | b (none at level 2).
+            prefix_bits = [1 << i for i in range(prefix.bit_length()) if prefix >> i & 1]
+            joins = [(b, item_bits[b.bit_length() - 1], prev_counts[prefix | b]) for b in tops]
+            for i, (a, _, n_a) in enumerate(joins):
+                with_a = prefix | a
+                bits_a = prev[with_a]
+                for b, bits_b, n_b in joins[i + 1 :]:
+                    bits = bits_a & bits_b
                     n_ant = bits.bit_count()
                     # Every (size-1)-subset must be alive (frequent, a generator
                     # and below confidence 1) and cover more transactions: a
                     # subset's bitmap contains the candidate's, so equal counts
                     # mean equal bitmaps and the candidate is no generator.
-                    if (
-                        n_ant < n_a
-                        and n_ant < prev_counts[prefix | b]
-                        and (not others or all(n_ant < prev_counts.get(o | a | b, 0)
-                                                   for o in others))
-                    ):
-                        visit(prefix | a | b, bits, n_ant)
+                    if n_ant >= n_a or n_ant >= n_b:
+                        continue
+                    cand = with_a | b
+                    for bit in prefix_bits:
+                        if n_ant >= count_of(cand ^ bit, 0):
+                            break
+                    else:
+                        # visit(cand, bits, n_ant), inlined.
+                        n_both = (bits & target_bits).bit_count()
+                        if n_both / n < min_support:
+                            continue
+                        conf = n_both / n_ant
+                        if conf >= min_confidence:
+                            rules.append(AssociationRule(cand, n_both / n, conf))
+                        if n_both < n_ant:
+                            level[cand] = bits
+                            counts[cand] = n_ant
     if level and size == cfg.max_antecedent_len:
         warnings.warn(
             f"generators are still alive at the antecedent length cap ({cfg.max_antecedent_len})",

@@ -5,7 +5,11 @@ rule enumeration scans the full antecedent power set with direct counting,
 redundancy filtering is the naive pairwise check, and prefix selection
 recomputes every prefix from scratch. The kNN and itemization oracles are
 the earlier O(m^2) neighbor sort and bool-tuple item construction, kept as
-references for the mask-based implementations. The CSV oracles are the earlier
+references for the mask-based implementations; reference_vote is the earlier
+per-attribute count behind the majority vote, the reference for the
+bit-sliced one, and reference_mine is the earlier mask miner, the reference
+for the leaner join loop (it also checks `rules_mined`, which the
+brute-force oracles do not see). The CSV oracles are the earlier
 field-by-field reader of metric records, kept as the reference for
 read_csv's columnar fast path, and the earlier string-per-field row builder
 (reference_row), kept as the reference for write_csv's rows; the
@@ -29,10 +33,10 @@ import warnings
 from itertools import combinations
 from typing import NamedTuple
 
-from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_NOT_FAULTY, item_mask
+from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_NOT_FAULTY, TERTILE_METRICS, item_mask, transpose
 from lowrisk.errors import AntecedentCapWarning, EmptyDatabaseError, JavaParseError, LowriskError
 from lowrisk.java.tokens import KEYWORDS
-from lowrisk.mining import AssociationRule
+from lowrisk.mining import AssociationRule, prune_redundant
 
 
 class ZeroAntecedentSupportError(LowriskError):
@@ -140,6 +144,62 @@ def mine_names(transactions, cfg, target=LABEL_NOT_FAULTY, stats=None):
     return kept
 
 
+def reference_mine(faulty, clean, cfg, stats=None):
+    """The earlier mask miner: `mine` with a `visit` call per candidate and
+    an `all` over the candidate's other subsets."""
+    n = len(faulty) + len(clean)
+    if n == 0:
+        raise EmptyDatabaseError("cannot mine an empty database")
+    item_bits = transpose([*faulty, *clean])
+    target_bits = ((1 << len(clean)) - 1) << len(faulty)
+    rules = []
+    level, counts = {}, {}
+
+    def visit(cand, bits, n_ant):
+        n_both = (bits & target_bits).bit_count()
+        if n_both / n < cfg.min_support:
+            return
+        conf = n_both / n_ant
+        if conf >= cfg.min_confidence:
+            rules.append(AssociationRule(cand, n_both / n, conf))
+        if n_both < n_ant:
+            level[cand] = bits
+            counts[cand] = n_ant
+
+    for a, bits in enumerate(item_bits):
+        visit(1 << a, bits, bits.bit_count())
+    size = 1
+    while level and size < cfg.max_antecedent_len:
+        size += 1
+        prev, prev_counts = level, counts
+        level, counts = {}, {}
+        by_prefix = {}
+        for key in prev:
+            top = 1 << (key.bit_length() - 1)
+            by_prefix.setdefault(key ^ top, []).append(top)
+        for prefix, tops in by_prefix.items():
+            others = [prefix ^ (1 << i) for i in range(prefix.bit_length()) if prefix >> i & 1]
+            for i, a in enumerate(tops):
+                bits_a, n_a = prev[prefix | a], prev_counts[prefix | a]
+                for b in tops[i + 1 :]:
+                    bits = bits_a & item_bits[b.bit_length() - 1]
+                    n_ant = bits.bit_count()
+                    if (
+                        n_ant < n_a
+                        and n_ant < prev_counts[prefix | b]
+                        and (not others or all(n_ant < prev_counts.get(o | a | b, 0)
+                                                   for o in others))
+                    ):
+                        visit(prefix | a | b, bits, n_ant)
+    if level and size == cfg.max_antecedent_len:
+        warnings.warn("generators are still alive at the antecedent length cap", AntecedentCapWarning)
+    kept = prune_redundant(rules)
+    if stats is not None:
+        stats["rules_mined"] = len(rules)
+        stats["rules_kept"] = len(kept)
+    return kept
+
+
 def brute_force_rules(transactions, min_support, min_confidence, max_len, target="NotFaulty"):
     """Every rule {A} -> {target} meeting the thresholds, by exhaustive scan."""
     items = sorted({i for t in transactions for i in t} - {target})
@@ -236,6 +296,21 @@ def nearest_neighbors_oracle(masks, k):
         dists.sort()
         out.append([j for _, j in dists[:k]])
     return out
+
+
+def reference_vote(masks):
+    """The earlier majority vote over item masks, one count per attribute:
+    a class tie goes to the higher class, a flag tie to true."""
+    n = len(masks)
+    n_tertile_bits = 3 * len(TERTILE_METRICS)
+    counts = [sum(mask >> i & 1 for mask in masks) for i in range(len(ATTRIBUTE_ITEMS))]
+    voted = 0
+    for low in range(0, n_tertile_bits, 3):
+        voted |= 1 << max(range(low, low + 3), key=lambda i: (counts[i], i))
+    for i in range(n_tertile_bits, len(ATTRIBUTE_ITEMS)):
+        if counts[i] * 2 >= n:
+            voted |= 1 << i
+    return voted
 
 
 def itemize_bool_tuple(method, model):

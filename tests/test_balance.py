@@ -145,3 +145,24 @@ def test_nearest_neighbors_edge_cases():
     for masks in ([0, 0], [0, 1], [5] * 7, [1 << 48, 0, 1 << 48], [3, 0, 1, 2]):
         for k in range(1, len(masks)):
             assert _nearest_neighbors(masks, k) == nearest_neighbors_oracle(masks, k)
+
+
+@pytest.mark.parametrize("n_distinct", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100])
+def test_nearest_neighbors_at_block_edges(n_distinct):
+    """Queries go 16 to a block, in lanes of whole bytes: distinct-mask counts
+    on both sides of a byte and of a block, with duplicates, and distinct
+    masks that differ in a few of 8 positions, so that every distance ties."""
+    rng = random.Random(n_distinct)
+    n_bits = len(ATTRIBUTE_ITEMS)
+    for case in range(3):
+        positions = rng.sample(range(n_bits), 8)
+        if case == 0:
+            positions[0] = n_bits - 1  # the highest attribute, the widest column
+        base = rng.getrandbits(n_bits)
+        distinct: set[int] = set()
+        while len(distinct) < n_distinct:
+            distinct.add(base ^ sum(1 << p for p in positions if rng.random() < 0.3))
+        masks = list(distinct) + [rng.choice(list(distinct)) for _ in range(rng.randint(1, n_distinct + 8))]
+        rng.shuffle(masks)
+        for k in range(1, 9):
+            assert _nearest_neighbors(masks, k) == nearest_neighbors_oracle(masks, k), (case, k)

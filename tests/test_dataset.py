@@ -531,3 +531,31 @@ class TestTableAgainstRecordOracle:
         write_csv([first, later], tmp_path / "dup.csv")
         table = build_unified(read_csv(tmp_path / "dup.csv"))
         assert len(table) == 1 and table.occurrences[0] == (0,) and table.sloc == [3]
+
+
+class TestProjects:
+    def table(self, projects):
+        return table_of([make_record(f"m{i}", project=p) for i, p in enumerate(projects)])
+
+    def test_spans_of_contiguous_projects(self):
+        assert self.table("aabbbc").projects() == {"a": range(0, 2), "b": range(2, 5), "c": range(5, 6)}
+
+    def test_interleaved_projects_raise(self):
+        with pytest.raises(ValueError, match="project 'a'"):
+            self.table("ababab").projects()
+
+    def test_computed_once_per_table(self):
+        class CountedKeys(list):
+            reads = 0
+
+            def __iter__(self):
+                CountedKeys.reads += 1
+                return super().__iter__()
+
+        base = self.table("aab")
+        table = MethodTable(CountedKeys(base.keys), base.faulty, base.sloc, base.occurrences,
+                            base.metrics, base.fixed)
+        spans = table.projects()
+        spans["z"] = range(0)
+        assert table.projects() == {"a": range(0, 2), "b": range(2, 3)}
+        assert CountedKeys.reads == 1

@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 import random
 
 from helpers import fit_on, from_analyzed, itemize_one, make_metrics, make_record, make_unified, table_of
-from oracles import bools_to_mask, fit_records, itemize_bool_tuple
+from oracles import bools_to_mask, fit_records, itemize_bool_tuple, reference_vote
 from lowrisk.discretize import (
     ATTRIBUTE_ITEMS,
+    TERTILE_METRICS,
     VOCABULARY,
     DiscretizationModel,
     MetricBounds,
     fit_discretization,
     item_mask,
     item_names,
+    _vote,
     itemize,
     tertile_bounds,
     transpose,
@@ -176,6 +178,29 @@ class TestMajorityVote:
         ]
         vec = itemize_one(make_unified(occ), simple_model())
         assert "NoLoops" in item_names(vec)
+
+    def test_equals_the_counting_vote(self):
+        """The bit-sliced vote equals the per-attribute count on random masks
+        of n = 1..9 occurrences, whose tertile groups hold 0, 1, 2 or 3 set
+        bits (the production masks hold exactly one), drawn from small pools
+        so that counts tie."""
+        rng = random.Random(15)
+        n_tertile_bits = 3 * len(TERTILE_METRICS)
+        flag_bits = len(ATTRIBUTE_ITEMS) - n_tertile_bits
+        group_sizes = set()
+        for n in range(1, 10):
+            for _ in range(150):
+                pool = []
+                for _ in range(rng.randint(1, n)):
+                    mask = rng.getrandbits(flag_bits) << n_tertile_bits
+                    for low in range(0, n_tertile_bits, 3):
+                        chosen = rng.sample(range(3), rng.randint(0, 3))
+                        group_sizes.add(len(chosen))
+                        mask |= sum(1 << (low + i) for i in chosen)
+                    pool.append(mask)
+                masks = [rng.choice(pool) for _ in range(n)]
+                assert _vote(masks) == reference_vote(masks), masks
+        assert group_sizes == {0, 1, 2, 3}
 
 
 class TestItemMask:

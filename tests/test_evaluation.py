@@ -203,6 +203,13 @@ class TestEvaluateCrossProject:
         with pytest.raises(ValueError):
             evaluate_cross_project(projects_table({"a": a}), "a", TEST_CONFIG)
 
+    def test_interleaved_projects_raise(self):
+        """A table whose projects alternate is refused, not cut to the last
+        method of each project."""
+        table = table_of([make_record(f"m{i}", project="ab"[i % 2]) for i in range(6)])
+        with pytest.raises(ValueError, match="not contiguous"):
+            evaluate_cross_project(table, "b", TEST_CONFIG)
+
 
 def fixed_report(project, variant, **overrides):
     methods = [make_unified(make_record(f"m{i}", project=project, faulty=i < 5))

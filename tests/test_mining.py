@@ -13,6 +13,7 @@ from oracles import (
     confidence,
     mine_names,
     random_rule,
+    reference_mine,
     support,
     ZeroAntecedentSupportError,
 )
@@ -258,6 +259,46 @@ class TestMine:
                 expected = mine_names(db, cfg, stats=expected_stats)
             assert [(r.antecedent, r.support, r.confidence) for r in rules] == expected, case
             assert stats == expected_stats, case
+
+    def test_equals_the_reference_mask_miner(self):
+        """The same rules in the same order, the same stats and the same cap
+        warning as the earlier mask miner, on random databases over scattered
+        attribute bits with twin and all-covering items, caps 1-5 and supports
+        0.02-0.3. Unlike the brute-force oracles, this checks `rules_mined`."""
+        rng = random.Random(14)
+        n_bits = len(ATTRIBUTE_ITEMS)
+        deep = 0
+        for case in range(150):
+            bits = rng.sample(range(n_bits), rng.randint(2, 12))
+            biases = [rng.uniform(0.2, 0.9) for _ in bits]
+            twin = rng.choice([b for b in range(n_bits) if b not in bits])
+            masks = []
+            for _ in range(rng.randint(10, 120)):
+                mask = sum(1 << b for b, p in zip(bits, biases) if rng.random() < p)
+                if mask >> bits[0] & 1:
+                    mask |= 1 << twin
+                masks.append(mask)
+            if case % 3 == 0:  # an item every transaction holds
+                masks = [m | 1 << rng.choice(bits) for m in masks]
+            cut = rng.randint(0, len(masks))
+            faulty, clean = masks[:cut], masks[cut:]
+            cfg = MiningConfig(
+                min_support=rng.uniform(0.02, 0.3),
+                min_confidence=rng.uniform(0.3, 1.0),
+                max_antecedent_len=case % 5 + 1,
+            )
+            stats, expected_stats = {}, {}
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rules = mine(faulty, clean, cfg, stats=stats)
+            with warnings.catch_warnings(record=True) as expected_caught:
+                warnings.simplefilter("always")
+                expected = reference_mine(faulty, clean, cfg, stats=expected_stats)
+            assert rules == expected, f"case {case}"
+            assert stats == expected_stats, f"case {case}"
+            assert len(caught) == len(expected_caught), f"case {case}"
+            deep += any(r.antecedent_mask.bit_count() >= 3 for r in rules)
+        assert deep >= 10
 
 
 class TestPrune:
