@@ -7,7 +7,7 @@ them with within-project cross-validation and cross-project prediction.
 """
 
 from lowrisk.balance import BalanceConfig, balance
-from lowrisk.classifier import Classification, LfrClassifier, Variant, order_rules, select_prefix
+from lowrisk.classifier import LfrClassifier, Variant, order_rules, select_prefix
 from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
 from lowrisk.discretize import VOCABULARY, DiscretizationModel, fit_discretization, itemize
 from lowrisk.evaluation import (
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssociationRule",
     "BalanceConfig",
-    "Classification",
     "DiscretizationModel",
     "LfrClassifier",
     "MethodRecord",

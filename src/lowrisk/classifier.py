@@ -6,18 +6,22 @@ methods contain at most budget * (all faulty methods) faulty methods in
 the original, unbalanced training set. Methods and rule antecedents are
 both item masks, so a rule matches a method when its antecedent has no bit
 that the method's mask lacks.
+
+An `LfrClassifier` is the ordered rules, n and the budget; its variant is
+the key it is stored under in `TrainedModel.classifiers`, and the item
+vocabulary is checked once, when `TrainedModel.from_json` reads a file.
+`matched_rule_index` returns None for a method that is not classified.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from lowrisk.discretize import VOCABULARY
-from lowrisk.errors import NoAdmissibleRulesWarning, VocabularyMismatchError
+from lowrisk.errors import NoAdmissibleRulesWarning
 from lowrisk.mining import AssociationRule
 
 _BUDGET_EPS = 1e-9
@@ -26,11 +30,6 @@ _BUDGET_EPS = 1e-9
 class Variant(Enum):
     STRICT = "strict"
     LENIENT = "lenient"
-
-
-class Classification(Enum):
-    LOW_FAULT_RISK = "LowFaultRisk"
-    NOT_CLASSIFIED = "NotClassified"
 
 
 def order_rules(rules: Iterable[AssociationRule]) -> list[AssociationRule]:
@@ -87,37 +86,22 @@ def select_prefix(
 
 @dataclass(frozen=True)
 class LfrClassifier:
-    """Ordered rules plus the selected prefix length for one variant."""
+    """Ordered rules, the selected prefix length n and the fault budget it was selected for."""
 
     ordered_rules: tuple[AssociationRule, ...]
     n: int
-    variant: Variant
     budget: float
-    vocabulary: tuple[str, ...] = VOCABULARY
-    training_meta: dict = field(default_factory=dict)
-
-    @property
-    def active_rules(self) -> tuple[AssociationRule, ...]:
-        return self.ordered_rules[: self.n]
 
     @cached_property
     def _active_masks(self) -> tuple[int, ...]:
         """Antecedent masks of the top-n rules, computed on first use."""
-        if self.vocabulary != VOCABULARY:
-            raise VocabularyMismatchError(
-                "classifier vocabulary does not match the item vector vocabulary"
-            )
-        return tuple(rule.antecedent_mask for rule in self.active_rules)
+        return tuple(rule.antecedent_mask for rule in self.ordered_rules[: self.n])
 
     def matched_rule_index(self, mask: int) -> int | None:
-        """Index (into the ordered list) of the first top-n rule matching the item mask."""
+        """Index (into the ordered list) of the first top-n rule matching the
+        item mask; None when none matches, so the method is not classified."""
         absent = ~mask
         for idx, antecedent in enumerate(self._active_masks):
             if not antecedent & absent:
                 return idx
         return None
-
-    def classify(self, mask: int) -> Classification:
-        if self.matched_rule_index(mask) is None:
-            return Classification.NOT_CLASSIFIED
-        return Classification.LOW_FAULT_RISK

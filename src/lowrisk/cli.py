@@ -3,6 +3,10 @@
 Every run writes its effective configuration next to (or inside) its output
 artifacts, so any result can be reproduced from the artifact alone. Data
 goes to files; diagnostics go to stderr.
+
+The config keys, their types and the flags of `train` and `evaluate` are
+read off the fields of `MiningConfig` and `PipelineConfig`, and the config
+is written as `dataclasses.asdict` of the `PipelineConfig`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import MISSING, asdict, fields
 from itertools import chain
 from pathlib import Path
 
@@ -32,34 +37,22 @@ from lowrisk.java.analyzer import analyze_project
 from lowrisk.mining import MiningConfig
 from lowrisk.pipeline import PipelineConfig, TrainedModel, train_on
 
+# One config key per field of MiningConfig and PipelineConfig but
+# PipelineConfig.mining, in declaration order, typed as the field's default.
 _CONFIG_KEYS = {
-    "min_support": float,
-    "min_confidence": float,
-    "max_antecedent_len": int,
-    "smote_over": int,
-    "smote_under": int,
-    "smote_k": int,
-    "no_smote": bool,
-    "budget_strict": float,
-    "budget_lenient": float,
-    "folds": int,
-    "seed": int,
+    f.name: type(f.default)
+    for f in fields(MiningConfig) + fields(PipelineConfig)
+    if f.default is not MISSING
 }
+_MINING_KEYS = [f.name for f in fields(MiningConfig)]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """--config, then one flag per config key: --no-smote takes no value."""
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    parser.add_argument("--min-support", type=float, dest="min_support")
-    parser.add_argument("--min-confidence", type=float, dest="min_confidence")
-    parser.add_argument("--max-antecedent-len", type=int, dest="max_antecedent_len")
-    parser.add_argument("--smote-over", type=int, dest="smote_over")
-    parser.add_argument("--smote-under", type=int, dest="smote_under")
-    parser.add_argument("--smote-k", type=int, dest="smote_k")
-    parser.add_argument("--no-smote", action="store_const", const=True, dest="no_smote")
-    parser.add_argument("--budget-strict", type=float, dest="budget_strict")
-    parser.add_argument("--budget-lenient", type=float, dest="budget_lenient")
-    parser.add_argument("--folds", type=int, dest="folds")
-    parser.add_argument("--seed", type=int, dest="seed")
+    for key, kind in _CONFIG_KEYS.items():
+        kwargs = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
+        parser.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
 def _is_a(value, kind: type) -> bool:
@@ -91,11 +84,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
-    mining_kwargs = {
-        k: values.pop(k)
-        for k in ("min_support", "min_confidence", "max_antecedent_len")
-        if k in values
-    }
+    mining_kwargs = {k: values.pop(k) for k in _MINING_KEYS if k in values}
     return PipelineConfig(mining=MiningConfig(**mining_kwargs), **values)
 
 
@@ -265,7 +254,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "inputs": [str(p) for p in args.csv],
             "projects": names,
-            "config": config.to_json(),
+            "config": asdict(config),
         },
     )
     for path in written:

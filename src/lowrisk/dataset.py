@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 from array import array
+from contextlib import contextmanager
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -149,7 +150,7 @@ def _upper_median(column: Sequence[int], rows: Sequence[int]) -> int:
     return sorted(map(column.__getitem__, rows))[len(rows) // 2]
 
 
-_metric_values = attrgetter(*(metric for metric, _ in TERTILE_METRICS))
+_metric_values = attrgetter(*TERTILE_METRICS)
 _faulty_and_occurrences = attrgetter("faulty", "occurrences")
 _metrics_of = attrgetter("metrics")
 
@@ -301,14 +302,14 @@ def build_unified(rows: Rows) -> MethodTable:
 
 # -- CSV schema -----------------------------------------------------------
 
-_IDENTITY_COLUMNS = ["project", "file_path", "type_name", "method_name", "param_signature"]
+IDENTITY_COLUMNS = list(MethodIdentity._fields[:5])  # the fields of MethodIdentity.key()
 _METRIC_COLUMNS = ["sloc", "cc", "max_nesting", "max_chaining", "unique_vars"]
 _CONSTRUCT_COLUMNS = [kind.column for kind in ConstructKind]
 _DERIVED_COLUMNS = ["all_conditions", "all_arithmetic"]
-_CATEGORY_COLUMNS = list(CategoryFlags.FIELDS)
+_CATEGORY_COLUMNS = list(CategoryFlags._fields)
 
 CSV_HEADER = (
-    _IDENTITY_COLUMNS
+    IDENTITY_COLUMNS
     + ["snapshot", "faulty"]
     + _METRIC_COLUMNS
     + _CONSTRUCT_COLUMNS
@@ -386,11 +387,22 @@ def _parse_fields(row_no: int, row: list[str], at: dict[str, int]) -> tuple:
     return faulty, counts, categories
 
 
+@contextmanager
+def _csv_reader(path: str | Path):
+    """A csv reader over the file; a csv.Error, such as a field over the csv
+    module's size limit, becomes a SchemaError naming the file row."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise SchemaError(f"row {reader.line_num}: {exc}") from None
+
+
 def read_csv(path: str | Path) -> Rows:
     """Read a metrics CSV into row columns; raises SchemaError naming the
     offending column/row."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -399,7 +411,7 @@ def read_csv(path: str | Path) -> Rows:
         if missing:
             raise SchemaError(f"missing column(s): {', '.join(missing)}")
         at = {name: header.index(name) for name in CSV_HEADER}
-        identity_of = itemgetter(*(at[c] for c in _IDENTITY_COLUMNS))
+        identity_of = itemgetter(*(at[c] for c in IDENTITY_COLUMNS))
         counts_of = itemgetter(*(at[c] for c in _COUNT_COLUMNS))
         head_of = itemgetter(*(at[c] for c in ["snapshot"] + _FLAG_COLUMNS))
         width = len(header)
@@ -437,30 +449,23 @@ def read_csv(path: str | Path) -> Rows:
 
 def read_label_file(path: str | Path) -> set[tuple]:
     """Read a fault-label CSV keyed by identity columns with a faulty column."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty label file")
-        required = _IDENTITY_COLUMNS + ["faulty"]
-        missing = [c for c in required if c not in header]
+        missing = [c for c in IDENTITY_COLUMNS + ["faulty"] if c not in header]
         if missing:
             raise SchemaError(f"label file missing column(s): {', '.join(missing)}")
-        idx = {name: header.index(name) for name in required}
+        identity_of = itemgetter(*map(header.index, IDENTITY_COLUMNS))
+        faulty_at, width = header.index("faulty"), len(header)
         faulty_keys = set()
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if _parse_bool(row_no, "faulty", row[idx["faulty"]]):
-                sig = tuple(p for p in row[idx["param_signature"]].split(";") if p)
-                faulty_keys.add(
-                    (
-                        row[idx["project"]],
-                        row[idx["file_path"]],
-                        row[idx["type_name"]],
-                        row[idx["method_name"]],
-                        sig,
-                    )
-                )
+            if len(row) < width:
+                raise SchemaError(f"row {row_no}: expected {width} fields, got {len(row)}")
+            if _parse_bool(row_no, "faulty", row[faulty_at]):
+                *identity, signature = identity_of(row)
+                faulty_keys.add((*identity, tuple(filter(None, signature.split(";")))))
         return faulty_keys

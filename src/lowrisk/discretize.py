@@ -5,7 +5,10 @@ one-third and two-thirds boundary values, extended to the last occurrence
 of each boundary value so equal values never straddle a class border.
 Count metrics become "has-no" items (true iff the count is zero), and the
 category flags pass through unchanged. The resulting item vocabulary is
-fixed and identical across projects.
+fixed and identical across projects. Its names are derived, in CamelCase,
+from the names that own them: the first five `RawMetrics` fields with a
+third, "No" before each `ConstructKind` CSV column, and the `CategoryFlags`
+fields; only the two derived has-no items are spelled out.
 
 An item vector is one int mask: bit i is set iff ATTRIBUTE_ITEMS[i] holds.
 The fault label is not part of it: the table's fault flag says which class
@@ -40,62 +43,36 @@ from operator import itemgetter, lshift, not_
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from lowrisk.errors import DegenerateDistributionWarning, SchemaError, VocabularyMismatchError
-from lowrisk.java.metrics import CategoryFlags, ConstructKind, arithmetic_counts, condition_counts
+from lowrisk.java.metrics import (
+    CategoryFlags, ConstructKind, RawMetrics, arithmetic_counts, condition_counts,
+)
 
 if TYPE_CHECKING:
     from lowrisk.dataset import MethodTable
 
-TERTILE_METRICS = (
-    ("sloc", "Sloc"),
-    ("cyclomatic_complexity", "CyclomaticComplexity"),
-    ("max_nesting", "MaxNesting"),
-    ("max_chaining", "MaxChaining"),
-    ("unique_variable_ids", "UniqueVariableIds"),
-)
+
+def _camel(snake: str) -> str:
+    """sloc_like_name -> SlocLikeName."""
+    return "".join(part.capitalize() for part in snake.split("_"))
+
+
+# The five tertile metrics are the RawMetrics fields before the counts.
+TERTILE_METRICS: tuple[str, ...] = RawMetrics._fields[:5]
 
 _THIRDS = ("LowestThird", "MiddleThird", "HighestThird")
 
-NO_ITEM_NAMES: dict[ConstructKind, str] = {
-    ConstructKind.METHOD_INVOCATION: "NoMethodInvocations",
-    ConstructKind.IF_CONDITION: "NoIfConditions",
-    ConstructKind.ELSE_BLOCK: "NoElseBlocks",
-    ConstructKind.SWITCH_CASE_BLOCK: "NoSwitchCaseBlocks",
-    ConstructKind.TERNARY_OPERATION: "NoTernaryOperations",
-    ConstructKind.LOOP: "NoLoops",
-    ConstructKind.TRY_BLOCK: "NoTryBlocks",
-    ConstructKind.CATCH_CLAUSE: "NoCatchClauses",
-    ConstructKind.FINALLY_BLOCK: "NoFinallyBlocks",
-    ConstructKind.THROW_STATEMENT: "NoThrowStatements",
-    ConstructKind.RETURN_STATEMENT: "NoReturnStatements",
-    ConstructKind.CAST_EXPRESSION: "NoCastExpressions",
-    ConstructKind.INSTANCEOF_EXPRESSION: "NoInstanceofExpressions",
-    ConstructKind.NULL_LITERAL: "NoNullLiterals",
-    ConstructKind.NULL_CHECK: "NoNullChecks",
-    ConstructKind.ARITHMETIC_INFIX_OP: "NoArithmeticInfixOps",
-    ConstructKind.INCREMENTATION: "NoIncrementations",
-    ConstructKind.DECREMENTATION: "NoDecrementations",
-    ConstructKind.LOGICAL_OPERATOR: "NoLogicalOperators",
-    ConstructKind.COMPARISON_OPERATOR: "NoComparisonOperators",
-    ConstructKind.ASSIGNMENT: "NoAssignments",
-    ConstructKind.ARRAY_ACCESS: "NoArrayAccesses",
-    ConstructKind.ARRAY_CREATION: "NoArrayCreations",
-    ConstructKind.OBJECT_CREATION: "NoObjectCreations",
-    ConstructKind.STRING_LITERAL: "NoStringLiterals",
-    ConstructKind.ANONYMOUS_CLASS: "NoAnonymousClasses",
-}
+# One has-no item per construct count column, in ConstructKind order.
+_NO_ITEMS = tuple("No" + _camel(kind.column) for kind in ConstructKind)
 
 _DERIVED_NO_ITEMS = ("NoConditions", "NoArithmeticOperations")
 
-_CATEGORY_ITEMS = tuple(
-    "Is" + "".join(part.capitalize() for part in f[3:].split("_")) for f in CategoryFlags.FIELDS
-)
-# -> IsConstructor, IsGetter, IsSetter, IsEmpty, IsDelegation, IsToString
+_CATEGORY_ITEMS = tuple(map(_camel, CategoryFlags._fields))  # IsConstructor, ..., IsToString
 
 LABEL_NOT_FAULTY = "NotFaulty"
 
 ATTRIBUTE_ITEMS: tuple[str, ...] = (
-    tuple(f"{prefix}{third}" for _, prefix in TERTILE_METRICS for third in _THIRDS)
-    + tuple(NO_ITEM_NAMES[kind] for kind in ConstructKind)
+    tuple(_camel(metric) + third for metric in TERTILE_METRICS for third in _THIRDS)
+    + _NO_ITEMS
     + _DERIVED_NO_ITEMS
     + _CATEGORY_ITEMS
 )
@@ -105,13 +82,12 @@ VOCABULARY: tuple[str, ...] = ATTRIBUTE_ITEMS + (LABEL_NOT_FAULTY,)
 _ITEM_BIT: dict[str, int] = {name: 1 << i for i, name in enumerate(ATTRIBUTE_ITEMS)}
 _N_TERTILE_BITS = 3 * len(TERTILE_METRICS)
 _LOWEST_THIRD_BITS = tuple(1 << (3 * m) for m in range(len(TERTILE_METRICS)))
-_NO_ITEM_BITS = tuple(_ITEM_BIT[NO_ITEM_NAMES[kind]] for kind in ConstructKind)
-_NO_CONDITIONS_BIT = _ITEM_BIT["NoConditions"]
-_NO_ARITHMETIC_BIT = _ITEM_BIT["NoArithmeticOperations"]
+_NO_ITEM_BITS = tuple(map(_ITEM_BIT.__getitem__, _NO_ITEMS))
+_NO_CONDITIONS_BIT, _NO_ARITHMETIC_BIT = map(_ITEM_BIT.__getitem__, _DERIVED_NO_ITEMS)
 # The has-no bits whose conjunction is NoConditions, and NoArithmeticOperations.
 _CONDITION_NO_BITS = sum(condition_counts(_NO_ITEM_BITS))
 _ARITHMETIC_NO_BITS = sum(arithmetic_counts(_NO_ITEM_BITS))
-_CATEGORY_BITS = tuple(_ITEM_BIT[name] for name in _CATEGORY_ITEMS)
+_CATEGORY_BITS = tuple(map(_ITEM_BIT.__getitem__, _CATEGORY_ITEMS))
 # The three class bits of each tertile metric and the highest of them; every other bit is a flag.
 _TERTILE_GROUPS = tuple((7 << low, 4 << low) for low in range(0, _N_TERTILE_BITS, 3))
 _FLAG_BITS = (1 << len(ATTRIBUTE_ITEMS)) - (1 << _N_TERTILE_BITS)
@@ -183,7 +159,7 @@ class DiscretizationModel:
         bisect_left of a value into a pair is its class minus one."""
         return tuple(
             (self.bounds[metric].class1_upper, self.bounds[metric].class2_upper)
-            for metric, _ in TERTILE_METRICS
+            for metric in TERTILE_METRICS
         )
 
     def to_json(self) -> dict:
@@ -195,7 +171,7 @@ class DiscretizationModel:
     @classmethod
     def from_json(cls, data: dict) -> "DiscretizationModel":
         bounds = {}
-        for metric, _ in TERTILE_METRICS:
+        for metric in TERTILE_METRICS:
             entry = data.get(metric)
             if not isinstance(entry, dict):
                 raise SchemaError(f"discretization model missing metric {metric!r}")
@@ -241,7 +217,7 @@ def fit_discretization(table: MethodTable) -> DiscretizationModel:
     # hold are all of them.
     gather = None if len(rows) == len(table.metrics[0]) else itemgetter(*rows)
     bounds = {}
-    for (metric, _), column in zip(TERTILE_METRICS, table.metrics):
+    for metric, column in zip(TERTILE_METRICS, table.metrics):
         counts = Counter(column if gather is None else gather(column))
         if len(counts) == 1:
             warnings.warn(
@@ -267,7 +243,7 @@ def count_items_mask(construct_counts: Sequence[int]) -> int:
 
 
 def category_mask(flags: Iterable[bool]) -> int:
-    """The 6 category bits of flags given in CategoryFlags.FIELDS order."""
+    """The 6 category bits of flags given in CategoryFlags field order."""
     return sum(compress(_CATEGORY_BITS, flags))
 
 

@@ -23,13 +23,13 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from lowrisk.classifier import LfrClassifier, Variant
-from lowrisk.dataset import MethodTable
+from lowrisk.dataset import IDENTITY_COLUMNS, MethodTable
 from lowrisk.discretize import DiscretizationModel, itemize
 from lowrisk.errors import TooFewMinorityError
 from lowrisk.pipeline import PipelineConfig, derive_seed, train_on
@@ -157,17 +157,7 @@ class ProjectReport:
     folds: tuple[ScopeMetrics, ...] = ()
 
 
-PREDICTION_HEADER = [
-    "project",
-    "file_path",
-    "type_name",
-    "method_name",
-    "param_signature",
-    "variant",
-    "predicted_lfr",
-    "faulty",
-    "matched_rule_index",
-]
+PREDICTION_HEADER = IDENTITY_COLUMNS + ["variant", "predicted_lfr", "faulty", "matched_rule_index"]
 
 
 class PredictionDump:
@@ -390,7 +380,7 @@ def report_json(
         summary.setdefault(variant, {})[label] = dict(zip(_SUMMARY_FIELDS, map(_json_number, values)))
     doc = {"mode": mode, "projects": projects, "summary": summary}
     if config is not None:
-        doc["config"] = config.to_json()
+        doc["config"] = asdict(config)
     return doc
 
 

@@ -141,8 +141,6 @@ class CategoryFlags(NamedTuple):
     is_delegation: bool = False
     is_to_string: bool = False
 
-    FIELDS = ("is_constructor", "is_getter", "is_setter", "is_empty", "is_delegation", "is_to_string")
-
 
 class _Stmt(NamedTuple):
     kind: str

@@ -88,13 +88,6 @@ class MiningConfig:
         if self.max_antecedent_len < 1:
             raise ValueError("max_antecedent_len must be at least 1")
 
-    def to_json(self) -> dict:
-        return {
-            "min_support": self.min_support,
-            "min_confidence": self.min_confidence,
-            "max_antecedent_len": self.max_antecedent_len,
-        }
-
 
 def mine(
     faulty: Sequence[int],

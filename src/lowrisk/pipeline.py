@@ -22,7 +22,7 @@ import hashlib
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 from operator import not_
 
@@ -72,19 +72,6 @@ class PipelineConfig:
     def budget(self, variant: Variant) -> float:
         return self.budget_strict if variant is Variant.STRICT else self.budget_lenient
 
-    def to_json(self) -> dict:
-        return {
-            "mining": self.mining.to_json(),
-            "smote_over": self.smote_over,
-            "smote_under": self.smote_under,
-            "smote_k": self.smote_k,
-            "no_smote": self.no_smote,
-            "budget_strict": self.budget_strict,
-            "budget_lenient": self.budget_lenient,
-            "folds": self.folds,
-            "seed": self.seed,
-        }
-
 
 def _entry(owner, key: str, kind, where: str):
     """owner[key] if owner is a JSON object and that entry is a kind, else SchemaError."""
@@ -129,7 +116,7 @@ class TrainedModel:
                 for variant, clf in self.classifiers.items()
             },
             "training_meta": self.meta,
-            "run_config": config.to_json(),
+            "run_config": asdict(config),
         }
 
     @classmethod
@@ -179,13 +166,7 @@ class TrainedModel:
             if not 0 <= n <= len(rules):
                 raise SchemaError(f"{variant_where} has no valid 'n' entry")
             budget = _entry(entry, "budget", (int, float), variant_where)
-            classifiers[variant] = LfrClassifier(
-                ordered_rules=rules,
-                n=n,
-                variant=variant,
-                budget=budget,
-                training_meta=dict(meta, budget=budget, n=n),
-            )
+            classifiers[variant] = LfrClassifier(rules, n, budget)
         return cls(discretization, rules, classifiers, meta)
 
 
@@ -229,7 +210,7 @@ def train_on(
     )
     n_faulty = len(faulty)
     mining_stats: dict = {}
-    rules = mine(mining_set.faulty, mining_set.clean, config.mining, stats=mining_stats)
+    rules = tuple(mine(mining_set.faulty, mining_set.clean, config.mining, stats=mining_stats))
     meta = {
         "training_methods": len(methods),
         "training_faulty": n_faulty,
@@ -243,11 +224,5 @@ def train_on(
         budget = config.budget(variant)
         # Prefix selection counts faults only.
         n = select_prefix(rules, faulty, [True] * n_faulty, budget)
-        classifiers[variant] = LfrClassifier(
-            ordered_rules=tuple(rules),
-            n=n,
-            variant=variant,
-            budget=budget,
-            training_meta=dict(meta, budget=budget, n=n),
-        )
-    return TrainedModel(model, tuple(rules), classifiers, meta)
+        classifiers[variant] = LfrClassifier(rules, n, budget)
+    return TrainedModel(model, rules, classifiers, meta)

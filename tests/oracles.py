@@ -325,10 +325,10 @@ def itemize_bool_tuple(method, model):
     profiles = []
     for r in occurrences:
         m = r.metrics
-        classes = tuple(model.classify(metric, getattr(m, metric)) for metric, _ in TERTILE_METRICS)
+        classes = tuple(model.classify(metric, getattr(m, metric)) for metric in TERTILE_METRICS)
         flags = tuple(m.construct_counts[kind] == 0 for kind in ConstructKind)
         flags += (m.all_conditions == 0, m.all_arithmetic == 0)
-        flags += tuple(getattr(r.categories, f) for f in CategoryFlags.FIELDS)
+        flags += tuple(getattr(r.categories, f) for f in CategoryFlags._fields)
         profiles.append((classes, flags))
     if len(profiles) == 1:
         classes, flags = profiles[0]
@@ -419,7 +419,7 @@ def read_csv_per_field(path):
                 construct_counts=counts,
             )
             categories = CategoryFlags(
-                **{f: parse_bool(row_no, f, col(f)) for f in CategoryFlags.FIELDS}
+                **{f: parse_bool(row_no, f, col(f)) for f in CategoryFlags._fields}
             )
             identity = MethodIdentity(
                 project=col("project"),
@@ -463,7 +463,7 @@ def reference_row(rec):
     row.extend(map(str, m.construct_counts))
     row.append(str(m.all_conditions))
     row.append(str(m.all_arithmetic))
-    row.extend(fmt_bool(getattr(rec.categories, f)) for f in CategoryFlags.FIELDS)
+    row.extend(fmt_bool(getattr(rec.categories, f)) for f in CategoryFlags._fields)
     return row
 
 
@@ -549,7 +549,7 @@ def fit_records(records):
     if len(records) < 3:
         raise ValueError(f"need at least 3 records to fit tertiles, got {len(records)}")
     bounds = {}
-    for metric, _ in TERTILE_METRICS:
+    for metric in TERTILE_METRICS:
         values = [getattr(r.metrics, metric) for r in records]
         if len(set(values)) == 1:
             warnings.warn(
@@ -667,13 +667,7 @@ def eager_train_on(methods, config, scope=()):
     for variant in Variant:
         budget = config.budget(variant)
         n = select_prefix(rules, masks, training_faulty, budget)
-        classifiers[variant] = LfrClassifier(
-            ordered_rules=tuple(rules),
-            n=n,
-            variant=variant,
-            budget=budget,
-            training_meta=dict(meta, budget=budget, n=n),
-        )
+        classifiers[variant] = LfrClassifier(tuple(rules), n, budget)
     return TrainedModel(model, tuple(rules), classifiers, meta)
 
 

@@ -7,7 +7,6 @@ import pytest
 from helpers import make_rule
 from oracles import matched_set, prefix_scan_oracle, random_rule
 from lowrisk.classifier import (
-    Classification,
     LfrClassifier,
     Variant,
     order_rules,
@@ -128,31 +127,29 @@ class TestSelectPrefix:
 
 
 def classifier_with(rules, n, variant=Variant.STRICT):
-    return LfrClassifier(
-        ordered_rules=tuple(rules), n=n, variant=variant, budget=PipelineConfig().budget(variant)
-    )
+    return LfrClassifier(tuple(rules), n, PipelineConfig().budget(variant))
 
 
 class TestClassify:
     def test_zero_rules_never_classifies(self):
         clf = classifier_with([rule({"NoLoops"}, 0.99, 0.2)], n=0)
-        assert clf.classify(item_mask(["NoLoops"])) is Classification.NOT_CLASSIFIED
+        assert clf.matched_rule_index(item_mask(["NoLoops"])) is None
 
     def test_exact_antecedent_match(self):
         clf = classifier_with([rule({"NoLoops", "IsSetter"}, 0.99, 0.2)], n=1)
-        assert clf.classify(item_mask(["NoLoops", "IsSetter"])) is Classification.LOW_FAULT_RISK
-        assert clf.classify(item_mask(["NoLoops"])) is Classification.NOT_CLASSIFIED
+        assert clf.matched_rule_index(item_mask(["NoLoops", "IsSetter"])) is not None
+        assert clf.matched_rule_index(item_mask(["NoLoops"])) is None
 
     def test_rule_outside_prefix_ignored(self):
         rules = [rule({"NoLoops"}, 0.99, 0.2), rule({"IsSetter"}, 0.98, 0.2)]
         clf = classifier_with(rules, n=1)
-        assert clf.classify(item_mask(["IsSetter"])) is Classification.NOT_CLASSIFIED
+        assert clf.matched_rule_index(item_mask(["IsSetter"])) is None
 
     def test_label_ignored_during_matching(self):
         # An item mask holds attribute items only: the fault label is no bit
         # of it, and no antecedent can name the NotFaulty item.
         clf = classifier_with([rule({"NoLoops"}, 0.99, 0.2)], n=1)
-        assert clf.classify(item_mask(["NoLoops"])) is Classification.LOW_FAULT_RISK
+        assert clf.matched_rule_index(item_mask(["NoLoops"])) is not None
         with pytest.raises(VocabularyMismatchError):
             rule({"NoLoops", "NotFaulty"}, 0.99, 0.2)
 
@@ -160,17 +157,6 @@ class TestClassify:
         rules = [rule({"IsSetter"}, 0.99, 0.2), rule({"NoLoops"}, 0.98, 0.2)]
         clf = classifier_with(rules, n=2)
         assert clf.matched_rule_index(item_mask(["NoLoops"])) == 1
-
-    def test_vocabulary_mismatch(self):
-        clf = LfrClassifier(
-            ordered_rules=(rule({"NoLoops"}, 0.99, 0.2),),
-            n=1,
-            variant=Variant.STRICT,
-            budget=0.025,
-            vocabulary=("Other",),
-        )
-        with pytest.raises(VocabularyMismatchError):
-            clf.classify(item_mask(["NoLoops"]))
 
     def test_unknown_antecedent_item_rejected(self):
         # Outside the top n too: such a rule cannot be built.
@@ -190,12 +176,10 @@ class TestClassify:
             strict = classifier_with(rules, n_strict)
             lenient = classifier_with(rules, n_lenient, Variant.LENIENT)
             matched_strict = {
-                i for i, v in enumerate(vectors)
-                if strict.classify(v) is Classification.LOW_FAULT_RISK
+                i for i, v in enumerate(vectors) if strict.matched_rule_index(v) is not None
             }
             matched_lenient = {
-                i for i, v in enumerate(vectors)
-                if lenient.classify(v) is Classification.LOW_FAULT_RISK
+                i for i, v in enumerate(vectors) if lenient.matched_rule_index(v) is not None
             }
             assert matched_strict <= matched_lenient
 

@@ -1,8 +1,10 @@
+import argparse
 import csv
 import json
 import pickle
 import shutil
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -10,6 +12,7 @@ from oracles import read_csv_per_field
 from lowrisk import cli
 from lowrisk import dataset as ds
 from lowrisk.cli import main
+from lowrisk.pipeline import PipelineConfig
 from lowrisk.synthetic import generate_corpus, generate_project
 
 
@@ -141,6 +144,23 @@ class TestExtract:
         assert by_name["buggy"].snapshot is ds.Snapshot.FAULTY
         assert not by_name["safe"].faulty
 
+    @pytest.mark.parametrize("row, message", [
+        ("corpus,A.java\n", "row 2: expected 6 fields, got 2"),
+        ("p," + "x" * 131073 + ",A,m,,true\n", "row 2: field larger than field limit (131072)"),
+    ], ids=["short_row", "field_over_csv_limit"])
+    def test_malformed_label_file_is_schema_error(self, row, message, corpus_dir, tmp_path, capsys):
+        """A short row, or a field over the csv module's size limit, ends the run
+        with exit 1 and the row's number, not a traceback."""
+        labels = tmp_path / "labels.csv"
+        labels.write_text("project,file_path,type_name,method_name,param_signature,faulty\n" + row,
+                          encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert run(["extract", "--root", corpus_dir, "--project", "corpus", "--out", out,
+                    "--labels", labels, "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
 
 FAST_FLAGS = ["--min-support", "0.05", "--min-confidence", "0.95",
               "--max-antecedent-len", "2", "--seed", "9"]
@@ -250,6 +270,62 @@ class TestTrain:
         cfg.write_text("[1, 2]")
         assert run(["train", synth_csvs[0], "--out", tmp_path / "clf.json", "--config", cfg]) == 1
         assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_config_file_with_every_key_comes_back_as_run_config(self, synth_csvs, tmp_path):
+        """Every key at a value other than its default, as the JSON type of
+        that key, is the classifier file's run_config (mining keys nested)."""
+        settings = {
+            "min_support": 0.06, "min_confidence": 0.9, "max_antecedent_len": 2,
+            "smote_over": 200, "smote_under": 150, "smote_k": 3, "no_smote": True,
+            "budget_strict": 0.01, "budget_lenient": 0.1, "folds": 5, "seed": 42,
+        }
+        defaults = asdict(PipelineConfig())
+        defaults.update(defaults.pop("mining"))
+        assert sorted(settings) == sorted(defaults)
+        assert all(settings[key] != defaults[key] for key in settings)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "clf.json"
+        assert run(["train", synth_csvs[0], "--out", out, "--config", cfg]) == 0
+        run_config = json.loads(out.read_text())["run_config"]
+        run_config.update(run_config.pop("mining"))
+        assert json.dumps(run_config, sort_keys=True) == json.dumps(settings, sort_keys=True)
+
+    def test_config_json_of_the_defaults(self):
+        assert asdict(PipelineConfig()) == {
+            "mining": {"min_support": 0.1, "min_confidence": 0.95, "max_antecedent_len": 8},
+            "smote_over": 100,
+            "smote_under": 200,
+            "smote_k": 5,
+            "no_smote": False,
+            "budget_strict": 0.025,
+            "budget_lenient": 0.05,
+            "folds": 10,
+            "seed": 0,
+        }
+
+    @pytest.mark.parametrize("command, own", [
+        ("train", ["--out"]),
+        ("evaluate", ["--mode", "--out-dir", "--formats", "--dump-predictions", "--jobs"]),
+    ])
+    def test_option_strings(self, command, own):
+        """The config flags follow the command's own options, one per config key."""
+        parser = cli.build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = [o for a in commands.choices[command]._actions for o in a.option_strings]
+        assert options == ["-h", "--help"] + own + [
+            "--config", "--min-support", "--min-confidence", "--max-antecedent-len",
+            "--smote-over", "--smote-under", "--smote-k", "--no-smote",
+            "--budget-strict", "--budget-lenient", "--folds", "--seed",
+        ]
+
+    def test_metrics_csv_field_over_csv_limit_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(",".join(ds.CSV_HEADER) + "\np," + "x" * 131073 + "\n", encoding="utf-8")
+        assert run(["train", path, "--out", tmp_path / "clf.json"] + FAST_FLAGS) == 1
+        err = capsys.readouterr().err
+        assert "error: row 2: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
 
 
 DELETE = object()  # test_missing_classifier_entry_is_schema_error removes the entry

@@ -27,7 +27,7 @@ from lowrisk.dataset import (
     read_csv,
     write_csv,
 )
-from lowrisk.discretize import NO_ITEM_NAMES, fit_discretization, item_mask, itemize
+from lowrisk.discretize import ATTRIBUTE_ITEMS, fit_discretization, item_mask, itemize
 from lowrisk.errors import SchemaError, UnmatchedFaultyWarning
 from lowrisk.java.metrics import CategoryFlags, ConstructKind
 from lowrisk.synthetic import generate_corpus, generate_project
@@ -173,7 +173,7 @@ class TestCsv:
         assert {r.faulty for r in records} == {True, False}
         assert {r.snapshot for r in records} == set(Snapshot)
         assert {len(r.identity.param_signature) for r in records} == {0, 1, 3}
-        for field in CategoryFlags.FIELDS:
+        for field in CategoryFlags._fields:
             assert {getattr(r.categories, field) for r in records} == {True, False}
         counts = {c for r in records for c in r.metrics.construct_counts}
         assert {0, 2**63 - 1} <= counts
@@ -374,7 +374,8 @@ class TestReadCsvAgainstPerFieldOracle:
         assert rec.metrics.construct_counts == tuple(k % 2 * (k + 1) for k in ConstructKind)
         rows = read_csv(path)
         assert tuple(column[0] for column in rows.metrics) == (11, 12, 13, 14, 15)
-        no_items = item_mask(NO_ITEM_NAMES[k] for k in ConstructKind if k % 2 == 0)
+        # The has-no items follow the 15 tertile items, in ConstructKind order.
+        no_items = item_mask(ATTRIBUTE_ITEMS[15 + k] for k in ConstructKind if k % 2 == 0)
         # if_conditions and arithmetic_infix_ops are odd kinds: neither derived item holds.
         assert rows.fixed[0] == no_items
 
@@ -409,7 +410,7 @@ def _random_records(rng, project):
                 sloc=rng.randint(1, 40), cc=rng.randint(1, 6), nesting=rng.randint(0, 3),
                 chaining=rng.randint(0, 3), variables=rng.randint(0, 9), **counts,
             )
-            categories = CategoryFlags(**{f: rng.random() < 0.2 for f in CategoryFlags.FIELDS})
+            categories = CategoryFlags(**{f: rng.random() < 0.2 for f in CategoryFlags._fields})
             return make_record(f"m{i}", metrics=metrics, categories=categories, faulty=faulty, **identity)
 
         kind = rng.choice(["clean", "duplicates", "faulty", "faulty only"])
@@ -426,7 +427,7 @@ def _writer_record(rng):
     need quoting, signatures of 0, 1 or 3 types, counts and metrics from 0 to
     2**63 - 1, every flag either way, current and faulty records."""
     names = ["m", "a,b", 'say "hi"', "two words", "naïve", "x\ny"]
-    flags = CategoryFlags(*(rng.random() < 0.5 for _ in CategoryFlags.FIELDS))
+    flags = CategoryFlags(*(rng.random() < 0.5 for _ in CategoryFlags._fields))
     big = [0, 1, rng.randint(2, 10**6), 2**63 - 1]
     identity = make_identity(
         rng.choice(names), project=rng.choice(["p", "p,q"]), file_path=rng.choice(["A.java", "a b/C.java"]),

@@ -144,6 +144,31 @@ class TestItemize:
         assert len(VOCABULARY) == 5 * 3 + (26 + 2) + 6 + 1
         assert len(ATTRIBUTE_ITEMS) == len(VOCABULARY) - 1
 
+    def test_vocabulary_names_in_bit_order(self):
+        """The names derived from RawMetrics, ConstructKind and CategoryFlags
+        are the paper's vocabulary, written out here: item i is bit i."""
+        assert list(VOCABULARY) == [
+            "SlocLowestThird", "SlocMiddleThird", "SlocHighestThird",
+            "CyclomaticComplexityLowestThird", "CyclomaticComplexityMiddleThird",
+            "CyclomaticComplexityHighestThird",
+            "MaxNestingLowestThird", "MaxNestingMiddleThird", "MaxNestingHighestThird",
+            "MaxChainingLowestThird", "MaxChainingMiddleThird", "MaxChainingHighestThird",
+            "UniqueVariableIdsLowestThird", "UniqueVariableIdsMiddleThird", "UniqueVariableIdsHighestThird",
+            "NoMethodInvocations", "NoIfConditions", "NoElseBlocks", "NoSwitchCaseBlocks",
+            "NoTernaryOperations", "NoLoops", "NoTryBlocks", "NoCatchClauses", "NoFinallyBlocks",
+            "NoThrowStatements", "NoReturnStatements", "NoCastExpressions", "NoInstanceofExpressions",
+            "NoNullLiterals", "NoNullChecks", "NoArithmeticInfixOps", "NoIncrementations",
+            "NoDecrementations", "NoLogicalOperators", "NoComparisonOperators", "NoAssignments",
+            "NoArrayAccesses", "NoArrayCreations", "NoObjectCreations", "NoStringLiterals",
+            "NoAnonymousClasses",
+            "NoConditions", "NoArithmeticOperations",
+            "IsConstructor", "IsGetter", "IsSetter", "IsEmpty", "IsDelegation", "IsToString",
+            "NotFaulty",
+        ]
+        assert TERTILE_METRICS == (
+            "sloc", "cyclomatic_complexity", "max_nesting", "max_chaining", "unique_variable_ids"
+        )
+
     def test_identical_vectors_mean_identical_profiles(self):
         a = make_record("a", metrics=make_metrics(sloc=1, loops=1))
         b = make_record("b", metrics=make_metrics(sloc=2, loops=2))

@@ -94,7 +94,9 @@ def test_fields_keys_and_derived_sums():
     assert RawMetrics._fields == (
         "sloc", "cyclomatic_complexity", "max_nesting", "max_chaining", "unique_variable_ids", "construct_counts"
     )
-    assert CategoryFlags._fields == CategoryFlags.FIELDS
+    assert CategoryFlags._fields == (
+        "is_constructor", "is_getter", "is_setter", "is_empty", "is_delegation", "is_to_string"
+    )
     assert CategoryFlags() == (False,) * 6
     assert MethodRecord(identity, metrics, categories).snapshot is Snapshot.CURRENT
     assert (metrics.all_conditions, metrics.all_arithmetic) == (1, 2)

@@ -52,7 +52,7 @@ def random_record(rng, name, faulty):
         unique_variable_ids=rng.randint(0, 5 * scale),
         construct_counts=tuple(counts),
     )
-    categories = CategoryFlags(**{f: rng.random() < 0.15 for f in CategoryFlags.FIELDS})
+    categories = CategoryFlags(**{f: rng.random() < 0.15 for f in CategoryFlags._fields})
     return MethodRecord(
         make_identity(name),
         metrics,
@@ -138,7 +138,7 @@ def test_train_on_equals_the_eager_oracle(case, seed):
     assert new.meta == old.meta
     for variant, clf in new.classifiers.items():
         assert clf.n == old.classifiers[variant].n
-        assert clf.training_meta == old.classifiers[variant].training_meta
+        assert clf.budget == old.classifiers[variant].budget
     assert new_warned == old_warned
     assert (ImbalanceUnachievableWarning in new_warned) == deficit
 
