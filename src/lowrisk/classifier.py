@@ -16,6 +16,7 @@ vocabulary is checked once, when `TrainedModel.from_json` reads a file.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -38,28 +39,19 @@ def order_rules(rules: Iterable[AssociationRule]) -> list[AssociationRule]:
 
 
 def select_prefix(
-    ordered_rules: Sequence[AssociationRule],
-    training_masks: Sequence[int],
-    training_faulty: Sequence[bool],
-    budget: float,
+    ordered_rules: Sequence[AssociationRule], faulty_masks: Sequence[int], budget: float
 ) -> int:
     """Largest n whose top-n prefix matches at most budget * all faults.
 
-    Evaluated against the item masks of the original (pre-balancing)
-    training set; label items play no role since antecedents never contain
-    them. Only faulty methods count against the budget, so only they are
-    scanned, each distinct mask once, and each rule rescans only the masks
+    faulty_masks are the item masks of the faulty methods of the original
+    (pre-balancing) training set; only faults count against the budget.
+    Each distinct mask is scanned once, and each rule rescans only the masks
     that no earlier rule matched.
     """
-    total_faulty = sum(1 for f in training_faulty if f)
-    if total_faulty == 0:
+    if not faulty_masks:
         raise ValueError("training set contains no faulty methods")
-    allowed = budget * total_faulty + _BUDGET_EPS
-    faulty_per_mask: dict[int, int] = {}
-    for mask, faulty in zip(training_masks, training_faulty):
-        if faulty:
-            faulty_per_mask[mask] = faulty_per_mask.get(mask, 0) + 1
-    unmatched = list(faulty_per_mask.items())
+    allowed = budget * len(faulty_masks) + _BUDGET_EPS
+    unmatched = list(Counter(faulty_masks).items())
     faulty_matched = 0
     n = 0
     for rule in ordered_rules:

@@ -4,9 +4,9 @@ Every run writes its effective configuration next to (or inside) its output
 artifacts, so any result can be reproduced from the artifact alone. Data
 goes to files; diagnostics go to stderr.
 
-The config keys, their types and the flags of `train` and `evaluate` are
-read off the fields of `MiningConfig` and `PipelineConfig`, and the config
-is written as `dataclasses.asdict` of the `PipelineConfig`.
+The flags of `train` and `evaluate` are read off `pipeline.CONFIG_KEYS`, and
+a config file is read and every recorded config written as the flat object of
+`PipelineConfig.from_json` and `PipelineConfig.to_json`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, fields
 from itertools import chain
 from pathlib import Path
 
@@ -34,32 +33,15 @@ from lowrisk.evaluation import (
     write_prediction_dump,
 )
 from lowrisk.java.analyzer import analyze_project
-from lowrisk.mining import MiningConfig
-from lowrisk.pipeline import PipelineConfig, TrainedModel, train_on
-
-# One config key per field of MiningConfig and PipelineConfig but
-# PipelineConfig.mining, in declaration order, typed as the field's default.
-_CONFIG_KEYS = {
-    f.name: type(f.default)
-    for f in fields(MiningConfig) + fields(PipelineConfig)
-    if f.default is not MISSING
-}
-_MINING_KEYS = [f.name for f in fields(MiningConfig)]
+from lowrisk.pipeline import CONFIG_KEYS, PipelineConfig, TrainedModel, train_on, write_json
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """--config, then one flag per config key: --no-smote takes no value."""
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    for key, kind in _CONFIG_KEYS.items():
+    for key, kind in CONFIG_KEYS.items():
         kwargs = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
         parser.add_argument("--" + key.replace("_", "-"), **kwargs)
-
-
-def _is_a(value, kind: type) -> bool:
-    """JSON typing of a config value: a bool is never a number, an int is a float."""
-    if isinstance(value, bool) or kind is bool:
-        return isinstance(value, bool) and kind is bool
-    return isinstance(value, int) or (kind is float and isinstance(value, float))
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -72,29 +54,12 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
             raise LowriskError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(values, dict):
             raise LowriskError(f"config file {args.config} must be a JSON object")
-        unknown = set(values) - set(_CONFIG_KEYS)
-        if unknown:
-            raise LowriskError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        for key, value in values.items():
-            if not _is_a(value, _CONFIG_KEYS[key]):
-                raise LowriskError(
-                    f"config key {key!r} takes a {_CONFIG_KEYS[key].__name__}, not {value!r}"
-                )
-    for key in _CONFIG_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
-    mining_kwargs = {k: values.pop(k) for k in _MINING_KEYS if k in values}
-    return PipelineConfig(mining=MiningConfig(**mining_kwargs), **values)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    """Write strict JSON: a NaN or infinity raises ValueError instead of being written."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    flags = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None}
+    return PipelineConfig.from_json(values, **flags)
 
 
 def _write_run_sidecar(out_path: Path, payload: dict) -> None:
-    _write_json(out_path.with_suffix(out_path.suffix + ".run.json"), payload)
+    write_json(out_path.with_suffix(out_path.suffix + ".run.json"), payload)
 
 
 # -- extract ----------------------------------------------------------------
@@ -169,7 +134,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
     table = _load_projects(args.csv)
     trained = train_on(table, config, scope=("train",))
-    _write_json(Path(args.out), trained.to_json(config))
+    write_json(args.out, trained.to_json(config))
     print(
         f"trained on {len(table)} methods; {len(trained.rules)} rules; "
         f"n_strict={trained.classifiers[Variant.STRICT].n} "
@@ -254,7 +219,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "inputs": [str(p) for p in args.csv],
             "projects": names,
-            "config": asdict(config),
+            "config": config.to_json(),
         },
     )
     for path in written:

@@ -389,8 +389,10 @@ def _parse_fields(row_no: int, row: list[str], at: dict[str, int]) -> tuple:
 
 @contextmanager
 def _csv_reader(path: str | Path):
-    """A csv reader over the file; a csv.Error, such as a field over the csv
-    module's size limit, becomes a SchemaError naming the file row."""
+    """A csv reader over the file. Errors name a row by `reader.line_num`, the
+    file line on which the record ends, so a quoted line break counts; a
+    csv.Error, such as a field over the csv module's size limit, becomes a
+    SchemaError naming it too."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -420,11 +422,11 @@ def read_csv(path: str | Path) -> Rows:
         heads: dict[tuple, tuple[bool, int]] = {}
         signatures: dict[str, tuple] = {}
         keys, faulty, fixed, metric_values = [], [], [], []
-        for row_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) < width:
-                raise SchemaError(f"row {row_no}: expected {width} fields, got {len(row)}")
+                raise SchemaError(f"row {reader.line_num}: expected {width} fields, got {len(row)}")
             # The fast path takes known head spellings and plain counts only;
             # anything it refuses is parsed again field by field, which
             # accepts padded values and raises the SchemaError for a bad field.
@@ -432,7 +434,7 @@ def read_csv(path: str | Path) -> Rows:
                 is_faulty, category_bits = heads[head_of(row)]
                 counts = tuple(map(_PLAIN_COUNTS.__getitem__, counts_of(row)))
             except KeyError:
-                is_faulty, counts, categories = _parse_fields(row_no, row, at)
+                is_faulty, counts, categories = _parse_fields(reader.line_num, row, at)
                 category_bits = category_mask(categories)
                 heads[head_of(row)] = is_faulty, category_bits
             project, file_path, type_name, method_name, signature = identity_of(row)
@@ -460,12 +462,12 @@ def read_label_file(path: str | Path) -> set[tuple]:
         identity_of = itemgetter(*map(header.index, IDENTITY_COLUMNS))
         faulty_at, width = header.index("faulty"), len(header)
         faulty_keys = set()
-        for row_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) < width:
-                raise SchemaError(f"row {row_no}: expected {width} fields, got {len(row)}")
-            if _parse_bool(row_no, "faulty", row[faulty_at]):
+                raise SchemaError(f"row {reader.line_num}: expected {width} fields, got {len(row)}")
+            if _parse_bool(reader.line_num, "faulty", row[faulty_at]):
                 *identity, signature = identity_of(row)
                 faulty_keys.add((*identity, tuple(filter(None, signature.split(";")))))
         return faulty_keys

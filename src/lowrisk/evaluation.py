@@ -19,11 +19,10 @@ formatted for each output: `_fmt` for the CSV and Markdown tables,
 from __future__ import annotations
 
 import csv
-import json
 import math
 import random
 import statistics
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -32,7 +31,7 @@ from lowrisk.classifier import LfrClassifier, Variant
 from lowrisk.dataset import IDENTITY_COLUMNS, MethodTable
 from lowrisk.discretize import DiscretizationModel, itemize
 from lowrisk.errors import TooFewMinorityError
-from lowrisk.pipeline import PipelineConfig, derive_seed, train_on
+from lowrisk.pipeline import PipelineConfig, derive_seed, train_on, write_json
 
 FDR_FLAG_NONE = ""
 FDR_FLAG_NO_MATCHED_FAULTS = "no_matched_faults"  # infinite fault-density reduction
@@ -380,7 +379,7 @@ def report_json(
         summary.setdefault(variant, {})[label] = dict(zip(_SUMMARY_FIELDS, map(_json_number, values)))
     doc = {"mode": mode, "projects": projects, "summary": summary}
     if config is not None:
-        doc["config"] = asdict(config)
+        doc["config"] = config.to_json()
     return doc
 
 
@@ -406,9 +405,7 @@ def emit_report(
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows(table)
         elif fmt == "json":
-            doc = report_json(reports, config, mode)
-            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-            path.write_text(text + "\n", encoding="utf-8")
+            write_json(path, report_json(reports, config, mode))
         else:
             lines = ["| " + " | ".join(table[0]) + " |"]
             lines.append("|" + "|".join([" --- "] * len(table[0])) + "|")

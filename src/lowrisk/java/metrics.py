@@ -2,14 +2,13 @@
 
 The scanner sees a method body as a dense view: the file's token columns
 sliced around the holes of nested types, between sentinels (one before, two
-after), so it indexes without bounds checks; a body without holes is one
-slice whose braces and next token become the sentinels. It reads delimiter
-partners from the file's partner list (`structure.match_delimiters`),
-sliced with the view; only a body with holes has its view matched again,
-because a pair may span a hole. A closer whose opener is outside the view
-makes the body malformed. SLOC is the number of distinct line numbers over
-the slices of the declaration and the body. Errors map the view index back
-to the file token, so they carry the file path, line and column.
+after); a body without holes is one slice whose braces and next token
+become the sentinels. It jumps over brackets by the file's partner list
+(`structure.match_delimiters`) sliced with the view; only a body with holes
+has its view matched again, because a pair may span a hole. A closer whose
+opener is outside the view makes the body malformed. SLOC is the number of
+distinct line numbers over the slices of the declaration and the body.
+Errors map the view index back to the file token, with its line and column.
 
 The scanner makes two passes over a method body. A statement pass walks the
 statement structure recursively, producing control-construct counts, scope
@@ -18,6 +17,7 @@ category checks; a statement keyword inside a statement means a missing
 ';'. An expression pass then walks the tokens not in its skip set (types,
 labels, creation brackets, cast closers) linearly and counts
 expression-level constructs, invocation chains, and variable identifiers.
+Both passes read types with the parser's grammar (`structure.skip_type_ref`).
 
 No symbol resolution is performed. Variable detection is a token-level
 heuristic: declared parameters and locals always count; other identifiers
@@ -32,8 +32,14 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from lowrisk.errors import JavaParseError
-from lowrisk.java.structure import CompilationUnit, MethodDecl, match_delimiters
-from lowrisk.java.tokens import ASSIGNMENT_OPS, PRIMITIVE_TYPES
+from lowrisk.java.structure import (
+    CompilationUnit,
+    MethodDecl,
+    match_delimiters,
+    skip_type_arguments,
+    skip_type_ref,
+)
+from lowrisk.java.tokens import ASSIGNMENT_OPS
 
 
 class ConstructKind(enum.IntEnum):
@@ -172,8 +178,6 @@ _OPERATOR_COUNTS = {
 }
 # The operators whose count depends on the tokens around them.
 _CONTEXT_OPERATORS = frozenset(("(", "?", "==", "!=", "<", "&&", "||", "[", "+", "-", "*", "/", "%"))
-# Texts besides identifiers that a type-argument list may hold.
-_TYPE_ARGUMENT_TEXTS = {".", ",", "?", "extends", "super", "[", "]", "&"} | PRIMITIVE_TYPES
 
 
 def scan_method(unit: CompilationUnit, decl: MethodDecl) -> tuple[RawMetrics, CategoryFlags]:
@@ -324,17 +328,15 @@ class _Scanner:
 
     def _split_args(self, start: int, close: int) -> list[tuple[int, int]]:
         args = []
-        depth = 0
-        a = start
-        for i in range(start, close):
+        a = i = start
+        while i < close:
             t = self.texts[i]
             if t in ("(", "["):
-                depth += 1
-            elif t in (")", "]"):
-                depth -= 1
-            elif t == "," and depth == 0:
+                i = self._close(i)
+            elif t == ",":
                 args.append((a, i))
                 a = i + 1
+            i += 1
         if a < close:
             args.append((a, close))
         return args
@@ -453,7 +455,10 @@ class _Scanner:
                 if tj in ("case", "default"):
                     if tj == "case":
                         self.counts[ConstructKind.SWITCH_CASE_BLOCK] += 1
-                    j = self._skip_case_label(j + 1)
+                    colon = self._colon(j + 1, self.n + 1)
+                    if colon is None:
+                        raise self._err("unterminated case label", j)
+                    j = colon + 1
                 else:
                     j = self._parse_statement(j, depth + 1)
             return j + 1
@@ -469,10 +474,10 @@ class _Scanner:
             j = self._parse_block(j, depth + 1)
             while texts[j] == "catch":
                 self.counts[ConstructKind.CATCH_CLAUSE] += 1
-                close = self._skip_parens(j + 1) - 1
-                self._parse_catch_params(j + 2, close)
+                body = self._skip_parens(j + 1)
+                self._parse_catch_params(j + 2)
                 self._record_scope(depth + 1)
-                j = self._parse_block(close + 1, depth + 1)
+                j = self._parse_block(body, depth + 1)
             if texts[j] == "finally":
                 self.counts[ConstructKind.FINALLY_BLOCK] += 1
                 self._record_scope(depth + 1)
@@ -500,52 +505,32 @@ class _Scanner:
         self._record_scope(depth + 1)
         return self._parse_block(j, depth + 1)
 
-    def _skip_case_label(self, i: int) -> int:
-        """Skip a case/default label expression up to and past its ':'."""
+    def _colon(self, i: int, stop: int) -> int | None:
+        """The index of the first ':' from i on that ends no '?' ternary,
+        outside parentheses and brackets; None at a ';' or at stop."""
         texts = self.texts
-        pending = 0
-        while i <= self.n:
+        pending_ternary = 0
+        while i < stop:
             t = texts[i]
-            if t == "(":
-                i = self._close(i) + 1
-                continue
-            if t == "?":
-                pending += 1
+            if t in ("(", "["):
+                i = self._close(i)
+            elif t == ";":
+                return None
+            elif t == "?":
+                pending_ternary += 1
             elif t == ":":
-                if pending == 0:
-                    return i + 1
-                pending -= 1
+                if not pending_ternary:
+                    return i
+                pending_ternary -= 1
             i += 1
-        raise self._err("unterminated case label", i - 1)
+        return None
 
     def _parse_for_header(self, start: int, close: int) -> None:
         """Classify a for header; declare loop variables and mark type tokens."""
         texts = self.texts
-        depth = 0
-        pending_ternary = 0
-        colon = None
-        for j in range(start, close):
-            t = texts[j]
-            if t in ("(", "["):
-                depth += 1
-            elif t in (")", "]"):
-                depth -= 1
-            elif depth == 0:
-                if t == ";":
-                    break
-                if t == "?":
-                    pending_ternary += 1
-                elif t == ":":
-                    if pending_ternary:
-                        pending_ternary -= 1
-                    else:
-                        colon = j
-                        break
+        colon = self._colon(start, close)
         if colon is not None:
-            j = start
-            while texts[j] in ("final", "@"):
-                j = j + 2 if texts[j] == "@" else j + 1
-            te = self._skip_type_ref_dense(j)
+            j, te = self._declaration_head(start)
             if te is not None and self.kinds[te] == "ident" and te + 1 == colon:
                 self.skip.update(range(j, te))
                 self.names.add(texts[te])
@@ -555,90 +540,41 @@ class _Scanner:
             self._try_parse_declaration(start, stop=close)
 
     def _parse_resources(self, start: int, close: int) -> None:
-        texts = self.texts
+        """Declare the variables of a try-with-resources header; a resource
+        that is not a declaration is left to the expression pass."""
         i = start
-        while i < close:
-            while texts[i] == "final":
-                i += 1
-            te = self._skip_type_ref_dense(i)
-            if te is None or self.kinds[te] != "ident":
-                return  # not a resource declaration shape; leave to expr pass
-            self.skip.update(range(i, te))
-            self.names.add(texts[te])
-            i = te + 1
-            depth = 0
-            while i < close:
-                t = texts[i]
-                if t in ("(", "["):
-                    depth += 1
-                elif t in (")", "]"):
-                    depth -= 1
-                elif t == ";" and depth == 0:
-                    i += 1
-                    break
-                i += 1
+        while i is not None and i < close:
+            i = self._try_parse_declaration(i, stop=close)
 
-    def _parse_catch_params(self, start: int, close: int) -> None:
-        i = start
-        while self.texts[i] == "final":
-            i += 1
-        while i < close:
-            te = self._skip_type_ref_dense(i)
-            if te is None:
+    def _parse_catch_params(self, start: int) -> None:
+        i, te = self._declaration_head(start)
+        while te is not None:  # the alternatives of a multi-catch, then the name
+            self.skip.update(range(i, te))
+            if self.texts[te] != "|":
+                if self.kinds[te] == "ident":
+                    self.names.add(self.texts[te])
                 return
-            self.skip.update(range(i, te))
-            if self.texts[te] == "|":
-                i = te + 1
-                continue
-            if self.kinds[te] == "ident":
-                self.names.add(self.texts[te])
-            return
+            i = te + 1
+            te = skip_type_ref(self.texts, self.kinds, i)
 
-    def _skip_type_ref_dense(self, i: int) -> int | None:
+    def _declaration_head(self, i: int) -> tuple[int, int | None]:
+        """(type start, type end or None) of the local, loop, resource or
+        catch variable declared at i, past its 'final' and annotations."""
         texts, kinds = self.texts, self.kinds
-        if texts[i] in PRIMITIVE_TYPES:
-            j = i + 1
-        elif kinds[i] == "ident":
-            j = i + 1
-            while texts[j] == "." and kinds[j + 1] == "ident":
-                j += 2
-        else:
-            return None
-        if texts[j] == "<":
-            j = self._skip_generic_dense(j)
-            if j is None:
-                return None
-        while texts[j] == "[" and texts[j + 1] == "]":
-            j += 2
-        return j
-
-    def _skip_generic_dense(self, i: int) -> int | None:
-        """Skip a plausible type-argument list at '<'; None when not one."""
-        texts, kinds = self.texts, self.kinds
-        depth = 0
-        j = i
         while True:
-            t = texts[j]
-            if t == "<":
-                depth += 1
-            elif t in (">", ">>", ">>>"):
-                depth -= len(t)
-                if depth <= 0:
-                    return j + 1
-            elif not (kinds[j] == "ident" or t in _TYPE_ARGUMENT_TEXTS):
-                return None
-            j += 1
+            if texts[i] == "final":
+                i += 1
+            elif texts[i] == "@" and kinds[i + 1] == "ident":
+                i += 2
+                if texts[i] == "(":
+                    i = self._close(i) + 1
+            else:
+                return i, skip_type_ref(texts, kinds, i)
 
     def _try_parse_declaration(self, i: int, stop: int | None = None) -> int | None:
         """Parse a local variable declaration; returns end index or None."""
         texts, kinds = self.texts, self.kinds
-        while texts[i] == "final":
-            i += 1
-        while texts[i] == "@" and kinds[i + 1] == "ident":
-            i += 2
-            if texts[i] == "(":
-                i = self._close(i) + 1
-        te = self._skip_type_ref_dense(i)
+        i, te = self._declaration_head(i)
         if te is None or kinds[te] != "ident":
             return None
         nxt = texts[te + 1]
@@ -679,13 +615,10 @@ class _Scanner:
                 i = self._close(i) + 1
             elif t in _STATEMENT_KEYWORDS:
                 raise self._err("missing ';'", i - 1)
-            elif t == "new":
-                # Protect generic-argument commas of the creation's type.
-                te = self._skip_type_ref_dense(i + 1)
-                i = te if te is not None else i + 1
+            elif t == "new":  # protect the commas of the created type's arguments
+                i = skip_type_ref(texts, self.kinds, i + 1) or i + 1
             elif t == "<" and texts[i - 1] == ".":
-                skipped = self._skip_generic_dense(i)
-                i = skipped if skipped is not None else i + 1
+                i = skip_type_arguments(texts, self.kinds, i) or i + 1
             else:
                 i += 1
         return i
@@ -732,7 +665,7 @@ class _Scanner:
                         self.max_chain = 1
                 elif t == "instanceof":
                     counts[ConstructKind.INSTANCEOF_EXPRESSION] += 1
-                    te = self._skip_type_ref_dense(i + 1)
+                    te = skip_type_ref(texts, kinds, i + 1)
                     if te is not None:
                         skip.update(range(i + 1, te))
                 elif t == "null":
@@ -759,7 +692,7 @@ class _Scanner:
                     counts[ConstructKind.NULL_CHECK] += 1
             elif t == "<":
                 if texts[i - 1] == ".":
-                    skipped = self._skip_generic_dense(i)
+                    skipped = skip_type_arguments(texts, kinds, i)
                     if skipped is not None:
                         skip.update(range(i, skipped))
                         i = skipped
@@ -794,11 +727,10 @@ class _Scanner:
 
     def _scan_creation_expr(self, i: int) -> int:
         """Handle a 'new' token; marks type tokens, counts the creation."""
-        j = i + 1
-        te = self._skip_type_ref_dense(j)
+        te = skip_type_ref(self.texts, self.kinds, i + 1)
         if te is None:
             return i + 1
-        self.skip.update(range(j, te))
+        self.skip.update(range(i + 1, te))
         if self.texts[te] == "[":
             self.counts[ConstructKind.ARRAY_CREATION] += 1
             k = te
@@ -816,6 +748,6 @@ class _Scanner:
             return False
         if kinds[i - 1] in _OPERAND_END_KINDS or texts[i - 1] in (")", "]"):
             return False
-        if self._skip_type_ref_dense(i + 1) != close:
+        if skip_type_ref(texts, kinds, i + 1) != close:
             return False
         return kinds[close + 1] in _OPERAND_END_KINDS or texts[close + 1] in _CAST_FOLLOWERS_TEXTS

@@ -14,6 +14,10 @@ reads the closer of an opener from that partner list instead of scanning
 forward for it. The matcher never raises; a reader that finds no partner
 raises the parser's error for the opener. Readers index the columns
 directly and rely on the sentinels at both ends instead of bounds checks.
+
+The one Java type grammar lives here: `skip_type_ref` and
+`skip_type_arguments` read a type on any token columns, or return None where
+none starts. The parser and the metric scanner (`lowrisk.java.metrics`) both call them.
 """
 
 from __future__ import annotations
@@ -31,6 +35,47 @@ _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = frozenset("()[]{}")
 # The tokens that may begin a local class declaration.
 _LOCAL_CLASS_STARTS = frozenset(("class", "final", "abstract", "strictfp", "@"))
+# Texts besides identifiers that a type-argument list may hold; '@' begins a
+# type annotation, as in List<@NonNull String>.
+_TYPE_ARGUMENT_TEXTS = frozenset((".", ",", "?", "extends", "super", "[", "]", "&", "@")) | PRIMITIVE_TYPES
+
+
+def skip_type_arguments(texts: list[str], kinds: list[str], i: int) -> int | None:
+    """The index past the type-argument list whose '<' is at i (its '>' may
+    end a '>>' or '>>>'); None at a token that cannot be in one."""
+    depth = 0
+    while True:
+        t = texts[i]
+        if t == "<":
+            depth += 1
+        elif t in (">", ">>", ">>>"):
+            depth -= len(t)
+            if depth <= 0:
+                return i + 1
+        elif kinds[i] != "ident" and t not in _TYPE_ARGUMENT_TEXTS:
+            return None
+        i += 1
+
+
+def skip_type_ref(texts: list[str], kinds: list[str], i: int) -> int | None:
+    """The index past the type reference at i: a primitive type or void, or a
+    qualified name with type arguments, then '[]' pairs. None when no type
+    starts at i."""
+    if texts[i] in _PRIMITIVE_OR_VOID:
+        j = i + 1
+    elif kinds[i] == "ident":
+        j = i + 1
+        while texts[j] == "." and kinds[j + 1] == "ident":
+            j += 2
+    else:
+        return None
+    if texts[j] == "<":
+        j = skip_type_arguments(texts, kinds, j)
+        if j is None:
+            return None
+    while texts[j] == "[" and texts[j + 1] == "]":
+        j += 2
+    return j
 
 
 def match_delimiters(texts: list[str]) -> list[int]:
@@ -141,42 +186,23 @@ class CompilationUnit:
             else:
                 return i
 
-    def _skip_generic(self, i: int) -> int:
-        """Skip a type-argument list starting at '<'; handles '>>' and '>>>'."""
-        texts = self.texts
-        depth = 0
-        j = i
-        while True:
-            t = texts[j]
-            if t == "<":
-                depth += 1
-            elif t in (">", ">>", ">>>"):
-                depth -= len(t)
-                if depth <= 0:
-                    return j + 1
-            elif t in (";", "{", ")", ""):
-                raise self._err("unbalanced type-argument list", i)
-            j += 1
-
-    def _skip_type_ref(self, i: int) -> int | None:
-        """Skip a type reference (primitive or qualified, generics, arrays)."""
-        texts, kinds = self.texts, self.kinds
-        if texts[i] in _PRIMITIVE_OR_VOID:
-            j = i + 1
-        elif kinds[i] == "ident":
-            j = i + 1
-            while texts[j] == "." and kinds[j + 1] == "ident":
-                j += 2
-        else:
-            return None
-        if texts[j] == "<":
-            try:
-                j = self._skip_generic(j)
-            except JavaParseError:
-                return None
-        while texts[j] == "[" and texts[j + 1] == "]":
-            j += 2
+    def _skip_type_arguments(self, i: int) -> int:
+        """skip_type_arguments at the '<' at i, which must open a type-argument list."""
+        j = skip_type_arguments(self.texts, self.kinds, i)
+        if j is None:
+            raise self._err("malformed type-argument list", i)
         return j
+
+    def _skip_type_list(self, i: int, what: str) -> int:
+        """The index past the ','-separated, maybe annotated, type references from i."""
+        while True:
+            i = self._skip_annotations_and_modifiers(i)
+            j = skip_type_ref(self.texts, self.kinds, i)
+            if j is None:
+                raise self._err(f"malformed {what}", i)
+            if self.texts[j] != ",":
+                return j
+            i = j + 1
 
     def _next_anon_name(self) -> str:
         self._anon_counter += 1
@@ -189,12 +215,9 @@ class CompilationUnit:
         i = 1
         while texts[i]:
             t = texts[i]
-            if t in ("package", "import"):
+            if t in ("package", "import"):  # up to its ';', which the next turn skips
                 while texts[i] not in (";", ""):
                     i += 1
-                if not texts[i]:
-                    break
-                i += 1
                 continue
             if t == ";":
                 i += 1
@@ -216,18 +239,12 @@ class CompilationUnit:
         if self.kinds[i + 1] != "ident":
             raise self._err("missing type name", i)
         j = i + 2
-        depth = 0
-        while True:
-            t = texts[j]
-            if t == "<":
-                depth += 1
-            elif t in (">", ">>", ">>>"):
-                depth -= len(t)
-            elif t == "{" and depth <= 0:
-                break
-            elif not t:
-                raise self._err("type declaration without body", i)
-            j += 1
+        if texts[j] == "<":
+            j = self._skip_type_arguments(j)
+        while texts[j] in ("extends", "implements"):
+            j = self._skip_type_list(j + 1, "supertype list")
+        if texts[j] != "{":
+            raise self._err(f"expected type body, found {texts[j] or None!r}", j)
         return self._parse_type_body(j, chain + (texts[i + 1],), is_enum=(texts[i] == "enum"))
 
     def _parse_type_body(self, open_idx: int, chain: tuple[str, ...], is_enum: bool = False) -> int:
@@ -304,14 +321,14 @@ class CompilationUnit:
         """Parse a method, constructor, or field member; return the end index."""
         texts, kinds = self.texts, self.kinds
         if texts[i] == "<":  # method type parameters
-            i = self._skip_generic(i)
+            i = self._skip_type_arguments(i)
         t = texts[i]
         if not t:
             raise self._err("unterminated member", start)
         # Constructor: simple name of the enclosing type followed by '('.
         if t == chain[-1] and kinds[i] == "ident" and texts[i + 1] == "(":
             return self._parse_method(start, i, i + 1, chain, members, is_ctor=True)
-        type_end = self._skip_type_ref(i)
+        type_end = skip_type_ref(texts, kinds, i)
         if type_end is None:
             raise self._err(f"expected member declaration, found {t!r}", i)
         if kinds[type_end] != "ident":
@@ -350,15 +367,7 @@ class CompilationUnit:
         while texts[j] == "[" and texts[j + 1] == "]":
             j += 2  # archaic C-style array return brackets
         if texts[j] == "throws":
-            j += 1
-            while True:
-                end = self._skip_type_ref(j)
-                if end is None:
-                    raise self._err("malformed throws clause", j)
-                j = end
-                if texts[j] != ",":
-                    break
-                j += 1
+            j = self._skip_type_list(j + 1, "throws clause")
         if texts[j] == ";":
             return j + 1  # abstract, native, or interface method: no body
         if texts[j] == "default":  # annotation member default value
@@ -374,7 +383,7 @@ class CompilationUnit:
 
     def _parse_params(self, paren_idx: int) -> tuple[tuple[str, ...], tuple[str, ...], int]:
         """Parse a parameter list at '('; returns (types, names, index past ')')."""
-        texts = self.texts
+        texts, kinds = self.texts, self.kinds
         types: list[str] = []
         names: list[str] = []
         i = paren_idx + 1
@@ -383,14 +392,14 @@ class CompilationUnit:
         while True:
             i = self._skip_annotations_and_modifiers(i)
             type_start = i
-            type_end = self._skip_type_ref(i)
+            type_end = skip_type_ref(texts, kinds, i)
             if type_end is None:
                 raise self._err("malformed parameter type", i)
             i = type_end
             varargs = texts[i] == "..."
             if varargs:
                 i += 1
-            if self.kinds[i] != "ident":
+            if kinds[i] != "ident":
                 raise self._err("malformed parameter name", i)
             names.append(texts[i])
             i += 1
@@ -420,7 +429,7 @@ class CompilationUnit:
             elif t == "new":
                 i = self._scan_creation(i, chain, _Region(end=-1))
             elif t == "<" and texts[i - 1] == ".":
-                i = self._skip_generic(i)  # explicit type args of a generic call
+                i = self._skip_type_arguments(i)  # explicit type args of a generic call
             else:
                 i += 1
         raise self._err("unterminated initializer", i)
@@ -433,7 +442,7 @@ class CompilationUnit:
         caller never rescans tokens this method already processed. Returns
         the index at which the main scan should resume.
         """
-        type_end = self._skip_type_ref(i + 1)
+        type_end = skip_type_ref(self.texts, self.kinds, i + 1)
         if type_end is None:
             return i + 1  # e.g. 'new' in malformed position; let caller continue
         if self.texts[type_end] == "(":

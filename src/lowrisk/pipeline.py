@@ -14,17 +14,23 @@ reads a `MethodTable`; a unified method list is turned into one on entry,
 in list order.
 `TrainedModel.to_json` and `TrainedModel.from_json` are the writer and the
 reader of the classifier file that `lowrisk train` hands to `lowrisk predict`.
+`PipelineConfig.to_json` and `PipelineConfig.from_json` write and read a
+config as one flat object with a key per `CONFIG_KEYS` entry: a classifier
+file's `run_config` is a valid `--config` file. `write_json` writes every
+JSON artifact, as strict JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import compress
 from operator import not_
+from pathlib import Path
 
 from lowrisk.balance import BalanceConfig, Classes, balance
 from lowrisk.classifier import LfrClassifier, Variant, select_prefix
@@ -40,7 +46,8 @@ from lowrisk.discretize import (
 from lowrisk.errors import SchemaError, TooFewMinorityError, VocabularyMismatchError
 from lowrisk.mining import AssociationRule, MiningConfig, mine
 
-FORMAT_VERSION = 1  # of the classifier file that TrainedModel.to_json writes
+# Of the classifier file that TrainedModel.to_json writes; 2 has a flat run_config.
+FORMAT_VERSION = 2
 
 
 def derive_seed(master_seed: int, *scope) -> int:
@@ -71,6 +78,49 @@ class PipelineConfig:
 
     def budget(self, variant: Variant) -> float:
         return self.budget_strict if variant is Variant.STRICT else self.budget_lenient
+
+    def to_json(self) -> dict:
+        """The config as the flat object that `from_json` reads."""
+        return {key: getattr(self.mining if key in _MINING_KEYS else self, key) for key in CONFIG_KEYS}
+
+    @classmethod
+    def from_json(cls, values: dict, **overrides) -> "PipelineConfig":
+        """The config of a flat object whose keys are CONFIG_KEYS, with the
+        overrides (typed values, such as flags) put over it; a key neither
+        has keeps its default. A SchemaError names another key or a value of
+        the wrong JSON type in values; a ValueError, a value out of range."""
+        unknown = set(values) - set(CONFIG_KEYS)
+        if unknown:
+            raise SchemaError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        for key, value in values.items():
+            if not _is_a(value, CONFIG_KEYS[key]):
+                raise SchemaError(f"config key {key!r} takes a {CONFIG_KEYS[key].__name__}, not {value!r}")
+        values = {**values, **overrides}
+        mining = MiningConfig(**{k: v for k, v in values.items() if k in _MINING_KEYS})
+        return cls(mining, **{k: v for k, v in values.items() if k not in _MINING_KEYS})
+
+
+# One config key per field of MiningConfig and PipelineConfig but
+# PipelineConfig.mining, in declaration order, typed as the field's default.
+CONFIG_KEYS = {
+    f.name: type(f.default)
+    for f in fields(MiningConfig) + fields(PipelineConfig)
+    if f.default is not MISSING
+}
+_MINING_KEYS = frozenset(f.name for f in fields(MiningConfig))
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON typing of a config value: a bool is never a number, an int is a float."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, int) or (kind is float and isinstance(value, float))
+
+
+def write_json(path: str | Path, document: dict) -> None:
+    """Write strict JSON: a NaN or infinity raises ValueError instead of being written."""
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _entry(owner, key: str, kind, where: str):
@@ -116,7 +166,7 @@ class TrainedModel:
                 for variant, clf in self.classifiers.items()
             },
             "training_meta": self.meta,
-            "run_config": asdict(config),
+            "run_config": config.to_json(),
         }
 
     @classmethod
@@ -208,12 +258,11 @@ def train_on(
     model, faulty, mining_set = _vectors(
         methods if isinstance(methods, MethodTable) else MethodTable.from_methods(methods), config, scope
     )
-    n_faulty = len(faulty)
     mining_stats: dict = {}
     rules = tuple(mine(mining_set.faulty, mining_set.clean, config.mining, stats=mining_stats))
     meta = {
         "training_methods": len(methods),
-        "training_faulty": n_faulty,
+        "training_faulty": len(faulty),
         "balanced_size": len(mining_set),
         "rules_mined": mining_stats["rules_mined"],
         "rules_kept": mining_stats["rules_kept"],
@@ -222,7 +271,5 @@ def train_on(
     classifiers = {}
     for variant in Variant:
         budget = config.budget(variant)
-        # Prefix selection counts faults only.
-        n = select_prefix(rules, faulty, [True] * n_faulty, budget)
-        classifiers[variant] = LfrClassifier(rules, n, budget)
+        classifiers[variant] = LfrClassifier(rules, select_prefix(rules, faulty, budget=budget), budget)
     return TrainedModel(model, rules, classifiers, meta)

@@ -666,7 +666,7 @@ def eager_train_on(methods, config, scope=()):
     classifiers = {}
     for variant in Variant:
         budget = config.budget(variant)
-        n = select_prefix(rules, masks, training_faulty, budget)
+        n = select_prefix(rules, [m for m, f in zip(masks, training_faulty) if f], budget=budget)
         classifiers[variant] = LfrClassifier(tuple(rules), n, budget)
     return TrainedModel(model, tuple(rules), classifiers, meta)
 

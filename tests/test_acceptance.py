@@ -9,6 +9,7 @@ import random
 import statistics
 import time
 import warnings
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -226,8 +227,8 @@ def test_c5_prefix_selection_against_oracle():
             faulty[0] = True
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NoAdmissibleRulesWarning)
-            n_strict = select_prefix(rules, masks, faulty, strict_budget)
-            n_lenient = select_prefix(rules, masks, faulty, lenient_budget)
+            n_strict = select_prefix(rules, list(compress(masks, faulty)), budget=strict_budget)
+            n_lenient = select_prefix(rules, list(compress(masks, faulty)), budget=lenient_budget)
         assert n_strict == prefix_scan_oracle(
             rules, training, faulty, strict_budget
         ), f"case {case}"

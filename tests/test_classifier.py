@@ -28,8 +28,9 @@ assert item_mask([W]) > item_mask([X]) > item_mask([Y]) > item_mask([Z])
 rule = make_rule
 
 
-def masks(item_sets):
-    return [item_mask(items) for items in item_sets]
+def faulty_masks(item_sets, faulty):
+    """The masks of the faulty item sets: what select_prefix reads."""
+    return [item_mask(items) for items, f in zip(item_sets, faulty) if f]
 
 
 class TestOrderRules:
@@ -64,21 +65,21 @@ class TestSelectPrefix:
         for _ in range(192):
             items.append(frozenset({"IsToString"}))
             faulty.append(True)
-        n = select_prefix(rules, masks(items), faulty, budget=0.025)
+        n = select_prefix(rules, faulty_masks(items, faulty), budget=0.025)
         assert n == 5 == prefix_scan_oracle(rules, items, faulty, 0.025)
 
     def test_zero_fault_rules_select_everything(self):
         rules = [rule({A}, 0.99, 0.2), rule({B}, 0.98, 0.2)]
         items = [frozenset({A}), frozenset({B}), frozenset({C})]
         faulty = [False, False, True]
-        assert select_prefix(rules, masks(items), faulty, budget=0.025) == 2
+        assert select_prefix(rules, faulty_masks(items, faulty), budget=0.025) == 2
         assert prefix_scan_oracle(rules, items, faulty, 0.025) == 2
 
     def test_breach_at_rule_three(self):
         rules = [rule({A}, 0.99, 0.3), rule({B}, 0.98, 0.3), rule({C}, 0.97, 0.3)]
         items = [frozenset({A}), frozenset({B}), frozenset({C}), frozenset({C})]
         faulty = [False, False, True, True]  # rule 3 matches 2 of 2 faults
-        assert select_prefix(rules, masks(items), faulty, budget=0.5) == 2
+        assert select_prefix(rules, faulty_masks(items, faulty), budget=0.5) == 2
         assert prefix_scan_oracle(rules, items, faulty, 0.5) == 2
 
     def test_no_admissible_rules_warns_and_selects_zero(self):
@@ -86,7 +87,7 @@ class TestSelectPrefix:
         items = [frozenset({A})]
         faulty = [True]
         with pytest.warns(NoAdmissibleRulesWarning):
-            assert select_prefix(rules, masks(items), faulty, budget=0.025) == 0
+            assert select_prefix(rules, faulty_masks(items, faulty), budget=0.025) == 0
         assert prefix_scan_oracle(rules, items, faulty, 0.025) == 0
 
     def test_agrees_with_prefix_scan_oracle(self):
@@ -103,7 +104,7 @@ class TestSelectPrefix:
             budget = rng.choice((0.025, 0.05, 0.2))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NoAdmissibleRulesWarning)
-                got = select_prefix(rules, masks(items), faulty, budget)
+                got = select_prefix(rules, faulty_masks(items, faulty), budget=budget)
             assert got == prefix_scan_oracle(rules, items, faulty, budget)
 
     def test_unknown_antecedent_item_rejected(self):
@@ -189,5 +190,6 @@ def test_trained_model_json_round_trip():
     config = PipelineConfig(mining=MiningConfig(0.05, 0.95, 2), seed=3)
     model = train_on(generate_project("p", seed=12, n_methods=300), config, scope=("train",))
     document = json.loads(json.dumps(model.to_json(config), allow_nan=False))
-    assert document["format_version"] == 1
+    assert document["format_version"] == 2
+    assert document["run_config"] == config.to_json()
     assert TrainedModel.from_json(document) == model

@@ -4,7 +4,6 @@ import json
 import pickle
 import shutil
 import time
-from dataclasses import asdict
 
 import pytest
 
@@ -181,9 +180,9 @@ class TestTrain:
         # left after the final dominance pass, which the file holds.
         assert meta["rules_kept"] == len(payload["rules"])
         assert meta["rules_mined"] >= meta["rules_kept"]
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         # The bounds live in the classifier file only: no mining_config copy of
-        # run_config.mining, and no .discretization.json sidecar.
+        # run_config's mining keys, and no .discretization.json sidecar.
         assert "mining_config" not in payload
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clf.json"]
 
@@ -218,7 +217,7 @@ class TestTrain:
                     "--seed", "77"]) == 0
         payload = json.loads(out.read_text())
         assert payload["run_config"]["seed"] == 77  # flag wins
-        assert payload["run_config"]["mining"]["min_support"] == 0.05
+        assert payload["run_config"]["min_support"] == 0.05
 
     def test_default_mining_config_finishes(self, tmp_path):
         """`train` with no mining flags mines at antecedent cap 8; that must stay quick."""
@@ -231,7 +230,7 @@ class TestTrain:
         assert run(["train", *paths, "--out", out]) == 0
         elapsed = time.monotonic() - start
         payload = json.loads(out.read_text())
-        assert payload["run_config"]["mining"]["max_antecedent_len"] == 8
+        assert payload["run_config"]["max_antecedent_len"] == 8
         meta = payload["training_meta"]
         assert meta["rules_kept"] == len(payload["rules"]) > 0
         assert meta["rules_mined"] > meta["rules_kept"]  # the final pass drops some
@@ -273,14 +272,13 @@ class TestTrain:
 
     def test_config_file_with_every_key_comes_back_as_run_config(self, synth_csvs, tmp_path):
         """Every key at a value other than its default, as the JSON type of
-        that key, is the classifier file's run_config (mining keys nested)."""
+        that key, is the classifier file's run_config."""
         settings = {
             "min_support": 0.06, "min_confidence": 0.9, "max_antecedent_len": 2,
             "smote_over": 200, "smote_under": 150, "smote_k": 3, "no_smote": True,
             "budget_strict": 0.01, "budget_lenient": 0.1, "folds": 5, "seed": 42,
         }
-        defaults = asdict(PipelineConfig())
-        defaults.update(defaults.pop("mining"))
+        defaults = PipelineConfig().to_json()
         assert sorted(settings) == sorted(defaults)
         assert all(settings[key] != defaults[key] for key in settings)
         cfg = tmp_path / "cfg.json"
@@ -288,12 +286,24 @@ class TestTrain:
         out = tmp_path / "clf.json"
         assert run(["train", synth_csvs[0], "--out", out, "--config", cfg]) == 0
         run_config = json.loads(out.read_text())["run_config"]
-        run_config.update(run_config.pop("mining"))
         assert json.dumps(run_config, sort_keys=True) == json.dumps(settings, sort_keys=True)
 
+    def test_run_config_as_config_file_reproduces_the_classifier(self, synth_csvs, tmp_path):
+        """A classifier file's run_config is a valid --config, and training
+        with it writes the same classifier file, byte for byte."""
+        first = tmp_path / "first.json"
+        assert run(["train", synth_csvs[0], "--out", first, "--no-smote"] + FAST_FLAGS) == 0
+        run_config = tmp_path / "rc.json"
+        run_config.write_text(json.dumps(json.loads(first.read_text())["run_config"]))
+        second = tmp_path / "second.json"
+        assert run(["train", synth_csvs[0], "--out", second, "--config", run_config]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
     def test_config_json_of_the_defaults(self):
-        assert asdict(PipelineConfig()) == {
-            "mining": {"min_support": 0.1, "min_confidence": 0.95, "max_antecedent_len": 8},
+        assert PipelineConfig().to_json() == {
+            "min_support": 0.1,
+            "min_confidence": 0.95,
+            "max_antecedent_len": 8,
             "smote_over": 100,
             "smote_under": 200,
             "smote_k": 5,
@@ -394,7 +404,7 @@ class TestPredict:
         ("variants", ["strict", "lenient"]), ("variants", "strict"), ("discretization", []),
         ("rules", {}), ("variants.strict", 3), ("variants.strict.n", "2"),
         ("variants.strict.n", True), ("discretization.sloc.class2_upper", None),
-        ("format_version", DELETE), ("format_version", 2), ("format_version", "1"),
+        ("format_version", DELETE), ("format_version", "2"), ("format_version", 1),
         ("variants.strict.budget", float("nan")), ("rules.0.confidence", float("inf")),
         ("rules.0.support", "x"), ("rules.0.consequent", DELETE), ("variants.strict.n", -1),
         ("variants.strict.n", 10**6), ("variants.lenient.budget", DELETE),

@@ -25,6 +25,7 @@ from lowrisk.dataset import (
     Snapshot,
     build_unified,
     read_csv,
+    read_label_file,
     write_csv,
 )
 from lowrisk.discretize import ATTRIBUTE_ITEMS, fit_discretization, item_mask, itemize
@@ -241,6 +242,26 @@ class TestCsv:
             csv.writer(fh).writerows(rows)
         with pytest.raises(SchemaError, match="row 3: column 'loops': expected non-negative integer, got '-3'"):
             read_csv(path)
+
+    def test_an_error_names_the_file_line_past_a_quoted_line_break(self, tmp_path):
+        """Row 2 spans lines 2 and 3, so the short row is line 4 of the file."""
+        path = tmp_path / "data.csv"
+        write_csv([make_record("a")], path)
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        row = row.replace(",a,", ',"multi\nline",', 1)
+        path.write_text(f"{header}\n{row}\ncorpus,A.java\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"^row 4: expected {len(CSV_HEADER)} fields, got 2$"):
+            read_csv(path)
+
+    def test_a_label_file_error_names_the_file_line_past_a_quoted_line_break(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text(
+            "project,file_path,type_name,method_name,param_signature,faulty\n"
+            'p,A.java,A,"multi\nline",,true\ncorpus,A.java\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match="^row 4: expected 6 fields, got 2$"):
+            read_label_file(path)
 
     def test_padded_booleans_and_integers_accepted(self, tmp_path):
         records = [make_record("a", faulty=True, metrics=make_metrics(sloc=12, loops=2))]

@@ -94,3 +94,29 @@ def test_one_delimiter_more_or_less_parses_or_is_a_parse_error(path):
         else:
             parsed += 1
     assert parsed > 0 and failed > 0
+
+
+@pytest.mark.parametrize(
+    "name, text, mutant, message",
+    [
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<In}teger>", "6:12: expected member declaration"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I(nteger>", "6:12: expected member declaration"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I}nteger>", "6:12: expected member declaration"),
+        (
+            "corpus_extra/Stress.java",
+            "new HashMap<String, List<Integer>>()",
+            "new HashMap<String, :List<Integer>>()",
+            "8:81: malformed field declaration",
+        ),
+        ("corpus_extra/Stress.java", "Map<K, V> zip(", "Map<K,: V> zip(", "32:26: expected member declaration"),
+    ],
+)
+def test_a_type_argument_list_holds_only_type_tokens(name, text, mutant, message):
+    """javac rejects each of these mutants: a type-argument list holds names,
+    '?', 'extends', 'super', '&', '[]', '.', ',' and annotations, nothing else."""
+    path = DATA_DIR / name
+    source = path.read_text(encoding="utf-8")
+    assert source.count(text) == 1
+    analyze_source(source, path.name)
+    with pytest.raises(JavaParseError, match=f"^{path.name}:{message}"):
+        analyze_source(source.replace(text, mutant), path.name)

@@ -254,3 +254,24 @@ class TestInvariances:
     def test_sloc_ignores_blank_and_comment_lines(self):
         m = single_method("int x = 1;\n\n            // comment only\n            return x;")
         assert m.metrics.sloc == 4  # signature, declaration, return, closing brace
+
+
+def test_annotated_type_arguments_are_types():
+    """javac accepts List<@NonNull String> as any type; in a local's type its
+    '<' and '>' are not comparison operators."""
+    src = """
+    class Ann {
+        List<@NonNull String> xs;
+
+        List<@NonNull String> names(List<@NonNull String> in) {
+            List<@NonNull String> ys = in;
+            return ys;
+        }
+    }
+    """
+    methods, skipped = analyze_source(src, "Ann.java")
+    assert not skipped
+    (m,) = methods
+    assert m.identity.param_signature == ("List<@NonNullString>",)
+    assert count(m, ConstructKind.COMPARISON_OPERATOR) == 0
+    assert m.metrics.unique_variable_ids == 2  # in, ys

@@ -167,6 +167,25 @@ def test_constructor_flag_and_throws():
     assert flags == {"A": True, "m": False}
 
 
+def test_a_class_header_is_type_parameters_then_supertype_lists():
+    """javac accepts annotated supertypes and thrown types; anything else
+    between a type's name and its body fails the file, as javac fails it."""
+    src = """
+    class A<T extends Comparable<? super T>> extends @Deprecated Base<T>
+            implements java.io.Serializable, @Deprecated Runnable {
+        public void run() throws @Deprecated RuntimeException { }
+    }
+    """
+    assert names(src) == [("A", "run")]
+    for header, message in [
+        ("class A implements Runnable ] {", "1:29: expected type body, found ']'"),
+        ("class A<T extends (Number)> {", "1:8: malformed type-argument list"),
+        ("class A extends { }", "1:17: malformed supertype list"),
+    ]:
+        with pytest.raises(JavaParseError, match=f"^T.java:{message}$"):
+            methods_of(header + " }")
+
+
 def test_parse_error_carries_location():
     with pytest.raises(JavaParseError) as err:
         methods_of("class A { void f( }", "Broken.java")
