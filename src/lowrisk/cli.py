@@ -7,6 +7,10 @@ goes to files; diagnostics go to stderr.
 The flags of `train` and `evaluate` are read off `pipeline.CONFIG_KEYS`, and
 a config file is read and every recorded config written as the flat object of
 `PipelineConfig.from_json` and `PipelineConfig.to_json`.
+
+`evaluate` loads one table of every CSV. With `--jobs N` each pool worker
+gets the table, config and evaluator once, through the pool's initializer:
+a work item is a project name, and a result holds no table.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from lowrisk.classifier import Variant
 from lowrisk.errors import LowriskError
 from lowrisk.evaluation import (
     REPORT_FORMATS,
-    PredictionDump,
     _predict,
     check_report_formats,
     emit_report,
     evaluate_cross_project,
     evaluate_within_project,
+    prediction_rows,
     write_prediction_dump,
 )
 from lowrisk.java.analyzer import analyze_project
@@ -154,10 +158,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     table = _load_projects([args.target])
     methods = range(len(table))
     matched = _predict(trained.discretization, classifiers, table, methods)[variant]
-    dump = PredictionDump(table)
-    dump.add(variant, methods, matched)
     out = Path(args.out)
-    write_prediction_dump(dump, out)
+    write_prediction_dump(prediction_rows(table, [(variant, methods, matched)]), out)
     _write_run_sidecar(
         out,
         {
@@ -165,23 +167,30 @@ def cmd_predict(args: argparse.Namespace) -> int:
             "classifier": str(args.classifier),
             "variant": variant.value,
             "target": str(args.target),
-            "methods": len(dump),
+            "methods": len(table),
             "predicted_lfr": sum(1 for idx in matched if idx is not None),
         },
     )
-    print(f"wrote {len(dump)} predictions to {out}", file=sys.stderr)
+    print(f"wrote {len(table)} predictions to {out}", file=sys.stderr)
     return 0
 
 
 # -- evaluate ----------------------------------------------------------------
 
 
-def _eval_worker(item):
-    """One project's evaluation: `evaluate` is evaluate_within_project or
-    evaluate_cross_project, which take the same arguments."""
-    evaluate, table, name, config = item
-    reports, dump = evaluate(table, name, config)
-    return name, list(reports.values()), dump
+# What _eval_worker evaluates with, set once per process by _init_worker.
+_worker_state: dict = {}
+
+
+def _init_worker(table: ds.MethodTable, config: PipelineConfig, evaluate) -> None:
+    """`evaluate` is evaluate_within_project or evaluate_cross_project."""
+    _worker_state.update(table=table, config=config, evaluate=evaluate)
+
+
+def _eval_worker(name: str):
+    """One project's reports and index predictions."""
+    reports, predictions = _worker_state["evaluate"](_worker_state["table"], name, _worker_state["config"])
+    return list(reports.values()), predictions
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -189,28 +198,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     formats = [f.strip() for f in args.formats.split(",") if f.strip()]
     check_report_formats(formats)
     table = _load_projects(args.csv)
-    spans = table.projects()
-    if args.mode == "cross" and len(spans) < 2:
-        print("error: cross-project evaluation needs at least 2 projects", file=sys.stderr)
-        return 1
-    names = sorted(spans)
-    if args.mode == "within":
-        items = [(evaluate_within_project, table.take(spans[name]).own_rows(), name, config) for name in names]
+    names = sorted(table.projects())
+    shared = (table, config, evaluate_within_project if args.mode == "within" else evaluate_cross_project)
+    if args.jobs > 1 and len(names) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker, initargs=shared) as pool:
+            results = list(pool.map(_eval_worker, names))
     else:
-        items = [(evaluate_cross_project, table, target, config) for target in names]
-    if args.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_eval_worker, items))
-    else:
-        results = [_eval_worker(item) for item in items]
-    results.sort(key=lambda r: r[0])
-    reports = [rep for _, reps, _ in results for rep in reps]
+        _init_worker(*shared)
+        try:
+            results = list(map(_eval_worker, names))
+        finally:
+            _worker_state.clear()
+    reports = [rep for reps, _ in results for rep in reps]
 
     out_dir = Path(args.out_dir)
     written = emit_report(reports, out_dir, mode=args.mode, config=config, formats=formats)
     if args.dump_predictions:
         dump_path = out_dir / "predictions.csv"
-        write_prediction_dump(chain.from_iterable(dump for _, _, dump in results), dump_path)
+        predictions = chain.from_iterable(preds for _, preds in results)
+        write_prediction_dump(prediction_rows(table, predictions), dump_path)
         written.append(dump_path)
     _write_run_sidecar(
         out_dir / "report",
@@ -277,10 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LowriskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (LowriskError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -200,17 +200,6 @@ class MethodTable:
             self.metrics, self.fixed,
         )
 
-    def own_rows(self) -> MethodTable:
-        """The same methods holding copies of their own occurrence rows only,
-        renumbered in method order: what a worker process needs of a `take`."""
-        rows = self.occurrence_rows()
-        return MethodTable(
-            self.keys, self.faulty, self.sloc,
-            _Spans(list(accumulate(map(len, self.occurrences)))),
-            tuple(array("q", map(column.__getitem__, rows)) for column in self.metrics),
-            list(map(self.fixed.__getitem__, rows)),
-        )
-
     def occurrence_rows(self) -> Sequence[int]:
         """Every occurrence row of the table's methods, in method order."""
         if isinstance(self.occurrences, _Spans):

@@ -5,12 +5,15 @@ training data only; the held-out partition is itemized with the training
 fold's discretization model. Per-project numbers are computed on the pooled
 held-out predictions; per-fold numbers are additionally reported.
 
-Both evaluators take a `MethodTable` only: folds and cross-project training
-sets are lists of method indices into it, cross-project prediction reads
-each project's index range from it, and scoring reads its fault flags and
-SLOC by index. Held-out methods are itemized into masks and matched
-against the rule antecedent masks. A prediction dump keeps method and
-matched rule indices; its CSV rows are built only when it is written. The
+Both evaluators take `(table, project, config)`, where the table holds
+every project in identity order (a one-project table works too), and share
+one split loop: within-project CV splits the project's index range into
+stratified folds, and cross-project prediction is one split that trains on
+every other project. Splits are lists of method indices into the table, and
+scoring reads its fault flags and SLOC by index. Held-out methods are
+itemized into masks and matched against the rule antecedent masks. The
+predictions are (variant, method indices, matched rule indices) tuples that
+hold no table; `prediction_rows` builds their CSV rows from the table. The
 report's per-variant median and mean are computed once as numbers and
 formatted for each output: `_fmt` for the CSV and Markdown tables,
 `_json_number` for report.json.
@@ -159,37 +162,24 @@ class ProjectReport:
 PREDICTION_HEADER = IDENTITY_COLUMNS + ["variant", "predicted_lfr", "faulty", "matched_rule_index"]
 
 
-class PredictionDump:
-    """Per-method predictions of one evaluation, kept as method indices and
-    matched rule indices; iterating yields the rows of predictions.csv."""
-
-    def __init__(self, table: MethodTable):
-        self.table = table
-        self.parts: list[tuple[Variant, Sequence[int], list[int | None]]] = []
-
-    def add(self, variant: Variant, indices: Sequence[int], matched: list[int | None]) -> None:
-        self.parts.append((variant, indices, matched))
-
-    def __len__(self) -> int:
-        return sum(len(indices) for _, indices, _ in self.parts)
-
-    def __iter__(self) -> Iterator[list[str]]:
-        """One row of fields per prediction, in PREDICTION_HEADER order."""
-        keys, is_faulty = self.table.keys, self.table.faulty
-        for variant, indices, matched in self.parts:
-            for i, idx in zip(indices, matched):
-                project, file_path, type_name, method_name, params = keys[i]
-                yield [
-                    project,
-                    file_path,
-                    type_name,
-                    method_name,
-                    ";".join(params),
-                    variant.value,
-                    _fmt(idx is not None),
-                    _fmt(is_faulty[i]),
-                    "" if idx is None else str(idx),
-                ]
+def prediction_rows(table: MethodTable, predictions: Iterable[tuple]) -> Iterator[list[str]]:
+    """The rows of predictions.csv, in PREDICTION_HEADER order, of the table's
+    (variant, method indices, matched rule indices) predictions."""
+    keys, is_faulty = table.keys, table.faulty
+    for variant, indices, matched in predictions:
+        for i, idx in zip(indices, matched):
+            project, file_path, type_name, method_name, params = keys[i]
+            yield [
+                project,
+                file_path,
+                type_name,
+                method_name,
+                ";".join(params),
+                variant.value,
+                _fmt(idx is not None),
+                _fmt(is_faulty[i]),
+                "" if idx is None else str(idx),
+            ]
 
 
 def _predict(
@@ -214,83 +204,68 @@ def _lfr(matched: list[int | None]) -> list[bool]:
     return [idx is not None for idx in matched]
 
 
-def evaluate_within_project(
-    table: MethodTable, project: str, config: PipelineConfig
-) -> tuple[dict[Variant, ProjectReport], PredictionDump]:
-    """Stratified k-fold evaluation of both variants on one project's table."""
-    folds = stratified_kfold(table.faulty, config.folds, derive_seed(config.seed, "kfold", project))
-    pooled: dict[Variant, list[int | None]] = {v: [] for v in Variant}
-    fold_metrics = {v: [] for v in Variant}
-    dump = PredictionDump(table)
-    for fold_idx, held_out in enumerate(folds):
-        training = [i for j, fold in enumerate(folds) if j != fold_idx for i in fold]
-        trained = train_on(table.take(training), config, scope=(project, fold_idx))
-        fold_preds = _predict(trained.discretization, trained.classifiers, table, held_out)
+def _span(table: MethodTable, project: str) -> range:
+    spans = table.projects()
+    if project not in spans:
+        raise ValueError(f"project {project!r} not among the datasets")
+    return spans[project]
+
+
+def _evaluate(
+    table: MethodTable, project: str, splits: Sequence[tuple], config: PipelineConfig
+) -> tuple[dict[Variant, ProjectReport], list[tuple]]:
+    """Train on each (scope, training, held-out) split, its scope seeding its
+    SMOTE draws, predict its held-out methods, and score both variants on the
+    pooled predictions, and on each split as a fold when there are several."""
+    n_rules = {v: [] for v in Variant}
+    folds = {v: [] for v in Variant}
+    predictions = []
+    for fold_idx, (scope, training, held_out) in enumerate(splits):
+        trained = train_on(table.take(training), config, scope=scope)
+        split_preds = _predict(trained.discretization, trained.classifiers, table, held_out)
         for variant in Variant:
-            matched = fold_preds[variant]
-            pooled[variant].extend(matched)
-            fold_metrics[variant].append(
-                score_predictions(
-                    table,
-                    held_out,
-                    _lfr(matched),
-                    scope=f"fold:{fold_idx}",
-                    n_rules=trained.classifiers[variant].n,
+            matched, n = split_preds[variant], trained.classifiers[variant].n
+            n_rules[variant].append(n)
+            if len(splits) > 1:
+                folds[variant].append(
+                    score_predictions(table, held_out, _lfr(matched), scope=f"fold:{fold_idx}", n_rules=n)
                 )
-            )
-            dump.add(variant, held_out, matched)
-    held_out_order = [i for fold in folds for i in fold]
+            predictions.append((variant, held_out, matched))
+    held_out_order = [i for _, _, held_out in splits for i in held_out]
     reports = {}
     for variant in Variant:
-        mean_n = statistics.mean(fm.n_rules for fm in fold_metrics[variant])
-        reports[variant] = ProjectReport(
-            project=project,
-            variant=variant,
-            pooled=score_predictions(
-                table,
-                held_out_order,
-                _lfr(pooled[variant]),
-                scope=f"project:{project}",
-                n_rules=round(mean_n),
-            ),
-            folds=tuple(fold_metrics[variant]),
-        )
-    return reports, dump
+        pooled = [idx for v, _, matched in predictions if v is variant for idx in matched]
+        mean_n = round(statistics.mean(n_rules[variant]))
+        metrics = score_predictions(table, held_out_order, _lfr(pooled), f"project:{project}", mean_n)
+        reports[variant] = ProjectReport(project, variant, metrics, tuple(folds[variant]))
+    return reports, predictions
+
+
+def evaluate_within_project(
+    table: MethodTable, project: str, config: PipelineConfig
+) -> tuple[dict[Variant, ProjectReport], list[tuple]]:
+    """Stratified k-fold evaluation of both variants on one project of the table."""
+    span = _span(table, project)
+    folds = stratified_kfold(
+        [table.faulty[i] for i in span], config.folds, derive_seed(config.seed, "kfold", project)
+    )
+    held_outs = [[span[i] for i in fold] for fold in folds]
+    splits = [
+        ((project, k), [i for j, other in enumerate(held_outs) if j != k for i in other], held_out)
+        for k, held_out in enumerate(held_outs)
+    ]
+    return _evaluate(table, project, splits, config)
 
 
 def evaluate_cross_project(
     table: MethodTable, target: str, config: PipelineConfig
-) -> tuple[dict[Variant, ProjectReport], PredictionDump]:
-    """Train once on the union of all other projects, evaluate on the target.
-
-    `table` holds every project, in identity order.
-    """
-    spans = table.projects()
-    if target not in spans:
-        raise ValueError(f"target project {target!r} not among the datasets")
-    if len(spans) < 2:
+) -> tuple[dict[Variant, ProjectReport], list[tuple]]:
+    """Train once on the union of all other projects, evaluate on the target."""
+    span = _span(table, target)
+    if len(table.projects()) < 2:
         raise ValueError("cross-project prediction needs at least 2 projects")
-    training = [i for name, span in spans.items() if name != target for i in span]
-    trained = train_on(table.take(training), config, scope=(target, "cross"))
-    target_methods = spans[target]
-    target_preds = _predict(trained.discretization, trained.classifiers, table, target_methods)
-    reports = {}
-    dump = PredictionDump(table)
-    for variant in Variant:
-        matched = target_preds[variant]
-        reports[variant] = ProjectReport(
-            project=target,
-            variant=variant,
-            pooled=score_predictions(
-                table,
-                target_methods,
-                _lfr(matched),
-                scope=f"project:{target}",
-                n_rules=trained.classifiers[variant].n,
-            ),
-        )
-        dump.add(variant, target_methods, matched)
-    return reports, dump
+    training = [*range(span.start), *range(span.stop, len(table))]
+    return _evaluate(table, target, [((target, "cross"), training, span)], config)
 
 
 # -- report emission -------------------------------------------------------
@@ -416,7 +391,7 @@ def emit_report(
 
 
 def write_prediction_dump(rows: Iterable[list[str]], path: str | Path) -> None:
-    """Write predictions.csv from the rows of one or more PredictionDumps."""
+    """Write predictions.csv from `prediction_rows`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_HEADER)

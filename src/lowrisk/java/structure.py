@@ -40,13 +40,26 @@ _LOCAL_CLASS_STARTS = frozenset(("class", "final", "abstract", "strictfp", "@"))
 _TYPE_ARGUMENT_TEXTS = frozenset((".", ",", "?", "extends", "super", "[", "]", "&", "@")) | PRIMITIVE_TYPES
 
 
+def _follows_annotation_name(texts: list[str], kinds: list[str], i: int) -> bool:
+    """Whether the token at i follows '@' and a possibly qualified name."""
+    i -= 1
+    while texts[i - 1] == "." and kinds[i - 2] == "ident":
+        i -= 2
+    return kinds[i] == "ident" and texts[i - 1] == "@"
+
+
 def skip_type_arguments(texts: list[str], kinds: list[str], i: int) -> int | None:
     """The index past the type-argument list whose '<' is at i (its '>' may
-    end a '>>' or '>>>'); None at a token that cannot be in one."""
-    depth = 0
+    end a '>>' or '>>>'); None at a token that cannot be in one. A type
+    annotation's arguments, as in List<@Size(max = 3) String>, are jumped."""
+    depth = parens = 0
     while True:
         t = texts[i]
-        if t == "<":
+        if parens or t == "(" and _follows_annotation_name(texts, kinds, i):
+            if not t:
+                return None
+            parens += (t == "(") - (t == ")")
+        elif t == "<":
             depth += 1
         elif t in (">", ">>", ">>>"):
             depth -= len(t)
@@ -192,6 +205,17 @@ class CompilationUnit:
         if j is None:
             raise self._err("malformed type-argument list", i)
         return j
+
+    def _type_text(self, i: int, end: int) -> str:
+        """The type tokens from i to end joined, without type annotations."""
+        kept = self.texts[i:end]
+        if "@" in kept:
+            kept = []
+            while i < end:
+                i = self._skip_annotations_and_modifiers(i)
+                kept.append(self.texts[i])
+                i += 1
+        return "".join(kept)
 
     def _skip_type_list(self, i: int, what: str) -> int:
         """The index past the ','-separated, maybe annotated, type references from i."""
@@ -407,7 +431,7 @@ class CompilationUnit:
             while texts[i] == "[" and texts[i + 1] == "]":
                 suffix += "[]"
                 i += 2
-            types.append("".join(texts[type_start:type_end]) + suffix + ("..." if varargs else ""))
+            types.append(self._type_text(type_start, type_end) + suffix + ("..." if varargs else ""))
             if texts[i] == ",":
                 i += 1
                 continue

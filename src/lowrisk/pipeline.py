@@ -234,13 +234,11 @@ def _vectors(table: MethodTable, config: PipelineConfig, scope: tuple):
     if not any(is_faulty):
         raise TooFewMinorityError("training set contains no faulty methods")
     model = fit_discretization(table)
-    if config.no_smote:
-        masks = [itemize(table, i, model) for i in range(len(table))]
-        faulty = list(compress(masks, is_faulty))
-        return model, faulty, Classes(faulty, list(compress(masks, map(not_, is_faulty))))
     faulty = [itemize(table, i, model) for i in compress(range(len(table)), is_faulty)]
     clean_indices = array("q", compress(range(len(table)), map(not_, is_faulty)))
     clean = _Lazy(len(clean_indices), _itemize_at, (table, clean_indices, model))
+    if config.no_smote:
+        return model, faulty, Classes(faulty, list(clean))
     cfg = BalanceConfig(
         percent_over=config.smote_over,
         percent_under=config.smote_under,

@@ -17,6 +17,8 @@ from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind
 _P_CLEAN_TRIVIAL = 0.001  # getters, setters, empty methods
 _P_DELEGATION = 0.018
 _P_COMPLEX = 0.0525  # 10x the average trivial rate
+_TRIVIAL_FRACTION = 0.5  # the share of methods drawn from the trivial archetypes
+_MIN_FAULTY = 10  # enough faulty methods for stratified 10-fold CV
 
 
 def _zero_counts() -> list[int]:
@@ -89,16 +91,10 @@ def _complex_metrics(rng: random.Random) -> tuple[RawMetrics, CategoryFlags]:
 _ARCHETYPES = ("getter", "setter", "empty", "delegation")
 
 
-def generate_project(
-    name: str,
-    seed: int,
-    n_methods: int = 2000,
-    trivial_fraction: float = 0.5,
-    min_faulty: int = 10,
-) -> list[UnifiedMethod]:
+def generate_project(name: str, seed: int, n_methods: int = 2000) -> list[UnifiedMethod]:
     """Generate one synthetic project as a unified method list."""
     rng = random.Random(seed)
-    n_trivial = int(n_methods * trivial_fraction)
+    n_trivial = int(n_methods * _TRIVIAL_FRACTION)
     methods: list[UnifiedMethod] = []
     complex_indices: list[int] = []
     for i in range(n_methods):
@@ -130,7 +126,7 @@ def generate_project(
         methods.append(UnifiedMethod(identity, faulty, occurrences))
     # Guarantee enough faulty methods for stratified folding.
     faulty_count = sum(1 for m in methods if m.faulty)
-    deficit = min_faulty - faulty_count
+    deficit = _MIN_FAULTY - faulty_count
     if deficit > 0:
         for i in rng.sample(complex_indices, deficit):
             old = methods[i]

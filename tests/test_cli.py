@@ -551,23 +551,24 @@ class TestEvaluate:
         for name in ("report.csv", "predictions.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
-    def test_within_work_items_carry_only_their_projects_rows(self, synth_csvs, tmp_path,
-                                                              monkeypatch):
-        """What --jobs N sends a worker per project pickles no larger than the
-        table of that project's CSV loaded alone."""
-        items = []
+    @pytest.mark.parametrize("mode", ["within", "cross"])
+    def test_work_items_are_project_names_and_results_hold_no_table(self, mode, synth_csvs, tmp_path,
+                                                                    monkeypatch):
+        """--jobs N hands the table to each worker once; what travels per
+        project, an item and its result, is small beside one project's table."""
+        calls = []
         worker = cli._eval_worker
 
-        def recording_worker(item):
-            items.append(item)
-            return worker(item)
+        def recording_worker(name):
+            result = worker(name)
+            calls.append((name, result))
+            return result
 
         monkeypatch.setattr(cli, "_eval_worker", recording_worker)
-        assert run(["evaluate", *synth_csvs, "--mode", "within", "--out-dir", tmp_path,
+        assert run(["evaluate", *synth_csvs, "--mode", mode, "--out-dir", tmp_path,
                     "--jobs", "1"] + FAST_FLAGS) == 0
-        assert [name for _, _, name, _ in items] == ["proj0", "proj1"]
-        for item, path in zip(items, synth_csvs):
-            alone = ds.build_unified(ds.read_csv(path))
-            table = item[1]
-            assert len(table) == len(alone) and len(table.fixed) == len(alone.fixed)
-            assert len(pickle.dumps(item)) <= len(pickle.dumps(alone))
+        assert [name for name, _ in calls] == ["proj0", "proj1"]
+        alone = len(pickle.dumps(ds.build_unified(ds.read_csv(synth_csvs[0]))))
+        for _, result in calls:
+            assert len(pickle.dumps(result)) < alone / 4
+        assert not cli._worker_state

@@ -19,6 +19,7 @@ from lowrisk.evaluation import (
     emit_report,
     evaluate_cross_project,
     evaluate_within_project,
+    prediction_rows,
     score_predictions,
     stratified_kfold,
 )
@@ -148,20 +149,20 @@ class TestEvaluateWithinProject:
     def test_pooled_equals_fold_sums(self, small_project):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reports, dump = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
+            reports, predictions = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
         for variant in Variant:
             rep = reports[variant]
             assert rep.pooled.methods_total == len(small_project)
             assert rep.pooled.faulty_in_lfr == sum(f.faulty_in_lfr for f in rep.folds)
             assert rep.pooled.lfr_methods == sum(f.lfr_methods for f in rep.folds)
             assert len(rep.folds) == TEST_CONFIG.folds
-        assert len(dump) == 2 * len(small_project)
+        assert len(list(prediction_rows(small_project, predictions))) == 2 * len(small_project)
 
     def test_strict_matches_subset_of_lenient(self, small_project):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, dump = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
-        rows = [dict(zip(PREDICTION_HEADER, row)) for row in dump]
+            _, predictions = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
+        rows = [dict(zip(PREDICTION_HEADER, row)) for row in prediction_rows(small_project, predictions)]
         strict = {
             (r["method_name"], r["param_signature"]): r["predicted_lfr"] == "true"
             for r in rows
@@ -177,10 +178,28 @@ class TestEvaluateWithinProject:
     def test_deterministic_given_seed(self, small_project):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reports_a, dump_a = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
-            reports_b, dump_b = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
+            reports_a, predictions_a = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
+            reports_b, predictions_b = evaluate_within_project(small_project, "evalproj", TEST_CONFIG)
         assert reports_a == reports_b
-        assert list(dump_a) == list(dump_b)
+        assert predictions_a == predictions_b
+
+    def test_a_project_of_a_larger_table_is_evaluated_as_if_alone(self):
+        """Folds are drawn over the project's index range and mapped to the
+        table's indices, so the other projects change nothing."""
+        a = generate_project("a", seed=1, n_methods=300)
+        b = generate_project("b", seed=2, n_methods=400)
+        both, alone = projects_table({"a": a, "b": b}), table_of(b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reports, predictions = evaluate_within_project(both, "b", TEST_CONFIG)
+            reports_alone, predictions_alone = evaluate_within_project(alone, "b", TEST_CONFIG)
+        assert reports == reports_alone
+        assert list(prediction_rows(both, predictions)) == list(prediction_rows(alone, predictions_alone))
+        assert min(i for _, indices, _ in predictions for i in indices) == len(a)
+
+    def test_missing_project_raises(self, small_project):
+        with pytest.raises(ValueError, match="'zzz' not among the datasets"):
+            evaluate_within_project(small_project, "zzz", TEST_CONFIG)
 
 
 class TestEvaluateCrossProject:
@@ -189,9 +208,11 @@ class TestEvaluateCrossProject:
         b = generate_project("b", seed=2, n_methods=500)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reports, dump = evaluate_cross_project(projects_table({"a": a, "b": b}), "b", TEST_CONFIG)
+            table = projects_table({"a": a, "b": b})
+            reports, predictions = evaluate_cross_project(table, "b", TEST_CONFIG)
         assert reports[Variant.STRICT].pooled.methods_total == len(b)
-        assert {row[PREDICTION_HEADER.index("project")] for row in dump} == {"b"}
+        rows = prediction_rows(table, predictions)
+        assert {row[PREDICTION_HEADER.index("project")] for row in rows} == {"b"}
 
     def test_missing_target_raises(self):
         a = generate_project("a", seed=1, n_methods=300)

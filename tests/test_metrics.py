@@ -272,6 +272,29 @@ def test_annotated_type_arguments_are_types():
     methods, skipped = analyze_source(src, "Ann.java")
     assert not skipped
     (m,) = methods
-    assert m.identity.param_signature == ("List<@NonNullString>",)
+    assert m.identity.param_signature == ("List<String>",)
     assert count(m, ConstructKind.COMPARISON_OPERATOR) == 0
     assert m.metrics.unique_variable_ids == 2  # in, ys
+
+
+def test_type_annotation_arguments_are_jumped_and_left_out_of_the_signature():
+    """javac accepts annotation arguments inside type arguments, and a type
+    annotation is not part of a method's identity."""
+    src = """
+    class Ann {
+        List<@Size(max = 3) String> xs;
+
+        void f(List<@javax.validation.Size(min = (1), max = 3) String> in) {
+            List<@Size(max = 2) String> ys = in;
+        }
+
+        void g(List<@NonNull String> in, Map<String, @A List<Integer>> m) {}
+    }
+    """
+    methods, skipped = analyze_source(src, "Ann.java")
+    assert not skipped
+    f, g = methods
+    assert f.identity.param_signature == ("List<String>",)
+    assert f.metrics.unique_variable_ids == 2  # in, ys
+    assert count(f, ConstructKind.COMPARISON_OPERATOR) == 0
+    assert g.identity.param_signature == ("List<String>", "Map<String,List<Integer>>")
