@@ -70,25 +70,53 @@ def skip_type_arguments(texts: list[str], kinds: list[str], i: int) -> int | Non
         i += 1
 
 
+def _skip_type_annotations(texts: list[str], kinds: list[str], i: int) -> int | None:
+    """The index past the type annotations from i, each '@', a possibly
+    qualified name and maybe a balanced argument list; i when none starts
+    there, None when an argument list is not closed."""
+    while texts[i] == "@" and kinds[i + 1] == "ident":
+        i += 2
+        while texts[i] == "." and kinds[i + 1] == "ident":
+            i += 2
+        if texts[i] == "(":
+            depth = 0
+            while True:
+                t = texts[i]
+                if not t:
+                    return None
+                depth += (t == "(") - (t == ")")
+                i += 1
+                if not depth:
+                    break
+    return i
+
+
 def skip_type_ref(texts: list[str], kinds: list[str], i: int) -> int | None:
     """The index past the type reference at i: a primitive type or void, or a
-    qualified name with type arguments, then '[]' pairs. None when no type
+    qualified name with type arguments, then '[]' pairs. A type annotation
+    may follow a '.' of the name or precede a '[]', as in
+    java.util.@NonNull List<String> and String @NonNull []. None when no type
     starts at i."""
     if texts[i] in _PRIMITIVE_OR_VOID:
         j = i + 1
     elif kinds[i] == "ident":
         j = i + 1
-        while texts[j] == "." and kinds[j + 1] == "ident":
-            j += 2
+        while texts[j] == ".":
+            k = _skip_type_annotations(texts, kinds, j + 1) if texts[j + 1] == "@" else j + 1
+            if k is None or kinds[k] != "ident":
+                break
+            j = k + 1
     else:
         return None
     if texts[j] == "<":
         j = skip_type_arguments(texts, kinds, j)
         if j is None:
             return None
-    while texts[j] == "[" and texts[j + 1] == "]":
-        j += 2
-    return j
+    while True:
+        k = _skip_type_annotations(texts, kinds, j) if texts[j] == "@" else j
+        if k is None or texts[k] != "[" or texts[k + 1] != "]":
+            return j
+        j = k + 2
 
 
 def match_delimiters(texts: list[str]) -> list[int]:
@@ -419,10 +447,9 @@ class CompilationUnit:
             type_end = skip_type_ref(texts, kinds, i)
             if type_end is None:
                 raise self._err("malformed parameter type", i)
-            i = type_end
-            varargs = texts[i] == "..."
-            if varargs:
-                i += 1
+            i = _skip_type_annotations(texts, kinds, type_end)  # as in String @NonNull ... xs
+            varargs = i is not None and texts[i] == "..."
+            i = i + 1 if varargs else type_end
             if kinds[i] != "ident":
                 raise self._err("malformed parameter name", i)
             names.append(texts[i])

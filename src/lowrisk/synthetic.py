@@ -5,135 +5,134 @@ methods, delegations; low SLOC/complexity) with complex methods whose
 average fault rate is ten times higher. Getter/setter/empty methods are
 nearly fault-free while delegation methods carry most of the trivial-side
 faults, so high-confidence rules exist for the clean archetypes.
+
+Each `randint(low, high)` is drawn inline, as `Random._randbelow_with_getrandbits`
+draws it, so a seed gives the same random stream, and the same project, as one
+`rng.randint` call per value.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
+
 from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
 from lowrisk.java.analyzer import MethodIdentity
-from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
+from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind as K, RawMetrics
 
 _P_CLEAN_TRIVIAL = 0.001  # getters, setters, empty methods
 _P_DELEGATION = 0.018
 _P_COMPLEX = 0.0525  # 10x the average trivial rate
 _TRIVIAL_FRACTION = 0.5  # the share of methods drawn from the trivial archetypes
 _MIN_FAULTY = 10  # enough faulty methods for stratified 10-fold CV
-
-
-def _zero_counts() -> list[int]:
-    return [0] * N_CONSTRUCT_KINDS
-
-
-def _trivial_metrics(rng: random.Random, archetype: str) -> tuple[RawMetrics, CategoryFlags]:
-    counts = _zero_counts()
-    flags = {}
-    if archetype == "getter":
-        counts[ConstructKind.RETURN_STATEMENT] = 1
-        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 0, 1, tuple(counts))
-        flags["is_getter"] = True
-    elif archetype == "setter":
-        counts[ConstructKind.ASSIGNMENT] = 1
-        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 0, 2, tuple(counts))
-        flags["is_setter"] = True
-    elif archetype == "empty":
-        metrics = RawMetrics(rng.randint(1, 2), 1, 0, 0, 0, tuple(counts))
-        flags["is_empty"] = True
-    else:  # delegation
-        counts[ConstructKind.METHOD_INVOCATION] = 1
-        counts[ConstructKind.RETURN_STATEMENT] = rng.randint(0, 1)
-        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 1, rng.randint(1, 3), tuple(counts))
-        flags["is_delegation"] = True
-    return metrics, CategoryFlags(**flags)
-
-
-def _complex_metrics(rng: random.Random) -> tuple[RawMetrics, CategoryFlags]:
-    counts = _zero_counts()
-    counts[ConstructKind.METHOD_INVOCATION] = rng.randint(1, 25)
-    counts[ConstructKind.IF_CONDITION] = rng.randint(1, 8)
-    counts[ConstructKind.ELSE_BLOCK] = rng.randint(0, 3)
-    counts[ConstructKind.LOOP] = rng.randint(0, 5)
-    counts[ConstructKind.RETURN_STATEMENT] = rng.randint(1, 4)
-    counts[ConstructKind.ASSIGNMENT] = rng.randint(1, 15)
-    counts[ConstructKind.ARITHMETIC_INFIX_OP] = rng.randint(0, 10)
-    counts[ConstructKind.COMPARISON_OPERATOR] = rng.randint(1, 10)
-    counts[ConstructKind.LOGICAL_OPERATOR] = rng.randint(0, 5)
-    counts[ConstructKind.STRING_LITERAL] = rng.randint(0, 6)
-    counts[ConstructKind.NULL_LITERAL] = rng.randint(0, 4)
-    counts[ConstructKind.NULL_CHECK] = min(counts[ConstructKind.NULL_LITERAL], rng.randint(0, 3))
-    counts[ConstructKind.CAST_EXPRESSION] = rng.randint(0, 3)
-    counts[ConstructKind.OBJECT_CREATION] = rng.randint(0, 5)
-    counts[ConstructKind.ARRAY_ACCESS] = rng.randint(0, 6)
-    counts[ConstructKind.TERNARY_OPERATION] = rng.randint(0, 2)
-    counts[ConstructKind.TRY_BLOCK] = rng.randint(0, 2)
-    counts[ConstructKind.CATCH_CLAUSE] = counts[ConstructKind.TRY_BLOCK]
-    counts[ConstructKind.THROW_STATEMENT] = rng.randint(0, 2)
-    counts[ConstructKind.INCREMENTATION] = rng.randint(0, 3)
-    cc = (
-        1
-        + counts[ConstructKind.IF_CONDITION]
-        + counts[ConstructKind.LOOP]
-        + counts[ConstructKind.CATCH_CLAUSE]
-        + counts[ConstructKind.TERNARY_OPERATION]
-        + counts[ConstructKind.LOGICAL_OPERATOR]
-    )
-    metrics = RawMetrics(
-        sloc=rng.randint(8, 120),
-        cyclomatic_complexity=cc,
-        max_nesting=rng.randint(1, 5),
-        max_chaining=rng.randint(1, 4),
-        unique_variable_ids=rng.randint(3, 18),
-        construct_counts=tuple(counts),
-    )
-    return metrics, CategoryFlags()
-
+_N_FILES = 97  # methods are spread over this many files, one type each
 
 _ARCHETYPES = ("getter", "setter", "empty", "delegation")
+_P_FAULT = dict.fromkeys(_ARCHETYPES, _P_CLEAN_TRIVIAL) | {"delegation": _P_DELEGATION, "complex": _P_COMPLEX}
+_OCCURRENCES = (1, 1, 1, 1, 1, 1, 1, 1, 2, 3)  # occurrences of a faulty method, drawn uniformly
+
+
+def _counts(*kinds: K) -> tuple[int, ...]:
+    """Construct counts of one for each of kinds, zero elsewhere."""
+    return tuple(int(kind in kinds) for kind in K)
+
+
+# The parts that every method of an archetype shares.
+_GETTER = _counts(K.RETURN_STATEMENT), CategoryFlags(is_getter=True)
+_SETTER = _counts(K.ASSIGNMENT), CategoryFlags(is_setter=True)
+_EMPTY = _counts(), CategoryFlags(is_empty=True)
+_DELEGATION_COUNTS = _counts(K.METHOD_INVOCATION), _counts(K.METHOD_INVOCATION, K.RETURN_STATEMENT)
+_DELEGATION_FLAGS = CategoryFlags(is_delegation=True)
+_COMPLEX_FLAGS = CategoryFlags()
+
+# A complex method's draws in stream order, as (slot, low, n, k): values[slot]
+# becomes low plus a draw below n from k = n.bit_length() bits. Slots below
+# N_CONSTRUCT_KINDS are construct counts; the four after them are the scalar metrics.
+_SLOC, _NESTING, _CHAINING, _VARIABLES = range(N_CONSTRUCT_KINDS, N_CONSTRUCT_KINDS + 4)
+_COMPLEX_PLAN = tuple(
+    (int(slot), low, high - low + 1, (high - low + 1).bit_length())
+    for slot, low, high in (
+        (K.METHOD_INVOCATION, 1, 25), (K.IF_CONDITION, 1, 8), (K.ELSE_BLOCK, 0, 3),
+        (K.LOOP, 0, 5), (K.RETURN_STATEMENT, 1, 4), (K.ASSIGNMENT, 1, 15),
+        (K.ARITHMETIC_INFIX_OP, 0, 10), (K.COMPARISON_OPERATOR, 1, 10),
+        (K.LOGICAL_OPERATOR, 0, 5), (K.STRING_LITERAL, 0, 6), (K.NULL_LITERAL, 0, 4),
+        (K.NULL_CHECK, 0, 3),  # then capped at the null literals
+        (K.CAST_EXPRESSION, 0, 3), (K.OBJECT_CREATION, 0, 5), (K.ARRAY_ACCESS, 0, 6),
+        (K.TERNARY_OPERATION, 0, 2), (K.TRY_BLOCK, 0, 2),  # one catch clause per try block
+        (K.THROW_STATEMENT, 0, 2), (K.INCREMENTATION, 0, 3),
+        (_SLOC, 8, 120), (_NESTING, 1, 5), (_CHAINING, 1, 4), (_VARIABLES, 3, 18),
+    )
+)
+_branches = itemgetter(K.IF_CONDITION, K.LOOP, K.CATCH_CLAUSE, K.TERNARY_OPERATION, K.LOGICAL_OPERATOR)
+
+
+def _below(getrandbits, n: int, k: int) -> int:
+    """rng.randrange(n), drawn as Random._randbelow_with_getrandbits draws it; k = n.bit_length()."""
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _metrics(getrandbits, archetype: str) -> tuple[RawMetrics, CategoryFlags]:
+    """One occurrence's metrics and categories, drawn for archetype."""
+    if archetype == "getter":
+        return RawMetrics(2 + _below(getrandbits, 3, 2), 1, 0, 0, 1, _GETTER[0]), _GETTER[1]
+    if archetype == "setter":
+        return RawMetrics(2 + _below(getrandbits, 3, 2), 1, 0, 0, 2, _SETTER[0]), _SETTER[1]
+    if archetype == "empty":
+        return RawMetrics(1 + _below(getrandbits, 2, 2), 1, 0, 0, 0, _EMPTY[0]), _EMPTY[1]
+    if archetype == "delegation":
+        counts = _DELEGATION_COUNTS[_below(getrandbits, 2, 2)]
+        sloc = 2 + _below(getrandbits, 3, 2)
+        return RawMetrics(sloc, 1, 0, 1, 1 + _below(getrandbits, 3, 2), counts), _DELEGATION_FLAGS
+    values = [0] * (N_CONSTRUCT_KINDS + 4)
+    for slot, low, n, k in _COMPLEX_PLAN:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        values[slot] = low + r
+    values[K.NULL_CHECK] = min(values[K.NULL_LITERAL], values[K.NULL_CHECK])
+    values[K.CATCH_CLAUSE] = values[K.TRY_BLOCK]
+    cc = 1 + sum(_branches(values))
+    counts = tuple(values[:N_CONSTRUCT_KINDS])
+    metrics = RawMetrics(values[_SLOC], cc, values[_NESTING], values[_CHAINING], values[_VARIABLES], counts)
+    return metrics, _COMPLEX_FLAGS
 
 
 def generate_project(name: str, seed: int, n_methods: int = 2000) -> list[UnifiedMethod]:
     """Generate one synthetic project as a unified method list."""
     rng = random.Random(seed)
+    getrandbits, draw_float = rng.getrandbits, rng.random
     n_trivial = int(n_methods * _TRIVIAL_FRACTION)
+    files = [f"src/{name}/File{j}.java" for j in range(_N_FILES)]
+    types = [f"Type{j}" for j in range(_N_FILES)]
     methods: list[UnifiedMethod] = []
-    complex_indices: list[int] = []
     for i in range(n_methods):
-        if i < n_trivial:
-            archetype = _ARCHETYPES[i % len(_ARCHETYPES)]
-            p_fault = _P_DELEGATION if archetype == "delegation" else _P_CLEAN_TRIVIAL
-            make = lambda: _trivial_metrics(rng, archetype)  # noqa: E731
-        else:
-            archetype = "complex"
-            p_fault = _P_COMPLEX
-            make = lambda: _complex_metrics(rng)  # noqa: E731
-            complex_indices.append(i)
-        identity = MethodIdentity(
-            project=name,
-            file_path=f"src/{name}/File{i % 97}.java",
-            type_name=f"Type{i % 97}",
-            method_name=f"method{i}",
-            param_signature=("int",) if i % 3 else (),
-        )
-        faulty = rng.random() < p_fault
+        archetype = _ARCHETYPES[i % len(_ARCHETYPES)] if i < n_trivial else "complex"
+        j = i % _N_FILES
+        identity = MethodIdentity(name, files[j], types[j], f"method{i}", ("int",) if i % 3 else ())
+        faulty = draw_float() < _P_FAULT[archetype]
         if faulty:
-            n_occ = rng.choice((1, 1, 1, 1, 1, 1, 1, 1, 2, 3))
+            n_occ = _OCCURRENCES[_below(getrandbits, 10, 4)]
             occurrences = tuple(
-                MethodRecord(identity, *make(), faulty=True, snapshot=Snapshot.FAULTY)
+                MethodRecord(identity, *_metrics(getrandbits, archetype), True, Snapshot.FAULTY)
                 for _ in range(n_occ)
             )
         else:
-            occurrences = (MethodRecord(identity, *make()),)
+            occurrences = (MethodRecord(identity, *_metrics(getrandbits, archetype)),)
         methods.append(UnifiedMethod(identity, faulty, occurrences))
     # Guarantee enough faulty methods for stratified folding.
-    faulty_count = sum(1 for m in methods if m.faulty)
-    deficit = _MIN_FAULTY - faulty_count
+    deficit = _MIN_FAULTY - sum(1 for m in methods if m.faulty)
     if deficit > 0:
-        for i in rng.sample(complex_indices, deficit):
-            old = methods[i]
-            rec = MethodRecord(
-                old.identity, *_complex_metrics(rng), faulty=True, snapshot=Snapshot.FAULTY
-            )
-            methods[i] = UnifiedMethod(old.identity, True, (rec,))
+        n_complex = n_methods - n_trivial
+        if deficit > n_complex:
+            raise ValueError(f"n_methods={n_methods} gives {n_complex} complex methods, too few to make "
+                             f"the {_MIN_FAULTY} faulty methods (_MIN_FAULTY) that stratified folding needs")
+        for i in rng.sample(range(n_trivial, n_methods), deficit):
+            identity = methods[i].identity
+            rec = MethodRecord(identity, *_metrics(getrandbits, "complex"), True, Snapshot.FAULTY)
+            methods[i] = UnifiedMethod(identity, True, (rec,))
     return methods
 
 

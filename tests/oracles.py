@@ -26,17 +26,24 @@ mask back into a set of item names, `mine_names` builds per-item bitmaps
 keyed by name), the reference for the mask miner. `support` and
 `confidence` count over sets of item names. The
 lexer oracle is the earlier per-character tokenizer, kept as the reference
-for the master-regex tokenizer.
+for the master-regex tokenizer. reference_generate_project is the earlier
+synthetic generator, one `rng.randint` call per value, kept as the reference
+for the generator's inlined draws.
 """
 
+import random
 import warnings
 from itertools import combinations
 from typing import NamedTuple
 
+from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
 from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_NOT_FAULTY, TERTILE_METRICS, item_mask, transpose
 from lowrisk.errors import AntecedentCapWarning, EmptyDatabaseError, JavaParseError, LowriskError
+from lowrisk.java.analyzer import MethodIdentity
+from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
 from lowrisk.java.tokens import KEYWORDS
 from lowrisk.mining import AssociationRule, prune_redundant
+from lowrisk.synthetic import _MIN_FAULTY, _P_CLEAN_TRIVIAL, _P_COMPLEX, _P_DELEGATION, _TRIVIAL_FRACTION
 
 
 class ZeroAntecedentSupportError(LowriskError):
@@ -573,8 +580,6 @@ def reference_balance(faulty, clean, cfg):
     """balance() of the earlier pipeline, as (faulty masks, clean masks):
     every majority vector already built, the sorting kNN oracle, and one
     rng.randrange call per synthetic attribute."""
-    import random
-
     from lowrisk.errors import ImbalanceUnachievableWarning, InsufficientMinorityError
 
     swap = len(faulty) > len(clean)
@@ -847,3 +852,123 @@ def _non_ascii_identifier_start(tokens, text, i, line):
         if prev.kind in ("ident", "keyword") and prev.line == line and text.startswith(prev.text, start):
             return start
     return i if c.isidentifier() else None
+
+
+# -- the earlier synthetic generator -----------------------------------------------
+
+def _reference_zero_counts() -> list[int]:
+    return [0] * N_CONSTRUCT_KINDS
+
+
+def _reference_trivial_metrics(rng: random.Random, archetype: str) -> tuple[RawMetrics, CategoryFlags]:
+    counts = _reference_zero_counts()
+    flags = {}
+    if archetype == "getter":
+        counts[ConstructKind.RETURN_STATEMENT] = 1
+        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 0, 1, tuple(counts))
+        flags["is_getter"] = True
+    elif archetype == "setter":
+        counts[ConstructKind.ASSIGNMENT] = 1
+        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 0, 2, tuple(counts))
+        flags["is_setter"] = True
+    elif archetype == "empty":
+        metrics = RawMetrics(rng.randint(1, 2), 1, 0, 0, 0, tuple(counts))
+        flags["is_empty"] = True
+    else:  # delegation
+        counts[ConstructKind.METHOD_INVOCATION] = 1
+        counts[ConstructKind.RETURN_STATEMENT] = rng.randint(0, 1)
+        metrics = RawMetrics(rng.randint(2, 4), 1, 0, 1, rng.randint(1, 3), tuple(counts))
+        flags["is_delegation"] = True
+    return metrics, CategoryFlags(**flags)
+
+
+def _reference_complex_metrics(rng: random.Random) -> tuple[RawMetrics, CategoryFlags]:
+    counts = _reference_zero_counts()
+    counts[ConstructKind.METHOD_INVOCATION] = rng.randint(1, 25)
+    counts[ConstructKind.IF_CONDITION] = rng.randint(1, 8)
+    counts[ConstructKind.ELSE_BLOCK] = rng.randint(0, 3)
+    counts[ConstructKind.LOOP] = rng.randint(0, 5)
+    counts[ConstructKind.RETURN_STATEMENT] = rng.randint(1, 4)
+    counts[ConstructKind.ASSIGNMENT] = rng.randint(1, 15)
+    counts[ConstructKind.ARITHMETIC_INFIX_OP] = rng.randint(0, 10)
+    counts[ConstructKind.COMPARISON_OPERATOR] = rng.randint(1, 10)
+    counts[ConstructKind.LOGICAL_OPERATOR] = rng.randint(0, 5)
+    counts[ConstructKind.STRING_LITERAL] = rng.randint(0, 6)
+    counts[ConstructKind.NULL_LITERAL] = rng.randint(0, 4)
+    counts[ConstructKind.NULL_CHECK] = min(counts[ConstructKind.NULL_LITERAL], rng.randint(0, 3))
+    counts[ConstructKind.CAST_EXPRESSION] = rng.randint(0, 3)
+    counts[ConstructKind.OBJECT_CREATION] = rng.randint(0, 5)
+    counts[ConstructKind.ARRAY_ACCESS] = rng.randint(0, 6)
+    counts[ConstructKind.TERNARY_OPERATION] = rng.randint(0, 2)
+    counts[ConstructKind.TRY_BLOCK] = rng.randint(0, 2)
+    counts[ConstructKind.CATCH_CLAUSE] = counts[ConstructKind.TRY_BLOCK]
+    counts[ConstructKind.THROW_STATEMENT] = rng.randint(0, 2)
+    counts[ConstructKind.INCREMENTATION] = rng.randint(0, 3)
+    cc = (
+        1
+        + counts[ConstructKind.IF_CONDITION]
+        + counts[ConstructKind.LOOP]
+        + counts[ConstructKind.CATCH_CLAUSE]
+        + counts[ConstructKind.TERNARY_OPERATION]
+        + counts[ConstructKind.LOGICAL_OPERATOR]
+    )
+    metrics = RawMetrics(
+        sloc=rng.randint(8, 120),
+        cyclomatic_complexity=cc,
+        max_nesting=rng.randint(1, 5),
+        max_chaining=rng.randint(1, 4),
+        unique_variable_ids=rng.randint(3, 18),
+        construct_counts=tuple(counts),
+    )
+    return metrics, CategoryFlags()
+
+
+_REFERENCE_ARCHETYPES = ("getter", "setter", "empty", "delegation")
+
+
+def reference_generate_project(name: str, seed: int, n_methods: int = 2000) -> list[UnifiedMethod]:
+    """generate_project() of the earlier generator: one rng.randint call per
+    drawn value, and every count tuple, flag set and path string built anew
+    per method."""
+    rng = random.Random(seed)
+    n_trivial = int(n_methods * _TRIVIAL_FRACTION)
+    methods: list[UnifiedMethod] = []
+    complex_indices: list[int] = []
+    for i in range(n_methods):
+        if i < n_trivial:
+            archetype = _REFERENCE_ARCHETYPES[i % len(_REFERENCE_ARCHETYPES)]
+            p_fault = _P_DELEGATION if archetype == "delegation" else _P_CLEAN_TRIVIAL
+            make = lambda: _reference_trivial_metrics(rng, archetype)  # noqa: E731
+        else:
+            archetype = "complex"
+            p_fault = _P_COMPLEX
+            make = lambda: _reference_complex_metrics(rng)  # noqa: E731
+            complex_indices.append(i)
+        identity = MethodIdentity(
+            project=name,
+            file_path=f"src/{name}/File{i % 97}.java",
+            type_name=f"Type{i % 97}",
+            method_name=f"method{i}",
+            param_signature=("int",) if i % 3 else (),
+        )
+        faulty = rng.random() < p_fault
+        if faulty:
+            n_occ = rng.choice((1, 1, 1, 1, 1, 1, 1, 1, 2, 3))
+            occurrences = tuple(
+                MethodRecord(identity, *make(), faulty=True, snapshot=Snapshot.FAULTY)
+                for _ in range(n_occ)
+            )
+        else:
+            occurrences = (MethodRecord(identity, *make()),)
+        methods.append(UnifiedMethod(identity, faulty, occurrences))
+    # Guarantee enough faulty methods for stratified folding.
+    faulty_count = sum(1 for m in methods if m.faulty)
+    deficit = _MIN_FAULTY - faulty_count
+    if deficit > 0:
+        for i in rng.sample(complex_indices, deficit):
+            old = methods[i]
+            rec = MethodRecord(
+                old.identity, *_reference_complex_metrics(rng), faulty=True, snapshot=Snapshot.FAULTY
+            )
+            methods[i] = UnifiedMethod(old.identity, True, (rec,))
+    return methods

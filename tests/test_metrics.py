@@ -298,3 +298,40 @@ def test_type_annotation_arguments_are_jumped_and_left_out_of_the_signature():
     assert f.metrics.unique_variable_ids == 2  # in, ys
     assert count(f, ConstructKind.COMPARISON_OPERATOR) == 0
     assert g.identity.param_signature == ("List<String>", "Map<String,List<Integer>>")
+
+
+def test_type_annotations_in_qualified_and_array_types():
+    """javac accepts a type annotation after a '.' of a qualified type name
+    and before '[]' or '...', in parameters, return types, fields and locals;
+    none is part of a signature or counted as code."""
+    src = """
+    class Ann {
+        java.util.@NonNull List<String> xs;
+        String @NonNull [] names;
+        java.util.@a.b.Size(max = 3) List<String> sized;
+
+        void f(java.util.@NonNull List<String> xs) {}
+
+        void g(String @NonNull [] xs, int @A [] @B(1) [] grid, String @C ... rest) {}
+
+        java.util.@NonNull List<String> h() { return null; }
+
+        String @A [] @B(1) [] k() {
+            java.util.@NonNull List<String> ys = null;
+            String @NonNull [] zs = null;
+            java.util.@Size(max = 2) Map.@A Entry<String, String> e = null;
+            int @A [] @B [] grid = new int[1][1];
+            return zs;
+        }
+    }
+    """
+    methods, skipped = analyze_source(src, "Ann.java")
+    assert not skipped
+    f, g, h, k = methods
+    assert f.identity.param_signature == ("java.util.List<String>",)
+    assert g.identity.param_signature == ("String[]", "int[][]", "String...")
+    assert h.identity.param_signature == ()
+    assert k.metrics.unique_variable_ids == 4  # ys, zs, e, grid
+    assert count(k, ConstructKind.ASSIGNMENT) == 4
+    assert count(k, ConstructKind.NULL_LITERAL) == 3
+    assert count(k, ConstructKind.ARRAY_CREATION) == 1
