@@ -17,7 +17,9 @@ category checks; a statement keyword inside a statement means a missing
 ';'. An expression pass then walks the tokens not in its skip set (types,
 labels, creation brackets, cast closers) linearly and counts
 expression-level constructs, invocation chains, and variable identifiers.
-Both passes read types with the parser's grammar (`structure.skip_type_ref`).
+Both passes read types with the parser's grammar (`structure.skip_type_ref`)
+and annotations with its `structure.skip_annotations`; the expression pass
+jumps every annotation, arguments included, so no annotation counts as code.
 
 No symbol resolution is performed. Variable detection is a token-level
 heuristic: declared parameters and locals always count; other identifiers
@@ -36,6 +38,7 @@ from lowrisk.java.structure import (
     CompilationUnit,
     MethodDecl,
     match_delimiters,
+    skip_annotations,
     skip_type_arguments,
     skip_type_ref,
 )
@@ -176,8 +179,8 @@ _OPERATOR_COUNTS = {
     "++": ConstructKind.INCREMENTATION,
     "--": ConstructKind.DECREMENTATION,
 }
-# The operators whose count depends on the tokens around them.
-_CONTEXT_OPERATORS = frozenset(("(", "?", "==", "!=", "<", "&&", "||", "[", "+", "-", "*", "/", "%"))
+# The operators whose count depends on the tokens around them, and the '@' of an annotation.
+_CONTEXT_OPERATORS = frozenset(("(", "?", "==", "!=", "<", "&&", "||", "[", "+", "-", "*", "/", "%", "@"))
 
 
 def scan_method(unit: CompilationUnit, decl: MethodDecl) -> tuple[RawMetrics, CategoryFlags]:
@@ -561,15 +564,10 @@ class _Scanner:
         """(type start, type end or None) of the local, loop, resource or
         catch variable declared at i, past its 'final' and annotations."""
         texts, kinds = self.texts, self.kinds
-        while True:
-            if texts[i] == "final":
-                i += 1
-            elif texts[i] == "@" and kinds[i + 1] == "ident":
-                i += 2
-                if texts[i] == "(":
-                    i = self._close(i) + 1
-            else:
-                return i, skip_type_ref(texts, kinds, i)
+        i = skip_annotations(texts, kinds, i)
+        while texts[i] == "final":
+            i = skip_annotations(texts, kinds, i + 1)
+        return i, skip_type_ref(texts, kinds, i)
 
     def _try_parse_declaration(self, i: int, stop: int | None = None) -> int | None:
         """Parse a local variable declaration; returns end index or None."""
@@ -638,7 +636,7 @@ class _Scanner:
             kind = kinds[i]
             if kind == "ident":
                 prev = texts[i - 1]
-                if texts[i + 1] == "(" and prev != "@":
+                if texts[i + 1] == "(":
                     counts[ConstructKind.METHOD_INVOCATION] += 1
                     chain = 1
                     if prev == "." and texts[i - 2] == ")" and (i - 2) in chain_at_close:
@@ -646,7 +644,7 @@ class _Scanner:
                     chain_at_close[self._close(i + 1)] = chain
                     if chain > self.max_chain:
                         self.max_chain = chain
-                elif prev not in (".", "::", "@") and t not in names:
+                elif prev not in (".", "::") and t not in names:
                     if (t[0].islower() or t[0] in "_$") and (texts[i + 1] != "." or not self._package_like(i)):
                         names.add(t)
                 i += 1
@@ -708,6 +706,11 @@ class _Scanner:
                     and (i - 1) not in skip
                 ):
                     counts[ConstructKind.ARRAY_ACCESS] += 1
+            elif t == "@":  # an annotation, with its arguments, is no code
+                j = skip_annotations(texts, kinds, i)
+                if j > i:
+                    i = j
+                    continue
             elif kinds[i - 1] in _OPERAND_END_KINDS or texts[i - 1] in _OPERAND_END_TEXTS:  # + - * / %
                 if (i - 1) not in skip:
                     counts[ConstructKind.ARITHMETIC_INFIX_OP] += 1
@@ -731,12 +734,12 @@ class _Scanner:
         if te is None:
             return i + 1
         self.skip.update(range(i + 1, te))
-        if self.texts[te] == "[":
+        k = skip_annotations(self.texts, self.kinds, te)  # as in new int @A [n]
+        if self.texts[k] == "[":
             self.counts[ConstructKind.ARRAY_CREATION] += 1
-            k = te
             while self.texts[k] == "[":
                 self.skip.add(k)
-                k = self._close(k) + 1
+                k = skip_annotations(self.texts, self.kinds, self._close(k) + 1)
         elif self.texts[te] == "(":
             self.counts[ConstructKind.OBJECT_CREATION] += 1
         return te

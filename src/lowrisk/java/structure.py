@@ -17,7 +17,11 @@ directly and rely on the sentinels at both ends instead of bounds checks.
 
 The one Java type grammar lives here: `skip_type_ref` and
 `skip_type_arguments` read a type on any token columns, or return None where
-none starts. The parser and the metric scanner (`lowrisk.java.metrics`) both call them.
+none starts. So does the one annotation grammar: `skip_annotations` reads
+'@', a possibly qualified name and an optional argument list, and no other
+code reads an annotation's name or arguments. An annotation is neither code
+nor part of a signature. The parser and the metric scanner
+(`lowrisk.java.metrics`) both call these readers.
 """
 
 from __future__ import annotations
@@ -35,31 +39,43 @@ _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = frozenset("()[]{}")
 # The tokens that may begin a local class declaration.
 _LOCAL_CLASS_STARTS = frozenset(("class", "final", "abstract", "strictfp", "@"))
-# Texts besides identifiers that a type-argument list may hold; '@' begins a
-# type annotation, as in List<@NonNull String>.
-_TYPE_ARGUMENT_TEXTS = frozenset((".", ",", "?", "extends", "super", "[", "]", "&", "@")) | PRIMITIVE_TYPES
+# Texts besides identifiers and annotations that a type-argument list may hold.
+_TYPE_ARGUMENT_TEXTS = frozenset((".", ",", "?", "extends", "super", "[", "]", "&")) | PRIMITIVE_TYPES
 
 
-def _follows_annotation_name(texts: list[str], kinds: list[str], i: int) -> bool:
-    """Whether the token at i follows '@' and a possibly qualified name."""
-    i -= 1
-    while texts[i - 1] == "." and kinds[i - 2] == "ident":
-        i -= 2
-    return kinds[i] == "ident" and texts[i - 1] == "@"
+def skip_annotations(texts: list[str], kinds: list[str], i: int) -> int:
+    """The index past the annotations from i, each '@', a possibly qualified
+    name and maybe an argument list, balanced by counting parentheses; i when
+    none starts there ('@interface' is none). At an argument list that does
+    not close, the index of its '('."""
+    while texts[i] == "@" and kinds[i + 1] == "ident":
+        i += 2
+        while texts[i] == "." and kinds[i + 1] == "ident":
+            i += 2
+        if texts[i] == "(":
+            j, depth = i, 0
+            while True:
+                t = texts[j]
+                if not t:
+                    return i
+                depth += (t == "(") - (t == ")")
+                j += 1
+                if not depth:
+                    break
+            i = j
+    return i
 
 
 def skip_type_arguments(texts: list[str], kinds: list[str], i: int) -> int | None:
     """The index past the type-argument list whose '<' is at i (its '>' may
-    end a '>>' or '>>>'); None at a token that cannot be in one. A type
-    annotation's arguments, as in List<@Size(max = 3) String>, are jumped."""
-    depth = parens = 0
+    end a '>>' or '>>>'); None at a token that cannot be in one."""
+    depth = 0
     while True:
         t = texts[i]
-        if parens or t == "(" and _follows_annotation_name(texts, kinds, i):
-            if not t:
-                return None
-            parens += (t == "(") - (t == ")")
-        elif t == "<":
+        if t == "@":
+            i = skip_annotations(texts, kinds, i)
+            t = texts[i]
+        if t == "<":
             depth += 1
         elif t in (">", ">>", ">>>"):
             depth -= len(t)
@@ -70,40 +86,20 @@ def skip_type_arguments(texts: list[str], kinds: list[str], i: int) -> int | Non
         i += 1
 
 
-def _skip_type_annotations(texts: list[str], kinds: list[str], i: int) -> int | None:
-    """The index past the type annotations from i, each '@', a possibly
-    qualified name and maybe a balanced argument list; i when none starts
-    there, None when an argument list is not closed."""
-    while texts[i] == "@" and kinds[i + 1] == "ident":
-        i += 2
-        while texts[i] == "." and kinds[i + 1] == "ident":
-            i += 2
-        if texts[i] == "(":
-            depth = 0
-            while True:
-                t = texts[i]
-                if not t:
-                    return None
-                depth += (t == "(") - (t == ")")
-                i += 1
-                if not depth:
-                    break
-    return i
-
-
 def skip_type_ref(texts: list[str], kinds: list[str], i: int) -> int | None:
-    """The index past the type reference at i: a primitive type or void, or a
-    qualified name with type arguments, then '[]' pairs. A type annotation
-    may follow a '.' of the name or precede a '[]', as in
+    """The index past the type reference at i: annotations, then a primitive
+    type or void, or a qualified name with type arguments, then '[]' pairs.
+    Annotations may also follow a '.' of the name or precede a '[]', as in
     java.util.@NonNull List<String> and String @NonNull []. None when no type
     starts at i."""
+    i = skip_annotations(texts, kinds, i)
     if texts[i] in _PRIMITIVE_OR_VOID:
         j = i + 1
     elif kinds[i] == "ident":
         j = i + 1
         while texts[j] == ".":
-            k = _skip_type_annotations(texts, kinds, j + 1) if texts[j + 1] == "@" else j + 1
-            if k is None or kinds[k] != "ident":
+            k = skip_annotations(texts, kinds, j + 1)
+            if kinds[k] != "ident":
                 break
             j = k + 1
     else:
@@ -113,8 +109,8 @@ def skip_type_ref(texts: list[str], kinds: list[str], i: int) -> int | None:
         if j is None:
             return None
     while True:
-        k = _skip_type_annotations(texts, kinds, j) if texts[j] == "@" else j
-        if k is None or texts[k] != "[" or texts[k + 1] != "]":
+        k = skip_annotations(texts, kinds, j)
+        if texts[k] != "[" or texts[k + 1] != "]":
             return j
         j = k + 2
 
@@ -213,19 +209,11 @@ class CompilationUnit:
         return j
 
     def _skip_annotations_and_modifiers(self, i: int) -> int:
-        texts = self.texts
-        while True:
-            t = texts[i]
-            if t == "@" and texts[i + 1] not in ("interface", ""):
-                i += 2  # '@' plus the annotation name
-                while texts[i] == ".":
-                    i += 2
-                if texts[i] == "(":
-                    i = self._close(i) + 1
-            elif t in MODIFIERS:
-                i += 1
-            else:
-                return i
+        texts, kinds = self.texts, self.kinds
+        i = skip_annotations(texts, kinds, i)
+        while texts[i] in MODIFIERS:
+            i = skip_annotations(texts, kinds, i + 1)
+        return i
 
     def _skip_type_arguments(self, i: int) -> int:
         """skip_type_arguments at the '<' at i, which must open a type-argument list."""
@@ -235,20 +223,19 @@ class CompilationUnit:
         return j
 
     def _type_text(self, i: int, end: int) -> str:
-        """The type tokens from i to end joined, without type annotations."""
+        """The type tokens from i to end joined, without annotations."""
         kept = self.texts[i:end]
         if "@" in kept:
             kept = []
             while i < end:
-                i = self._skip_annotations_and_modifiers(i)
+                i = skip_annotations(self.texts, self.kinds, i)
                 kept.append(self.texts[i])
                 i += 1
         return "".join(kept)
 
     def _skip_type_list(self, i: int, what: str) -> int:
-        """The index past the ','-separated, maybe annotated, type references from i."""
+        """The index past the ','-separated type references from i."""
         while True:
-            i = self._skip_annotations_and_modifiers(i)
             j = skip_type_ref(self.texts, self.kinds, i)
             if j is None:
                 raise self._err(f"malformed {what}", i)
@@ -267,7 +254,8 @@ class CompilationUnit:
         i = 1
         while texts[i]:
             t = texts[i]
-            if t in ("package", "import"):  # up to its ';', which the next turn skips
+            j = skip_annotations(texts, self.kinds, i)  # as in package-info.java
+            if texts[j] == "package" or t == "import":  # up to its ';', which the next turn skips
                 while texts[i] not in (";", ""):
                     i += 1
                 continue
@@ -447,8 +435,8 @@ class CompilationUnit:
             type_end = skip_type_ref(texts, kinds, i)
             if type_end is None:
                 raise self._err("malformed parameter type", i)
-            i = _skip_type_annotations(texts, kinds, type_end)  # as in String @NonNull ... xs
-            varargs = i is not None and texts[i] == "..."
+            i = skip_annotations(texts, kinds, type_end)  # as in String @NonNull ... xs
+            varargs = texts[i] == "..."
             i = i + 1 if varargs else type_end
             if kinds[i] != "ident":
                 raise self._err("malformed parameter name", i)

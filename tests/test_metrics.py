@@ -1,6 +1,8 @@
 """Metric computation checks, anchored on the documented chaining and
 counting rules plus hand-derived miniature methods."""
 
+from pathlib import Path
+
 from lowrisk.java.analyzer import analyze_source
 from lowrisk.java.metrics import ConstructKind
 
@@ -335,3 +337,24 @@ def test_type_annotations_in_qualified_and_array_types():
     assert count(k, ConstructKind.ASSIGNMENT) == 4
     assert count(k, ConstructKind.NULL_LITERAL) == 3
     assert count(k, ConstructKind.ARRAY_CREATION) == 1
+
+
+def test_annotations_are_no_code_against_their_plain_twins():
+    """tests/data/annotations/Annotated.java is Plain.java with annotations,
+    some with arguments, in every position the front end reads: the package,
+    modifiers, locals, resources, catch parameters, creations, casts, array
+    dimensions, anonymous bodies, type arguments and member types. Each sits
+    on its code's line, so every method keeps its twin's signature, metrics
+    (SLOC included) and categories."""
+    data = Path(__file__).parent / "data" / "annotations"
+
+    def analyzed(name):
+        methods, skipped = analyze_source((data / name).read_text(encoding="utf-8"), "Twin.java")
+        assert not skipped
+        return {m.identity: m for m in methods}
+
+    annotated, plain = analyzed("Annotated.java"), analyzed("Plain.java")
+    assert len(plain) == 21
+    assert list(annotated) == list(plain)
+    for identity, twin in plain.items():
+        assert annotated[identity] == twin, identity

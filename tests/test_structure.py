@@ -1,7 +1,8 @@
 import pytest
 
 from lowrisk.errors import JavaParseError
-from lowrisk.java.structure import parse_compilation_unit
+from lowrisk.java.structure import parse_compilation_unit, skip_annotations
+from lowrisk.java.tokens import tokenize
 
 
 def methods_of(source, file_path="T.java"):
@@ -201,6 +202,26 @@ def test_annotations_and_modifiers_skipped():
     }
     """
     assert [(d.name, d.param_types) for d in methods_of(src)] == [("f", ("int",))]
+
+
+def test_skip_annotations_reads_a_name_and_balanced_arguments():
+    tokens = tokenize("@a.B(x = (1), y = f()) @C @interface @D(1", "T.java")
+    texts, kinds = tokens.texts, tokens.kinds
+    at_interface = texts.index("interface") - 1
+    assert skip_annotations(texts, kinds, 1) == at_interface
+    assert skip_annotations(texts, kinds, at_interface) == at_interface  # '@interface' is no annotation
+    # An argument list that does not close: the index of its '('.
+    assert skip_annotations(texts, kinds, at_interface + 2) == len(texts) - 4
+
+
+def test_an_annotated_package_declaration_is_skipped():
+    """javac's parse-only check accepts an annotated package declaration,
+    which a package-info.java may hold."""
+    assert methods_of("@Deprecated @a.B(x = 1) package com.foo;", "package-info.java") == []
+    src = "@Deprecated package com.foo; import java.util.List; class A { void f() {} }"
+    assert names(src) == [("A", "f")]
+    with pytest.raises(JavaParseError, match="^T.java:1:4: expected type declaration, found 'import'$"):
+        methods_of("@A import java.util.List; class A {}")
 
 
 def test_static_initializer_not_a_method():
