@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 from pathlib import Path
 
@@ -201,6 +200,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     names = sorted(table.projects())
     shared = (table, config, evaluate_within_project if args.mode == "within" else evaluate_cross_project)
     if args.jobs > 1 and len(names) > 1:
+        # Imported here so that starting the CLI does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker, initargs=shared) as pool:
             results = list(pool.map(_eval_worker, names))
     else:

@@ -250,16 +250,17 @@ class CompilationUnit:
     # -- declarations ----------------------------------------------------
 
     def _parse_top_level(self) -> None:
+        """A package declaration, then imports, then type declarations, with
+        stray ';' between them."""
         texts = self.texts
         i = 1
+        j = skip_annotations(texts, self.kinds, i)  # as in package-info.java
+        if texts[j] == "package":
+            i = self._parse_package_or_import(j)
+        while texts[i] in (";", "import"):
+            i = i + 1 if texts[i] == ";" else self._parse_package_or_import(i)
         while texts[i]:
-            t = texts[i]
-            j = skip_annotations(texts, self.kinds, i)  # as in package-info.java
-            if texts[j] == "package" or t == "import":  # up to its ';', which the next turn skips
-                while texts[i] not in (";", ""):
-                    i += 1
-                continue
-            if t == ";":
+            if texts[i] == ";":
                 i += 1
                 continue
             j = self._skip_annotations_and_modifiers(i)
@@ -270,6 +271,29 @@ class CompilationUnit:
                 i = self._parse_type_decl(j, ())
                 continue
             raise self._err(f"expected type declaration, found {tj!r}", j)
+
+    def _parse_package_or_import(self, i: int) -> int:
+        """The index past the declaration whose 'package' or 'import' is at i:
+        'package' a qualified name ';', or 'import' ['static'] a qualified name
+        of at least two identifiers, maybe ending in '.*', ';'. javac too
+        rejects an import of one identifier."""
+        texts, kinds = self.texts, self.kinds
+        is_import = texts[i] == "import"
+        what = f"{texts[i]} declaration"
+        i += 1 + (is_import and texts[i + 1] == "static")
+        if kinds[i] != "ident":
+            raise self._err(f"malformed {what}", i)
+        j = i + 1
+        while texts[j] == "." and kinds[j + 1] == "ident":
+            j += 2
+        if is_import:
+            if texts[j] == "." and texts[j + 1] == "*":
+                j += 2
+            elif j == i + 1:
+                raise self._err(f"malformed {what}", j)
+        if texts[j] != ";":
+            raise self._err(f"missing ';' after {what}", j)
+        return j + 1
 
     def _parse_type_decl(self, i: int, chain: tuple[str, ...]) -> int:
         """Parse a class/interface/enum/@interface declaration, return end index."""
@@ -339,7 +363,7 @@ class CompilationUnit:
             if t == ",":
                 i += 1
                 continue
-            i = self._skip_annotations_and_modifiers(i)
+            i = skip_annotations(texts, self.kinds, i)  # a constant takes no modifiers
             if self.kinds[i] != "ident":
                 raise self._err("malformed enum constant", i)
             name = texts[i]

@@ -9,10 +9,19 @@ faults, so high-confidence rules exist for the clean archetypes.
 Each `randint(low, high)` is drawn inline, as `Random._randbelow_with_getrandbits`
 draws it, so a seed gives the same random stream, and the same project, as one
 `rng.randint` call per value.
+
+`generate_project` pauses the cyclic garbage collector while it builds a project.
+Every record it makes is a tuple of strings, ints and tuples, so none can be in a
+reference cycle and a collection has nothing to free. The records are `NamedTuple`s,
+tuple subclasses that the collector never untracks, so each older-generation pass
+would walk every record made so far: about a third of the time of a 100,000-method
+project. Reference counting frees the records as before, and the collector's
+enabled state is restored on return and on raise.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 from operator import itemgetter
 
@@ -101,7 +110,18 @@ def _metrics(getrandbits, archetype: str) -> tuple[RawMetrics, CategoryFlags]:
 
 
 def generate_project(name: str, seed: int, n_methods: int = 2000) -> list[UnifiedMethod]:
-    """Generate one synthetic project as a unified method list."""
+    """Generate one synthetic project as a unified method list, with the cyclic
+    collector paused while it is built (see the module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_project(name, seed, n_methods)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _build_project(name: str, seed: int, n_methods: int) -> list[UnifiedMethod]:
     rng = random.Random(seed)
     getrandbits, draw_float = rng.getrandbits, rng.random
     n_trivial = int(n_methods * _TRIVIAL_FRACTION)

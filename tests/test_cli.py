@@ -1,13 +1,18 @@
 import argparse
 import csv
 import json
+import os
 import pickle
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from oracles import read_csv_per_field
+import lowrisk
 from lowrisk import cli
 from lowrisk import dataset as ds
 from lowrisk.cli import main
@@ -33,6 +38,15 @@ def synth_csvs(tmp_path_factory):
         ds.write_csv((r for u in methods for r in u.occurrences), path)
         paths.append(path)
     return paths
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The pool is imported only by a run with --jobs above 1.
+    code = ("import sys, lowrisk.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(lowrisk.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExtract:

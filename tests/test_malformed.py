@@ -120,3 +120,21 @@ def test_a_type_argument_list_holds_only_type_tokens(name, text, mutant, message
     analyze_source(source, path.name)
     with pytest.raises(JavaParseError, match=f"^{path.name}:{message}"):
         analyze_source(source.replace(text, mutant), path.name)
+
+
+@pytest.mark.parametrize(
+    "source, text",
+    [
+        ("package ;\nclass T {}", "T.java:1:9: malformed package declaration"),
+        ("import (x);\nclass T {}", "T.java:1:8: malformed import declaration"),
+        ("import static ;\nclass T {}", "T.java:1:15: malformed import declaration"),
+        ("import a.*.b;\nclass T {}", "T.java:1:11: missing ';' after import declaration"),
+        ("class T {}\nimport a.b;", "T.java:2:1: expected type declaration, found 'import'"),
+        ("enum E { A, static B; }", "T.java:1:13: malformed enum constant"),
+    ],
+)
+def test_a_malformed_declaration_outside_a_body_is_located(source, text):
+    # Each is rejected by javac's parser too (see tests/data/javac_verdicts.json).
+    with pytest.raises(JavaParseError) as err:
+        analyze_source(source, "T.java")
+    assert str(err.value) == text

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from oracles import reference_generate_project
@@ -49,3 +51,38 @@ def test_too_small_a_project_fails_exactly_where_the_reference_fails():
                     generate_project("p", seed, n)
             else:
                 assert generate_project("p", seed, n) == want, (seed, n)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("n_methods", [40, 0], ids=["returns", "raises"])
+def test_the_collector_is_left_as_it_was_found(enabled, n_methods):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if n_methods:
+            generate_project("p", 0, n_methods)
+        else:
+            with pytest.raises(ValueError, match="_MIN_FAULTY"):
+                generate_project("p", 0, n_methods)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_project_is_built_without_collector_passes():
+    # Each of 2,000 methods allocates several tracked tuples, dozens of
+    # young-generation thresholds' worth. The collector may run once, right
+    # after it is turned back on.
+    passes = []
+
+    def callback(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        generate_project("p", 0, 2000)
+    finally:
+        gc.callbacks.remove(callback)
+    assert len(passes) <= 1, passes
