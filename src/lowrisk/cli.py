@@ -4,6 +4,12 @@ Every run writes its effective configuration next to (or inside) its output
 artifacts, so any result can be reproduced from the artifact alone. Data
 goes to files; diagnostics go to stderr.
 
+`extract` reads the label file, lists the source files, then writes the
+rows of each file as soon as the file is analyzed: with `--jobs 1` it holds
+one file's methods at a time. The CSV is written to a temporary file that
+replaces `--out` only when every file is done; parse failures, skipped
+methods and the sidecar come after it, so a failed run leaves no output.
+
 The flags of `train` and `evaluate` are read off `pipeline.CONFIG_KEYS`, and
 a config file is read and every recorded config written as the flat object of
 `PipelineConfig.from_json` and `PipelineConfig.to_json`.
@@ -35,7 +41,7 @@ from lowrisk.evaluation import (
     prediction_rows,
     write_prediction_dump,
 )
-from lowrisk.java.analyzer import analyze_project
+from lowrisk.java.analyzer import ProjectScanReport, analyze_project
 from lowrisk.pipeline import CONFIG_KEYS, PipelineConfig, TrainedModel, train_on, write_json
 
 
@@ -78,27 +84,30 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if not pattern or pattern.startswith(("/", "\\")):
             print(f"usage error: invalid glob pattern {pattern!r}", file=sys.stderr)
             return 2
+    faulty_keys = ds.read_label_file(args.labels) if args.labels else set()
+    report = ProjectScanReport()
     try:
-        methods, report = analyze_project(root, args.project, include, args.exclude or [], args.jobs)
+        methods = analyze_project(root, args.project, include, args.exclude or [], args.jobs, report)
     except (ValueError, NotImplementedError) as exc:
         print(f"usage error: invalid glob pattern: {exc}", file=sys.stderr)
         return 2
+    out = Path(args.out)
+    # Each file's rows are written as soon as the file is analyzed.
+    ds.write_csv(
+        (
+            ds.MethodRecord(*m, True, ds.Snapshot.FAULTY)
+            if faulty_keys and m.identity.key() in faulty_keys
+            else ds.MethodRecord(*m)
+            for m in methods
+        ),
+        out,
+    )
     if not report.files_analyzed and not report.parse_failures:
-        print("warning: no Java files matched; writing an empty dataset", file=sys.stderr)
+        print("warning: no Java files matched; wrote an empty dataset", file=sys.stderr)
     skipped_methods = [
         f"{s.identity.file_path}:{s.identity.type_name}.{s.identity.method_name}: {s.reason}"
         for s in report.skipped_methods
     ]
-
-    faulty_keys = ds.read_label_file(args.labels) if args.labels else set()
-    records = [
-        ds.MethodRecord(*m, True, ds.Snapshot.FAULTY)
-        if faulty_keys and m.identity.key() in faulty_keys
-        else ds.MethodRecord(*m)
-        for m in methods
-    ]
-    out = Path(args.out)
-    ds.write_csv(records, out)
     # Each error text names its file already, so the path is printed once.
     for _, message in report.parse_failures:
         print(f"skipped (parse error): {message}", file=sys.stderr)
@@ -118,10 +127,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 [rel, message.removeprefix(rel + ":").lstrip()] for rel, message in report.parse_failures
             ],
             "skipped_methods": skipped_methods,
-            "methods": len(records),
+            "methods": report.methods,
         },
     )
-    print(f"wrote {len(records)} method records to {out}", file=sys.stderr)
+    print(f"wrote {report.methods} method records to {out}", file=sys.stderr)
     return 0
 
 

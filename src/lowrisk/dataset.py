@@ -15,7 +15,8 @@ index; a training set is `table.take(indices)`.
 used by `extract`, `write_csv`, the synthetic generator and library callers.
 Both are named tuples, as are the identity, metrics and flags they hold, so
 building, sorting and pickling them runs in C. `write_csv` is the only CSV
-writer; it hands the ints of each row to one `writerows` call. The
+writer; it hands the ints of each row to one `writerows` call, which takes
+the records as they come, and it replaces its output only on success. The
 evaluators take a table only; `train_on` also takes a `UnifiedMethod` list,
 which `MethodTable.from_methods` turns into a table in list order.
 """
@@ -23,6 +24,7 @@ which `MethodTable.from_methods` turns into a table in list order.
 from __future__ import annotations
 
 import csv
+import os
 from array import array
 from contextlib import contextmanager
 from collections.abc import Sequence
@@ -334,11 +336,23 @@ def _rows(records: Iterable[MethodRecord]):
 
 
 def write_csv(records: Iterable[MethodRecord], path: str | Path) -> None:
-    """Write the header and one row per record; the csv writer formats the ints."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(_rows(records))
+    """Write the header and one row per record; the csv writer formats the ints.
+
+    Records may be a stream: each row is written as it comes. The rows go to
+    a temporary file next to path, which replaces path only once every row
+    is written, so a run that fails, in the stream or in the writing, leaves
+    no partial CSV.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            writer.writerows(_rows(records))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only when a row or the rename failed
 
 
 def _parse_count(row_no: int, column: str, value: str) -> int:

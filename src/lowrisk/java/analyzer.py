@@ -1,4 +1,9 @@
-"""Method enumeration and per-method analysis of Java source trees."""
+"""Method enumeration and per-method analysis of Java source trees.
+
+`analyze_source` analyzes one file. `analyze_project` walks a tree and
+returns an iterator over its methods in identity order, one file at a time,
+so a caller that writes them as they come holds one file's methods at once.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from lowrisk.errors import JavaParseError, LowriskError
 from lowrisk.java.metrics import CategoryFlags, RawMetrics, scan_method
@@ -77,6 +82,7 @@ class ProjectScanReport:
     """Per-run diagnostics from walking a source tree."""
 
     files_analyzed: int = 0
+    methods: int = 0  # the methods analyze_project yielded
     parse_failures: list[tuple[str, str]] = field(default_factory=list)  # (path, error text naming it)
     skipped_methods: list[SkippedMethod] = field(default_factory=list)
 
@@ -84,15 +90,16 @@ class ProjectScanReport:
 def iter_java_files(
     root: Path, include: Iterable[str] = ("**/*.java",), exclude: Iterable[str] = ()
 ) -> list[Path]:
+    """The files under root that match an include pattern and no exclude
+    pattern, each once, in the order of their POSIX paths relative to root:
+    the identity order of their methods."""
     include = tuple(include) or ("**/*.java",)
     exclude = tuple(exclude)
     files = [path for path in {p for pattern in include for p in root.glob(pattern)} if path.is_file()]
+    rel = {path: path.relative_to(root).as_posix() for path in files}
     if exclude:
-        files = [
-            path for path in files
-            if not any(fnmatch(path.relative_to(root).as_posix(), pat) for pat in exclude)
-        ]
-    return sorted(files)
+        files = [path for path in files if not any(fnmatch(rel[path], pat) for pat in exclude)]
+    return sorted(files, key=rel.__getitem__)
 
 
 def _analyze_file(job: tuple[Path, str, str]):
@@ -113,34 +120,47 @@ def analyze_project(
     include: Iterable[str] = ("**/*.java",),
     exclude: Iterable[str] = (),
     jobs: int = 1,
-) -> tuple[list[AnalyzedMethod], ProjectScanReport]:
-    """Analyze all matching Java files under a project root.
+    report: ProjectScanReport | None = None,
+) -> Iterator[AnalyzedMethod]:
+    """The methods of all matching Java files under a project root, in
+    identity order, as an iterator.
 
-    With more than one job the files are read in a process pool. Either way
-    the results are taken in file order: files that fail to parse are
-    skipped and recorded in the report, and the methods are merged
-    deterministically by method identity.
+    The files are listed before this returns, so a bad glob raises here. The
+    iterator reads one file at a time and yields its methods, sorted, as
+    soon as the file is analyzed; the files come in the order of their
+    relative paths, so the methods come in identity order. It fills report
+    (when given) as it goes: files that fail to parse are skipped and
+    recorded there, as are skipped methods. An OSError reading a file is
+    raised from the iterator.
+
+    With more than one job the files are analyzed in a process pool, whose
+    results are taken in file order as they arrive; closing the iterator
+    early cancels the files still queued.
     """
     root = Path(root)
     files = [(path, path.relative_to(root).as_posix(), project)
              for path in iter_java_files(root, include, exclude)]
+    return _stream(files, jobs, ProjectScanReport() if report is None else report)
+
+
+def _stream(files: list[tuple[Path, str, str]], jobs: int, report: ProjectScanReport) -> Iterator[AnalyzedMethod]:
+    pool = None
     if jobs > 1 and len(files) > 1:
         # Imported here so that `import lowrisk` does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_analyze_file, files))
-    else:
-        outcomes = [_analyze_file(job) for job in files]
-    report = ProjectScanReport()
-    methods: list[AnalyzedMethod] = []
-    for (_, rel, _), outcome in zip(files, outcomes):
-        if isinstance(outcome, str):
-            report.parse_failures.append((rel, outcome))
-            continue
-        analyzed, skipped = outcome
-        report.files_analyzed += 1
-        report.skipped_methods.extend(skipped)
-        methods.extend(analyzed)
-    methods.sort(key=_identity_of)
-    return methods, report
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        outcomes = pool.map(_analyze_file, files) if pool else map(_analyze_file, files)
+        for (_, rel, _), outcome in zip(files, outcomes):
+            if isinstance(outcome, str):
+                report.parse_failures.append((rel, outcome))
+                continue
+            analyzed, skipped = outcome
+            report.files_analyzed += 1
+            report.methods += len(analyzed)
+            report.skipped_methods.extend(skipped)
+            yield from analyzed
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)

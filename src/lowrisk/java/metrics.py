@@ -538,7 +538,20 @@ class _Scanner:
                 self.skip.update(range(j, te))
                 self.names.add(texts[te])
             return
-        # Classic for: the init clause may be a declaration.
+        # Classic for: init; condition; update, with no ';' inside brackets
+        # (an anonymous body is a hole, not part of the view).
+        semicolons = 0
+        i = start
+        while i < close:
+            t = texts[i]
+            if t in ("(", "[", "{"):
+                i = self._close(i)
+            elif t == ";":
+                semicolons += 1
+            i += 1
+        if semicolons != 2:
+            raise self._err(f"for header has {semicolons} ';', not 2", start - 1)
+        # The init clause may be a declaration.
         if texts[start] != ";":
             self._try_parse_declaration(start, stop=close)
 

@@ -481,7 +481,11 @@ class CompilationUnit:
     # -- code regions ----------------------------------------------------
 
     def _scan_initializer(self, i: int, chain: tuple[str, ...]) -> int:
-        """Scan an initializer expression up to an unnested ',' or ';'."""
+        """Scan an initializer expression up to an unnested ',' or ';'.
+
+        A modifier outside brackets starts the next member, so the ';'
+        before it is missing; anonymous bodies are parsed as types.
+        """
         texts = self.texts
         while texts[i]:
             t = texts[i]
@@ -489,6 +493,8 @@ class CompilationUnit:
                 i = self._scan_code_region(i, chain).end
             elif t in (",", ";", ")", "]", "}"):
                 return i
+            elif t in MODIFIERS:
+                raise self._err(f"missing ';' before {t!r}", i)
             elif t == "new":
                 i = self._scan_creation(i, chain, _Region(end=-1))
             elif t == "<" and texts[i - 1] == ".":

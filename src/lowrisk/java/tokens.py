@@ -18,8 +18,8 @@ the first of these that fits: a line terminator (CR LF, CR or LF, as in
 Java), a word (an identifier or keyword; a word holding non-ASCII
 characters is checked against Python's identifier rules), a ``//`` comment,
 a ``/* */`` comment, a number (hex form first), a string literal, a char
-literal, an unterminated ``/*``, ``"`` or ``'``, an operator (longest
-first), any one other character, and the end of input. The one-character
+literal, an unterminated ``/*``, ``"`` or ``'``, an operator (the longest
+that fits), any one other character, and the end of input. The one-character
 alternative makes every character part of some match, so none is skipped
 silently. One loop reads the captured strings, classifies each by its first
 character through a dict, and counts lines on line terminators and inside
@@ -58,23 +58,26 @@ MODIFIERS = frozenset(
     strictfp transient volatile default""".split()
 )
 
-# Maximal-munch operator table, longest first.
-_OPERATORS = [
-    ">>>=", "...", ">>>", "<<=", ">>=", "->", "::", "<<", ">>", "<=", ">=",
-    "==", "!=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=",
-    "|=", "^=",
-]
 _SINGLE_OPS = "+-*/%=<>!~&|^?:;,.()[]{}@"
+# Every operator, by maximal munch, in one branch per first character, so
+# that a token fails few branches: each takes the longest operator that
+# starts with its character, for example >>>= >>> >>= >> >= >.
+_OPERATOR = r">(?:>>?)?=?|<<?=?|\+[+=]?|-[-=>]?|&[&=]?|\|[|=]?|[*/%^!=]=?|::?|\.(?:\.\.)?|[~?;,()\[\]{}@]"
 
 ASSIGNMENT_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 )
 
-_WORD_START = "A-Za-z_$\x80-\U0010ffff"
+# The characters that start a word, A-Z a-z _ $ and every non-ASCII one,
+# and those that continue it, the same and 0-9. The classes name the ASCII
+# characters they leave out: a class that names a range past U+00FF makes
+# `re` mark each code point of the range up to U+FFFF when it compiles.
+_WORD_START = r"[^\x00-#%-@\[-^`{-\x7f]"
+_WORD_PART = r"[^\x00-#%-/:-@\[-^`{-\x7f]"
 _TOKEN_RE = re.compile(
     r"[ \t\f]*("
     r"\r\n?|\n"
-    rf"|[{_WORD_START}][0-9{_WORD_START}]*"
+    rf"|{_WORD_START}{_WORD_PART}*"
     r"|//[^\r\n]*"
     r"|/\*[\s\S]*?\*/"
     # A sign belongs to a hex literal only after the binary exponent 'p' of
@@ -85,7 +88,7 @@ _TOKEN_RE = re.compile(
     r'|"[^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*"'
     r"|'[^'\\\r\n]*(?:\\[^\r\n][^'\\\r\n]*)*'"
     r"""|/\*|["']"""
-    r"|" + "|".join(map(re.escape, _OPERATORS)) + "|[" + re.escape(_SINGLE_OPS) + "]"
+    rf"|{_OPERATOR}"
     r"|[\s\S]"
     r"|\Z"
     r")"

@@ -259,7 +259,7 @@ def test_c6_golden_metric_extraction(corpus_dir, golden_csv, tmp_path):
             return list(reader)
 
     golden_rows = rows_of(golden_csv)
-    methods, _ = analyze_project(corpus_dir, "corpus")
+    methods = analyze_project(corpus_dir, "corpus")
     out = tmp_path / "metrics.csv"
     write_csv(from_analyzed(methods), out)
     actual_rows = rows_of(out)

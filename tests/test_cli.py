@@ -110,6 +110,57 @@ class TestExtract:
         code = run(["extract", "--root", corpus_dir, "--project", "p", "--out", out,
                     "--include", "/absolute/**.java"])
         assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_glob_the_walk_rejects_creates_nothing(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        """The files are listed before any row is written, so a pattern that
+        Path.glob rejects (which patterns it rejects depends on the Python
+        version) ends the run with a usage error and no output at all."""
+        def glob(self, pattern):
+            raise ValueError(f"Invalid pattern: {pattern!r}")
+
+        monkeypatch.setattr(Path, "glob", glob)
+        assert run(["extract", "--root", corpus_dir, "--project", "p", "--out", tmp_path / "x.csv",
+                    "--include", "a/**b.java", "--jobs", "1"]) == 2
+        assert "usage error: invalid glob pattern" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_come_in_identity_order(self, tmp_path):
+        """a-b/X.java sorts before a/Y.java as a path string ('-' < '/'), which
+        is the order of the identities, though a/ comes first as a path."""
+        root = tmp_path / "src"
+        for rel in ("a/Y.java", "a-b/X.java", "a/b/Z.java"):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(f"class {rel[-6]} {{ void g() {{ }} void f(int x) {{ }} }}", encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert run(["extract", "--root", root, "--project", "p", "--out", out, "--jobs", "1"]) == 0
+        identities = [r.identity for r in read_csv_per_field(out)]
+        assert [(i.file_path, i.method_name) for i in identities] == [
+            ("a-b/X.java", "f"), ("a-b/X.java", "g"), ("a/Y.java", "f"), ("a/Y.java", "g"),
+            ("a/b/Z.java", "f"), ("a/b/Z.java", "g"),
+        ]
+        assert identities == sorted(identities)
+
+    def test_a_file_that_cannot_be_read_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        """An OSError on a later file ends the run with exit code 1 after the
+        earlier files' rows were written: no CSV, no sidecar, no temporary file."""
+        root = tmp_path / "src"
+        root.mkdir()
+        for name in ("A", "B", "C"):
+            (root / f"{name}.java").write_text(f"class {name} {{ void f() {{ }} }}", encoding="utf-8")
+        read_text = Path.read_text
+
+        def failing_read_text(self, *args, **kwargs):
+            if self.name == "C.java":
+                raise OSError(5, "Input/output error", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", failing_read_text)
+        out = tmp_path / "out" / "m.csv"
+        out.parent.mkdir()
+        assert run(["extract", "--root", root, "--project", "p", "--out", out, "--jobs", "1"]) == 1
+        assert "error: [Errno 5] Input/output error" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
 
     def test_parse_failures_reported_and_skipped(self, tmp_path, capsys):
         root = tmp_path / "src"

@@ -267,7 +267,7 @@ class TestItemMask:
 
 class TestMaskEqualsBoolTupleConstruction:
     def test_golden_corpus(self, corpus_dir):
-        methods, _ = analyze_project(corpus_dir, "corpus")
+        methods = analyze_project(corpus_dir, "corpus")
         records = from_analyzed(methods)
         table = table_of(records)
         model = fit_discretization(table)

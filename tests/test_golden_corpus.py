@@ -3,10 +3,13 @@ exactly: every cell of every row, including the documented chaining
 examples, all construct kinds, and all six categories."""
 
 import csv
+import multiprocessing
+
+import pytest
 
 from helpers import from_analyzed
 from lowrisk.dataset import CSV_HEADER, write_csv
-from lowrisk.java.analyzer import analyze_project, iter_java_files
+from lowrisk.java.analyzer import ProjectScanReport, analyze_project, iter_java_files
 from lowrisk.java.metrics import ConstructKind
 
 
@@ -20,9 +23,9 @@ def load_golden(path):
 def test_golden_corpus_matches_exactly(corpus_dir, golden_csv, tmp_path):
     header, golden_rows = load_golden(golden_csv)
     assert header == CSV_HEADER
-    methods, report = analyze_project(corpus_dir, "corpus")
+    report = ProjectScanReport()
     out = tmp_path / "metrics.csv"
-    write_csv(from_analyzed(methods), out)
+    write_csv(from_analyzed(analyze_project(corpus_dir, "corpus", report=report)), out)
     written_header, actual_rows = load_golden(out)
     assert written_header == CSV_HEADER
     assert len(actual_rows) == len(golden_rows)
@@ -67,7 +70,8 @@ def test_corpus_covers_chaining_depths(golden_csv):
 
 
 def test_lambda_method_excluded_with_diagnostic(corpus_dir):
-    methods, report = analyze_project(corpus_dir, "corpus")
+    report = ProjectScanReport()
+    methods = list(analyze_project(corpus_dir, "corpus", report=report))
     assert not any(m.identity.method_name == "lambdaStyle" for m in methods)
     assert any(s.identity.method_name == "lambdaStyle" for s in report.skipped_methods)
 
@@ -86,3 +90,32 @@ def test_source_walk_unions_includes_drops_excludes_and_sorts_once(tmp_path):
         "A.java", "a/A.java", "b/Z.java"
     ]
     assert rel(iter_java_files(tmp_path, ["a/*", "**/A.java"])) == ["A.java", "a/A.java", "a/notes.txt"]
+
+
+def test_analyze_project_yields_a_file_before_it_reads_the_next(tmp_path):
+    """The methods of A.java come out before B.java is read: B.java is
+    deleted after the first method, and the iterator fails on it."""
+    for name in ("A", "B"):
+        (tmp_path / f"{name}.java").write_text(f"class {name} {{ void f() {{ }} void g() {{ }} }}\n")
+    report = ProjectScanReport()
+    methods = analyze_project(tmp_path, "p", report=report)
+    assert next(methods).identity[1:4] == ("A.java", "A", "f")
+    assert report.files_analyzed == 1 and report.methods == 2
+    (tmp_path / "B.java").unlink()
+    assert next(methods).identity[1:4] == ("A.java", "A", "g")
+    with pytest.raises(FileNotFoundError):
+        next(methods)
+
+
+def test_analyze_project_lists_the_files_before_it_returns(tmp_path):
+    """A bad pattern raises from the call, before any file is read."""
+    (tmp_path / "A.java").write_text("class A { }\n")
+    with pytest.raises(ValueError):
+        analyze_project(tmp_path, "p", include=[""])
+
+
+def test_closing_a_pool_stream_early_shuts_the_pool_down(corpus_dir):
+    methods = analyze_project(corpus_dir, "corpus", jobs=2)
+    next(methods)
+    methods.close()
+    assert multiprocessing.active_children() == []

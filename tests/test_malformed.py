@@ -131,10 +131,28 @@ def test_a_type_argument_list_holds_only_type_tokens(name, text, mutant, message
         ("import a.*.b;\nclass T {}", "T.java:1:11: missing ';' after import declaration"),
         ("class T {}\nimport a.b;", "T.java:2:1: expected type declaration, found 'import'"),
         ("enum E { A, static B; }", "T.java:1:13: malformed enum constant"),
+        ("class T {\n  int a = 1\n  private int b = 2;\n}", "T.java:3:3: missing ';' before 'private'"),
     ],
 )
 def test_a_malformed_declaration_outside_a_body_is_located(source, text):
     # Each is rejected by javac's parser too (see tests/data/javac_verdicts.json).
     with pytest.raises(JavaParseError) as err:
         analyze_source(source, "T.java")
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize(
+    "header, text",
+    [
+        ("(int i = 0 i < n; i++)", "T.java:1:31: for header has 1 ';', not 2"),
+        ("(int i = 0; i < n i++)", "T.java:1:31: for header has 1 ';', not 2"),
+        ("(i; i < n; i++; i++)", "T.java:1:31: for header has 3 ';', not 2"),
+    ],
+)
+def test_a_classic_for_header_needs_two_semicolons(header, text):
+    """Semicolons inside brackets, such as those of an anonymous body, do not count."""
+    analyze_source("class T { void f(int n) { for (Runnable r = new Runnable() { public void run() { a(); b(); } };"
+                   " n > 0; n--) { } } }", "T.java")
+    with pytest.raises(JavaParseError) as err:
+        analyze_source(f"class T {{ void f(int n) {{ for {header} {{ }} }} }}", "T.java")
     assert str(err.value) == text

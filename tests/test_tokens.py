@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ from oracles import LEXER_OPERATORS, LEXER_SINGLE_OPS, Token, reference_tokenize
 
 from lowrisk.errors import JavaParseError
 from lowrisk.java.analyzer import analyze_source
+from lowrisk.java import tokens
 from lowrisk.java.tokens import token_columns, tokenize
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -250,3 +253,23 @@ def test_random_soups_lex_as_the_reference_lexer_does(seed):
             failed += 1
     # Both outcomes must be common, or the comparison would check little.
     assert ok > 1000 and failed > 1000
+
+
+def test_the_word_classes_hold_the_code_points_of_the_plain_ranges():
+    """The negated word classes hold the code points of the classes that name
+    the non-ASCII range, which re compiles by walking U+0080 to U+FFFF."""
+    plain_start = re.compile("[A-Za-z_$\x80-\U0010ffff]")
+    plain_part = re.compile("[0-9A-Za-z_$\x80-\U0010ffff]")
+    start, part = re.compile(tokens._WORD_START), re.compile(tokens._WORD_PART)
+    for c in [*map(chr, range(0x80)), "\x80", "\uffff", "\U00010000", "\U0010ffff"]:
+        assert bool(start.fullmatch(c)) == bool(plain_start.fullmatch(c)), repr(c)
+        assert bool(part.fullmatch(c)) == bool(plain_part.fullmatch(c)), repr(c)
+
+
+def test_every_run_of_operator_characters_lexes_as_the_reference_lexer_does():
+    """Maximal munch: all runs of up to three operator characters, and of up
+    to four of the characters in the longest operators."""
+    runs = [run for n in range(1, 4) for run in product("=<>!~?:&|+-*/^%.", repeat=n)]
+    runs += [run for run in product("<>=.-", repeat=4)]
+    for run in map("".join, runs):
+        assert outcome(token_list, run) == outcome(reference_tokenize, run), repr(run)

@@ -45,6 +45,13 @@ CASES = [
     ("enum-constant-with-final", "enum E { final A; }\n"),
     ("enum-constants-with-annotations", "enum G { @Deprecated A, B; int f() { return 1; } }\n"),
     ("enum-constants-with-annotation-arguments", "enum E { @A(1) @b.C A, @D B; }\n"),
+    ("for-header-without-first-semicolon", "class T { void f(int n) { for (int i = 0 i < n; i++) { } } }\n"),
+    ("for-header-without-second-semicolon", "class T { void f(int n) { for (int i = 0; i < n i++) { } } }\n"),
+    ("field-initializer-without-semicolon", "class T {\n  int a = 1\n  private int b = 2;\n}\n"),
+    ("for-header-with-empty-clauses", "class T { void f() { for (;;) { } } }\n"),
+    ("for-header-with-two-variables", "class T { void f() { for (int i = 0, j = 9; i < j; i++, j--) { } } }\n"),
+    ("for-each-header", "class T { void f(int[] xs) { for (int x : xs) { } } }\n"),
+    ("field-initializer-with-anonymous-body", "class T { Object o = new Object() { private int x = 1; }; }\n"),
 ]
 
 
