@@ -10,16 +10,20 @@ opener is outside the view makes the body malformed. SLOC is the number of
 distinct line numbers over the slices of the declaration and the body.
 Errors map the view index back to the file token, with its line and column.
 
-The scanner makes two passes over a method body. A statement pass walks the
-statement structure recursively, producing control-construct counts, scope
-nesting depth, declared variable names, and the statement list used for
-category checks; a statement keyword inside a statement means a missing
-';'. An expression pass then walks the tokens not in its skip set (types,
-labels, creation brackets, cast closers) linearly and counts
-expression-level constructs, invocation chains, and variable identifiers.
-Both passes read types with the parser's grammar (`structure.skip_type_ref`)
-and annotations with its `structure.skip_annotations`; the expression pass
-jumps every annotation, arguments included, so no annotation counts as code.
+The scanner walks a method body once. The statement walk recurses through
+the statement structure, producing control-construct counts, scope nesting
+depth, declared variable names and the statement list used for category
+checks. It hands every expression it meets to one reader, which counts
+expression-level constructs, invocation chains and variable identifiers as
+it reads, and returns the index of the token that ends the expression; the
+statement decides whether that token may end it. After an operand only an
+operator, '.', '[' or '::' goes on, so two operands with nothing between
+them end the expression, and a statement that does not end there misses a
+';'. The reader jumps the types it meets (creations, casts, instanceof,
+explicit type arguments) with the parser's grammar
+(`structure.skip_type_ref`). Annotations are read only there and before a
+declared variable (`structure.skip_annotations`), so an '@' that the reader
+meets is an error, and no annotation counts as code.
 
 No symbol resolution is performed. Variable detection is a token-level
 heuristic: declared parameters and locals always count; other identifiers
@@ -42,7 +46,7 @@ from lowrisk.java.structure import (
     skip_type_arguments,
     skip_type_ref,
 )
-from lowrisk.java.tokens import ASSIGNMENT_OPS
+from lowrisk.java.tokens import ASSIGNMENT_OPS, PRIMITIVE_TYPES
 
 
 class ConstructKind(enum.IntEnum):
@@ -157,30 +161,33 @@ class _Stmt(NamedTuple):
     end: int  # dense index one past the statement
 
 
-_OPERAND_END_KINDS = {"ident", "number", "string", "char"}
-_OPERAND_END_TEXTS = {")", "]", "++", "--", "this", "null", "true", "false", "class"}
-_CAST_FOLLOWERS_TEXTS = {"(", "this", "super", "new", "!", "~", "null", "true", "false"}
-# Keywords that begin a statement or a part of one, and no expression; met
-# inside an expression, they show that the ';' before them is missing.
+_PRIMITIVE_OR_VOID = PRIMITIVE_TYPES | {"void"}
+# The kinds and texts that may follow a cast's ')' and not a parenthesized
+# expression's: the start of an operand other than a sign, '++' or '--'.
+_OPERAND_KINDS = {"ident", "number", "string", "char"}
+_CAST_FOLLOWERS_TEXTS = {"(", "this", "super", "new", "!", "~", "null", "true", "false"} | _PRIMITIVE_OR_VOID
+# Keywords that begin a statement or a part of one, and no expression.
 _STATEMENT_KEYWORDS = frozenset(
     """return if else while do for switch case default try catch finally throw break continue
     synchronized assert""".split()
 )
 # The texts that begin a statement other than a label, a declaration or an expression.
 _STATEMENT_STARTS = _STATEMENT_KEYWORDS - {"else", "case", "default", "catch", "finally"} | {";", "{"}
-# The tokens at which the statement and initializer skips stop to look.
-_STATEMENT_STOPS = frozenset(";()[]{}") | _STATEMENT_KEYWORDS
-_INITIALIZER_STOPS = _STATEMENT_STOPS | {",", "new", "<"}
-# The construct that an operator counts wherever it occurs.
-_OPERATOR_COUNTS = {
+# The binary operators, each with the construct it counts or None.
+_INFIX = {
+    **dict.fromkeys(("&", "|", "^", "<<", ">>", ">>>")),
     **dict.fromkeys(ASSIGNMENT_OPS, ConstructKind.ASSIGNMENT),
-    **dict.fromkeys((">", "<=", ">="), ConstructKind.COMPARISON_OPERATOR),
-    "!": ConstructKind.LOGICAL_OPERATOR,
-    "++": ConstructKind.INCREMENTATION,
-    "--": ConstructKind.DECREMENTATION,
+    **dict.fromkeys(("+", "-", "*", "/", "%"), ConstructKind.ARITHMETIC_INFIX_OP),
+    **dict.fromkeys(("<", ">", "<=", ">=", "==", "!="), ConstructKind.COMPARISON_OPERATOR),
+    **dict.fromkeys(("&&", "||"), ConstructKind.LOGICAL_OPERATOR),
+    "?": ConstructKind.TERNARY_OPERATION,
 }
-# The operators whose count depends on the tokens around them, and the '@' of an annotation.
-_CONTEXT_OPERATORS = frozenset(("(", "?", "==", "!=", "<", "&&", "||", "[", "+", "-", "*", "/", "%", "@"))
+# The prefix operators, each with the construct it counts or None; '++' and
+# '--' count the same after an operand.
+_PREFIX = {
+    "!": ConstructKind.LOGICAL_OPERATOR, "++": ConstructKind.INCREMENTATION, "--": ConstructKind.DECREMENTATION,
+    **dict.fromkeys(("+", "-", "~")),
+}
 
 
 def scan_method(unit: CompilationUnit, decl: MethodDecl) -> tuple[RawMetrics, CategoryFlags]:
@@ -195,9 +202,6 @@ class _Scanner:
         self.counts = [0] * N_CONSTRUCT_KINDS
         self.max_depth = self.max_chain = self.short_circuit = 0
         self.names: set[str] = set(decl.param_names)  # parameters, locals and variable identifiers
-        # The view indices the expression pass passes over: type tokens,
-        # labels, the '[' of array creations and the ')' of casts.
-        self.skip: set[int] = set()
         self.statements: list[_Stmt] = []
         # The body interior as file index ranges, with nested-type holes cut out.
         start, end, holes = decl.body_open + 1, decl.body_close, decl.holes
@@ -260,12 +264,11 @@ class _Scanner:
         return j
 
     def run(self) -> tuple[RawMetrics, CategoryFlags]:
-        """Both passes, then the metrics and the category flags."""
+        """The statement walk, then the metrics and the category flags."""
         texts, n = self.texts, self.n
         i = 1
         while i <= n and texts[i] != "}":
             i = self._parse_statement(i, 0)
-        self._expression_pass()
         counts, decl, statements = self.counts, self.decl, self.statements
         metrics = RawMetrics(
             self._sloc,
@@ -344,7 +347,7 @@ class _Scanner:
             args.append((a, close))
         return args
 
-    # -- statement pass ----------------------------------------------------
+    # -- statement walk ----------------------------------------------------
 
     def _record_scope(self, depth: int) -> None:
         if depth > self.max_depth:
@@ -369,229 +372,175 @@ class _Scanner:
             return self._parse_block(i, depth)
         return self._parse_statement(i, depth)
 
-    def _skip_parens(self, i: int) -> int:
+    def _paren_close(self, i: int) -> int:
+        """The index of the ')' that matches the '(' at i."""
         if self.texts[i] != "(":
             raise self._err("expected '('", i)
-        return self._close(i) + 1
+        return self._close(i)
 
-    def _skip_to_semicolon(self, i: int) -> int:
-        texts, n = self.texts, self.n
-        while i <= n:
-            t = texts[i]
-            if t not in _STATEMENT_STOPS:
-                i += 1
-            elif t == ";":
-                return i + 1
-            elif t in ("(", "[", "{"):
-                i = self._close(i) + 1
-            elif t in (")", "]", "}"):
-                raise self._err("malformed statement", i)
-            else:  # a statement keyword: the ';' before it is missing
-                break
-        raise self._err("missing ';'", i - 1)
+    def _semicolon(self, j: int, what: str = "statement") -> int:
+        """The index past the ';' at j that ends a statement or a declaration.
+        A closer there, or the body's end after a declaration, makes it
+        malformed; any other token means the ';' before it is missing."""
+        t = self.texts[j]
+        if t == ";":
+            return j + 1
+        if t in (")", "]", "}") or not t and what == "declaration":
+            raise self._err(f"malformed {what}", j)
+        raise self._err("missing ';'", j - 1)
 
     def _parse_statement(self, i: int, depth: int) -> int:
-        texts = self.texts
-        t = texts[i]
+        texts, counts = self.texts, self.counts
+        t = kind = texts[i]
         if t not in _STATEMENT_STARTS:  # a label, a local declaration or an expression
             if self.kinds[i] == "ident" and texts[i + 1] == ":":
-                self.skip.add(i)
                 return self._parse_statement(i + 2, depth)
             if t in _STATEMENT_KEYWORDS:  # an 'else', 'case', 'catch', ... that no statement takes
                 raise self._err(f"unexpected {t!r}", i)
-            decl_end = self._try_parse_declaration(i)
-            if decl_end is not None:
-                self.statements.append(_Stmt("decl", i, decl_end))
-                return decl_end
-            j = self._skip_to_semicolon(i)
-            self.statements.append(_Stmt("expr", i, j))
-            return j
-        if t == ";":
+            j = self._declaration(i)
+            if j is None:
+                kind, j = "expr", self._semicolon(self._expression(i))
+            else:
+                kind, j = "decl", self._semicolon(j, "declaration")
+        elif t == ";":
             return i + 1
-        if t == "{":
-            self.statements.append(_Stmt("block", i, -1))
+        elif t == "{":
+            kind = "block"
             self._record_scope(depth + 1)
-            return self._parse_block(i, depth + 1)
-        if t == "if":
-            self.counts[ConstructKind.IF_CONDITION] += 1
-            self.statements.append(_Stmt("if", i, -1))
-            j = self._skip_parens(i + 1)
-            j = self._child(j, depth + 1)
+            j = self._parse_block(i, depth + 1)
+        elif t == "if":
+            counts[ConstructKind.IF_CONDITION] += 1
+            j = self._child(self._within(i + 1), depth + 1)
             if texts[j] == "else":
-                self.counts[ConstructKind.ELSE_BLOCK] += 1
-                if texts[j + 1] == "if":
-                    # else-if chains stay at the parent's nesting level
-                    j = self._parse_statement(j + 1, depth)
-                else:
-                    j = self._child(j + 1, depth + 1)
-            return j
-        if t == "while":
-            self.counts[ConstructKind.LOOP] += 1
-            self.statements.append(_Stmt("loop", i, -1))
-            j = self._skip_parens(i + 1)
-            return self._child(j, depth + 1)
-        if t == "do":
-            self.counts[ConstructKind.LOOP] += 1
-            self.statements.append(_Stmt("loop", i, -1))
-            j = self._child(i + 1, depth + 1)
-            if texts[j] != "while":
-                raise self._err("expected 'while' after do body", j)
-            j = self._skip_parens(j + 1)
-            if texts[j] != ";":
-                raise self._err("expected ';' after do-while", j)
-            return j + 1
-        if t == "for":
-            self.counts[ConstructKind.LOOP] += 1
-            self.statements.append(_Stmt("loop", i, -1))
-            close = self._skip_parens(i + 1) - 1
-            self._parse_for_header(i + 2, close)
-            return self._child(close + 1, depth + 1)
-        if t == "switch":
-            self.statements.append(_Stmt("switch", i, -1))
-            j = self._skip_parens(i + 1)
+                counts[ConstructKind.ELSE_BLOCK] += 1
+                # else-if chains stay at the parent's nesting level
+                j = self._parse_statement(j + 1, depth) if texts[j + 1] == "if" else self._child(j + 1, depth + 1)
+        elif t in ("while", "do", "for"):
+            kind = "loop"
+            counts[ConstructKind.LOOP] += 1
+            if t == "while":
+                j = self._child(self._within(i + 1), depth + 1)
+            elif t == "for":
+                close = self._paren_close(i + 1)
+                self._parse_for_header(i + 2, close)
+                j = self._child(close + 1, depth + 1)
+            else:
+                j = self._child(i + 1, depth + 1)
+                if texts[j] != "while":
+                    raise self._err("expected 'while' after do body", j)
+                j = self._semicolon(self._within(j + 1))
+        elif t == "switch":
+            j = self._within(i + 1)
             if texts[j] != "{":
                 raise self._err("expected switch block", j)
             self._record_scope(depth + 1)
             j += 1
             while texts[j] != "}":
-                tj = texts[j]
-                if tj in ("case", "default"):
-                    if tj == "case":
-                        self.counts[ConstructKind.SWITCH_CASE_BLOCK] += 1
-                    colon = self._colon(j + 1, self.n + 1)
-                    if colon is None:
-                        raise self._err("unterminated case label", j)
-                    j = colon + 1
+                if texts[j] == "case":
+                    counts[ConstructKind.SWITCH_CASE_BLOCK] += 1
+                    colon = self._expressions(j + 1)
+                elif texts[j] == "default":
+                    colon = j + 1
                 else:
                     j = self._parse_statement(j, depth + 1)
-            return j + 1
-        if t == "try":
-            self.counts[ConstructKind.TRY_BLOCK] += 1
-            self.statements.append(_Stmt("try", i, -1))
+                    continue
+                if texts[colon] != ":":
+                    raise self._err("unterminated case label", j)
+                j = colon + 1
+            j += 1
+        elif t == "try":
+            counts[ConstructKind.TRY_BLOCK] += 1
             j = i + 1
-            if texts[j] == "(":
+            if texts[j] == "(":  # resources: declarations or, as Java 9 allows, expressions
                 close = self._close(j)
-                self._parse_resources(j + 1, close)
-                j = close + 1
+                j += 1
+                while j < close:
+                    j = self._declaration(j) or self._expression(j)
+                    if j != close:
+                        j = self._semicolon(j)
+                j += 1
             self._record_scope(depth + 1)
             j = self._parse_block(j, depth + 1)
             while texts[j] == "catch":
-                self.counts[ConstructKind.CATCH_CLAUSE] += 1
-                body = self._skip_parens(j + 1)
-                self._parse_catch_params(j + 2)
-                self._record_scope(depth + 1)
-                j = self._parse_block(body, depth + 1)
+                counts[ConstructKind.CATCH_CLAUSE] += 1
+                close = self._paren_close(j + 1)
+                self._parse_catch_params(j + 2, close)
+                j = self._parse_block(close + 1, depth + 1)
             if texts[j] == "finally":
-                self.counts[ConstructKind.FINALLY_BLOCK] += 1
-                self._record_scope(depth + 1)
+                counts[ConstructKind.FINALLY_BLOCK] += 1
                 j = self._parse_block(j + 1, depth + 1)
-            return j
-        if t == "return":
-            self.counts[ConstructKind.RETURN_STATEMENT] += 1
-            j = self._skip_to_semicolon(i + 1)
-            self.statements.append(_Stmt("return", i, j))
-            return j
-        if t == "throw":
-            self.counts[ConstructKind.THROW_STATEMENT] += 1
-            j = self._skip_to_semicolon(i + 1)
-            self.statements.append(_Stmt("throw", i, j))
-            return j
-        if t in ("break", "continue", "assert"):
-            if t != "assert" and self.kinds[i + 1] == "ident":
-                self.skip.add(i + 1)  # break/continue label, not a variable
-            j = self._skip_to_semicolon(i + 1)
-            self.statements.append(_Stmt(t, i, j))
-            return j
-        # The last of _STATEMENT_STARTS: 'synchronized'.
-        self.statements.append(_Stmt("synchronized", i, -1))
-        j = self._skip_parens(i + 1)
-        self._record_scope(depth + 1)
-        return self._parse_block(j, depth + 1)
-
-    def _colon(self, i: int, stop: int) -> int | None:
-        """The index of the first ':' from i on that ends no '?' ternary,
-        outside parentheses and brackets; None at a ';' or at stop."""
-        texts = self.texts
-        pending_ternary = 0
-        while i < stop:
-            t = texts[i]
-            if t in ("(", "["):
-                i = self._close(i)
-            elif t == ";":
-                return None
-            elif t == "?":
-                pending_ternary += 1
-            elif t == ":":
-                if not pending_ternary:
-                    return i
-                pending_ternary -= 1
-            i += 1
-        return None
+        elif t == "synchronized":
+            j = self._within(i + 1)
+            self._record_scope(depth + 1)
+            j = self._parse_block(j, depth + 1)
+        else:  # return, throw, break, continue or assert, up to a ';'
+            j = i + 1
+            if t == "return" or t == "throw":
+                counts[ConstructKind.RETURN_STATEMENT if t == "return" else ConstructKind.THROW_STATEMENT] += 1
+                if t == "throw" or texts[j] != ";":
+                    j = self._expression(j)
+            elif t == "assert":  # a condition, then maybe ':' and a message
+                j = self._expression(j)
+                if texts[j] == ":":
+                    j = self._expression(j + 1)
+            elif self.kinds[j] == "ident":  # the label of a break or continue, which is no variable
+                j += 1
+            j = self._semicolon(j)
+        self.statements.append(_Stmt(kind, i, j))
+        return j
 
     def _parse_for_header(self, start: int, close: int) -> None:
-        """Classify a for header; declare loop variables and mark type tokens."""
+        """Read a for header: a declared variable, ':' and an expression, or
+        three clauses, each of which may be empty, between two ';'."""
         texts = self.texts
-        colon = self._colon(start, close)
-        if colon is not None:
-            j, te = self._declaration_head(start)
-            if te is not None and self.kinds[te] == "ident" and te + 1 == colon:
-                self.skip.update(range(j, te))
-                self.names.add(texts[te])
+        te = self._declaration_head(start)
+        if te is not None and self.kinds[te] == "ident" and texts[te + 1] == ":":
+            self.names.add(texts[te])
+            self._ends(self._expression(te + 2), close)
             return
-        # Classic for: init; condition; update, with no ';' inside brackets
-        # (an anonymous body is a hole, not part of the view).
-        semicolons = 0
-        i = start
-        while i < close:
-            t = texts[i]
-            if t in ("(", "[", "{"):
-                i = self._close(i)
-            elif t == ";":
-                semicolons += 1
-            i += 1
+        # Classic for: init; condition; update. No ';' of a method with no
+        # lambda is inside brackets there: an anonymous body is a hole.
+        semicolons = texts[start:close].count(";")
         if semicolons != 2:
             raise self._err(f"for header has {semicolons} ';', not 2", start - 1)
-        # The init clause may be a declaration.
-        if texts[start] != ";":
-            self._try_parse_declaration(start, stop=close)
+        j = start
+        if texts[j] != ";":  # the init clause: a declaration or expressions
+            j = self._declaration(j) or self._expressions(j)
+        j = self._semicolon(j)
+        if texts[j] != ";":
+            j = self._expression(j)
+        j = self._semicolon(j)
+        self._ends(self._expressions(j) if j != close else j, close)
 
-    def _parse_resources(self, start: int, close: int) -> None:
-        """Declare the variables of a try-with-resources header; a resource
-        that is not a declaration is left to the expression pass."""
-        i = start
-        while i is not None and i < close:
-            i = self._try_parse_declaration(i, stop=close)
+    def _parse_catch_params(self, start: int, close: int) -> None:
+        """Declare the variable of a catch clause, after its type or types, up to its ')' at close."""
+        te = self._declaration_head(start)
+        while te is not None and self.texts[te] == "|":
+            te = skip_type_ref(self.texts, self.kinds, te + 1)
+        if te is None or self.kinds[te] != "ident" or te + 1 != close:
+            raise self._err("malformed catch parameter", start)
+        self.names.add(self.texts[te])
 
-    def _parse_catch_params(self, start: int) -> None:
-        i, te = self._declaration_head(start)
-        while te is not None:  # the alternatives of a multi-catch, then the name
-            self.skip.update(range(i, te))
-            if self.texts[te] != "|":
-                if self.kinds[te] == "ident":
-                    self.names.add(self.texts[te])
-                return
-            i = te + 1
-            te = skip_type_ref(self.texts, self.kinds, i)
-
-    def _declaration_head(self, i: int) -> tuple[int, int | None]:
-        """(type start, type end or None) of the local, loop, resource or
-        catch variable declared at i, past its 'final' and annotations."""
+    def _declaration_head(self, i: int) -> int | None:
+        """The index past the type of the local, loop, resource or catch
+        variable declared at i, past its 'final' and annotations; None when
+        no type starts there."""
         texts, kinds = self.texts, self.kinds
         i = skip_annotations(texts, kinds, i)
         while texts[i] == "final":
             i = skip_annotations(texts, kinds, i + 1)
-        return i, skip_type_ref(texts, kinds, i)
+        return skip_type_ref(texts, kinds, i)
 
-    def _try_parse_declaration(self, i: int, stop: int | None = None) -> int | None:
-        """Parse a local variable declaration; returns end index or None."""
+    def _declaration(self, i: int) -> int | None:
+        """Read the local variable declaration at i, declaring its names; the
+        index of the token after it, or None when no declaration starts at i."""
         texts, kinds = self.texts, self.kinds
-        i, te = self._declaration_head(i)
+        te = self._declaration_head(i)
         if te is None or kinds[te] != "ident":
             return None
         nxt = texts[te + 1]
         if nxt not in ("=", ";", ",") and not (nxt == "[" and texts[te + 2] == "]"):
             return None
-        self.skip.update(range(i, te))
         j = te
         while True:
             if kinds[j] != "ident":
@@ -599,135 +548,199 @@ class _Scanner:
             self.names.add(texts[j])
             j += 1
             while texts[j] == "[" and texts[j + 1] == "]":
-                self.skip.update((j, j + 1))
                 j += 2
             if texts[j] == "=":
-                j = self._skip_initializer(j + 1, stop)
-            t = texts[j]
-            if t == ",":
-                j += 1
-                continue
-            if t == ";":
-                return j + 1
-            if stop is not None and (j >= stop or t == ")"):
+                self.counts[ConstructKind.ASSIGNMENT] += 1
+                j = self._array_initializer(j + 1) if texts[j + 1] == "{" else self._expression(j + 1)
+            if texts[j] != ",":
                 return j
-            raise self._err("malformed declaration", j)
+            j += 1
 
-    def _skip_initializer(self, i: int, stop: int | None) -> int:
-        texts = self.texts
-        end = self.n + 1 if stop is None else min(stop, self.n + 1)
-        while i < end:
+    # -- expressions -------------------------------------------------------
+
+    def _expression(self, i: int) -> int:
+        """Read the expression at i, counting its constructs, invocation
+        chains and variables; the index of the token that ends it, which the
+        caller checks. `operand` is True when the last token read ended an
+        operand: then an infix or postfix operator, '.', '[' or '::' goes on
+        and any other token ends the expression. Brackets are read by
+        recursion, so a closer never ends an operand at this level."""
+        texts, kinds, counts, names = self.texts, self.kinds, self.counts, self.names
+        operand = False
+        ternaries = 0  # the '?' read whose ':' is still to come
+        chain, chain_close = 0, -1  # the last invocation's chain length and ')'
+        while True:
             t = texts[i]
-            if t not in _INITIALIZER_STOPS:
-                i += 1
-            elif t in (",", ";", ")", "]", "}"):
-                return i
-            elif t in ("(", "[", "{"):
-                i = self._close(i) + 1
-            elif t in _STATEMENT_KEYWORDS:
-                raise self._err("missing ';'", i - 1)
-            elif t == "new":  # protect the commas of the created type's arguments
-                i = skip_type_ref(texts, self.kinds, i + 1) or i + 1
-            elif t == "<" and texts[i - 1] == ".":
-                i = skip_type_arguments(texts, self.kinds, i) or i + 1
-            else:
-                i += 1
-        return i
-
-    # -- expression pass ---------------------------------------------------
-
-    def _expression_pass(self) -> None:
-        chain_at_close: dict[int, int] = {}
-        texts, kinds, counts, skip, names = self.texts, self.kinds, self.counts, self.skip, self.names
-        n = self.n
-        i = 1
-        while i <= n:
-            if i in skip:
-                i += 1
-                continue
-            t = texts[i]
-            kind = kinds[i]
-            if kind == "ident":
-                prev = texts[i - 1]
-                if texts[i + 1] == "(":
-                    counts[ConstructKind.METHOD_INVOCATION] += 1
-                    chain = 1
-                    if prev == "." and texts[i - 2] == ")" and (i - 2) in chain_at_close:
-                        chain = chain_at_close[i - 2] + 1
-                    chain_at_close[self._close(i + 1)] = chain
-                    if chain > self.max_chain:
-                        self.max_chain = chain
-                elif prev not in (".", "::") and t not in names:
-                    if (t[0].islower() or t[0] in "_$") and (texts[i + 1] != "." or not self._package_like(i)):
-                        names.add(t)
-                i += 1
-                continue
-            if kind == "string":
-                counts[ConstructKind.STRING_LITERAL] += 1
-                i += 1
-                continue
-            if kind == "keyword":
-                if t == "new":
-                    i = self._scan_creation_expr(i)
+            if operand:
+                if t in _INFIX:
+                    counted = _INFIX[t]
+                    if counted is not None:
+                        counts[counted] += 1
+                        if t == "&&" or t == "||":
+                            self.short_circuit += 1
+                        elif t == "==" or t == "!=":
+                            if texts[i - 1] == "null" or texts[i + 1] == "null":
+                                counts[ConstructKind.NULL_CHECK] += 1
+                        elif t == "?":
+                            ternaries += 1
+                    operand = False
+                elif t == ".":
+                    i += 1
+                    if texts[i] == "<":  # the type arguments of a generic method call
+                        i = skip_type_arguments(texts, kinds, i) or i
+                    if kinds[i] != "ident" and texts[i] not in ("this", "super", "new", "class"):
+                        raise self._err("malformed expression", i)
+                    operand = False
                     continue
-                if t in ("this", "super") and texts[i + 1] == "(":
-                    counts[ConstructKind.METHOD_INVOCATION] += 1
-                    if self.max_chain < 1:
-                        self.max_chain = 1
+                elif t == "[":
+                    if texts[i + 1] == "]":  # an array type, before '.class' or '::'
+                        i += 2
+                        continue
+                    if kinds[i - 1] in ("ident", "string") or texts[i - 1] in (")", "]"):
+                        counts[ConstructKind.ARRAY_ACCESS] += 1
+                    i = self._within(i)
+                    continue
+                elif t == "++" or t == "--":
+                    counts[_PREFIX[t]] += 1
+                elif t == ":" and ternaries:
+                    ternaries -= 1
+                    operand = False
                 elif t == "instanceof":
                     counts[ConstructKind.INSTANCEOF_EXPRESSION] += 1
-                    te = skip_type_ref(texts, kinds, i + 1)
-                    if te is not None:
-                        skip.update(range(i + 1, te))
-                elif t == "null":
-                    counts[ConstructKind.NULL_LITERAL] += 1
+                    j = skip_type_ref(texts, kinds, i + 1)
+                    if j is None:
+                        raise self._err("malformed expression", i + 1)
+                    i = j
+                    if kinds[i] == "ident":  # a pattern variable, as Java 16 has it
+                        names.add(texts[i])
+                        i += 1
+                    continue
+                elif t == "::":  # a method reference
+                    if kinds[i + 1] != "ident" and texts[i + 1] != "new":
+                        raise self._err("malformed expression", i + 1)
+                    i += 2
+                    continue
+                elif t == "@":
+                    raise self._err("annotation in an expression", i)
+                elif ternaries:  # a '?' without its ':'
+                    raise self._err("malformed expression", i)
+                else:
+                    return i
                 i += 1
                 continue
-            # Operators and punctuation; most count whatever their context.
-            counted = _OPERATOR_COUNTS.get(t)
-            if counted is not None:
-                counts[counted] += 1
-            elif t not in _CONTEXT_OPERATORS:
+            # An operand, or a prefix operator before one.
+            kind = kinds[i]
+            if texts[i + 1] == "(" and (kind == "ident" or t == "this" or t == "super"):  # an invocation
+                counts[ConstructKind.METHOD_INVOCATION] += 1
+                chain = chain + 1 if i - 2 == chain_close and texts[i - 1] == "." else 1
+                if chain > self.max_chain:
+                    self.max_chain = chain
+                i = self._arguments(i + 1)
+                chain_close = i - 1
+                operand = True
+                continue
+            if kind == "ident":
+                # A variable unless it is a member, a qualifier that reaches a
+                # capitalized segment, or itself capitalized.
+                if texts[i - 1] != "." and t not in names and (t[0].islower() or t[0] in "_$"):
+                    if texts[i + 1] != "." or not self._package_like(i):
+                        names.add(t)
+            elif kind == "string":
+                counts[ConstructKind.STRING_LITERAL] += 1
+            elif kind == "number" or kind == "char" or t in ("true", "false", "class", "this", "super"):
                 pass
             elif t == "(":
-                if self._is_cast(i):
+                close = self._close(i)
+                if self._is_cast(i, close):
                     counts[ConstructKind.CAST_EXPRESSION] += 1
-                    close = i + self.partner[i]
-                    skip.update(range(i + 1, close + 1))
-            elif t == "?":
-                if texts[i - 1] not in ("<", ","):
-                    counts[ConstructKind.TERNARY_OPERATION] += 1
-            elif t == "==" or t == "!=":
-                counts[ConstructKind.COMPARISON_OPERATOR] += 1
-                if texts[i - 1] == "null" or texts[i + 1] == "null":
-                    counts[ConstructKind.NULL_CHECK] += 1
-            elif t == "<":
-                if texts[i - 1] == ".":
-                    skipped = skip_type_arguments(texts, kinds, i)
-                    if skipped is not None:
-                        skip.update(range(i, skipped))
-                        i = skipped
-                        continue
-                counts[ConstructKind.COMPARISON_OPERATOR] += 1
-            elif t == "&&" or t == "||":
-                counts[ConstructKind.LOGICAL_OPERATOR] += 1
-                self.short_circuit += 1
-            elif t == "[":
-                if (
-                    texts[i + 1] != "]"
-                    and (kinds[i - 1] in ("ident", "string") or texts[i - 1] in (")", "]"))
-                    and (i - 1) not in skip
-                ):
-                    counts[ConstructKind.ARRAY_ACCESS] += 1
-            elif t == "@":  # an annotation, with its arguments, is no code
-                j = skip_annotations(texts, kinds, i)
-                if j > i:
-                    i = j
+                    i = close + 1
                     continue
-            elif kinds[i - 1] in _OPERAND_END_KINDS or texts[i - 1] in _OPERAND_END_TEXTS:  # + - * / %
-                if (i - 1) not in skip:
-                    counts[ConstructKind.ARITHMETIC_INFIX_OP] += 1
+                i = self._within(i)
+                operand = True
+                continue
+            elif t in _PREFIX:
+                counted = _PREFIX[t]
+                if counted is not None:
+                    counts[counted] += 1
+                i += 1
+                continue
+            elif t == "new":
+                i = self._creation(i)
+                operand = True
+                continue
+            elif t == "null":
+                counts[ConstructKind.NULL_LITERAL] += 1
+            elif t in _PRIMITIVE_OR_VOID:  # int.class, int[].class, int[]::clone
+                i = skip_type_ref(texts, kinds, i)
+                if texts[i] != "::" and (texts[i] != "." or texts[i + 1] != "class"):
+                    raise self._err("malformed expression", i)
+                operand = True
+                continue
+            else:
+                raise self._err("malformed expression", i)
+            operand = True
             i += 1
+
+    def _expressions(self, i: int) -> int:
+        """Read the comma-separated expressions from i; the index of the
+        token that ends the last."""
+        i = self._expression(i)
+        while self.texts[i] == ",":
+            i = self._expression(i + 1)
+        return i
+
+    def _ends(self, j: int, close: int) -> int:
+        """The index past the closer at close, where what was read up to j must end."""
+        if j != close:
+            raise self._err("malformed expression", j)
+        return close + 1
+
+    def _within(self, i: int, read=None) -> int:
+        """Read the expression (or what `read` reads) between the '(' or '['
+        at i and its partner; the index past the partner."""
+        if self.texts[i] != "(" and self.texts[i] != "[":
+            raise self._err("expected '('", i)
+        close = self._close(i)
+        return self._ends((read or self._expression)(i + 1), close)
+
+    def _arguments(self, i: int) -> int:
+        """Read the argument list whose '(' is at i; the index past its ')'."""
+        return i + 2 if self.texts[i + 1] == ")" else self._within(i, self._expressions)
+
+    def _array_initializer(self, i: int) -> int:
+        """Read the array initializer whose '{' is at i; the index past its '}'."""
+        texts = self.texts
+        close = self._close(i)
+        j = close if texts[i + 1] == "," and i + 2 == close else i + 1  # '{,}' is empty
+        while j < close:
+            j = self._array_initializer(j) if texts[j] == "{" else self._expression(j)
+            if texts[j] == ",":
+                j += 1
+            elif j != close:
+                raise self._err("malformed expression", j)
+        return close + 1
+
+    def _creation(self, i: int) -> int:
+        """Read the creation expression whose 'new' is at i and count it; the
+        index past it. An anonymous class body is a hole of the view."""
+        texts, kinds, counts = self.texts, self.kinds, self.counts
+        te = skip_type_ref(texts, kinds, i + 1)
+        if te is None:
+            raise self._err("malformed expression", i + 1)
+        if texts[te] == "(":
+            counts[ConstructKind.OBJECT_CREATION] += 1
+            return self._arguments(te)
+        counts[ConstructKind.ARRAY_CREATION] += 1
+        if texts[te] == "{" and texts[te - 1] == "]":
+            return self._array_initializer(te)
+        # Dimension expressions, then '[]' pairs, each maybe after annotations.
+        j = skip_annotations(texts, kinds, te)
+        if texts[j] != "[":
+            raise self._err("malformed expression", te)
+        while texts[j] == "[":
+            te = j + 2 if texts[j + 1] == "]" else self._within(j)
+            j = skip_annotations(texts, kinds, te)
+        return te
 
     def _package_like(self, i: int) -> bool:
         """True when the token at i roots a dotted chain that reaches a
@@ -741,29 +754,13 @@ class _Scanner:
                 return True
         return False
 
-    def _scan_creation_expr(self, i: int) -> int:
-        """Handle a 'new' token; marks type tokens, counts the creation."""
-        te = skip_type_ref(self.texts, self.kinds, i + 1)
-        if te is None:
-            return i + 1
-        self.skip.update(range(i + 1, te))
-        k = skip_annotations(self.texts, self.kinds, te)  # as in new int @A [n]
-        if self.texts[k] == "[":
-            self.counts[ConstructKind.ARRAY_CREATION] += 1
-            while self.texts[k] == "[":
-                self.skip.add(k)
-                k = skip_annotations(self.texts, self.kinds, self._close(k) + 1)
-        elif self.texts[te] == "(":
-            self.counts[ConstructKind.OBJECT_CREATION] += 1
-        return te
-
-    def _is_cast(self, i: int) -> bool:
+    def _is_cast(self, i: int, close: int) -> bool:
+        """True when the '(' at i, whose partner is at close, opens a cast: a
+        type, then an operand that cannot follow a parenthesized expression,
+        or, after a primitive type, any operand."""
         texts, kinds = self.texts, self.kinds
-        close = self._partner(i)
-        if close is None or close == i + 1:
+        if close == i + 1 or skip_type_ref(texts, kinds, i + 1) != close:
             return False
-        if kinds[i - 1] in _OPERAND_END_KINDS or texts[i - 1] in (")", "]"):
-            return False
-        if skip_type_ref(texts, kinds, i + 1) != close:
-            return False
-        return kinds[close + 1] in _OPERAND_END_KINDS or texts[close + 1] in _CAST_FOLLOWERS_TEXTS
+        if kinds[close + 1] in _OPERAND_KINDS or texts[close + 1] in _CAST_FOLLOWERS_TEXTS:
+            return True
+        return texts[close - 1] in PRIMITIVE_TYPES and texts[close + 1] in _PREFIX

@@ -1,4 +1,6 @@
-"""Shared builders for dataset objects used across the test modules."""
+"""Shared builders and readers used across the test modules."""
+
+import csv
 
 from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
 from lowrisk.discretize import (
@@ -124,3 +126,10 @@ def itemize_one(method, model) -> int:
 def fit_on(records):
     """fit_discretization over records, through their table."""
     return fit_discretization(table_of(records))
+
+
+def read_csv_rows(path, dicts=False) -> list:
+    """The rows of a CSV file, as lists or, with dicts, as dicts keyed by its
+    header; the file is closed before they are returned."""
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f) if dicts else csv.reader(f))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import read_csv_rows
 from oracles import read_csv_per_field
 import lowrisk
 from lowrisk import cli
@@ -102,7 +103,7 @@ class TestExtract:
         out = tmp_path / "empty.csv"
         assert run(["extract", "--root", root, "--project", "p", "--out", out]) == 0
         assert "no Java files matched" in capsys.readouterr().err
-        rows = list(csv.reader(open(out, newline="")))
+        rows = read_csv_rows(out)
         assert rows == [ds.CSV_HEADER]
 
     def test_bad_glob_is_usage_error(self, corpus_dir, tmp_path):
@@ -435,7 +436,7 @@ class TestPredict:
         out = tmp_path / "pred.csv"
         assert run(["predict", "--classifier", trained, "--target", synth_csvs[0],
                     "--variant", "strict", "--out", out]) == 0
-        rows = list(csv.DictReader(open(out, newline="")))
+        rows = read_csv_rows(out, dicts=True)
         faulty = [r for r in rows if r["faulty"] == "true"]
         matched_faulty = [r for r in faulty if r["predicted_lfr"] == "true"]
         assert len(matched_faulty) <= 0.025 * len(faulty) + 1e-9
@@ -448,7 +449,7 @@ class TestPredict:
         out = tmp_path / "pred.csv"
         assert run(["predict", "--classifier", crippled, "--target", synth_csvs[0],
                     "--variant", "strict", "--out", out]) == 0
-        rows = list(csv.DictReader(open(out, newline="")))
+        rows = read_csv_rows(out, dicts=True)
         assert all(r["predicted_lfr"] == "false" for r in rows)
         assert all(r["matched_rule_index"] == "" for r in rows)
 
@@ -535,20 +536,20 @@ class TestEvaluate:
         out_dir = tmp_path / "within"
         assert run(["evaluate", synth_csvs[0], "--mode", "within", "--out-dir", out_dir,
                     "--jobs", "1", "--dump-predictions"] + FAST_FLAGS) == 0
-        rows = list(csv.reader(open(out_dir / "report.csv", newline="")))
+        rows = read_csv_rows(out_dir / "report.csv")
         projects = {r[0] for r in rows[1:]}
         assert projects == {"proj0", "median", "mean"}
         doc = json.loads((out_dir / "report.json").read_text())
         assert doc["config"]["folds"] == 10
         assert len(doc["projects"]["proj0"]["strict"]["folds"]) == 10
-        preds = list(csv.DictReader(open(out_dir / "predictions.csv", newline="")))
+        preds = read_csv_rows(out_dir / "predictions.csv", dicts=True)
         assert len(preds) == 2 * 500
 
     def test_cross_mode_reports_per_target(self, synth_csvs, tmp_path):
         out_dir = tmp_path / "cross"
         assert run(["evaluate", *synth_csvs, "--mode", "cross", "--out-dir", out_dir,
                     "--jobs", "1"] + FAST_FLAGS) == 0
-        rows = list(csv.reader(open(out_dir / "report.csv", newline="")))
+        rows = read_csv_rows(out_dir / "report.csv")
         data_rows = [r for r in rows[1:] if r[0] not in ("median", "mean")]
         assert {(r[0], r[1]) for r in data_rows} == {
             ("proj0", "strict"), ("proj0", "lenient"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_identity, make_metrics, make_record, make_unified, table_of
+from helpers import make_identity, make_metrics, make_record, make_unified, read_csv_rows, table_of
 from oracles import (
     build_unified_records,
     consolidate_faulty,
@@ -236,7 +236,7 @@ class TestCsv:
         records = [make_record("a"), make_record("b", metrics=make_metrics(loops=3))]
         path = tmp_path / "data.csv"
         write_csv(records, path)
-        rows = list(csv.reader(open(path, newline="")))
+        rows = read_csv_rows(path)
         rows[2][CSV_HEADER.index("loops")] = "-3"
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
@@ -267,7 +267,7 @@ class TestCsv:
         records = [make_record("a", faulty=True, metrics=make_metrics(sloc=12, loops=2))]
         path = tmp_path / "data.csv"
         write_csv(records, path)
-        rows = list(csv.reader(open(path, newline="")))
+        rows = read_csv_rows(path)
         rows[1][CSV_HEADER.index("faulty")] = " TRUE "
         rows[1][CSV_HEADER.index("is_getter")] = "False"
         rows[1][CSV_HEADER.index("loops")] = " 2 "
@@ -287,7 +287,7 @@ def _shuffled_csv(rng, path, records):
     """Write records with the columns in a random order, sometimes with an
     extra column, and return (header, rows) as written."""
     write_csv(records, path)
-    header, *rows = list(csv.reader(open(path, newline="", encoding="utf-8")))
+    header, *rows = read_csv_rows(path)
     if rng.random() < 0.5:
         header = header + ["comment"]
         rows = [row + ["x"] for row in rows]

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import statistics
@@ -7,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import make_record, make_unified, projects_table, table_of
+from helpers import make_record, make_unified, projects_table, read_csv_rows, table_of
 from lowrisk.classifier import Variant
 from lowrisk.errors import TooFewMinorityError
 from lowrisk.evaluation import (
@@ -244,7 +243,7 @@ class TestEmitReport:
     def test_single_report_summary_equals_row(self, tmp_path):
         rep = fixed_report("solo", Variant.STRICT)
         paths = emit_report([rep], tmp_path, mode="within", formats=("csv",))
-        rows = list(csv.reader(open(paths[0], newline="")))
+        rows = read_csv_rows(paths[0])
         header, data, median, mean = rows
         assert data[0] == "solo"
         assert median[0] == "median" and mean[0] == "mean"
@@ -257,7 +256,7 @@ class TestEmitReport:
             rep = replace(rep, pooled=replace(rep.pooled, fdr_methods=fdr))
             reports.append(rep)
         paths = emit_report(reports, tmp_path, mode="within", formats=("csv",))
-        rows = list(csv.reader(open(paths[0], newline="")))
+        rows = read_csv_rows(paths[0])
         header = rows[0]
         median_row = next(r for r in rows if r[0] == "median")
         assert float(median_row[header.index("fdr_methods")]) == 5.7
@@ -267,7 +266,7 @@ class TestEmitReport:
         csv_path, json_path = emit_report(
             reports, tmp_path, mode="within", formats=("csv", "json")
         )
-        rows = list(csv.reader(open(csv_path, newline="")))
+        rows = read_csv_rows(csv_path)
         header = rows[0]
         doc = json.loads(json_path.read_text())
         for row in rows[1:]:
@@ -284,7 +283,7 @@ class TestEmitReport:
         reports = [fixed_report(name, Variant.STRICT) for name in "abc"]
         reports[2] = replace(reports[2], pooled=replace(reports[2].pooled, n_rules=4))
         csv_path, json_path = emit_report(reports, tmp_path, mode="within")
-        rows = {row[0]: row for row in csv.reader(open(csv_path, newline=""))}
+        rows = {row[0]: row for row in read_csv_rows(csv_path)}
         at = rows["project"].index("n_rules")
         summary = json.loads(json_path.read_text())["summary"]["strict"]
         assert summary["median"]["n_rules"] == 3 and isinstance(summary["median"]["n_rules"], int)
@@ -310,7 +309,7 @@ class TestEmitReport:
         pooled = score_pairs(preds, scope="project:x", n_rules=1)
         rep = ProjectReport(project="x", variant=Variant.STRICT, pooled=pooled)
         csv_path, json_path = emit_report([rep], tmp_path, mode="within")
-        rows = list(csv.reader(open(csv_path, newline="")))
+        rows = read_csv_rows(csv_path)
         header = rows[0]
         assert rows[1][header.index("fdr_methods")] == "inf"
         doc = json.loads(json_path.read_text(), parse_constant=_reject_constant)

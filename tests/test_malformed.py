@@ -12,6 +12,8 @@ import pytest
 
 from lowrisk.errors import JavaParseError
 from lowrisk.java.analyzer import analyze_source
+from lowrisk.java.tokens import tokenize
+from tools.javac_verdicts import semicolon_deletions
 
 DATA_DIR = Path(__file__).parent / "data"
 JAVA_FILES = sorted(DATA_DIR.rglob("*.java"))
@@ -156,3 +158,33 @@ def test_a_classic_for_header_needs_two_semicolons(header, text):
     with pytest.raises(JavaParseError) as err:
         analyze_source(f"class T {{ void f(int n) {{ for {header} {{ }} }} }}", "T.java")
     assert str(err.value) == text
+
+
+# The single-';' deletions that lowrisk does not read as statements: only the
+# parser's body walk reads an initializer block, and a method with a lambda is
+# skipped rather than scanned.
+_SEMICOLONS_NOT_SCANNED = {
+    ("Stress.java", 13): "the ';' is in a static initializer block, which the metric scanner does not read",
+    ("Lambdas.java", 7): "the ';' is in a method with a lambda, which is skipped rather than scanned",
+}
+
+
+def _semicolon_deletions():
+    for path in JAVA_FILES:
+        for line, col, source in semicolon_deletions(path):
+            reason = _SEMICOLONS_NOT_SCANNED.get((path.name, line))
+            marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+            yield pytest.param(path.name, source, id=f"{path.name}:{line}:{col}", marks=marks)
+
+
+@pytest.mark.parametrize("name, source", list(_semicolon_deletions()))
+def test_deleting_one_semicolon_is_a_parse_error(name, source):
+    """javac rejects every one of these files; CI checks that with
+    tests/tools/javac_verdicts.py --semicolon-deletions."""
+    with pytest.raises(JavaParseError):
+        analyze_source(source, name)
+
+
+def test_the_semicolon_deletions_are_those_of_the_tokens():
+    for path in JAVA_FILES:
+        assert len(semicolon_deletions(path)) == tokenize(path.read_text(encoding="utf-8")).texts.count(";")

@@ -3,6 +3,8 @@ counting rules plus hand-derived miniature methods."""
 
 from pathlib import Path
 
+import pytest
+
 from lowrisk.java.analyzer import analyze_source
 from lowrisk.java.metrics import ConstructKind
 
@@ -149,6 +151,33 @@ class TestNesting:
             prelude="int x;",
         )
         assert m.metrics.max_nesting == 3
+
+
+class TestBracelessBodies:
+    """A braceless if or while body is no cast operand: the condition in
+    parentheses before it counts as in its braced twin."""
+
+    @pytest.mark.parametrize(
+        "body, variables",
+        [("if (ok) x = 1;", 2), ("while (ok) this.step();", 1), ("if (ok) new Foo();", 1), ("if (a) b++;", 2)],
+    )
+    def test_a_braceless_body_counts_as_its_braced_twin(self, body, variables):
+        prelude = "boolean ok, a; int x, b; void step() {}"
+        head, tail = body.split(") ", 1)
+        m, twin = single_method(body, prelude), single_method(f"{head}) {{ {tail} }}", prelude)
+        assert m.metrics == twin.metrics
+        assert count(m, ConstructKind.CAST_EXPRESSION) == 0
+        assert m.metrics.unique_variable_ids == variables
+
+
+def test_casts_and_array_creations_are_counted_as_javac_reads_them():
+    """A primitive cast may come before a sign, a cast before another cast,
+    and an array creation may have an initializer instead of dimensions."""
+    m = single_method("long l = (long) -b; Object o = (String) (Object) p; int[] q = new int[] {1, 2};",
+                      params="int b, Object p")
+    assert count(m, ConstructKind.CAST_EXPRESSION) == 3
+    assert count(m, ConstructKind.ARITHMETIC_INFIX_OP) == 0
+    assert count(m, ConstructKind.ARRAY_CREATION) == 1
 
 
 class TestCategories:
