@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from lowrisk.errors import JavaParseError, LowriskError
-from lowrisk.java.metrics import CategoryFlags, RawMetrics, scan_method
+from lowrisk.java.metrics import CategoryFlags, RawMetrics
 from lowrisk.java.structure import parse_compilation_unit
 
 
@@ -70,9 +70,8 @@ def analyze_source(
         )
         if decl.has_lambda:
             skipped.append(SkippedMethod(identity, "lambda expression in body"))
-            continue
-        metrics, categories = scan_method(unit, decl)
-        analyzed.append(AnalyzedMethod(identity, metrics, categories))
+        else:
+            analyzed.append(AnalyzedMethod(identity, decl.metrics, decl.categories))
     analyzed.sort(key=_identity_of)
     return analyzed, skipped
 

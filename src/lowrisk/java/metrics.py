@@ -1,29 +1,33 @@
-"""Method-level metric computation over token spans.
+"""Method-level metric computation: the statement and expression reader.
 
-The scanner sees a method body as a dense view: the file's token columns
-sliced around the holes of nested types, between sentinels (one before, two
-after); a body without holes is one slice whose braces and next token
-become the sentinels. It jumps over brackets by the file's partner list
-(`structure.match_delimiters`) sliced with the view; only a body with holes
-has its view matched again, because a pair may span a hole. A closer whose
-opener is outside the view makes the body malformed. SLOC is the number of
-distinct line numbers over the slices of the declaration and the body.
-Errors map the view index back to the file token, with its line and column.
+The reader reads every code region of a file (see `lowrisk.java.structure`)
+in place, on the file's token columns, and jumps over brackets by the
+file's one partner list (`structure.match_delimiters`). At an anonymous
+class body or a local class it calls the parser's type-body reader, which
+records the nested type's methods, and goes on after the body. A method
+body's reader counts each anonymous class it meets and leaves the nested
+classes' spans out of SLOC, the number of distinct line numbers from the
+declaration's first token to the body's '}'. A closer in a body whose
+opener is outside the body makes it malformed.
 
-The scanner walks a method body once. The statement walk recurses through
-the statement structure, producing control-construct counts, scope nesting
-depth, declared variable names and the statement list used for category
-checks. It hands every expression it meets to one reader, which counts
-expression-level constructs, invocation chains and variable identifiers as
-it reads, and returns the index of the token that ends the expression; the
-statement decides whether that token may end it. After an operand only an
-operator, '.', '[' or '::' goes on, so two operands with nothing between
-them end the expression, and a statement that does not end there misses a
-';'. The reader jumps the types it meets (creations, casts, instanceof,
-explicit type arguments) with the parser's grammar
-(`structure.skip_type_ref`). Annotations are read only there and before a
-declared variable (`structure.skip_annotations`), so an '@' that the reader
-meets is an error, and no annotation counts as code.
+The statement walk recurses through the statement structure, producing
+control-construct counts, scope nesting depth, declared variable names and
+the statement list used for category checks. It hands every expression it
+meets to one reader, which counts expression-level constructs, invocation
+chains and variable identifiers as it reads, and returns the index of the
+token that ends the expression; the statement decides whether that token
+may end it, and an expression statement must be one that javac lets stand
+as a statement (JLS 14.8). After an operand only an operator, '.', '[' or
+'::' goes on, so two operands with nothing between them end the
+expression, and a statement that does not end there misses a ';'. The
+reader jumps the types it meets (creations, casts, instanceof, explicit type
+arguments) with the parser's grammar (`structure.skip_type_ref`).
+Annotations are read only there, before a declared variable and as
+annotation element values (`structure.skip_annotations`), so an '@' that
+the expression reader meets is an error, and no annotation counts as code.
+It reads lambdas (JLS 15.27). A method with a lambda in its own code, and
+the code outside methods, are read for their grammar only: their counts are
+dropped.
 
 No symbol resolution is performed. Variable detection is a token-level
 heuristic: declared parameters and locals always count; other identifiers
@@ -38,14 +42,7 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from lowrisk.errors import JavaParseError
-from lowrisk.java.structure import (
-    CompilationUnit,
-    MethodDecl,
-    match_delimiters,
-    skip_annotations,
-    skip_type_arguments,
-    skip_type_ref,
-)
+from lowrisk.java.structure import CompilationUnit, skip_annotations, skip_type_arguments, skip_type_ref
 from lowrisk.java.tokens import ASSIGNMENT_OPS, PRIMITIVE_TYPES
 
 
@@ -157,8 +154,8 @@ class CategoryFlags(NamedTuple):
 
 class _Stmt(NamedTuple):
     kind: str
-    start: int  # dense index
-    end: int  # dense index one past the statement
+    start: int  # token index
+    end: int  # token index one past the statement
 
 
 _PRIMITIVE_OR_VOID = PRIMITIVE_TYPES | {"void"}
@@ -173,6 +170,8 @@ _STATEMENT_KEYWORDS = frozenset(
 )
 # The texts that begin a statement other than a label, a declaration or an expression.
 _STATEMENT_STARTS = _STATEMENT_KEYWORDS - {"else", "case", "default", "catch", "finally"} | {";", "{"}
+# The tokens that may begin a local class declaration.
+_LOCAL_CLASS_STARTS = frozenset(("class", "final", "abstract", "strictfp", "@"))
 # The binary operators, each with the construct it counts or None.
 _INFIX = {
     **dict.fromkeys(("&", "|", "^", "<<", ">>", ">>>")),
@@ -190,72 +189,40 @@ _PREFIX = {
 }
 
 
-def scan_method(unit: CompilationUnit, decl: MethodDecl) -> tuple[RawMetrics, CategoryFlags]:
-    """Compute raw metrics and category flags for one method declaration."""
-    return _Scanner(unit, decl).run()
+def scan_method(
+    unit: CompilationUnit, chain: tuple[str, ...], body_open: int, param_names: tuple[str, ...]
+) -> Reader:
+    """Read the method body whose '{' is at body_open, for a method with
+    these parameters; the reader, whose `end` is the body's '}' and whose
+    `results` are the method's metrics and category flags."""
+    reader = Reader(unit, chain, param_names)
+    reader.block(body_open, "method body")
+    return reader
 
 
-class _Scanner:
-    def __init__(self, unit: CompilationUnit, decl: MethodDecl):
-        self.tokens = tokens = unit.tokens
-        self.decl = decl
+class Reader:
+    """The statement and expression reader of one code region, in place on
+    the file's token columns; see the module docstring."""
+
+    def __init__(self, unit: CompilationUnit, chain: tuple[str, ...], param_names: tuple[str, ...] = ()):
+        self.unit, self.chain = unit, chain  # the parser, and the type names around the region
+        self.texts, self.kinds, self.partner = unit.texts, unit.kinds, unit.partner
         self.counts = [0] * N_CONSTRUCT_KINDS
         self.max_depth = self.max_chain = self.short_circuit = 0
-        self.names: set[str] = set(decl.param_names)  # parameters, locals and variable identifiers
+        self.names: set[str] = set(param_names)  # parameters, locals and variable identifiers
         self.statements: list[_Stmt] = []
-        # The body interior as file index ranges, with nested-type holes cut out.
-        start, end, holes = decl.body_open + 1, decl.body_close, decl.holes
-        lines = tokens.lines
-        if holes:
-            self.ranges = ranges = []
-            for hole_start, hole_end in sorted(holes):
-                ranges.append((start, hole_start))
-                start = hole_end + 1
-            ranges.append((start, end))
-            # The dense view: the ranges' column slices between sentinels.
-            texts, kinds = [""], [""]
-            for a, b in ranges:
-                texts += tokens.texts[a:b]
-                kinds += tokens.kinds[a:b]
-            texts += ("", "")
-            kinds += ("", "")
-            self.partner = match_delimiters(texts)
-            self.counts[ConstructKind.ANONYMOUS_CLASS] = sum(1 for a, _ in holes if tokens.texts[a] == "{")
-            self._sloc = len(
-                set(lines[decl.decl_start : decl.body_open + 1]).union(
-                    *(lines[a:b] for a, b in ranges), (lines[end],)
-                )
-            )
-        else:
-            self.ranges = ((start, end),)
-            # The view is the body between its braces, which become sentinels.
-            texts, kinds = tokens.texts[start - 1 : end + 2], tokens.kinds[start - 1 : end + 2]
-            self.partner = partner = unit.partner[start - 1 : end + 2]
-            texts[0] = texts[-2] = texts[-1] = kinds[0] = kinds[-2] = kinds[-1] = ""
-            partner[0] = partner[-2] = partner[-1] = 0
-            self._sloc = len(set(lines[decl.decl_start : end + 1]))
-        self.texts, self.kinds = texts, kinds
-        self.n = n = len(texts) - 3
-        # A closer whose opener is not in the view points at or before index 0.
-        if min(map(add, range(1, n + 1), self.partner[1 : n + 1]), default=1) < 1:
-            i = next(i for i in range(1, n + 1) if i + self.partner[i] < 1)
-            raise self._err("unbalanced delimiter in method body", i)
+        self.nested: list[tuple[int, int]] = []  # the anonymous and local class spans read, end exclusive
+        self.has_lambda = False
+        self.top: str | None = None  # the top operator of the last expression read: None, "=" or "op"
+        self.end = 0  # the '}' of the block that block() reads
 
     def _err(self, msg: str, i: int) -> JavaParseError:
-        """The error at dense index i, located at its token in the file."""
-        k = i - 1
-        if k < 0:
-            return self.tokens.error(msg, self.decl.body_open)
-        for a, b in self.ranges:
-            if k < b - a:
-                return self.tokens.error(msg, a + k)
-            k -= b - a
-        return self.tokens.error(msg, self.decl.body_close)
+        return self.unit.tokens.error(msg, i)
 
     def _partner(self, i: int) -> int | None:
-        """The index of the closer that matches the opener at i in the view."""
+        """The index of the closer that matches the opener at i."""
         j = i + self.partner[i]
-        return j if i < j <= self.n else None
+        return j if j > i else None
 
     def _close(self, i: int) -> int:
         j = self._partner(i)
@@ -263,54 +230,93 @@ class _Scanner:
             raise self._err(f"unbalanced {self.texts[i]!r}", i)
         return j
 
-    def run(self) -> tuple[RawMetrics, CategoryFlags]:
-        """The statement walk, then the metrics and the category flags."""
-        texts, n = self.texts, self.n
-        i = 1
-        while i <= n and texts[i] != "}":
-            i = self._parse_statement(i, 0)
-        counts, decl, statements = self.counts, self.decl, self.statements
+    # -- code regions: the parser's entry points --------------------------
+
+    def block(self, open_idx: int, what: str = "initializer block") -> int:
+        """Read the method body or initializer block whose '{' is at
+        open_idx; the index past its '}'. A closer in it whose opener is
+        outside it makes it malformed."""
+        self.end = end = self._close(open_idx)
+        partner, a = self.partner, open_idx + 1
+        if min(map(add, range(a, end), partner[a:end]), default=a) < a:
+            i = next(i for i in range(a, end) if i + partner[i] < a)
+            raise self._err(f"unbalanced delimiter in {what}", i)
+        return self._parse_block(open_idx, 0)
+
+    def initializer(self, i: int) -> int:
+        """Read the variable initializer at i, an expression or an array
+        initializer; the index of the token that ends it."""
+        return self._array_initializer(i) if self.texts[i] == "{" else self._expression(i)
+
+    def element_value(self, i: int) -> int:
+        """Read the annotation element value at i (JLS 9.7.1): an annotation,
+        an array of element values or an expression; the index of the token
+        that ends it."""
+        t = self.texts[i]
+        if t == "@":
+            return skip_annotations(self.texts, self.kinds, i)
+        return self._array_initializer(i, self.element_value) if t == "{" else self._expression(i)
+
+    def arguments(self, i: int) -> int:
+        """Read the argument list whose '(' is at i; the index past its ')'."""
+        return i + 2 if self.texts[i + 1] == ")" else self._within(i, self._expressions)
+
+    # -- metrics and categories of a method body ----------------------------
+
+    def results(
+        self,
+        decl_start: int,
+        name: str,
+        param_names: tuple[str, ...],
+        is_constructor: bool,
+        field_names: frozenset[str],
+    ) -> tuple[RawMetrics | None, CategoryFlags | None]:
+        """The metrics and the category flags of the method body read, for the
+        method declared from decl_start in a type with these fields; None and
+        None when the body has a lambda in its own code, whose counts are
+        dropped."""
+        if self.has_lambda:
+            return None, None
+        counts, statements, lines = self.counts, self.statements, self.unit.tokens.lines
+        sloc_lines, a = set(), decl_start
+        for start, end in self.nested:  # a nested class's lines count for its own methods
+            sloc_lines.update(lines[a:start])
+            a = end
+        sloc_lines.update(lines[a : self.end + 1])
         metrics = RawMetrics(
-            self._sloc,
+            len(sloc_lines),
             1 + sum(_complexity_counts(counts)) + self.short_circuit,
             self.max_depth,
             self.max_chain,
             len(self.names),
             tuple(counts),
         )
-        is_to_string = not decl.is_constructor and decl.name == "toString" and not decl.param_types
+        is_to_string = not is_constructor and name == "toString" and not param_names
         if len(statements) != 1:
-            return metrics, CategoryFlags(decl.is_constructor, False, False, not statements, False, is_to_string)
+            return metrics, CategoryFlags(is_constructor, False, False, not statements, False, is_to_string)
         single = statements[0]
         return metrics, CategoryFlags(
-            decl.is_constructor,
-            single.kind == "return" and self._is_getter(single),
-            single.kind == "expr" and self._is_setter(single),
+            is_constructor,
+            single.kind == "return" and self._is_getter(single, field_names),
+            single.kind == "expr" and self._is_setter(single, param_names, field_names),
             False,
-            single.kind in ("expr", "return") and self._is_delegation(single),
+            single.kind in ("expr", "return") and self._is_delegation(single, name, param_names, is_constructor),
             is_to_string,
         )
 
-    # -- category helpers --------------------------------------------------
-
-    def _is_getter(self, single: _Stmt) -> bool:
+    def _is_getter(self, single: _Stmt, field_names: frozenset[str]) -> bool:
         expr = self.texts[single.start + 1 : single.end - 1]  # between 'return' and ';'
         if len(expr) == 3 and expr[0] == "this" and expr[1] == ".":
             expr = expr[2:]
-        return len(expr) == 1 and expr[0] in self.decl.field_names
+        return len(expr) == 1 and expr[0] in field_names
 
-    def _is_setter(self, single: _Stmt) -> bool:
+    def _is_setter(self, single: _Stmt, param_names: tuple[str, ...], field_names: frozenset[str]) -> bool:
         expr = self.texts[single.start : single.end - 1]  # up to ';'
         if len(expr) == 5 and expr[0] == "this" and expr[1] == ".":
             expr = expr[2:]
-        return (
-            len(expr) == 3
-            and expr[1] == "="
-            and expr[0] in self.decl.field_names
-            and expr[2] in self.decl.param_names
-        )
+        return len(expr) == 3 and expr[1] == "=" and expr[0] in field_names and expr[2] in param_names
 
-    def _is_delegation(self, single: _Stmt) -> bool:
+    def _is_delegation(self, single: _Stmt, name: str, param_names: tuple[str, ...], is_constructor: bool) -> bool:
         texts, kinds = self.texts, self.kinds
         i, end = single.start, single.end - 1  # drop ';'
         if single.kind == "return":
@@ -320,24 +326,25 @@ class _Scanner:
         callee = texts[i]
         if kinds[i] not in ("ident", "keyword") or texts[i + 1] != "(":
             return False
-        same_name = callee == self.decl.name or (self.decl.is_constructor and callee == "this")
-        if not same_name:
+        if callee != name and not (is_constructor and callee == "this"):
             return False
         close = self._partner(i + 1)
         if close is None or close != end - 1:
             return False
         args = self._split_args(i + 2, close)
-        if len(args) <= len(self.decl.param_names):
+        if len(args) <= len(param_names):
             return False
         single_ident_args = {texts[a] for a, b in args if b - a == 1 and kinds[a] == "ident"}
-        return set(self.decl.param_names) <= single_ident_args
+        return set(param_names) <= single_ident_args
 
     def _split_args(self, start: int, close: int) -> list[tuple[int, int]]:
+        """The (start, end) spans of the arguments between start and close,
+        split at the ',' outside brackets and nested bodies."""
         args = []
         a = i = start
         while i < close:
             t = self.texts[i]
-            if t in ("(", "["):
+            if t in ("(", "[", "{"):
                 i = self._close(i)
             elif t == ",":
                 args.append((a, i))
@@ -359,8 +366,6 @@ class _Scanner:
             raise self._err("expected '{'", i)
         j = i + 1
         while self.texts[j] != "}":
-            if j > self.n:
-                raise self._err("unterminated block", i)
             j = self._parse_statement(j, depth)
         return j + 1
 
@@ -380,26 +385,35 @@ class _Scanner:
 
     def _semicolon(self, j: int, what: str = "statement") -> int:
         """The index past the ';' at j that ends a statement or a declaration.
-        A closer there, or the body's end after a declaration, makes it
-        malformed; any other token means the ';' before it is missing."""
+        A closer there makes it malformed, but for the '}' that ends the block
+        read, where only a declaration is malformed; any other token means
+        the ';' before it is missing."""
         t = self.texts[j]
         if t == ";":
             return j + 1
-        if t in (")", "]", "}") or not t and what == "declaration":
+        if what == "declaration" if j == self.end else t in (")", "]", "}"):
             raise self._err(f"malformed {what}", j)
         raise self._err("missing ';'", j - 1)
 
     def _parse_statement(self, i: int, depth: int) -> int:
         texts, counts = self.texts, self.counts
         t = kind = texts[i]
-        if t not in _STATEMENT_STARTS:  # a label, a local declaration or an expression
+        if t not in _STATEMENT_STARTS:  # a label, a local class, a local declaration or an expression
             if self.kinds[i] == "ident" and texts[i + 1] == ":":
                 return self._parse_statement(i + 2, depth)
             if t in _STATEMENT_KEYWORDS:  # an 'else', 'case', 'catch', ... that no statement takes
                 raise self._err(f"unexpected {t!r}", i)
+            if t in _LOCAL_CLASS_STARTS:
+                j = self.unit.parse_local_class(i, self.chain)
+                if j is not None:  # read by the parser; not a statement of this body
+                    self.nested.append((i, j))
+                    return j
             j = self._declaration(i)
             if j is None:
-                kind, j = "expr", self._semicolon(self._expression(i))
+                end = self._expression(i)
+                kind, j = "expr", self._semicolon(end)
+                if not self._is_statement_expression(i, end):
+                    raise self._err("not a statement", i)
             else:
                 kind, j = "decl", self._semicolon(j, "declaration")
         elif t == ";":
@@ -451,13 +465,15 @@ class _Scanner:
         elif t == "try":
             counts[ConstructKind.TRY_BLOCK] += 1
             j = i + 1
-            if texts[j] == "(":  # resources: declarations or, as Java 9 allows, expressions
+            if texts[j] == "(":  # resources, at least one: declarations or, as Java 9 allows, expressions
                 close = self._close(j)
                 j += 1
-                while j < close:
+                while True:
                     j = self._declaration(j) or self._expression(j)
                     if j != close:
                         j = self._semicolon(j)
+                    if j == close:
+                        break
                 j += 1
             self._record_scope(depth + 1)
             j = self._parse_block(j, depth + 1)
@@ -489,6 +505,20 @@ class _Scanner:
         self.statements.append(_Stmt(kind, i, j))
         return j
 
+    def _is_statement_expression(self, i: int, end: int) -> bool:
+        """Whether the expression just read from i up to end may stand as a
+        statement (JLS 14.8), as javac's parser decides it from the top
+        operator: an assignment, an increment or decrement, an invocation or
+        a class instance creation, maybe with an anonymous body."""
+        if self.top is not None:
+            return self.top == "="
+        texts, last = self.texts, end - 1
+        if texts[i] in ("++", "--") or texts[last] in ("++", "--"):
+            return True
+        if texts[last] == "}":  # the anonymous body of a creation, after its ')'
+            last += self.partner[last] - 1
+        return texts[last] == ")" and last + self.partner[last] != i  # not a parenthesized expression
+
     def _parse_for_header(self, start: int, close: int) -> None:
         """Read a for header: a declared variable, ':' and an expression, or
         three clauses, each of which may be empty, between two ';'."""
@@ -498,9 +528,16 @@ class _Scanner:
             self.names.add(texts[te])
             self._ends(self._expression(te + 2), close)
             return
-        # Classic for: init; condition; update. No ';' of a method with no
-        # lambda is inside brackets there: an anonymous body is a hole.
-        semicolons = texts[start:close].count(";")
+        # Classic for: init; condition; update. The ';' inside brackets and
+        # nested bodies, such as an anonymous class's or a lambda's, are not the header's.
+        semicolons, j = 0, start
+        while j < close:
+            t = texts[j]
+            if t in ("(", "[", "{"):
+                j += self.partner[j]
+            elif t == ";":
+                semicolons += 1
+            j += 1
         if semicolons != 2:
             raise self._err(f"for header has {semicolons} ';', not 2", start - 1)
         j = start
@@ -551,7 +588,7 @@ class _Scanner:
                 j += 2
             if texts[j] == "=":
                 self.counts[ConstructKind.ASSIGNMENT] += 1
-                j = self._array_initializer(j + 1) if texts[j + 1] == "{" else self._expression(j + 1)
+                j = self.initializer(j + 1)
             if texts[j] != ",":
                 return j
             j += 1
@@ -563,10 +600,14 @@ class _Scanner:
         chains and variables; the index of the token that ends it, which the
         caller checks. `operand` is True when the last token read ended an
         operand: then an infix or postfix operator, '.', '[' or '::' goes on
-        and any other token ends the expression. Brackets are read by
-        recursion, so a closer never ends an operand at this level."""
+        and any other token ends the expression. Brackets, lambda bodies and
+        nested class bodies are read by recursion, so a closer never ends an
+        operand at this level. `top` tells an assignment on top ("=") from
+        another infix operator, a sign, a cast or a lambda on top ("op"),
+        for `_is_statement_expression`."""
         texts, kinds, counts, names = self.texts, self.kinds, self.counts, self.names
         operand = False
+        top = None
         ternaries = 0  # the '?' read whose ':' is still to come
         chain, chain_close = 0, -1  # the last invocation's chain length and ')'
         while True:
@@ -583,18 +624,25 @@ class _Scanner:
                                 counts[ConstructKind.NULL_CHECK] += 1
                         elif t == "?":
                             ternaries += 1
+                    if top != "=":  # an assignment inside a '?' and its ':' is not on top
+                        top = "=" if counted is ConstructKind.ASSIGNMENT and not ternaries else "op"
                     operand = False
                 elif t == ".":
                     i += 1
                     if texts[i] == "<":  # the type arguments of a generic method call
                         i = skip_type_arguments(texts, kinds, i) or i
+                        if kinds[i] != "ident" or texts[i + 1] != "(":
+                            raise self._err("malformed expression", i)
                     if kinds[i] != "ident" and texts[i] not in ("this", "super", "new", "class"):
                         raise self._err("malformed expression", i)
                     operand = False
                     continue
                 elif t == "[":
                     if texts[i + 1] == "]":  # an array type, before '.class' or '::'
-                        i += 2
+                        while texts[i] == "[" and texts[i + 1] == "]":
+                            i += 2
+                        if texts[i] != "::" and (texts[i] != "." or texts[i + 1] != "class"):
+                            raise self._err("malformed expression", i)
                         continue
                     if kinds[i - 1] in ("ident", "string") or texts[i - 1] in (")", "]"):
                         counts[ConstructKind.ARRAY_ACCESS] += 1
@@ -625,6 +673,7 @@ class _Scanner:
                 elif ternaries:  # a '?' without its ':'
                     raise self._err("malformed expression", i)
                 else:
+                    self.top = top
                     return i
                 i += 1
                 continue
@@ -635,11 +684,16 @@ class _Scanner:
                 chain = chain + 1 if i - 2 == chain_close and texts[i - 1] == "." else 1
                 if chain > self.max_chain:
                     self.max_chain = chain
-                i = self._arguments(i + 1)
+                i = self.arguments(i + 1)
                 chain_close = i - 1
                 operand = True
                 continue
             if kind == "ident":
+                if texts[i + 1] == "->":  # a lambda with one parameter
+                    i = self._lambda(i)
+                    top = top or "op"
+                    operand = True
+                    continue
                 # A variable unless it is a member, a qualifier that reaches a
                 # capitalized segment, or itself capitalized.
                 if texts[i - 1] != "." and t not in names and (t[0].islower() or t[0] in "_$"):
@@ -651,8 +705,14 @@ class _Scanner:
                 pass
             elif t == "(":
                 close = self._close(i)
+                if texts[close + 1] == "->":  # a lambda with its parameters in parentheses
+                    i = self._lambda(i)
+                    top = top or "op"
+                    operand = True
+                    continue
                 if self._is_cast(i, close):
                     counts[ConstructKind.CAST_EXPRESSION] += 1
+                    top = top or "op"
                     i = close + 1
                     continue
                 i = self._within(i)
@@ -662,6 +722,8 @@ class _Scanner:
                 counted = _PREFIX[t]
                 if counted is not None:
                     counts[counted] += 1
+                if t != "++" and t != "--":
+                    top = top or "op"
                 i += 1
                 continue
             elif t == "new":
@@ -703,17 +765,14 @@ class _Scanner:
         close = self._close(i)
         return self._ends((read or self._expression)(i + 1), close)
 
-    def _arguments(self, i: int) -> int:
-        """Read the argument list whose '(' is at i; the index past its ')'."""
-        return i + 2 if self.texts[i + 1] == ")" else self._within(i, self._expressions)
-
-    def _array_initializer(self, i: int) -> int:
-        """Read the array initializer whose '{' is at i; the index past its '}'."""
-        texts = self.texts
+    def _array_initializer(self, i: int, element=None) -> int:
+        """Read the array initializer whose '{' is at i, each element with
+        `element` (by default a variable initializer); the index past its '}'."""
+        texts, element = self.texts, element or self.initializer
         close = self._close(i)
         j = close if texts[i + 1] == "," and i + 2 == close else i + 1  # '{,}' is empty
         while j < close:
-            j = self._array_initializer(j) if texts[j] == "{" else self._expression(j)
+            j = element(j)
             if texts[j] == ",":
                 j += 1
             elif j != close:
@@ -722,14 +781,23 @@ class _Scanner:
 
     def _creation(self, i: int) -> int:
         """Read the creation expression whose 'new' is at i and count it; the
-        index past it. An anonymous class body is a hole of the view."""
+        index past it. The parser reads an anonymous class body."""
         texts, kinds, counts = self.texts, self.kinds, self.counts
-        te = skip_type_ref(texts, kinds, i + 1)
+        j = i + 1
+        if texts[j] == "<":  # the type arguments of a generic constructor, as in new <T>Object()
+            j = skip_type_arguments(texts, kinds, j) or j
+        te = skip_type_ref(texts, kinds, j)
         if te is None:
             raise self._err("malformed expression", i + 1)
         if texts[te] == "(":
             counts[ConstructKind.OBJECT_CREATION] += 1
-            return self._arguments(te)
+            j = self.arguments(te)
+            if texts[j] != "{":
+                return j
+            counts[ConstructKind.ANONYMOUS_CLASS] += 1
+            end = self.unit.parse_anonymous_body(j, self.chain)
+            self.nested.append((j, end))
+            return end
         counts[ConstructKind.ARRAY_CREATION] += 1
         if texts[te] == "{" and texts[te - 1] == "]":
             return self._array_initializer(te)
@@ -741,6 +809,27 @@ class _Scanner:
             te = j + 2 if texts[j + 1] == "]" else self._within(j)
             j = skip_annotations(texts, kinds, te)
         return te
+
+    def _lambda(self, i: int) -> int:
+        """Read the lambda whose parameters start at i (JLS 15.27): an
+        identifier, or identifiers or formal parameters in parentheses, then
+        '->' and a block or an expression; the index past it. The counts of
+        its method are dropped."""
+        texts, kinds = self.texts, self.kinds
+        self.has_lambda = True
+        if texts[i] == "(":
+            close = i + self.partner[i]
+            if kinds[i + 1] == "ident" and texts[i + 2] in (",", ")"):  # inferred: identifiers between ','
+                j = i + 1
+                while texts[j + 1] == "," and kinds[j + 2] == "ident":
+                    j += 2
+                if j + 1 != close:
+                    raise self._err("malformed lambda parameters", j + 1)
+            else:
+                self.unit.parse_params(i)
+            i = close
+        i += 2  # past the last parameter token and '->'
+        return self._parse_block(i, 0) if texts[i] == "{" else self._expression(i)
 
     def _package_like(self, i: int) -> bool:
         """True when the token at i roots a dotted chain that reaches a
@@ -756,10 +845,14 @@ class _Scanner:
 
     def _is_cast(self, i: int, close: int) -> bool:
         """True when the '(' at i, whose partner is at close, opens a cast: a
-        type, then an operand that cannot follow a parenthesized expression,
-        or, after a primitive type, any operand."""
+        type, or an intersection of types joined by '&', then an operand that
+        cannot follow a parenthesized expression, or, after a primitive type,
+        any operand."""
         texts, kinds = self.texts, self.kinds
-        if close == i + 1 or skip_type_ref(texts, kinds, i + 1) != close:
+        j = skip_type_ref(texts, kinds, i + 1)
+        while j is not None and texts[j] == "&":
+            j = skip_type_ref(texts, kinds, j + 1)
+        if j != close:
             return False
         if kinds[close + 1] in _OPERAND_KINDS or texts[close + 1] in _CAST_FOLLOWERS_TEXTS:
             return True

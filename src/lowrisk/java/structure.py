@@ -3,16 +3,20 @@
 This module does not build a full AST. It walks the token columns of one
 file (see `lowrisk.java.tokens`), tracks type declarations (including
 nested, local, anonymous, and enum-constant bodies), and records every
-method and constructor declaration together with its body token span.
-Spans of nested type bodies that occur inside a method body are reported as
-"holes" so that metric computation can skip code that belongs to separately
-enumerated methods.
+method and constructor declaration. It reads no code itself: it hands every
+code region (method and constructor bodies, initializer blocks, field
+initializers, enum-constant arguments and annotation `default` values) to
+the statement and expression reader of `lowrisk.java.metrics`, which reads
+the region in place and calls back into this parser at each anonymous class
+body and local class. So a file is read once, in textual order, and a
+method's metrics are read with its body. Its getter and setter flags wait
+until the enclosing type closes, so that they see every field of the type.
 
 Delimiters are matched once per file: `match_delimiters` pairs each '(',
 '[' and '{' with its closer in one pass, one stack per kind, and the parser
-reads the closer of an opener from that partner list instead of scanning
-forward for it. The matcher never raises; a reader that finds no partner
-raises the parser's error for the opener. Readers index the columns
+and the reader take the closer of an opener from that partner list instead
+of scanning forward for it. The matcher never raises; a reader that finds
+no partner raises the error for the opener. Readers index the columns
 directly and rely on the sentinels at both ends instead of bounds checks.
 
 The one Java type grammar lives here: `skip_type_ref` and
@@ -20,25 +24,24 @@ The one Java type grammar lives here: `skip_type_ref` and
 none starts. So does the one annotation grammar: `skip_annotations` reads
 '@', a possibly qualified name and an optional argument list, and no other
 code reads an annotation's name or arguments. An annotation is neither code
-nor part of a signature. The parser and the metric scanner
-(`lowrisk.java.metrics`) both call these readers.
+nor part of a signature. The parser and the reader both call these readers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from lowrisk.errors import JavaParseError
 from lowrisk.java.tokens import MODIFIERS, PRIMITIVE_TYPES, Tokens, tokenize
+
+if TYPE_CHECKING:
+    from lowrisk.java.metrics import CategoryFlags, RawMetrics
 
 _TYPE_KEYWORDS = {"class", "interface", "enum"}
 _PRIMITIVE_OR_VOID = PRIMITIVE_TYPES | {"void"}
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = frozenset("()[]{}")
-# The tokens that may begin a local class declaration.
-_LOCAL_CLASS_STARTS = frozenset(("class", "final", "abstract", "strictfp", "@"))
 # Texts besides identifiers and annotations that a type-argument list may hold.
 _TYPE_ARGUMENT_TEXTS = frozenset((".", ",", "?", "extends", "super", "[", "]", "&")) | PRIMITIVE_TYPES
 
@@ -97,17 +100,19 @@ def skip_type_ref(texts: list[str], kinds: list[str], i: int) -> int | None:
         j = i + 1
     elif kinds[i] == "ident":
         j = i + 1
-        while texts[j] == ".":
+        while True:  # names, each maybe with type arguments, joined by '.' as in V<T>.Inner
+            if texts[j] == "<":
+                j = skip_type_arguments(texts, kinds, j)
+                if j is None:
+                    return None
+            if texts[j] != ".":
+                break
             k = skip_annotations(texts, kinds, j + 1)
             if kinds[k] != "ident":
                 break
             j = k + 1
     else:
         return None
-    if texts[j] == "<":
-        j = skip_type_arguments(texts, kinds, j)
-        if j is None:
-            return None
     while True:
         k = skip_annotations(texts, kinds, j)
         if texts[k] != "[" or texts[k + 1] != "]":
@@ -155,28 +160,18 @@ def match_delimiters(texts: list[str]) -> list[int]:
 
 
 class MethodDecl(NamedTuple):
-    """One method or constructor declaration with a body."""
+    """One method or constructor declaration with a body, and what its body
+    reads as; a method with a lambda in its own code has no metrics."""
 
     type_chain: tuple[str, ...]
     name: str
     param_types: tuple[str, ...]
     param_names: tuple[str, ...]
     is_constructor: bool
-    decl_start: int  # index of the first declaration token (annotations included)
-    body_open: int  # index of the body '{'
-    body_close: int  # index of the matching '}'
-    holes: tuple[tuple[int, int], ...]  # inclusive nested-type spans inside the body
     has_lambda: bool
     field_names: frozenset[str]  # fields declared directly in the enclosing type
-
-
-@dataclass
-class _Region:
-    """Result of scanning a balanced code region."""
-
-    end: int  # index one past the closing delimiter
-    holes: list[tuple[int, int]] = field(default_factory=list)
-    has_lambda: bool = False
+    metrics: RawMetrics | None
+    categories: CategoryFlags | None
 
 
 class CompilationUnit:
@@ -200,13 +195,6 @@ class CompilationUnit:
 
     def _err(self, msg: str, i: int) -> JavaParseError:
         return self.tokens.error(msg, i)
-
-    def _close(self, i: int) -> int:
-        """The index of the delimiter that closes the opener at i."""
-        j = i + self.partner[i]
-        if j <= i:
-            raise self._err(f"unbalanced {self.texts[i]!r}", i)
-        return j
 
     def _skip_annotations_and_modifiers(self, i: int) -> int:
         texts, kinds = self.texts, self.kinds
@@ -243,9 +231,20 @@ class CompilationUnit:
                 return j
             i = j + 1
 
-    def _next_anon_name(self) -> str:
+    # -- nested types met in code ------------------------------------------
+
+    def parse_anonymous_body(self, open_idx: int, chain: tuple[str, ...]) -> int:
+        """Parse the anonymous class body whose '{' is at open_idx, named by
+        its place in the file; the index past its '}'."""
         self._anon_counter += 1
-        return f"$anon{self._anon_counter}"
+        return self._parse_type_body(open_idx, chain + (f"$anon{self._anon_counter}",))
+
+    def parse_local_class(self, i: int, chain: tuple[str, ...]) -> int | None:
+        """Parse the local class declared at i, from its first modifier or
+        annotation; the index past its '}', or None when no class is declared
+        at i."""
+        j = self._skip_annotations_and_modifiers(i)
+        return self._parse_type_decl(j, chain) if self.texts[j] == "class" else None
 
     # -- declarations ----------------------------------------------------
 
@@ -331,26 +330,13 @@ class CompilationUnit:
             if tj in _TYPE_KEYWORDS or (tj == "@" and texts[j + 1] == "interface"):
                 i = self._parse_type_decl(j, chain)
             elif tj == "{":  # static or instance initializer block
-                i = self._scan_code_region(j, chain).end
+                i = metrics.Reader(self, chain).block(j)
             else:
                 i = self._parse_member(start, j, chain, fields, members)
         frozen = frozenset(fields)
-        for decl_start, name, ptypes, pnames, is_ctor, body_open, region in members:
-            self.methods.append(
-                MethodDecl(
-                    type_chain=chain,
-                    name=name,
-                    param_types=ptypes,
-                    param_names=pnames,
-                    is_constructor=is_ctor,
-                    decl_start=decl_start,
-                    body_open=body_open,
-                    body_close=region.end - 1,
-                    holes=tuple(region.holes),
-                    has_lambda=region.has_lambda,
-                    field_names=frozen,
-                )
-            )
+        for decl_start, name, ptypes, pnames, is_ctor, body in members:
+            results = body.results(decl_start, name, pnames, is_ctor, frozen)
+            self.methods.append(MethodDecl(chain, name, ptypes, pnames, is_ctor, body.has_lambda, frozen, *results))
         return i + 1
 
     def _parse_enum_constants(self, i: int, chain: tuple[str, ...]) -> int:
@@ -369,7 +355,7 @@ class CompilationUnit:
             name = texts[i]
             i += 1
             if texts[i] == "(":
-                i = self._scan_code_region(i, chain).end
+                i = metrics.Reader(self, chain).arguments(i)
             if texts[i] == "{":
                 i = self._parse_type_body(i, chain + (name,))
         raise self._err("unterminated enum body", i)
@@ -409,12 +395,14 @@ class CompilationUnit:
             while texts[j] == "[" and texts[j + 1] == "]":
                 j += 2
             if texts[j] == "=":
-                j = self._scan_initializer(j + 1, chain)
+                j = metrics.Reader(self, chain).initializer(j + 1)
             if texts[j] == ",":
                 j += 1
                 continue
             if texts[j] == ";":
                 return j + 1
+            if texts[j] in MODIFIERS:  # the next member starts
+                raise self._err(f"missing ';' before {texts[j]!r}", j)
             raise self._err("malformed field declaration", j)
 
     def _parse_method(
@@ -427,7 +415,7 @@ class CompilationUnit:
         is_ctor: bool,
     ) -> int:
         texts = self.texts
-        ptypes, pnames, j = self._parse_params(paren_idx)
+        ptypes, pnames, j = self.parse_params(paren_idx)
         while texts[j] == "[" and texts[j + 1] == "]":
             j += 2  # archaic C-style array return brackets
         if texts[j] == "throws":
@@ -435,17 +423,17 @@ class CompilationUnit:
         if texts[j] == ";":
             return j + 1  # abstract, native, or interface method: no body
         if texts[j] == "default":  # annotation member default value
-            j = self._scan_initializer(j + 1, chain)
+            j = metrics.Reader(self, chain).element_value(j + 1)
             if texts[j] == ";":
                 return j + 1
             raise self._err("malformed annotation member", j)
         if texts[j] != "{":
             raise self._err(f"expected method body, found {texts[j] or None!r}", j)
-        region = self._scan_code_region(j, chain)
-        members.append((decl_start, texts[name_idx], ptypes, pnames, is_ctor, j, region))
-        return region.end
+        body = metrics.scan_method(self, chain, j, pnames)
+        members.append((decl_start, texts[name_idx], ptypes, pnames, is_ctor, body))
+        return body.end + 1
 
-    def _parse_params(self, paren_idx: int) -> tuple[tuple[str, ...], tuple[str, ...], int]:
+    def parse_params(self, paren_idx: int) -> tuple[tuple[str, ...], tuple[str, ...], int]:
         """Parse a parameter list at '('; returns (types, names, index past ')')."""
         texts, kinds = self.texts, self.kinds
         types: list[str] = []
@@ -478,91 +466,11 @@ class CompilationUnit:
                 return tuple(types), tuple(names), i + 1
             raise self._err("malformed parameter list", i)
 
-    # -- code regions ----------------------------------------------------
-
-    def _scan_initializer(self, i: int, chain: tuple[str, ...]) -> int:
-        """Scan an initializer expression up to an unnested ',' or ';'.
-
-        A modifier outside brackets starts the next member, so the ';'
-        before it is missing; anonymous bodies are parsed as types.
-        """
-        texts = self.texts
-        while texts[i]:
-            t = texts[i]
-            if t in ("(", "[", "{"):
-                i = self._scan_code_region(i, chain).end
-            elif t in (",", ";", ")", "]", "}"):
-                return i
-            elif t in MODIFIERS:
-                raise self._err(f"missing ';' before {t!r}", i)
-            elif t == "new":
-                i = self._scan_creation(i, chain, _Region(end=-1))
-            elif t == "<" and texts[i - 1] == ".":
-                i = self._skip_type_arguments(i)  # explicit type args of a generic call
-            else:
-                i += 1
-        raise self._err("unterminated initializer", i)
-
-    def _scan_creation(self, i: int, chain: tuple[str, ...], region: _Region) -> int:
-        """Scan a 'new' expression; registers an anonymous body when present.
-
-        Consumes the creation's type tokens and, when an argument list is
-        present, the whole argument list (nested creations included), so the
-        caller never rescans tokens this method already processed. Returns
-        the index at which the main scan should resume.
-        """
-        type_end = skip_type_ref(self.texts, self.kinds, i + 1)
-        if type_end is None:
-            return i + 1  # e.g. 'new' in malformed position; let caller continue
-        if self.texts[type_end] == "(":
-            close = self._walk(type_end, chain, region, local_classes=False)
-            if self.texts[close + 1] == "{":
-                anon_chain = chain + (self._next_anon_name(),)
-                body_end = self._parse_type_body(close + 1, anon_chain)
-                region.holes.append((close + 1, body_end - 1))
-                return body_end
-            return close + 1  # plain object creation: args fully consumed
-        return type_end  # array creation: dims/initializer rescanned by caller
-
-    def _scan_code_region(self, open_idx: int, chain: tuple[str, ...]) -> _Region:
-        """Scan a balanced ()/[]/{} region, collecting holes and lambda flags."""
-        region = _Region(end=-1)
-        region.end = self._walk(open_idx, chain, region, local_classes=True) + 1
-        return region
-
-    def _walk(self, open_idx: int, chain: tuple[str, ...], region: _Region, local_classes: bool) -> int:
-        """Walk the tokens between the opener at open_idx and its partner.
-
-        Creations (and their anonymous bodies) and, with local_classes,
-        local class declarations are parsed and skipped; their holes and any
-        lambda arrow go to region. Returns the partner's index.
-        """
-        texts = self.texts
-        end = self._close(open_idx)
-        i = open_idx + 1
-        while i < end:
-            t = texts[i]
-            if t == "new":
-                nxt = self._scan_creation(i, chain, region)
-                if nxt > i + 1:
-                    i = nxt
-                    continue
-            elif t in _LOCAL_CLASS_STARTS and local_classes and texts[i - 1] != ".":
-                # A local class declaration inside a code block; its hole
-                # starts at its first modifier or annotation.
-                j = self._skip_annotations_and_modifiers(i)
-                if texts[j] == "class":
-                    start = i
-                    i = self._parse_type_decl(j, chain)
-                    region.holes.append((start, i - 1))
-                    continue
-            elif t == "->":
-                region.has_lambda = True
-            i += 1
-        if i > end:  # a nested declaration ran past the closer
-            raise self._err(f"unbalanced {texts[open_idx]!r}", open_idx)
-        return end
-
 
 def parse_compilation_unit(source_text: str, file_path: str | None = None) -> CompilationUnit:
     return CompilationUnit.parse(source_text, file_path)
+
+
+# The reader reads with this module's grammar and calls back into the parser,
+# so it is imported once the parser is defined.
+from lowrisk.java import metrics  # noqa: E402

@@ -3,8 +3,7 @@
 Produces token columns with comments and whitespace stripped; line numbers
 are kept so that line-based metrics can be derived from the tokens alone.
 Covers the Java 7 lexical grammar plus the Java 8 arrow and double-colon
-operators (recognized so that lambda-bearing methods can be detected and
-rejected upstream).
+operators of lambdas and method references.
 
 `tokenize` returns a `Tokens`: three parallel lists, `texts`, `kinds` and
 `lines`, in which token k (counted from 1) sits at index k. Index 0 and the

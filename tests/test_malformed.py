@@ -108,7 +108,7 @@ def test_one_delimiter_more_or_less_parses_or_is_a_parse_error(path):
             "corpus_extra/Stress.java",
             "new HashMap<String, List<Integer>>()",
             "new HashMap<String, :List<Integer>>()",
-            "8:81: malformed field declaration",
+            "8:65: malformed expression",
         ),
         ("corpus_extra/Stress.java", "Map<K, V> zip(", "Map<K,: V> zip(", "32:26: expected member declaration"),
     ],
@@ -152,29 +152,21 @@ def test_a_malformed_declaration_outside_a_body_is_located(source, text):
     ],
 )
 def test_a_classic_for_header_needs_two_semicolons(header, text):
-    """Semicolons inside brackets, such as those of an anonymous body, do not count."""
+    """Semicolons inside brackets, such as those of an anonymous body or a lambda body, do not count."""
     analyze_source("class T { void f(int n) { for (Runnable r = new Runnable() { public void run() { a(); b(); } };"
                    " n > 0; n--) { } } }", "T.java")
+    _, skipped = analyze_source("class T { void f(int n) { for (Runnable r = () -> { a(); b(); }; n > 0; n--) { } } }",
+                                "T.java")
+    assert [s.identity.method_name for s in skipped] == ["f"]
     with pytest.raises(JavaParseError) as err:
         analyze_source(f"class T {{ void f(int n) {{ for {header} {{ }} }} }}", "T.java")
     assert str(err.value) == text
 
 
-# The single-';' deletions that lowrisk does not read as statements: only the
-# parser's body walk reads an initializer block, and a method with a lambda is
-# skipped rather than scanned.
-_SEMICOLONS_NOT_SCANNED = {
-    ("Stress.java", 13): "the ';' is in a static initializer block, which the metric scanner does not read",
-    ("Lambdas.java", 7): "the ';' is in a method with a lambda, which is skipped rather than scanned",
-}
-
-
 def _semicolon_deletions():
     for path in JAVA_FILES:
         for line, col, source in semicolon_deletions(path):
-            reason = _SEMICOLONS_NOT_SCANNED.get((path.name, line))
-            marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
-            yield pytest.param(path.name, source, id=f"{path.name}:{line}:{col}", marks=marks)
+            yield pytest.param(path.name, source, id=f"{path.name}:{line}:{col}")
 
 
 @pytest.mark.parametrize("name, source", list(_semicolon_deletions()))

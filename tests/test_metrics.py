@@ -215,6 +215,36 @@ class TestCategories:
         one_arg = next(m for m in methods if m.identity.param_signature == ("int",))
         assert not one_arg.categories.is_delegation
 
+    def test_delegation_with_an_anonymous_body_among_its_arguments(self):
+        """The ',' of the anonymous body's field declaration separates no
+        arguments, so g passes one argument, not its parameter among three."""
+        src = """
+        class T {
+            void f(int a) { f(a, new Object() { int x, y; }); }
+            void f(int a, Object o) { }
+            void g(int a) { g(new Object() { int x, a, y; }); }
+            void g(Object o) { }
+        }
+        """
+        methods, _ = analyze_source(src, "T.java")
+        f, g = (next(m for m in methods if m.identity.method_name == n and m.identity.param_signature == ("int",))
+                for n in "fg")
+        assert f.categories.is_delegation and not g.categories.is_delegation
+        assert count(f, ConstructKind.ANONYMOUS_CLASS) == count(g, ConstructKind.ANONYMOUS_CLASS) == 1
+
+    def test_getter_beside_a_local_class(self):
+        """A local class is no statement of the method, and a field declared
+        after the method counts for its getter flag."""
+        src = """
+        class T {
+            int get() { class L { int f() { return 1; } } return size; }
+            int size;
+        }
+        """
+        m = next(m for m in analyze_source(src, "T.java")[0] if m.identity.method_name == "get")
+        assert m.categories.is_getter
+        assert count(m, ConstructKind.RETURN_STATEMENT) == 1
+
     def test_empty_method(self):
         m = single_method("")
         assert m.categories.is_empty

@@ -1,6 +1,8 @@
 import pytest
 
 from lowrisk.errors import JavaParseError
+from lowrisk.java.analyzer import analyze_source
+from lowrisk.java.metrics import ConstructKind
 from lowrisk.java.structure import parse_compilation_unit, skip_annotations
 from lowrisk.java.tokens import tokenize
 
@@ -68,6 +70,8 @@ def test_abstract_and_native_methods_excluded():
 
 
 def test_anonymous_class_methods_enumerated_and_holed():
+    """The anonymous body's methods are enumerated on their own, and the body
+    is left out of the outer method: its class counts, its lines do not."""
     src = """
     class A {
         Runnable r() {
@@ -81,9 +85,10 @@ def test_anonymous_class_methods_enumerated_and_holed():
     found = names(src)
     assert ("A.$anon1", "run") in found
     assert ("A", "r") in found
-    unit = parse_compilation_unit(src)
-    outer = next(d for d in unit.methods if d.name == "r")
-    assert len(outer.holes) == 1
+    outer = next(m for m in analyze_source(src, "T.java")[0] if m.identity.method_name == "r")
+    assert outer.metrics.construct_counts[ConstructKind.ANONYMOUS_CLASS] == 1
+    assert outer.metrics.construct_counts[ConstructKind.METHOD_INVOCATION] == 0  # helper() is run's
+    assert outer.metrics.sloc == 4  # the lines of r's header, 'return new Runnable() {', '};' and '}'
 
 
 def test_local_class_inside_method():
@@ -101,10 +106,13 @@ def test_local_class_inside_method():
 
 
 def test_a_local_class_hole_starts_at_its_modifiers():
+    """A local class is left out of the outer method from its first modifier
+    or annotation to its '}', so the line of '@Deprecated' is not counted."""
     src = """
     class A {
         int outer() {
-            @Deprecated final class Local {
+            @Deprecated
+            final class Local {
                 int inner() { return 1; }
             }
             abstract class Base { }
@@ -112,9 +120,11 @@ def test_a_local_class_hole_starts_at_its_modifiers():
         }
     }
     """
-    outer = next(d for d in methods_of(src) if d.name == "outer")
-    unit = parse_compilation_unit(src, "T.java")
-    assert [(unit.texts[a], unit.texts[b]) for a, b in outer.holes] == [("@", "}"), ("abstract", "}")]
+    outer = next(m for m in analyze_source(src, "T.java")[0] if m.identity.method_name == "outer")
+    assert outer.metrics.sloc == 3  # 'int outer() {', 'return 2;' and '}'
+    assert outer.metrics.construct_counts[ConstructKind.ANONYMOUS_CLASS] == 0
+    assert outer.metrics.construct_counts[ConstructKind.RETURN_STATEMENT] == 1  # inner's is its own
+    assert not outer.categories.is_empty
     assert ("A.Local", "inner") in names(src)
 
 

@@ -90,6 +90,35 @@ CASES = [
     ("parenthesized-operand-then-minus", "class T { int f(int a, int b) { return (a) - b; } }\n"),
     ("annotated-final-local", "class T { void f() { @SuppressWarnings(\"unused\") final int q = 1; } }\n"),
     ("ternary", "class T { int f(int a, int b) { return a > b ? a : b; } }\n"),
+    # Code outside method bodies, which the statement and expression reader reads too.
+    ("field-initializer-of-two-operands", "class T { int a; int b = a c; }\n"),
+    ("annotation-inside-field-initializer", "class T { Object o = System.o@ut; }\n"),
+    ("initializer-block-without-semicolon", "class T { static int a; static { a = 1 } }\n"),
+    ("lambda-block-body-without-semicolon", "class T { Runnable r() { return () -> { g() }; } void g() { } }\n"),
+    ("field-lambdas",
+     "class T { Runnable r = () -> { }; java.util.function.IntUnaryOperator f = (int x) -> x + 1, g = x -> -x; }\n"),
+    ("annotation-default-annotation", "@interface A { Deprecated d() default @Deprecated; }\n"),
+    ("annotation-default-array", "@interface A { int[] xs() default {1, 2}; String[] ys() default {}; }\n"),
+    ("annotation-default-expression", "@interface A { int n() default 1 + 2; }\n"),
+    ("annotation-default-of-two-operands", "@interface A { int n() default 1 2; }\n"),
+    ("enum-constant-arguments", "enum E { A(1 + 2), B(new int[] {1}), C; E(int... a) { } }\n"),
+    ("enum-constant-argument-of-two-operands", "enum E { A(1 2); E(int a) { } }\n"),
+    ("enum-constant-argument-with-unclosed-array", "enum E { S({\"s\"); E(String s) { } }\n"),
+    # Expressions that javac accepts and that the reader once failed.
+    ("member-type-after-type-arguments",
+     "class V<T> { class Inner { } V<T>.Inner in = this.new Inner();\n"
+     "  void f(V<T>.Inner p) { V<T>.Inner local = this.new Inner(); } }\n"),
+    ("intersection-cast",
+     "class T { Object o = (Runnable & java.io.Serializable) null;\n"
+     "  Object f(Object p) { return (Runnable & java.io.Serializable) p; } }\n"),
+    ("generic-constructor-call", "class T { Object f() { return new <String>Object(); } }\n"),
+    # Statements and expressions that javac rejects.
+    ("expression-statement-of-a-name", "class T { void f(int a) { a; } }\n"),
+    ("expression-statement-of-a-negation", "class T { void f(int a) { -a; } }\n"),
+    ("array-access-without-index", "class T { void f(int[] arr) { Object x; x = arr[]; } }\n"),
+    ("explicit-type-arguments-without-call",
+     "class T { void f() { Object x = java.util.Collections.<String>emptyList; } }\n"),
+    ("try-with-empty-resources", "class T { void f() { try () { } } }\n"),
 ]
 
 
