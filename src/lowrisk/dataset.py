@@ -18,7 +18,8 @@ building, sorting and pickling them runs in C. `write_csv` is the only CSV
 writer; it hands the ints of each row to one `writerows` call, which takes
 the records as they come, and it replaces its output only on success. The
 evaluators take a table only; `train_on` also takes a `UnifiedMethod` list,
-which `MethodTable.from_methods` turns into a table in list order.
+which `MethodTable.from_methods` turns into a table in list order whose
+metric columns read the records' `RawMetrics` in place.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class UnifiedMethod(NamedTuple):
 # -- the columnar table ----------------------------------------------------
 
 _N_METRICS = len(TERTILE_METRICS)
-_CHUNK = 8192  # records per metric-column batch in MethodTable.from_methods
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +142,25 @@ class _Spans(Sequence):
         return range(self.ends[index - 1] if index else 0, self.ends[index])
 
 
+_metrics_of = attrgetter("metrics")
+
+
+class _MetricColumn(Sequence):
+    """Metric m of each record, read in place: column[i] is records[i].metrics[m]."""
+
+    def __init__(self, records: Sequence[MethodRecord], m: int):
+        self._records, self._m = records, m
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index: int) -> int:
+        return self._records[index].metrics[self._m]
+
+    def __iter__(self):
+        return map(itemgetter(self._m), map(_metrics_of, self._records))
+
+
 def _upper_median(column: Sequence[int], rows: Sequence[int]) -> int:
     """statistics.median_high of the column over the rows.
 
@@ -152,9 +171,7 @@ def _upper_median(column: Sequence[int], rows: Sequence[int]) -> int:
     return sorted(map(column.__getitem__, rows))[len(rows) // 2]
 
 
-_metric_values = attrgetter(*TERTILE_METRICS)
 _faulty_and_occurrences = attrgetter("faulty", "occurrences")
-_metrics_of = attrgetter("metrics")
 
 
 def _record_bits(records: Sequence[MethodRecord], row: int) -> int:
@@ -232,8 +249,9 @@ class MethodTable:
     def from_methods(cls, methods: Sequence[UnifiedMethod]) -> MethodTable:
         """The table of a unified method list, in list order.
 
-        Only the fault flags, the occurrence rows and the metric columns
-        are built here; identity keys, SLOC and each row's model-free item
+        Only the fault flags, the occurrence row ends and the record list
+        are built here: the metric columns are views that read the records
+        in place, and identity keys, SLOC and each row's model-free item
         bits are computed when read. Nothing made per method or row outlives
         the build, which keeps the garbage collector and the memory out.
         """
@@ -243,13 +261,7 @@ class MethodTable:
         faulty, groups = both[0::2], both[1::2]
         del both
         records = list(chain.from_iterable(groups))
-        # Lists, not arrays: the records' metrics are Python ints already.
-        metrics = tuple([] for _ in range(_N_METRICS))
-        for start in range(0, len(records), _CHUNK):
-            chunk = records[start : start + _CHUNK]
-            flat = list(chain.from_iterable(map(_metric_values, map(_metrics_of, chunk))))
-            for m, column in enumerate(metrics):
-                column.extend(flat[m::_N_METRICS])
+        metrics = tuple(_MetricColumn(records, m) for m in range(_N_METRICS))
         occurrences = _Spans(array("q", accumulate(map(len, groups))))
         return cls(
             _Lazy(len(methods), _method_key, methods),

@@ -200,13 +200,6 @@ def _counted_bounds(counts: Counter, n: int) -> MetricBounds:
             return MetricBounds(c1, value)
 
 
-def tertile_bounds(values: Sequence) -> MetricBounds:
-    """Boundary values at the end of the first and second sorted thirds."""
-    if not values:
-        raise ValueError("no values to discretize")
-    return _counted_bounds(Counter(values), len(values))
-
-
 def fit_discretization(table: MethodTable) -> DiscretizationModel:
     """Fit tertile boundaries over every occurrence row of the table's
     methods (training data only)."""

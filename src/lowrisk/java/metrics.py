@@ -541,13 +541,13 @@ class Reader:
         if semicolons != 2:
             raise self._err(f"for header has {semicolons} ';', not 2", start - 1)
         j = start
-        if texts[j] != ";":  # the init clause: a declaration or expressions
-            j = self._declaration(j) or self._expressions(j)
+        if texts[j] != ";":  # the init clause: a declaration or statement expressions
+            j = self._declaration(j) or self._statement_expressions(j)
         j = self._semicolon(j)
         if texts[j] != ";":
             j = self._expression(j)
         j = self._semicolon(j)
-        self._ends(self._expressions(j) if j != close else j, close)
+        self._ends(self._statement_expressions(j) if j != close else j, close)
 
     def _parse_catch_params(self, start: int, close: int) -> None:
         """Declare the variable of a catch clause, after its type or types, up to its ')' at close."""
@@ -750,6 +750,18 @@ class Reader:
         while self.texts[i] == ",":
             i = self._expression(i + 1)
         return i
+
+    def _statement_expressions(self, i: int) -> int:
+        """Read the comma-separated expressions from i, each of which must
+        be a statement expression, as in a for header (JLS 14.14.1); the
+        index of the token that ends the last."""
+        while True:
+            end = self._expression(i)
+            if not self._is_statement_expression(i, end):
+                raise self._err("not a statement", i)
+            if self.texts[end] != ",":
+                return end
+            i = end + 1
 
     def _ends(self, j: int, close: int) -> int:
         """The index past the closer at close, where what was read up to j must end."""

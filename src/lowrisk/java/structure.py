@@ -42,8 +42,9 @@ _TYPE_KEYWORDS = {"class", "interface", "enum"}
 _PRIMITIVE_OR_VOID = PRIMITIVE_TYPES | {"void"}
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = frozenset("()[]{}")
-# Texts besides identifiers and annotations that a type-argument list may hold.
-_TYPE_ARGUMENT_TEXTS = frozenset((".", ",", "?", "extends", "super", "[", "]", "&")) | PRIMITIVE_TYPES
+# Texts besides identifiers, primitive types, annotations, '<', '>' and '[]' pairs
+# that a type-argument list may hold. None of them ends a type.
+_TYPE_ARGUMENT_LINKS = frozenset((".", ",", "?", "extends", "super", "&"))
 
 
 def skip_annotations(texts: list[str], kinds: list[str], i: int) -> int:
@@ -71,8 +72,10 @@ def skip_annotations(texts: list[str], kinds: list[str], i: int) -> int:
 
 def skip_type_arguments(texts: list[str], kinds: list[str], i: int) -> int | None:
     """The index past the type-argument list whose '<' is at i (its '>' may
-    end a '>>' or '>>>'); None at a token that cannot be in one."""
+    end a '>>' or '>>>'); None at a token that cannot be in one. A '[' must
+    open a '[]' pair right after a type."""
     depth = 0
+    typed = False  # whether the last token read ends a type
     while True:
         t = texts[i]
         if t == "@":
@@ -84,8 +87,11 @@ def skip_type_arguments(texts: list[str], kinds: list[str], i: int) -> int | Non
             depth -= len(t)
             if depth <= 0:
                 return i + 1
-        elif kinds[i] != "ident" and t not in _TYPE_ARGUMENT_TEXTS:
+        elif t == "[" and typed and texts[i + 1] == "]":
+            i += 1
+        elif kinds[i] != "ident" and t not in _TYPE_ARGUMENT_LINKS and t not in PRIMITIVE_TYPES:
             return None
+        typed = t != "<" and t not in _TYPE_ARGUMENT_LINKS
         i += 1
 
 

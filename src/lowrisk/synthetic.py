@@ -10,6 +10,11 @@ Each `randint(low, high)` is drawn inline, as `Random._randbelow_with_getrandbit
 draws it, so a seed gives the same random stream, and the same project, as one
 `rng.randint` call per value.
 
+The four trivial archetypes can draw only 26 distinct (metrics, categories)
+pairs: getter 3, setter 3, empty 2 and delegation 2 x 3 x 3. These are built
+once, at import, and indexed by the drawn values, so the records of trivial
+methods share their `RawMetrics`; only a complex occurrence builds its own.
+
 `generate_project` pauses the cyclic garbage collector while it builds a project.
 Every record it makes is a tuple of strings, ints and tuples, so none can be in a
 reference cycle and a collection has nothing to free. The records are `NamedTuple`s,
@@ -46,12 +51,29 @@ def _counts(*kinds: K) -> tuple[int, ...]:
     return tuple(int(kind in kinds) for kind in K)
 
 
-# The parts that every method of an archetype shares.
-_GETTER = _counts(K.RETURN_STATEMENT), CategoryFlags(is_getter=True)
-_SETTER = _counts(K.ASSIGNMENT), CategoryFlags(is_setter=True)
-_EMPTY = _counts(), CategoryFlags(is_empty=True)
-_DELEGATION_COUNTS = _counts(K.METHOD_INVOCATION), _counts(K.METHOD_INVOCATION, K.RETURN_STATEMENT)
-_DELEGATION_FLAGS = CategoryFlags(is_delegation=True)
+def _pairs(flags: CategoryFlags, metrics) -> tuple[tuple[RawMetrics, CategoryFlags], ...]:
+    """(m, flags) for each m in metrics."""
+    return tuple((m, flags) for m in metrics)
+
+
+# Every (metrics, categories) pair that a trivial archetype can draw, built once
+# and indexed by its draws in stream order, so that all records share them.
+_GETTER = _pairs(
+    CategoryFlags(is_getter=True),
+    (RawMetrics(2 + sloc, 1, 0, 0, 1, _counts(K.RETURN_STATEMENT)) for sloc in range(3)),
+)
+_SETTER = _pairs(
+    CategoryFlags(is_setter=True),
+    (RawMetrics(2 + sloc, 1, 0, 0, 2, _counts(K.ASSIGNMENT)) for sloc in range(3)),
+)
+_EMPTY = _pairs(CategoryFlags(is_empty=True), (RawMetrics(1 + sloc, 1, 0, 0, 0, _counts()) for sloc in range(2)))
+_DELEGATION = tuple(  # indexed by counts, then SLOC, then variables
+    tuple(
+        _pairs(CategoryFlags(is_delegation=True), (RawMetrics(2 + sloc, 1, 0, 1, 1 + v, counts) for v in range(3)))
+        for sloc in range(3)
+    )
+    for counts in (_counts(K.METHOD_INVOCATION), _counts(K.METHOD_INVOCATION, K.RETURN_STATEMENT))
+)
 _COMPLEX_FLAGS = CategoryFlags()
 
 # A complex method's draws in stream order, as (slot, low, n, k): values[slot]
@@ -86,15 +108,14 @@ def _below(getrandbits, n: int, k: int) -> int:
 def _metrics(getrandbits, archetype: str) -> tuple[RawMetrics, CategoryFlags]:
     """One occurrence's metrics and categories, drawn for archetype."""
     if archetype == "getter":
-        return RawMetrics(2 + _below(getrandbits, 3, 2), 1, 0, 0, 1, _GETTER[0]), _GETTER[1]
+        return _GETTER[_below(getrandbits, 3, 2)]
     if archetype == "setter":
-        return RawMetrics(2 + _below(getrandbits, 3, 2), 1, 0, 0, 2, _SETTER[0]), _SETTER[1]
+        return _SETTER[_below(getrandbits, 3, 2)]
     if archetype == "empty":
-        return RawMetrics(1 + _below(getrandbits, 2, 2), 1, 0, 0, 0, _EMPTY[0]), _EMPTY[1]
+        return _EMPTY[_below(getrandbits, 2, 2)]
     if archetype == "delegation":
-        counts = _DELEGATION_COUNTS[_below(getrandbits, 2, 2)]
-        sloc = 2 + _below(getrandbits, 3, 2)
-        return RawMetrics(sloc, 1, 0, 1, 1 + _below(getrandbits, 3, 2), counts), _DELEGATION_FLAGS
+        # Subscripts are evaluated left to right, so the draws keep their order.
+        return _DELEGATION[_below(getrandbits, 2, 2)][_below(getrandbits, 3, 2)][_below(getrandbits, 3, 2)]
     values = [0] * (N_CONSTRUCT_KINDS + 4)
     for slot, low, n, k in _COMPLEX_PLAN:
         r = getrandbits(k)

@@ -1,6 +1,7 @@
 """Shared builders and readers used across the test modules."""
 
 import csv
+import warnings
 
 from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
 from lowrisk.discretize import (
@@ -10,6 +11,7 @@ from lowrisk.discretize import (
     item_mask,
     itemize,
 )
+from lowrisk.errors import DegenerateDistributionWarning
 from lowrisk.java.analyzer import MethodIdentity
 from lowrisk.mining import AssociationRule
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
@@ -126,6 +128,15 @@ def itemize_one(method, model) -> int:
 def fit_on(records):
     """fit_discretization over records, through their table."""
     return fit_discretization(table_of(records))
+
+
+def fit_values(values):
+    """The SLOC bounds that fit_discretization gives one record per value (at
+    least three), with the single-value warnings of the other metrics muted."""
+    records = [make_record(f"m{i}", metrics=make_metrics(sloc=v)) for i, v in enumerate(values)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateDistributionWarning)
+        return fit_on(records).bounds["sloc"]
 
 
 def read_csv_rows(path, dicts=False) -> list:

@@ -14,12 +14,12 @@ field-by-field reader of metric records, kept as the reference for
 read_csv's columnar fast path, and the earlier string-per-field row builder
 (reference_row), kept as the reference for write_csv's rows; the
 record-based unification (consolidate_faulty, unify, build_unified_records)
-and the tertile fit over
-records (fit_records, which sorts and indexes) are the earlier loader and
-fit, kept as the reference for the method table. The eager training
-oracles (eager_mining_set, eager_train_on) are the earlier pipeline that
-itemized every training method, kept as the reference for the lazily
-itemized majority. Their balance (reference_balance) draws each synthetic
+and the tertile fit over records (fit_records, which sorts and indexes
+through tertile_bounds) are the earlier loader and fit, kept as the
+reference for the method table. The eager training oracles
+(eager_mining_set, eager_train_on) are the earlier pipeline that itemized
+every training method, kept as the reference for the lazily itemized
+majority. Their balance (reference_balance) draws each synthetic
 attribute with `rng.randrange`, the reference for the inlined draws, and
 their rule mining is the earlier name-keyed path (`to_itemset` turns each
 mask back into a set of item names, `mine_names` builds per-item bitmaps
@@ -543,13 +543,25 @@ def method_sloc(method):
     return statistics.median_high(r.metrics.sloc for r in method.occurrences)
 
 
-def fit_records(records):
-    """Tertile boundaries over the records, one getattr pass per metric: the
-    values at the end of the first and second sorted thirds."""
+def tertile_bounds(values):
+    """Boundary values at the end of the first and second sorted thirds: the
+    sorted values at ranks ceil(n/3) - 1 and ceil(2n/3) - 1."""
     import math
+
+    from lowrisk.discretize import MetricBounds
+
+    if not values:
+        raise ValueError("no values to discretize")
+    ordered = sorted(values)
+    n = len(ordered)
+    return MetricBounds(ordered[math.ceil(n / 3) - 1], ordered[math.ceil(2 * n / 3) - 1])
+
+
+def fit_records(records):
+    """Tertile boundaries over the records, one getattr pass per metric."""
     import warnings
 
-    from lowrisk.discretize import TERTILE_METRICS, DiscretizationModel, MetricBounds
+    from lowrisk.discretize import TERTILE_METRICS, DiscretizationModel
     from lowrisk.errors import DegenerateDistributionWarning
 
     records = list(records)
@@ -565,9 +577,7 @@ def fit_records(records):
                 DegenerateDistributionWarning,
                 stacklevel=2,
             )
-        ordered = sorted(values)
-        n = len(ordered)
-        bounds[metric] = MetricBounds(ordered[math.ceil(n / 3) - 1], ordered[math.ceil(2 * n / 3) - 1])
+        bounds[metric] = tertile_bounds(values)
     return DiscretizationModel(bounds)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_vocabulary, classes, from_analyzed, projects_table, table_of
+from helpers import as_vocabulary, classes, fit_values, from_analyzed, projects_table, table_of
 from oracles import (
     as_rule_set,
     brute_force_prune,
@@ -23,11 +23,12 @@ from oracles import (
     matched_set,
     prefix_scan_oracle,
     random_rule,
+    tertile_bounds,
 )
 from lowrisk.balance import BalanceConfig, balance
 from lowrisk.classifier import Variant, order_rules, select_prefix
 from lowrisk.dataset import write_csv
-from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask, tertile_bounds
+from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask
 from lowrisk.errors import NoAdmissibleRulesWarning
 from lowrisk.evaluation import (
     compute_fdr,
@@ -188,12 +189,14 @@ def test_c4_property(values):
     assert all(c in (1, 2, 3) for c in classes)
     assert classes == sorted(classes)  # contiguous, disjoint, exhaustive
     assert all(b.classify(v) == 1 for v in values if v == b.class1_upper)
+    if len(values) >= 3:
+        assert fit_values(values) == b
 
 
 def test_c4_discretization_worked_examples():
-    exact = tertile_bounds([1, 1, 1, 2, 2, 2, 3, 3, 3])
-    last = tertile_bounds([1, 1, 1, 1, 1, 1, 2, 3, 4])
-    degenerate = tertile_bounds([5, 5, 5, 5])
+    exact = fit_values([1, 1, 1, 2, 2, 2, 3, 3, 3])
+    last = fit_values([1, 1, 1, 1, 1, 1, 2, 3, 4])
+    degenerate = fit_values([5, 5, 5, 5])
     ok = (
         (exact.class1_upper, exact.class2_upper) == (1, 2)
         and last.class1_upper == 1

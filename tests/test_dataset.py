@@ -555,6 +555,23 @@ class TestTableAgainstRecordOracle:
         assert len(table) == 1 and table.occurrences[0] == (0,) and table.sloc == [3]
 
 
+def test_from_methods_metric_columns_read_the_records_in_place(tmp_path):
+    # Written in identity order, the methods' records are the CSV's rows in
+    # order, so the array columns read back are the materialized columns that
+    # the table's views must agree with.
+    methods = sorted(generate_project("p", 5, 2000), key=lambda u: u.identity.key())
+    assert any(len(u.occurrences) > 1 for u in methods)
+    write_csv((r for u in methods for r in u.occurrences), tmp_path / "p.csv")
+    columns = build_unified(read_csv(tmp_path / "p.csv")).metrics
+    table = MethodTable.from_methods(methods)
+    for view, column in zip(table.metrics, columns, strict=True):
+        assert len(view) == len(column) == sum(len(u.occurrences) for u in methods)
+        assert list(view) == list(column)
+        assert [view[i] for i in range(-len(view), len(view))] == list(column) * 2
+        with pytest.raises(IndexError):
+            view[len(view)]
+
+
 class TestProjects:
     def table(self, projects):
         return table_of([make_record(f"m{i}", project=p) for i, p in enumerate(projects)])

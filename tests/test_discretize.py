@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 import random
 
-from helpers import fit_on, from_analyzed, itemize_one, make_metrics, make_record, make_unified, table_of
-from oracles import bools_to_mask, fit_records, itemize_bool_tuple, reference_vote
+from helpers import (
+    fit_on, fit_values, from_analyzed, itemize_one, make_metrics, make_record, make_unified, table_of,
+)
+from oracles import bools_to_mask, fit_records, itemize_bool_tuple, reference_vote, tertile_bounds
 from lowrisk.discretize import (
     ATTRIBUTE_ITEMS,
     TERTILE_METRICS,
@@ -19,7 +21,6 @@ from lowrisk.discretize import (
     item_names,
     _vote,
     itemize,
-    tertile_bounds,
     transpose,
 )
 from lowrisk.errors import DegenerateDistributionWarning, SchemaError, VocabularyMismatchError
@@ -37,12 +38,12 @@ def model_from_values(values):
 
 class TestTertiles:
     def test_exact_thirds(self):
-        b = tertile_bounds([1, 1, 1, 2, 2, 2, 3, 3, 3])
+        b = fit_values([1, 1, 1, 2, 2, 2, 3, 3, 3])
         assert (b.class1_upper, b.class2_upper) == (1, 2)
 
     def test_last_occurrence_rule(self):
         values = [1, 1, 1, 1, 1, 1, 2, 3, 4]
-        b = tertile_bounds(values)
+        b = fit_values(values)
         assert b.class1_upper == 1
         assert all(b.classify(v) == 1 for v in values if v == 1)
 
@@ -70,6 +71,9 @@ class TestTertiles:
         assert all(b.classify(v) == 1 for v in values if v == b.class1_upper)
         # Class 1 holds at least a third of the training values.
         assert sum(1 for v in values if b.classify(v) == 1) * 3 >= len(values)
+        # The fit over a table of the values draws the same bounds.
+        if len(values) >= 3:
+            assert fit_values(values) == b
 
     def test_json_round_trip(self):
         records = [

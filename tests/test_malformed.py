@@ -104,6 +104,9 @@ def test_one_delimiter_more_or_less_parses_or_is_a_parse_error(path):
         ("corpus/Lambdas.java", "Callable<Integer>", "Callable<In}teger>", "6:12: expected member declaration"),
         ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I(nteger>", "6:12: expected member declaration"),
         ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I}nteger>", "6:12: expected member declaration"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I[nteger>", "6:12: expected member declaration"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<Inte]ger>", "6:12: expected member declaration"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<[]>", "6:12: expected member declaration"),
         (
             "corpus_extra/Stress.java",
             "new HashMap<String, List<Integer>>()",

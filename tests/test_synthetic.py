@@ -86,3 +86,16 @@ def test_a_project_is_built_without_collector_passes():
     finally:
         gc.callbacks.remove(callback)
     assert len(passes) <= 1, passes
+
+
+def test_trivial_archetypes_share_their_metric_records():
+    # The four trivial archetypes draw from 26 (metrics, categories) pairs,
+    # built once: equal metrics of trivial records are one object, across
+    # projects too, and the projects still equal the reference.
+    projects = [generate_project(f"p{seed}", seed, 2000) for seed in (3, 4)]
+    for seed, methods in zip((3, 4), projects):
+        assert methods == reference_generate_project(f"p{seed}", seed, 2000)
+    trivial = [r for methods in projects for u in methods for r in u.occurrences if any(r.categories)]
+    shared = {r.metrics: r.metrics for r in trivial}
+    assert 20 <= len(shared) <= 26
+    assert all(r.metrics is shared[r.metrics] for r in trivial)

@@ -6,6 +6,7 @@ on every training of the acceptance corpus, and count the itemize calls one
 training makes."""
 
 import random
+import tracemalloc
 import warnings
 from collections.abc import Sequence
 
@@ -15,7 +16,7 @@ from helpers import make_identity
 from oracles import eager_mining_set, eager_train_on, reference_balance
 import lowrisk.pipeline as pipeline
 from lowrisk.balance import BalanceConfig, balance
-from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
+from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod, build_unified, read_csv, write_csv
 from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask
 from lowrisk.errors import (
     ImbalanceUnachievableWarning,
@@ -26,7 +27,7 @@ from lowrisk.evaluation import stratified_kfold
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, RawMetrics
 from lowrisk.mining import MiningConfig
 from lowrisk.pipeline import PipelineConfig, derive_seed, train_on
-from lowrisk.synthetic import generate_corpus
+from lowrisk.synthetic import generate_corpus, generate_project
 
 MINING = MiningConfig(min_support=0.05, min_confidence=0.6, max_antecedent_len=2)
 
@@ -265,3 +266,39 @@ def test_every_acceptance_corpus_training_equals_the_name_keyed_pipeline():
         total[1] += new.meta["balanced_size"]
         total[2] += new.meta["rules_kept"]
     assert totals == {"within": [60, 12420, 1931], "cross": [6, 6900, 26]}
+
+
+LARGE = PipelineConfig(mining=MiningConfig(0.05, 0.95, 3), seed=7)
+
+
+def test_a_method_list_trains_as_its_csv_round_trip(tmp_path):
+    """The table of a method list reads its records in place; in identity
+    order, it trains the model that the same methods read back from a CSV do."""
+    methods = sorted(generate_project("p", 5, 5000), key=lambda u: u.identity.key())
+    write_csv((r for u in methods for r in u.occurrences), tmp_path / "p.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        listed = train_on(methods, LARGE, scope=("p",))
+        loaded = train_on(build_unified(read_csv(tmp_path / "p.csv")), LARGE, scope=("p",))
+    assert listed.rules and listed == loaded and listed.meta == loaded.meta
+
+
+def test_training_on_a_method_list_copies_no_metric():
+    """What train_on allocates above its input peaks under 90 bytes a method
+    on 20,000 methods: about 74 when the table reads the records' metrics in
+    place, about 114 when it copies them into columns (Pythons 3.10 to 3.13)."""
+    methods = generate_project("p", 11, 20_000)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            train_on(methods, LARGE)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / len(methods) <= 90, peak / len(methods)

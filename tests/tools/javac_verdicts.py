@@ -119,6 +119,21 @@ CASES = [
     ("explicit-type-arguments-without-call",
      "class T { void f() { Object x = java.util.Collections.<String>emptyList; } }\n"),
     ("try-with-empty-resources", "class T { void f() { try () { } } }\n"),
+    # The init and update clauses of a for header hold statement expressions only.
+    ("for-init-of-a-name", "class T { void f(int n) { int i = 0; for (i; i < n; i++) { } } }\n"),
+    ("for-update-of-an-addition", "class T { void f(int n) { for (int i = 0; i < n; i + 1) { } } }\n"),
+    ("for-clauses-of-statement-expressions",
+     "class T { void g() { } void f(int n) { int i, j; for (i = 0, j = n, g(); i < j; i++, --j, new Object()) { } } }\n"),
+    # A '[' or ']' in a type-argument list only as a '[]' pair after a type.
+    ("type-argument-with-bracket-inside-name", "import java.util.List;\nclass T { List<S[tring> a; }\n"),
+    ("type-argument-with-closing-bracket", "import java.util.List;\nclass T { List<Str]ing> a; }\n"),
+    ("type-argument-of-a-bracket-pair", "import java.util.List;\nclass T { List<[]> a; }\n"),
+    ("type-argument-of-a-wildcard-array", "import java.util.List;\nclass T { List<?[]> a; }\n"),
+    ("local-type-argument-with-bracket-inside-name",
+     "class T { void f() { java.util.List<S[tring> c = null; } }\n"),
+    ("type-arguments-of-array-types",
+     "import java.util.*;\n"
+     "class T { List<String[]> a; Map<int[][], List<String>[]> b; void f() { List<String[]> c = null; } }\n"),
 ]
 
 
