@@ -11,15 +11,17 @@ voting can be recomputed under any discretization model without leaking
 test data into the vote. Training, folds and scoring read the table by
 index; a training set is `table.take(indices)`.
 
-`MethodRecord` and `UnifiedMethod` are the object form of the same data,
-used by `extract`, `write_csv`, the synthetic generator and library callers.
-Both are named tuples, as are the identity, metrics and flags they hold, so
-building, sorting and pickling them runs in C. `write_csv` is the only CSV
-writer; it hands the ints of each row to one `writerows` call, which takes
-the records as they come, and it replaces its output only on success. The
-evaluators take a table only; `train_on` also takes a `UnifiedMethod` list,
-which `MethodTable.from_methods` turns into a table in list order whose
-metric columns read the records' `RawMetrics` in place.
+`MethodRecord` (re-exported from `lowrisk.java.analyzer`, which makes one
+per analyzed method) is a row as an object, and `UnifiedMethod` a method of
+the table; the synthetic generator and library callers build them. Both are
+named tuples, as are the identity, metrics and flags they hold, so building,
+sorting and pickling them runs in C. `write_csv` is the only CSV writer; it
+hands the ints of each row to one `writerows` call, which takes the records
+as they come, writes the snapshot column from the fault flag, and replaces
+its output only on success. The evaluators take a table only; `train_on`
+also takes a `UnifiedMethod` list, which `MethodTable.from_methods` turns
+into a table in list order whose metric columns read the records' metrics
+in place.
 """
 
 from __future__ import annotations
@@ -38,36 +40,15 @@ from typing import Callable, Iterable, NamedTuple
 
 from lowrisk.discretize import TERTILE_METRICS, category_mask, count_items_mask
 from lowrisk.errors import SchemaError
-from lowrisk.java.analyzer import MethodIdentity
+from lowrisk.java.analyzer import MethodIdentity, MethodRecord
 from lowrisk.java.metrics import (
-    N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics, arithmetic_counts, condition_counts,
+    N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, arithmetic_counts, condition_counts,
 )
-
-_FAULTY_STATE_ONLY = "faulty records carry metrics computed at the faulty state"
 
 
 class Snapshot(Enum):
     CURRENT = "CurrentState"
     FAULTY = "FaultyState"
-
-
-class _RecordFields(NamedTuple):
-    identity: MethodIdentity
-    metrics: RawMetrics
-    categories: CategoryFlags
-    faulty: bool = False
-    snapshot: Snapshot = Snapshot.CURRENT
-
-
-class MethodRecord(_RecordFields):
-    """One method observation: identity, metrics, categories, fault label."""
-
-    __slots__ = ()
-
-    def __new__(cls, identity, metrics, categories, faulty=False, snapshot=Snapshot.CURRENT):
-        if faulty and snapshot is not Snapshot.FAULTY:
-            raise ValueError(_FAULTY_STATE_ONLY)
-        return tuple.__new__(cls, (identity, metrics, categories, faulty, snapshot))
 
 
 class UnifiedMethod(NamedTuple):
@@ -331,17 +312,18 @@ _MAX_COUNT = 2**63 - 1  # counts and metrics are held in array('q') columns
 _PLAIN_COUNTS = {str(n): n for n in range(1024)}
 _BOOL = {"true": True, "false": False}
 _BOOL_TEXT = {True: "true", False: "false"}
-_SNAPSHOT = {s.value: s for s in Snapshot}
+_SNAPSHOT_TEXT = (Snapshot.CURRENT.value, Snapshot.FAULTY.value)  # indexed by the fault flag
 
 
 def _rows(records: Iterable[MethodRecord]):
-    """The CSV row of each record: the identity and snapshot strings, the
-    fault flag, the metrics and counts as ints, then the category flags."""
+    """The CSV row of each record: the identity strings, the snapshot and
+    fault columns (both written from the fault flag), the metrics and counts
+    as ints, then the category flags."""
     flag = _BOOL_TEXT.__getitem__
-    for identity, metrics, categories, faulty, snapshot in records:
+    for identity, metrics, categories, faulty in records:
         counts = metrics.construct_counts
         yield [
-            *identity[:4], ";".join(identity.param_signature), snapshot.value, flag(faulty),
+            *identity[:4], ";".join(identity.param_signature), _SNAPSHOT_TEXT[faulty], flag(faulty),
             *metrics[:5], *counts, sum(condition_counts(counts)), sum(arithmetic_counts(counts)),
             *map(flag, categories),
         ]
@@ -392,13 +374,13 @@ def _parse_fields(row_no: int, row: list[str], at: dict[str, int]) -> tuple:
     counts, categories order, then for a faulty row outside the faulty
     state."""
     text = row[at["snapshot"]]
-    if text not in _SNAPSHOT:
+    if text not in _SNAPSHOT_TEXT:
         raise SchemaError(f"row {row_no}: column 'snapshot': unknown value {text!r}")
     faulty = _parse_bool(row_no, "faulty", row[at["faulty"]])
     counts = tuple(_parse_count(row_no, c, row[at[c]]) for c in _COUNT_COLUMNS)
     categories = [_parse_bool(row_no, c, row[at[c]]) for c in _CATEGORY_COLUMNS]
-    if faulty and _SNAPSHOT[text] is not Snapshot.FAULTY:
-        raise SchemaError(f"row {row_no}: {_FAULTY_STATE_ONLY}")
+    if faulty and text != Snapshot.FAULTY.value:
+        raise SchemaError(f"row {row_no}: faulty records carry metrics computed at the faulty state")
     return faulty, counts, categories
 
 

@@ -20,7 +20,8 @@ the per-attribute bitmaps that mining and the balancer's kNN count with.
 Both layers read a `MethodTable` (see `lowrisk.dataset`) by index.
 `fit_discretization` counts the values of the table's five metric columns
 over its occurrence rows and reads the tertile bounds off the sorted
-distinct values. The 34 bits that need no model (26 has-no, 2 derived,
+distinct values; the model holds them as one (class1_upper, class2_upper)
+pair per metric, the form `itemize` bisects into. The 34 bits that need no model (26 has-no, 2 derived,
 6 category) are computed once per row when the table is loaded
 (`count_items_mask`, `category_mask`); `itemize` ORs in the 5 tertile bits
 it gets by bisecting a row's metrics into the model's bounds. A method with
@@ -37,10 +38,9 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import itemgetter, lshift, not_
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from lowrisk.errors import DegenerateDistributionWarning, SchemaError, VocabularyMismatchError
 from lowrisk.java.metrics import (
@@ -132,45 +132,26 @@ def item_mask(names: Iterable[str]) -> int:
 
 
 @dataclass(frozen=True)
-class MetricBounds:
-    class1_upper: int
-    class2_upper: int
-
-    def classify(self, value) -> int:
-        if value <= self.class1_upper:
-            return 1
-        if value <= self.class2_upper:
-            return 2
-        return 3
-
-
-@dataclass(frozen=True)
 class DiscretizationModel:
-    """Per-metric tertile boundaries, persisted so prediction reuses them."""
+    """Per-metric tertile boundaries, persisted so prediction reuses them.
 
-    bounds: Mapping[str, MetricBounds]
+    `bounds` holds one (class1_upper, class2_upper) pair per metric, in
+    TERTILE_METRICS order: a value is in class 1 up to class1_upper, in
+    class 2 up to class2_upper, and in class 3 above it, so bisect_left of a
+    value into its pair is its class minus one.
+    """
 
-    def classify(self, metric: str, value) -> int:
-        return self.bounds[metric].classify(value)
-
-    @cached_property
-    def _upper_bounds(self) -> tuple[tuple[int, int], ...]:
-        """(class1_upper, class2_upper) per metric, in TERTILE_METRICS order;
-        bisect_left of a value into a pair is its class minus one."""
-        return tuple(
-            (self.bounds[metric].class1_upper, self.bounds[metric].class2_upper)
-            for metric in TERTILE_METRICS
-        )
+    bounds: tuple[tuple[int, int], ...]
 
     def to_json(self) -> dict:
         return {
-            metric: {"class1_upper": b.class1_upper, "class2_upper": b.class2_upper}
-            for metric, b in self.bounds.items()
+            metric: {"class1_upper": c1, "class2_upper": c2}
+            for metric, (c1, c2) in zip(TERTILE_METRICS, self.bounds)
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "DiscretizationModel":
-        bounds = {}
+        bounds = []
         for metric in TERTILE_METRICS:
             entry = data.get(metric)
             if not isinstance(entry, dict):
@@ -183,11 +164,11 @@ class DiscretizationModel:
                 raise SchemaError(
                     f"discretization model metric {metric!r} needs class1_upper <= class2_upper"
                 )
-            bounds[metric] = MetricBounds(entry["class1_upper"], entry["class2_upper"])
-        return cls(bounds)
+            bounds.append((entry["class1_upper"], entry["class2_upper"]))
+        return cls(tuple(bounds))
 
 
-def _counted_bounds(counts: Counter, n: int) -> MetricBounds:
+def _counted_bounds(counts: Counter, n: int) -> tuple[int, int]:
     """The values at ranks ceil(n/3) - 1 and ceil(2n/3) - 1 of n counted
     values in sorted order."""
     rank1, rank2 = math.ceil(n / 3) - 1, math.ceil(2 * n / 3) - 1
@@ -197,7 +178,7 @@ def _counted_bounds(counts: Counter, n: int) -> MetricBounds:
         if c1 is None and seen > rank1:
             c1 = value
         if seen > rank2:
-            return MetricBounds(c1, value)
+            return c1, value
 
 
 def fit_discretization(table: MethodTable) -> DiscretizationModel:
@@ -209,7 +190,7 @@ def fit_discretization(table: MethodTable) -> DiscretizationModel:
     # A row belongs to one method at most, so as many rows as the columns
     # hold are all of them.
     gather = None if len(rows) == len(table.metrics[0]) else itemgetter(*rows)
-    bounds = {}
+    bounds = []
     for metric, column in zip(TERTILE_METRICS, table.metrics):
         counts = Counter(column if gather is None else gather(column))
         if len(counts) == 1:
@@ -219,8 +200,8 @@ def fit_discretization(table: MethodTable) -> DiscretizationModel:
                 DegenerateDistributionWarning,
                 stacklevel=2,
             )
-        bounds[metric] = _counted_bounds(counts, len(rows))
-    return DiscretizationModel(bounds)
+        bounds.append(_counted_bounds(counts, len(rows)))
+    return DiscretizationModel(tuple(bounds))
 
 
 def count_items_mask(construct_counts: Sequence[int]) -> int:
@@ -280,7 +261,7 @@ def itemize(table: MethodTable, index: int, model: DiscretizationModel) -> int:
     For methods with several faulty occurrences, each attribute is set by
     majority vote over the per-occurrence discretized values.
     """
-    rows, bounds = table.occurrences[index], model._upper_bounds
+    rows, bounds = table.occurrences[index], model.bounds
     if len(rows) == 1:
         return _row_mask(table, rows[0], bounds)
     return _vote([_row_mask(table, row, bounds) for row in rows])

@@ -1,18 +1,18 @@
 """Java source analysis: tokenizer, method enumeration, and metric computation."""
 
 from lowrisk.java.analyzer import (
-    AnalyzedMethod,
     MethodIdentity,
+    MethodRecord,
     analyze_project,
     analyze_source,
 )
 from lowrisk.java.metrics import CategoryFlags, ConstructKind, RawMetrics
 
 __all__ = [
-    "AnalyzedMethod",
     "CategoryFlags",
     "ConstructKind",
     "MethodIdentity",
+    "MethodRecord",
     "RawMetrics",
     "analyze_project",
     "analyze_source",

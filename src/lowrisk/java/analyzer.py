@@ -1,6 +1,7 @@
 """Method enumeration and per-method analysis of Java source trees.
 
-`analyze_source` analyzes one file. `analyze_project` walks a tree and
+`analyze_source` analyzes one file into `MethodRecord`s, the records that
+`lowrisk.dataset` writes as CSV rows. `analyze_project` walks a tree and
 returns an iterator over its methods in identity order, one file at a time,
 so a caller that writes them as they come holds one file's methods at once.
 """
@@ -37,10 +38,13 @@ class MethodIdentity(NamedTuple):
         return self[:5]
 
 
-class AnalyzedMethod(NamedTuple):
+class MethodRecord(NamedTuple):
+    """One method observation; a faulty one holds the metrics of its faulty state."""
+
     identity: MethodIdentity
     metrics: RawMetrics
     categories: CategoryFlags
+    faulty: bool = False
 
 
 class SkippedMethod(NamedTuple):
@@ -50,19 +54,19 @@ class SkippedMethod(NamedTuple):
     reason: str
 
 
-_identity_of = itemgetter(0)  # the identity of an AnalyzedMethod
+_identity_of = itemgetter(0)  # the identity of a MethodRecord
 
 
 def analyze_source(
     source_text: str, file_path: str, project: str = ""
-) -> tuple[list[AnalyzedMethod], list[SkippedMethod]]:
+) -> tuple[list[MethodRecord], list[SkippedMethod]]:
     """Compute metrics and categories for every method in one source file.
 
     Methods whose bodies contain lambda expressions are excluded and reported
     as skipped instead of being given unreliable counts.
     """
     unit = parse_compilation_unit(source_text, file_path)
-    analyzed: list[AnalyzedMethod] = []
+    analyzed: list[MethodRecord] = []
     skipped: list[SkippedMethod] = []
     for decl in unit.methods:
         identity = MethodIdentity(
@@ -71,7 +75,7 @@ def analyze_source(
         if decl.has_lambda:
             skipped.append(SkippedMethod(identity, "lambda expression in body"))
         else:
-            analyzed.append(AnalyzedMethod(identity, decl.metrics, decl.categories))
+            analyzed.append(MethodRecord(identity, decl.metrics, decl.categories))
     analyzed.sort(key=_identity_of)
     return analyzed, skipped
 
@@ -120,7 +124,7 @@ def analyze_project(
     exclude: Iterable[str] = (),
     jobs: int = 1,
     report: ProjectScanReport | None = None,
-) -> Iterator[AnalyzedMethod]:
+) -> Iterator[MethodRecord]:
     """The methods of all matching Java files under a project root, in
     identity order, as an iterator.
 
@@ -142,7 +146,7 @@ def analyze_project(
     return _stream(files, jobs, ProjectScanReport() if report is None else report)
 
 
-def _stream(files: list[tuple[Path, str, str]], jobs: int, report: ProjectScanReport) -> Iterator[AnalyzedMethod]:
+def _stream(files: list[tuple[Path, str, str]], jobs: int, report: ProjectScanReport) -> Iterator[MethodRecord]:
     pool = None
     if jobs > 1 and len(files) > 1:
         # Imported here so that `import lowrisk` does not load multiprocessing.

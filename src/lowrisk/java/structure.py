@@ -386,6 +386,11 @@ class CompilationUnit:
             return self._parse_method(start, i, i + 1, chain, members, is_ctor=True)
         type_end = skip_type_ref(texts, kinds, i)
         if type_end is None:
+            j = skip_annotations(texts, kinds, i)
+            if kinds[j] == "ident":  # a named type ends early only at a malformed type-argument list
+                while texts[j] and (texts[j] != "<" or skip_type_arguments(texts, kinds, j) is not None):
+                    j += 1
+                raise self._err("malformed type-argument list", j)
             raise self._err(f"expected member declaration, found {t!r}", i)
         if kinds[type_end] != "ident":
             raise self._err("expected member name", type_end)

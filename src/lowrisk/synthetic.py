@@ -30,7 +30,7 @@ import gc
 import random
 from operator import itemgetter
 
-from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
+from lowrisk.dataset import MethodRecord, UnifiedMethod
 from lowrisk.java.analyzer import MethodIdentity
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind as K, RawMetrics
 
@@ -157,7 +157,7 @@ def _build_project(name: str, seed: int, n_methods: int) -> list[UnifiedMethod]:
         if faulty:
             n_occ = _OCCURRENCES[_below(getrandbits, 10, 4)]
             occurrences = tuple(
-                MethodRecord(identity, *_metrics(getrandbits, archetype), True, Snapshot.FAULTY)
+                MethodRecord(identity, *_metrics(getrandbits, archetype), True)
                 for _ in range(n_occ)
             )
         else:
@@ -172,7 +172,7 @@ def _build_project(name: str, seed: int, n_methods: int) -> list[UnifiedMethod]:
                              f"the {_MIN_FAULTY} faulty methods (_MIN_FAULTY) that stratified folding needs")
         for i in rng.sample(range(n_trivial, n_methods), deficit):
             identity = methods[i].identity
-            rec = MethodRecord(identity, *_metrics(getrandbits, "complex"), True, Snapshot.FAULTY)
+            rec = MethodRecord(identity, *_metrics(getrandbits, "complex"), True)
             methods[i] = UnifiedMethod(identity, True, (rec,))
     return methods
 

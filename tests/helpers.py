@@ -3,7 +3,7 @@
 import csv
 import warnings
 
-from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod
+from lowrisk.dataset import MethodRecord, MethodTable, UnifiedMethod
 from lowrisk.discretize import (
     ATTRIBUTE_ITEMS,
     LABEL_NOT_FAULTY,
@@ -57,14 +57,7 @@ def make_record(
         metrics=metrics if metrics is not None else make_metrics(),
         categories=categories if categories is not None else CategoryFlags(),
         faulty=faulty,
-        snapshot=Snapshot.FAULTY if faulty else Snapshot.CURRENT,
     )
-
-
-def from_analyzed(methods, faulty=False) -> list[MethodRecord]:
-    """The metric records of analyzed methods, all current or all faulty."""
-    snapshot = Snapshot.FAULTY if faulty else Snapshot.CURRENT
-    return [MethodRecord(*m, faulty=faulty, snapshot=snapshot) for m in methods]
 
 
 def make_unified(record_or_records, faulty=None) -> UnifiedMethod:
@@ -131,12 +124,12 @@ def fit_on(records):
 
 
 def fit_values(values):
-    """The SLOC bounds that fit_discretization gives one record per value (at
-    least three), with the single-value warnings of the other metrics muted."""
+    """The SLOC bound pair that fit_discretization gives one record per value
+    (at least three), with the single-value warnings of the other metrics muted."""
     records = [make_record(f"m{i}", metrics=make_metrics(sloc=v)) for i, v in enumerate(values)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateDistributionWarning)
-        return fit_on(records).bounds["sloc"]
+        return fit_on(records).bounds[0]
 
 
 def read_csv_rows(path, dicts=False) -> list:

@@ -12,11 +12,13 @@ for the leaner join loop (it also checks `rules_mined`, which the
 brute-force oracles do not see). The CSV oracles are the earlier
 field-by-field reader of metric records, kept as the reference for
 read_csv's columnar fast path, and the earlier string-per-field row builder
-(reference_row), kept as the reference for write_csv's rows; the
+(reference_row), kept as the reference for write_csv's rows, and
+map_metrics, the CSV transformation of the learner's metamorphic tests; the
 record-based unification (consolidate_faulty, unify, build_unified_records)
 and the tertile fit over records (fit_records, which sorts and indexes
 through tertile_bounds) are the earlier loader and fit, kept as the
-reference for the method table. The eager training oracles
+reference for the method table; classify is the `<=` rule that places a
+value in a tertile class, the reference for itemize's bisection. The eager training oracles
 (eager_mining_set, eager_train_on) are the earlier pipeline that itemized
 every training method, kept as the reference for the lazily itemized
 majority. Their balance (reference_balance) draws each synthetic
@@ -36,7 +38,7 @@ import warnings
 from itertools import combinations
 from typing import NamedTuple
 
-from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
+from lowrisk.dataset import MethodRecord, UnifiedMethod
 from lowrisk.discretize import ATTRIBUTE_ITEMS, LABEL_NOT_FAULTY, TERTILE_METRICS, item_mask, transpose
 from lowrisk.errors import AntecedentCapWarning, EmptyDatabaseError, JavaParseError, LowriskError
 from lowrisk.java.analyzer import MethodIdentity
@@ -332,7 +334,9 @@ def itemize_bool_tuple(method, model):
     profiles = []
     for r in occurrences:
         m = r.metrics
-        classes = tuple(model.classify(metric, getattr(m, metric)) for metric in TERTILE_METRICS)
+        classes = tuple(
+            classify(pair, getattr(m, metric)) for pair, metric in zip(model.bounds, TERTILE_METRICS)
+        )
         flags = tuple(m.construct_counts[kind] == 0 for kind in ConstructKind)
         flags += (m.all_conditions == 0, m.all_arithmetic == 0)
         flags += tuple(getattr(r.categories, f) for f in CategoryFlags._fields)
@@ -436,12 +440,9 @@ def read_csv_per_field(path):
                 param_signature=sig,
                 is_constructor=categories.is_constructor,
             )
-            try:
-                records.append(
-                    MethodRecord(identity, metrics, categories, faulty=faulty, snapshot=snapshot)
-                )
-            except ValueError as exc:
-                raise SchemaError(f"row {row_no}: {exc}")
+            if faulty and snapshot is not Snapshot.FAULTY:
+                raise SchemaError(f"row {row_no}: faulty records carry metrics computed at the faulty state")
+            records.append(MethodRecord(identity, metrics, categories, faulty=faulty))
         return records
 
 
@@ -459,7 +460,7 @@ def reference_row(rec):
         rec.identity.type_name,
         rec.identity.method_name,
         ";".join(rec.identity.param_signature),
-        rec.snapshot.value,
+        "FaultyState" if rec.faulty else "CurrentState",
         fmt_bool(rec.faulty),
         str(m.sloc),
         str(m.cyclomatic_complexity),
@@ -472,6 +473,14 @@ def reference_row(rec):
     row.append(str(m.all_arithmetic))
     row.extend(fmt_bool(getattr(rec.categories, f)) for f in CategoryFlags._fields)
     return row
+
+
+def map_metrics(records, metrics, f):
+    """The records with f applied to each of the named RawMetrics fields."""
+    return [
+        r._replace(metrics=r.metrics._replace(**{m: f(getattr(r.metrics, m)) for m in metrics}))
+        for r in records
+    ]
 
 
 def consolidate_faulty(records):
@@ -544,17 +553,28 @@ def method_sloc(method):
 
 
 def tertile_bounds(values):
-    """Boundary values at the end of the first and second sorted thirds: the
-    sorted values at ranks ceil(n/3) - 1 and ceil(2n/3) - 1."""
+    """(class1_upper, class2_upper): the boundary values at the end of the
+    first and second sorted thirds, the sorted values at ranks ceil(n/3) - 1
+    and ceil(2n/3) - 1."""
     import math
-
-    from lowrisk.discretize import MetricBounds
 
     if not values:
         raise ValueError("no values to discretize")
     ordered = sorted(values)
     n = len(ordered)
-    return MetricBounds(ordered[math.ceil(n / 3) - 1], ordered[math.ceil(2 * n / 3) - 1])
+    return ordered[math.ceil(n / 3) - 1], ordered[math.ceil(2 * n / 3) - 1]
+
+
+def classify(pair, value):
+    """The tertile class (1, 2 or 3) of a value under a (class1_upper,
+    class2_upper) pair: class 1 up to and including class1_upper, class 2
+    up to and including class2_upper, class 3 above."""
+    class1_upper, class2_upper = pair
+    if value <= class1_upper:
+        return 1
+    if value <= class2_upper:
+        return 2
+    return 3
 
 
 def fit_records(records):
@@ -567,7 +587,7 @@ def fit_records(records):
     records = list(records)
     if len(records) < 3:
         raise ValueError(f"need at least 3 records to fit tertiles, got {len(records)}")
-    bounds = {}
+    bounds = []
     for metric in TERTILE_METRICS:
         values = [getattr(r.metrics, metric) for r in records]
         if len(set(values)) == 1:
@@ -577,8 +597,8 @@ def fit_records(records):
                 DegenerateDistributionWarning,
                 stacklevel=2,
             )
-        bounds[metric] = tertile_bounds(values)
-    return DiscretizationModel(bounds)
+        bounds.append(tertile_bounds(values))
+    return DiscretizationModel(tuple(bounds))
 
 
 def itemize_records(method, model):
@@ -965,7 +985,7 @@ def reference_generate_project(name: str, seed: int, n_methods: int = 2000) -> l
         if faulty:
             n_occ = rng.choice((1, 1, 1, 1, 1, 1, 1, 1, 2, 3))
             occurrences = tuple(
-                MethodRecord(identity, *make(), faulty=True, snapshot=Snapshot.FAULTY)
+                MethodRecord(identity, *make(), faulty=True)
                 for _ in range(n_occ)
             )
         else:
@@ -977,8 +997,6 @@ def reference_generate_project(name: str, seed: int, n_methods: int = 2000) -> l
     if deficit > 0:
         for i in rng.sample(complex_indices, deficit):
             old = methods[i]
-            rec = MethodRecord(
-                old.identity, *_reference_complex_metrics(rng), faulty=True, snapshot=Snapshot.FAULTY
-            )
+            rec = MethodRecord(old.identity, *_reference_complex_metrics(rng), faulty=True)
             methods[i] = UnifiedMethod(old.identity, True, (rec,))
     return methods

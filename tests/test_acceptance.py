@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_vocabulary, classes, fit_values, from_analyzed, projects_table, table_of
+from helpers import as_vocabulary, classes, fit_values, projects_table, table_of
 from oracles import (
     as_rule_set,
     brute_force_prune,
     brute_force_rules,
+    classify,
     matched_set,
     prefix_scan_oracle,
     random_rule,
@@ -185,10 +186,10 @@ def test_c3_smote_balance(smote_battery_runs):
 @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=80))
 def test_c4_property(values):
     b = tertile_bounds(values)
-    classes = [b.classify(v) for v in sorted(values)]
+    classes = [classify(b, v) for v in sorted(values)]
     assert all(c in (1, 2, 3) for c in classes)
     assert classes == sorted(classes)  # contiguous, disjoint, exhaustive
-    assert all(b.classify(v) == 1 for v in values if v == b.class1_upper)
+    assert all(classify(b, v) == 1 for v in values if v == b[0])
     if len(values) >= 3:
         assert fit_values(values) == b
 
@@ -198,10 +199,10 @@ def test_c4_discretization_worked_examples():
     last = fit_values([1, 1, 1, 1, 1, 1, 2, 3, 4])
     degenerate = fit_values([5, 5, 5, 5])
     ok = (
-        (exact.class1_upper, exact.class2_upper) == (1, 2)
-        and last.class1_upper == 1
-        and all(last.classify(1) == 1 for _ in range(3))
-        and degenerate.classify(5) == 1
+        exact == (1, 2)
+        and last[0] == 1
+        and classify(last, 1) == 1
+        and classify(degenerate, 5) == 1
     )
     report(
         4,
@@ -264,7 +265,7 @@ def test_c6_golden_metric_extraction(corpus_dir, golden_csv, tmp_path):
     golden_rows = rows_of(golden_csv)
     methods = analyze_project(corpus_dir, "corpus")
     out = tmp_path / "metrics.csv"
-    write_csv(from_analyzed(methods), out)
+    write_csv(methods, out)
     actual_rows = rows_of(out)
     ok = actual_rows == golden_rows
     ok = ok and out.read_bytes().replace(b"\r\n", b"\n") == golden_csv.read_bytes()

@@ -206,8 +206,9 @@ class TestExtract:
                     "--labels", labels, "--jobs", "1"]) == 0
         by_name = {r.identity.method_name: r for r in read_csv_per_field(out)}
         assert by_name["buggy"].faulty
-        assert by_name["buggy"].snapshot is ds.Snapshot.FAULTY
         assert not by_name["safe"].faulty
+        states = {row["method_name"]: (row["snapshot"], row["faulty"]) for row in read_csv_rows(out, dicts=True)}
+        assert states == {"buggy": ("FaultyState", "true"), "safe": ("CurrentState", "false")}
 
     @pytest.mark.parametrize("row, message", [
         ("corpus,A.java\n", "row 2: expected 6 fields, got 2"),

@@ -22,7 +22,6 @@ from lowrisk.dataset import (
     MethodRecord,
     MethodTable,
     Rows,
-    Snapshot,
     build_unified,
     read_csv,
     read_label_file,
@@ -48,13 +47,6 @@ def rows_view(rows):
 def records_view(records):
     """rows_view of the same records, through their table."""
     return rows_view(table_of(records))
-
-
-def test_faulty_record_requires_faulty_snapshot():
-    rec = make_record("a")
-    with pytest.raises(ValueError):
-        MethodRecord(rec.identity, rec.metrics, rec.categories, faulty=True,
-                     snapshot=Snapshot.CURRENT)
 
 
 class TestConsolidate:
@@ -172,7 +164,6 @@ class TestCsv:
         rng = random.Random(12)
         records = [_writer_record(rng) for _ in range(500)]
         assert {r.faulty for r in records} == {True, False}
-        assert {r.snapshot for r in records} == set(Snapshot)
         assert {len(r.identity.param_signature) for r in records} == {0, 1, 3}
         for field in CategoryFlags._fields:
             assert {getattr(r.categories, field) for r in records} == {True, False}
@@ -458,9 +449,7 @@ def _writer_record(rng):
         sloc=rng.choice(big), cc=rng.choice(big), nesting=rng.choice(big), chaining=rng.choice(big),
         variables=rng.choice(big), **{k.column: rng.choice(big) for k in ConstructKind},
     )
-    faulty = rng.random() < 0.3
-    snapshot = Snapshot.FAULTY if faulty or rng.random() < 0.2 else Snapshot.CURRENT
-    return MethodRecord(identity, metrics, flags, faulty, snapshot)
+    return MethodRecord(identity, metrics, flags, rng.random() < 0.3)
 
 
 def _pad_booleans(rng, header, rows):
@@ -546,6 +535,28 @@ class TestTableAgainstRecordOracle:
             assert [expected[i].identity.project for i in span] == [name] * len(span)
         # A unified method list gives the same table contents.
         _check_table(MethodTable.from_methods(expected), records)
+
+    def test_clean_rows_marked_faulty_state(self, tmp_path):
+        """write_csv writes FaultyState exactly on faulty rows, but a CSV written
+        by hand may put it on a clean row: both readers take that row as clean,
+        and the table unifies it as the record oracle does."""
+        for seed in range(20):
+            rng = random.Random(seed)
+            records = _random_records(rng, "p")
+            header, rows = _shuffled_csv(rng, tmp_path / "base.csv", records)
+            snapshot, faulty = header.index("snapshot"), header.index("faulty")
+            assert {(row[snapshot], row[faulty]) for row in rows} <= {
+                ("CurrentState", "false"), ("FaultyState", "true")
+            }
+            clean = [row for row in rows if row[faulty] == "false"]
+            for row in rng.sample(clean, rng.randint(1, len(clean))):
+                row[snapshot] = "FaultyState"
+            path = tmp_path / "edited.csv"
+            _write_rows(path, header, rows)
+            read = read_csv_per_field(path)
+            assert [r.faulty for r in read] == [r.faulty for r in records]
+            assert _outcome(read_csv, path) == _outcome(read_csv_per_field, path)
+            _check_table(build_unified(read_csv(path)), read)
 
     def test_first_current_row_stands(self, tmp_path):
         first = make_record("a", metrics=make_metrics(sloc=3))

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 import random
 
 from helpers import (
-    fit_on, fit_values, from_analyzed, itemize_one, make_metrics, make_record, make_unified, table_of,
+    fit_on, fit_values, itemize_one, make_metrics, make_record, make_unified, table_of,
 )
-from oracles import bools_to_mask, fit_records, itemize_bool_tuple, reference_vote, tertile_bounds
+from oracles import bools_to_mask, classify, fit_records, itemize_bool_tuple, reference_vote, tertile_bounds
 from lowrisk.discretize import (
     ATTRIBUTE_ITEMS,
     TERTILE_METRICS,
     VOCABULARY,
     DiscretizationModel,
-    MetricBounds,
     fit_discretization,
     item_mask,
     item_names,
@@ -30,28 +29,24 @@ from lowrisk.synthetic import generate_project
 
 
 def model_from_values(values):
-    b = tertile_bounds(values)
-    return DiscretizationModel({metric: b for metric, _ in (
-        ("sloc", None), ("cyclomatic_complexity", None), ("max_nesting", None),
-        ("max_chaining", None), ("unique_variable_ids", None))})
+    return DiscretizationModel((tertile_bounds(values),) * len(TERTILE_METRICS))
 
 
 class TestTertiles:
     def test_exact_thirds(self):
-        b = fit_values([1, 1, 1, 2, 2, 2, 3, 3, 3])
-        assert (b.class1_upper, b.class2_upper) == (1, 2)
+        assert fit_values([1, 1, 1, 2, 2, 2, 3, 3, 3]) == (1, 2)
 
     def test_last_occurrence_rule(self):
         values = [1, 1, 1, 1, 1, 1, 2, 3, 4]
         b = fit_values(values)
-        assert b.class1_upper == 1
-        assert all(b.classify(v) == 1 for v in values if v == 1)
+        assert b[0] == 1
+        assert all(classify(b, v) == 1 for v in values if v == 1)
 
     def test_degenerate_single_value(self):
         records = [make_record(str(i), metrics=make_metrics(sloc=5)) for i in range(5)]
         with pytest.warns(DegenerateDistributionWarning):
             model = fit_on(records)
-        assert all(model.classify("sloc", 5) == 1 for _ in range(3))
+        assert model.bounds[0] == (5, 5) and classify(model.bounds[0], 5) == 1
 
     def test_requires_three_records(self):
         with pytest.raises(ValueError):
@@ -61,16 +56,16 @@ class TestTertiles:
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=60))
     def test_classes_partition_and_boundary_rule(self, values):
         b = tertile_bounds(values)
-        assert b.class1_upper <= b.class2_upper
+        assert b[0] <= b[1]
         # Exhaustive, disjoint, contiguous: every value lands in exactly one class
         # and class membership is monotone in the value.
-        classes = [b.classify(v) for v in sorted(values)]
+        classes = [classify(b, v) for v in sorted(values)]
         assert all(c in (1, 2, 3) for c in classes)
         assert classes == sorted(classes)
         # Every occurrence of the boundary value is in class 1.
-        assert all(b.classify(v) == 1 for v in values if v == b.class1_upper)
+        assert all(classify(b, v) == 1 for v in values if v == b[0])
         # Class 1 holds at least a third of the training values.
-        assert sum(1 for v in values if b.classify(v) == 1) * 3 >= len(values)
+        assert sum(1 for v in values if classify(b, v) == 1) * 3 >= len(values)
         # The fit over a table of the values draws the same bounds.
         if len(values) >= 3:
             assert fit_values(values) == b
@@ -100,15 +95,12 @@ class TestTertiles:
         model = simple_model()
         for value in range(-1, 8):
             rec = make_record("m", metrics=make_metrics(sloc=value))
-            third = ("LowestThird", "MiddleThird", "HighestThird")[model.classify("sloc", value) - 1]
+            third = ("LowestThird", "MiddleThird", "HighestThird")[classify(model.bounds[0], value) - 1]
             assert itemize_one(rec, model) & item_mask([f"Sloc{third}"])
 
 
 def simple_model():
-    bounds = {m: MetricBounds(2, 5) for m, _ in (
-        ("sloc", 0), ("cyclomatic_complexity", 0), ("max_nesting", 0),
-        ("max_chaining", 0), ("unique_variable_ids", 0))}
-    return DiscretizationModel(bounds)
+    return DiscretizationModel(((2, 5),) * len(TERTILE_METRICS))
 
 
 class TestItemize:
@@ -272,7 +264,7 @@ class TestItemMask:
 class TestMaskEqualsBoolTupleConstruction:
     def test_golden_corpus(self, corpus_dir):
         methods = analyze_project(corpus_dir, "corpus")
-        records = from_analyzed(methods)
+        records = list(methods)
         table = table_of(records)
         model = fit_discretization(table)
         assert model == fit_records(records)

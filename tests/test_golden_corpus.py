@@ -7,7 +7,6 @@ import multiprocessing
 
 import pytest
 
-from helpers import from_analyzed
 from lowrisk.dataset import CSV_HEADER, write_csv
 from lowrisk.java.analyzer import ProjectScanReport, analyze_project, iter_java_files
 from lowrisk.java.metrics import ConstructKind
@@ -25,7 +24,7 @@ def test_golden_corpus_matches_exactly(corpus_dir, golden_csv, tmp_path):
     assert header == CSV_HEADER
     report = ProjectScanReport()
     out = tmp_path / "metrics.csv"
-    write_csv(from_analyzed(analyze_project(corpus_dir, "corpus", report=report)), out)
+    write_csv(analyze_project(corpus_dir, "corpus", report=report), out)
     written_header, actual_rows = load_golden(out)
     assert written_header == CSV_HEADER
     assert len(actual_rows) == len(golden_rows)

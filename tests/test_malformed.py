@@ -101,24 +101,25 @@ def test_one_delimiter_more_or_less_parses_or_is_a_parse_error(path):
 @pytest.mark.parametrize(
     "name, text, mutant, message",
     [
-        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<In}teger>", "6:12: expected member declaration"),
-        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I(nteger>", "6:12: expected member declaration"),
-        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I}nteger>", "6:12: expected member declaration"),
-        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I[nteger>", "6:12: expected member declaration"),
-        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<Inte]ger>", "6:12: expected member declaration"),
-        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<[]>", "6:12: expected member declaration"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<In}teger>", "6:20: malformed type-argument list"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I(nteger>", "6:20: malformed type-argument list"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I}nteger>", "6:20: malformed type-argument list"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<I[nteger>", "6:20: malformed type-argument list"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<Inte]ger>", "6:20: malformed type-argument list"),
+        ("corpus/Lambdas.java", "Callable<Integer>", "Callable<[]>", "6:20: malformed type-argument list"),
         (
             "corpus_extra/Stress.java",
             "new HashMap<String, List<Integer>>()",
             "new HashMap<String, :List<Integer>>()",
             "8:65: malformed expression",
         ),
-        ("corpus_extra/Stress.java", "Map<K, V> zip(", "Map<K,: V> zip(", "32:26: expected member declaration"),
+        ("corpus_extra/Stress.java", "Map<K, V> zip(", "Map<K,: V> zip(", "32:29: malformed type-argument list"),
     ],
 )
 def test_a_type_argument_list_holds_only_type_tokens(name, text, mutant, message):
     """javac rejects each of these mutants: a type-argument list holds names,
-    '?', 'extends', 'super', '&', '[]', '.', ',' and annotations, nothing else."""
+    '?', 'extends', 'super', '&', '[]', '.', ',' and annotations, nothing else.
+    In a member's type the error is at the list's '<'."""
     path = DATA_DIR / name
     source = path.read_text(encoding="utf-8")
     assert source.count(text) == 1
@@ -137,6 +138,13 @@ def test_a_type_argument_list_holds_only_type_tokens(name, text, mutant, message
         ("class T {}\nimport a.b;", "T.java:2:1: expected type declaration, found 'import'"),
         ("enum E { A, static B; }", "T.java:1:13: malformed enum constant"),
         ("class T {\n  int a = 1\n  private int b = 2;\n}", "T.java:3:3: missing ';' before 'private'"),
+        # A member type whose type-argument list holds a token that cannot be in
+        # one fails at the list's '<', as method type parameters do.
+        ("class T { java.util.List<S[tring> x; }", "T.java:1:25: malformed type-argument list"),
+        ("class T { List<Str]ing> f() { return null; } }", "T.java:1:15: malformed type-argument list"),
+        ("class T {\n  @B(x < 1) Map<K, List<V>>.Entry<K[> e;\n}", "T.java:2:34: malformed type-argument list"),
+        ("class T { <T[> void f() {} }", "T.java:1:11: malformed type-argument list"),
+        ("class T { 3 x; }", "T.java:1:11: expected member declaration, found '3'"),
     ],
 )
 def test_a_malformed_declaration_outside_a_body_is_located(source, text):

@@ -7,8 +7,9 @@ import random
 import pytest
 
 from helpers import make_identity, make_metrics, make_record, make_unified
-from lowrisk.dataset import MethodRecord, Snapshot, UnifiedMethod
-from lowrisk.java.analyzer import AnalyzedMethod, MethodIdentity, SkippedMethod
+from lowrisk import dataset
+from lowrisk.dataset import MethodRecord, UnifiedMethod
+from lowrisk.java.analyzer import MethodIdentity, SkippedMethod, analyze_source
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
 from lowrisk.java.structure import parse_compilation_unit
 
@@ -33,7 +34,9 @@ def _identities(rng, n):
 
 
 def _one_of_each():
-    decl = parse_compilation_unit("class A { int f(int x) { return x; } }", "A.java").methods[0]
+    source = "class A { int f(int x) { return x; } }"
+    decl = parse_compilation_unit(source, "A.java").methods[0]
+    (analyzed,), _ = analyze_source(source, "A.java", "p")
     identity = make_identity("f", params=("int",))
     metrics = make_metrics(sloc=3, if_conditions=1, incrementations=2)
     categories = CategoryFlags(is_getter=True)
@@ -42,7 +45,7 @@ def _one_of_each():
         identity,
         metrics,
         categories,
-        AnalyzedMethod(identity, metrics, categories),
+        analyzed,
         record,
         make_unified(record),
         decl,
@@ -62,7 +65,14 @@ def test_identities_sort_as_their_field_tuples():
     assert method < constructor and method.key() == constructor.key() == ("p", "A.java", "A", "A", ())
 
 
-@pytest.mark.parametrize("value", _one_of_each(), ids=lambda v: type(v).__name__)
+def _name(value):
+    """The type name; the analyzer's current-state record is told apart from
+    the faulty one."""
+    name = type(value).__name__
+    return f"{name}-current" if isinstance(value, MethodRecord) and not value.faulty else name
+
+
+@pytest.mark.parametrize("value", _one_of_each(), ids=_name)
 def test_records_are_immutable(value):
     with pytest.raises(AttributeError):
         setattr(value, value._fields[0], None)
@@ -71,7 +81,7 @@ def test_records_are_immutable(value):
     assert not hasattr(value, "__dict__")
 
 
-@pytest.mark.parametrize("value", _one_of_each(), ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", _one_of_each(), ids=_name)
 def test_records_hash_and_compare_by_their_fields(value):
     twin = type(value)(*value)
     assert twin == value and hash(twin) == hash(value) and twin is not value
@@ -80,7 +90,7 @@ def test_records_hash_and_compare_by_their_fields(value):
     assert changed != value
 
 
-@pytest.mark.parametrize("value", _one_of_each(), ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", _one_of_each(), ids=_name)
 def test_records_survive_a_pickle_round_trip(value):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(value, protocol))
@@ -90,7 +100,10 @@ def test_records_survive_a_pickle_round_trip(value):
 def test_fields_keys_and_derived_sums():
     identity, metrics, categories, analyzed, record, unified, decl, skipped = _one_of_each()
     assert identity._fields == _FIELDS
-    assert MethodRecord._fields == ("identity", "metrics", "categories", "faulty", "snapshot")
+    assert MethodRecord._fields == ("identity", "metrics", "categories", "faulty")
+    # The analyzer's records are the dataset's: extract writes them as they come.
+    assert dataset.MethodRecord is MethodRecord and type(analyzed) is MethodRecord
+    assert (analyzed.identity, analyzed.categories, analyzed.faulty) == (identity, CategoryFlags(), False)
     assert RawMetrics._fields == (
         "sloc", "cyclomatic_complexity", "max_nesting", "max_chaining", "unique_variable_ids", "construct_counts"
     )
@@ -98,7 +111,7 @@ def test_fields_keys_and_derived_sums():
         "is_constructor", "is_getter", "is_setter", "is_empty", "is_delegation", "is_to_string"
     )
     assert CategoryFlags() == (False,) * 6
-    assert MethodRecord(identity, metrics, categories).snapshot is Snapshot.CURRENT
+    assert MethodRecord(identity, metrics, categories).faulty is False
     assert (metrics.all_conditions, metrics.all_arithmetic) == (1, 2)
     assert unified.occurrences == (record,) and isinstance(unified, UnifiedMethod)
     assert (decl.name, decl.param_types, decl.param_names) == ("f", ("int",), ("x",))
@@ -112,12 +125,6 @@ def test_both_construction_checks_still_raise():
         with pytest.raises(TypeError, match="construct_counts"):
             RawMetrics(sloc=1, cyclomatic_complexity=1, max_nesting=0, max_chaining=0,
                        unique_variable_ids=0, construct_counts=bad)
-    identity, metrics, categories = _one_of_each()[:3]
-    with pytest.raises(ValueError, match="faulty state"):
-        MethodRecord(identity, metrics, categories, True)
-    with pytest.raises(ValueError, match="faulty state"):
-        MethodRecord(identity, metrics, categories, faulty=True, snapshot=Snapshot.CURRENT)
-    assert MethodRecord(identity, metrics, categories, False, Snapshot.FAULTY).snapshot is Snapshot.FAULTY
 
 
 def test_make_unified_takes_one_record_or_a_list():

@@ -16,7 +16,7 @@ from helpers import make_identity
 from oracles import eager_mining_set, eager_train_on, reference_balance
 import lowrisk.pipeline as pipeline
 from lowrisk.balance import BalanceConfig, balance
-from lowrisk.dataset import MethodRecord, MethodTable, Snapshot, UnifiedMethod, build_unified, read_csv, write_csv
+from lowrisk.dataset import MethodRecord, MethodTable, UnifiedMethod, build_unified, read_csv, write_csv
 from lowrisk.discretize import ATTRIBUTE_ITEMS, item_mask
 from lowrisk.errors import (
     ImbalanceUnachievableWarning,
@@ -59,7 +59,6 @@ def random_record(rng, name, faulty):
         metrics,
         categories,
         faulty=faulty,
-        snapshot=Snapshot.FAULTY if faulty else Snapshot.CURRENT,
     )
 
 
