@@ -94,7 +94,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out = Path(args.out)
     # Each file's rows are written as soon as the file is analyzed.
     ds.write_csv(
-        (m._replace(faulty=True) if faulty_keys and m.identity.key() in faulty_keys else m for m in methods),
+        (m._replace(faulty=True) if faulty_keys and m.identity in faulty_keys else m for m in methods),
         out,
     )
     if not report.files_analyzed and not report.parse_failures:

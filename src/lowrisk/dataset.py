@@ -1,27 +1,28 @@
 """Dataset assembly: the columnar method table, method records, CSV I/O.
 
 A row is one observation of a method: its current state, or one faulty
-occurrence. `read_csv` parses a metrics CSV straight into columns (`Rows`):
-the identity key and fault flag of each row, the five tertile metrics in
-`array('q')` columns, and the 34 item bits that need no discretization
-model as one int per row. `build_unified` groups rows into a `MethodTable`:
-each identity once, in identity order, faulty methods replacing their
-current-state row and keeping every faulty occurrence, so that majority
-voting can be recomputed under any discretization model without leaking
-test data into the vote. Training, folds and scoring read the table by
-index; a training set is `table.take(indices)`.
+occurrence, keyed by the method's `MethodIdentity`, whose five fields are
+the identity columns; `identity_fields` writes them and `parse_signature`
+reads the signature back. `read_csv` parses a metrics CSV straight into
+columns (`Rows`): the identity and fault flag of each row, the five tertile
+metrics in `array('q')` columns, and the 34 item bits that need no
+discretization model as one int per row. `build_unified` groups rows into a
+`MethodTable`: each identity once, in identity order, faulty methods
+replacing their current-state row and keeping every faulty occurrence, so
+that majority voting can be recomputed under any discretization model
+without leaking test data into the vote. Training, folds and scoring read
+the table by index; a training set is `table.take(indices)`.
 
-`MethodRecord` (re-exported from `lowrisk.java.analyzer`, which makes one
-per analyzed method) is a row as an object, and `UnifiedMethod` a method of
-the table; the synthetic generator and library callers build them. Both are
-named tuples, as are the identity, metrics and flags they hold, so building,
-sorting and pickling them runs in C. `write_csv` is the only CSV writer; it
-hands the ints of each row to one `writerows` call, which takes the records
-as they come, writes the snapshot column from the fault flag, and replaces
-its output only on success. The evaluators take a table only; `train_on`
-also takes a `UnifiedMethod` list, which `MethodTable.from_methods` turns
-into a table in list order whose metric columns read the records' metrics
-in place.
+`MethodRecord` (made by the parser, `lowrisk.java.structure`) is a row as an
+object, and `UnifiedMethod` a method of the table; the synthetic generator
+and library callers build them. Both are named tuples, as are the identity,
+metrics and flags they hold, so building, sorting and pickling them runs in
+C. `write_csv` is the only CSV writer; it hands the ints of each row to one
+`writerows` call, which takes the records as they come, writes the snapshot
+column from the fault flag, and replaces its output only on success. The
+evaluators take a table only; `train_on` also takes a `UnifiedMethod` list,
+which `MethodTable.from_methods` turns into a table in list order whose
+metric columns read the records' metrics in place.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from lowrisk.discretize import TERTILE_METRICS, category_mask, count_items_mask
 from lowrisk.errors import SchemaError
-from lowrisk.java.analyzer import MethodIdentity, MethodRecord
+from lowrisk.java.structure import MethodIdentity, MethodRecord
 from lowrisk.java.metrics import (
     N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, arithmetic_counts, condition_counts,
 )
@@ -68,7 +69,7 @@ _N_METRICS = len(TERTILE_METRICS)
 class Rows:
     """Occurrence rows in columns, as read from metrics CSVs."""
 
-    keys: list[tuple]  # MethodIdentity.key() of each row
+    keys: list[tuple]  # the MethodIdentity fields of each row
     faulty: list[bool]
     metrics: tuple[array, ...]  # one column per TERTILE_METRICS entry
     fixed: list[int]  # the item bits that need no discretization model
@@ -160,8 +161,8 @@ def _record_bits(records: Sequence[MethodRecord], row: int) -> int:
     return count_items_mask(record.metrics.construct_counts) | category_mask(record.categories)
 
 
-def _method_key(methods: Sequence[UnifiedMethod], index: int) -> tuple:
-    return methods[index].identity.key()
+def _method_key(methods: Sequence[UnifiedMethod], index: int) -> MethodIdentity:
+    return methods[index].identity
 
 
 def _method_sloc(sloc_and_occurrences: tuple, index: int) -> int:
@@ -286,7 +287,7 @@ def build_unified(rows: Rows) -> MethodTable:
 
 # -- CSV schema -----------------------------------------------------------
 
-IDENTITY_COLUMNS = list(MethodIdentity._fields[:5])  # the fields of MethodIdentity.key()
+IDENTITY_COLUMNS = list(MethodIdentity._fields)
 _METRIC_COLUMNS = ["sloc", "cc", "max_nesting", "max_chaining", "unique_vars"]
 _CONSTRUCT_COLUMNS = [kind.column for kind in ConstructKind]
 _DERIVED_COLUMNS = ["all_conditions", "all_arithmetic"]
@@ -315,15 +316,26 @@ _BOOL_TEXT = {True: "true", False: "false"}
 _SNAPSHOT_TEXT = (Snapshot.CURRENT.value, Snapshot.FAULTY.value)  # indexed by the fault flag
 
 
+def identity_fields(identity: Sequence) -> list[str]:
+    """The IDENTITY_COLUMNS fields of an identity; the signature joined by ';'."""
+    *names, params = identity
+    return [*names, ";".join(params)]
+
+
+def parse_signature(text: str) -> tuple[str, ...]:
+    """The parameter types of a param_signature field; empty names none."""
+    return tuple(filter(None, text.split(";")))
+
+
 def _rows(records: Iterable[MethodRecord]):
-    """The CSV row of each record: the identity strings, the snapshot and
+    """The CSV row of each record: the identity fields, the snapshot and
     fault columns (both written from the fault flag), the metrics and counts
     as ints, then the category flags."""
     flag = _BOOL_TEXT.__getitem__
     for identity, metrics, categories, faulty in records:
         counts = metrics.construct_counts
         yield [
-            *identity[:4], ";".join(identity.param_signature), _SNAPSHOT_TEXT[faulty], flag(faulty),
+            *identity_fields(identity), _SNAPSHOT_TEXT[faulty], flag(faulty),
             *metrics[:5], *counts, sum(condition_counts(counts)), sum(arithmetic_counts(counts)),
             *map(flag, categories),
         ]
@@ -437,7 +449,7 @@ def read_csv(path: str | Path) -> Rows:
             project, file_path, type_name, method_name, signature = identity_of(row)
             params = signatures.get(signature)
             if params is None:
-                params = signatures[signature] = tuple(filter(None, signature.split(";")))
+                params = signatures[signature] = parse_signature(signature)
             keys.append((project, file_path, type_name, method_name, params))
             faulty.append(is_faulty)
             fixed.append(count_items_mask(counts) | category_bits)
@@ -466,5 +478,5 @@ def read_label_file(path: str | Path) -> set[tuple]:
                 raise SchemaError(f"row {reader.line_num}: expected {width} fields, got {len(row)}")
             if _parse_bool(reader.line_num, "faulty", row[faulty_at]):
                 *identity, signature = identity_of(row)
-                faulty_keys.add((*identity, tuple(filter(None, signature.split(";")))))
+                faulty_keys.add((*identity, parse_signature(signature)))
         return faulty_keys

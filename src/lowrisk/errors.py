@@ -55,10 +55,6 @@ class ImbalanceUnachievableWarning(LowriskWarning):
     """The majority pool was too small for the requested undersampling rate."""
 
 
-class UnmatchedFaultyWarning(LowriskWarning):
-    """A faulty method identity was absent from the current-state snapshot."""
-
-
 class NoAdmissibleRulesWarning(LowriskWarning):
     """Even the single top rule exceeds the fault budget; classifier matches nothing."""
 

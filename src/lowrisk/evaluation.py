@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from lowrisk.classifier import LfrClassifier, Variant
-from lowrisk.dataset import IDENTITY_COLUMNS, MethodTable
+from lowrisk.dataset import IDENTITY_COLUMNS, MethodTable, identity_fields
 from lowrisk.discretize import DiscretizationModel, itemize
 from lowrisk.errors import TooFewMinorityError
 from lowrisk.pipeline import PipelineConfig, derive_seed, train_on, write_json
@@ -168,13 +168,8 @@ def prediction_rows(table: MethodTable, predictions: Iterable[tuple]) -> Iterato
     keys, is_faulty = table.keys, table.faulty
     for variant, indices, matched in predictions:
         for i, idx in zip(indices, matched):
-            project, file_path, type_name, method_name, params = keys[i]
             yield [
-                project,
-                file_path,
-                type_name,
-                method_name,
-                ";".join(params),
+                *identity_fields(keys[i]),
                 variant.value,
                 _fmt(idx is not None),
                 _fmt(is_faulty[i]),

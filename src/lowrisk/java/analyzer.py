@@ -1,9 +1,9 @@
 """Method enumeration and per-method analysis of Java source trees.
 
-`analyze_source` analyzes one file into `MethodRecord`s, the records that
-`lowrisk.dataset` writes as CSV rows. `analyze_project` walks a tree and
-returns an iterator over its methods in identity order, one file at a time,
-so a caller that writes them as they come holds one file's methods at once.
+`analyze_source` sorts the `MethodRecord`s that the parser makes of one
+file, which `lowrisk.dataset` writes as CSV rows. `analyze_project` walks a
+tree and returns an iterator over its methods in identity order, one file at
+a time, so a caller that writes them as they come holds one file's methods.
 """
 
 from __future__ import annotations
@@ -12,47 +12,10 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from lowrisk.errors import JavaParseError, LowriskError
-from lowrisk.java.metrics import CategoryFlags, RawMetrics
-from lowrisk.java.structure import parse_compilation_unit
-
-
-class MethodIdentity(NamedTuple):
-    """Stable identity of a method within a project snapshot.
-
-    (file_path, type_name, method_name, param_signature) uniquely identify a
-    method within a project; the signature is built from declared parameter
-    types, never argument names. Identities order as their field tuples.
-    """
-
-    project: str
-    file_path: str
-    type_name: str
-    method_name: str
-    param_signature: tuple[str, ...]
-    is_constructor: bool = False
-
-    def key(self) -> tuple:
-        return self[:5]
-
-
-class MethodRecord(NamedTuple):
-    """One method observation; a faulty one holds the metrics of its faulty state."""
-
-    identity: MethodIdentity
-    metrics: RawMetrics
-    categories: CategoryFlags
-    faulty: bool = False
-
-
-class SkippedMethod(NamedTuple):
-    """A method excluded from analysis, with the reason (e.g. lambda body)."""
-
-    identity: MethodIdentity
-    reason: str
-
+from lowrisk.java.structure import MethodIdentity, MethodRecord, SkippedMethod, parse_compilation_unit  # noqa: F401
 
 _identity_of = itemgetter(0)  # the identity of a MethodRecord
 
@@ -60,24 +23,19 @@ _identity_of = itemgetter(0)  # the identity of a MethodRecord
 def analyze_source(
     source_text: str, file_path: str, project: str = ""
 ) -> tuple[list[MethodRecord], list[SkippedMethod]]:
-    """Compute metrics and categories for every method in one source file.
-
-    Methods whose bodies contain lambda expressions are excluded and reported
-    as skipped instead of being given unreliable counts.
-    """
-    unit = parse_compilation_unit(source_text, file_path)
-    analyzed: list[MethodRecord] = []
-    skipped: list[SkippedMethod] = []
-    for decl in unit.methods:
-        identity = MethodIdentity(
-            project, file_path, ".".join(decl.type_chain), decl.name, decl.param_types, decl.is_constructor
-        )
-        if decl.has_lambda:
-            skipped.append(SkippedMethod(identity, "lambda expression in body"))
-        else:
-            analyzed.append(MethodRecord(identity, decl.metrics, decl.categories))
-    analyzed.sort(key=_identity_of)
-    return analyzed, skipped
+    """The records of the methods of one source file, in identity order, and
+    the methods skipped: those with a lambda in their own code, whose counts
+    would be unreliable, and those whose identity another method of the file
+    shares, which no row or label could tell apart."""
+    unit = parse_compilation_unit(source_text, file_path, project)
+    methods = sorted(unit.methods, key=_identity_of)
+    identities = list(map(_identity_of, methods + unit.skipped))
+    if len(set(identities)) < len(identities):  # as a constructor and a method named after its class
+        shared = {identity for identity in identities if identities.count(identity) > 1}
+        unit.skipped += [SkippedMethod(m.identity, "identity shared with another method")
+                         for m in methods if m.identity in shared]
+        methods = [m for m in methods if m.identity not in shared]
+    return methods, unit.skipped
 
 
 @dataclass

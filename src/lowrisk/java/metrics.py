@@ -270,13 +270,10 @@ class Reader:
         param_names: tuple[str, ...],
         is_constructor: bool,
         field_names: frozenset[str],
-    ) -> tuple[RawMetrics | None, CategoryFlags | None]:
+    ) -> tuple[RawMetrics, CategoryFlags]:
         """The metrics and the category flags of the method body read, for the
-        method declared from decl_start in a type with these fields; None and
-        None when the body has a lambda in its own code, whose counts are
-        dropped."""
-        if self.has_lambda:
-            return None, None
+        method declared from decl_start in a type with these fields. A body
+        with a lambda in its own code has none: its counts are dropped."""
         counts, statements, lines = self.counts, self.statements, self.unit.tokens.lines
         sloc_lines, a = set(), decl_start
         for start, end in self.nested:  # a nested class's lines count for its own methods

@@ -2,15 +2,17 @@
 
 This module does not build a full AST. It walks the token columns of one
 file (see `lowrisk.java.tokens`), tracks type declarations (including
-nested, local, anonymous, and enum-constant bodies), and records every
-method and constructor declaration. It reads no code itself: it hands every
-code region (method and constructor bodies, initializer blocks, field
-initializers, enum-constant arguments and annotation `default` values) to
-the statement and expression reader of `lowrisk.java.metrics`, which reads
-the region in place and calls back into this parser at each anonymous class
-body and local class. So a file is read once, in textual order, and a
-method's metrics are read with its body. Its getter and setter flags wait
-until the enclosing type closes, so that they see every field of the type.
+nested, local, anonymous, and enum-constant bodies), and makes the
+`MethodRecord` of every method and constructor with a body, or its
+`SkippedMethod` when it has a lambda in its own code. It reads no code
+itself: it hands every code region (method and constructor bodies,
+initializer blocks, field initializers, enum-constant arguments and
+annotation `default` values) to the statement and expression reader of
+`lowrisk.java.metrics`, which reads the region in place and calls back into
+this parser at each anonymous class body and local class. So a file is read
+once, in textual order, and a method's metrics are read with its body. Its
+getter and setter flags wait until the enclosing type closes, so that they
+see every field of the type.
 
 Delimiters are matched once per file: `match_delimiters` pairs each '(',
 '[' and '{' with its closer in one pass, one stack per kind, and the parser
@@ -165,37 +167,49 @@ def match_delimiters(texts: list[str]) -> list[int]:
     return partner
 
 
-class MethodDecl(NamedTuple):
-    """One method or constructor declaration with a body, and what its body
-    reads as; a method with a lambda in its own code has no metrics."""
+class MethodIdentity(NamedTuple):
+    """A method's identity within a project snapshot, and its key in the CSV,
+    the method table and the label files.
 
-    type_chain: tuple[str, ...]
-    name: str
-    param_types: tuple[str, ...]
-    param_names: tuple[str, ...]
-    is_constructor: bool
-    has_lambda: bool
-    field_names: frozenset[str]  # fields declared directly in the enclosing type
-    metrics: RawMetrics | None
-    categories: CategoryFlags | None
+    The signature is built from declared parameter types, never argument
+    names. Identities order as their field tuples.
+    """
+
+    project: str
+    file_path: str
+    type_name: str
+    method_name: str
+    param_signature: tuple[str, ...]
+
+
+class MethodRecord(NamedTuple):
+    """One method observation; a faulty one holds the metrics of its faulty state."""
+
+    identity: MethodIdentity
+    metrics: RawMetrics
+    categories: CategoryFlags
+    faulty: bool = False
+
+
+class SkippedMethod(NamedTuple):
+    """A method excluded from analysis, with the reason (e.g. lambda body)."""
+
+    identity: MethodIdentity
+    reason: str
 
 
 class CompilationUnit:
-    """Parsed view of one Java source file."""
+    """Parsed view of one Java source file: its method records and skipped methods."""
 
-    def __init__(self, tokens: Tokens):
+    def __init__(self, tokens: Tokens, project: str = ""):
         self.tokens = tokens
         self.texts = tokens.texts
         self.kinds = tokens.kinds
         self.partner = match_delimiters(tokens.texts)
-        self.methods: list[MethodDecl] = []
+        self.project = project
+        self.methods: list[MethodRecord] = []
+        self.skipped: list[SkippedMethod] = []
         self._anon_counter = 0
-
-    @classmethod
-    def parse(cls, source_text: str, file_path: str | None = None) -> "CompilationUnit":
-        unit = cls(tokenize(source_text, file_path))
-        unit._parse_top_level()
-        return unit
 
     # -- helpers ---------------------------------------------------------
 
@@ -227,12 +241,25 @@ class CompilationUnit:
                 i += 1
         return "".join(kept)
 
+    def _type_end(self, i: int, message: str) -> int:
+        """The index past the type reference at i. Where none reads, raises
+        'malformed type-argument list' at the '<' that fails a named type,
+        and the message at i otherwise."""
+        texts, kinds = self.texts, self.kinds
+        end = skip_type_ref(texts, kinds, i)
+        if end is not None:
+            return end
+        j = skip_annotations(texts, kinds, i)
+        if kinds[j] == "ident":  # a named type ends early only at a malformed type-argument list
+            while texts[j] and (texts[j] != "<" or skip_type_arguments(texts, kinds, j) is not None):
+                j = skip_annotations(texts, kinds, j + 1)  # a '<' in an annotation's arguments is not the list's
+            raise self._err("malformed type-argument list", j)
+        raise self._err(message, i)
+
     def _skip_type_list(self, i: int, what: str) -> int:
         """The index past the ','-separated type references from i."""
         while True:
-            j = skip_type_ref(self.texts, self.kinds, i)
-            if j is None:
-                raise self._err(f"malformed {what}", i)
+            j = self._type_end(i, f"malformed {what}")
             if self.texts[j] != ",":
                 return j
             i = j + 1
@@ -320,7 +347,7 @@ class CompilationUnit:
         """Parse a type body starting at '{'; returns index one past '}'."""
         texts = self.texts
         fields: set[str] = set()
-        members: list[tuple] = []  # deferred so field_names is complete first
+        members: list[tuple] = []  # deferred until every field of the type is known
         i = open_idx + 1
         if is_enum:
             i = self._parse_enum_constants(i, chain)
@@ -340,9 +367,13 @@ class CompilationUnit:
             else:
                 i = self._parse_member(start, j, chain, fields, members)
         frozen = frozenset(fields)
+        type_name = ".".join(chain)
         for decl_start, name, ptypes, pnames, is_ctor, body in members:
-            results = body.results(decl_start, name, pnames, is_ctor, frozen)
-            self.methods.append(MethodDecl(chain, name, ptypes, pnames, is_ctor, body.has_lambda, frozen, *results))
+            identity = MethodIdentity(self.project, self.tokens.file_path, type_name, name, ptypes)
+            if body.has_lambda:  # its counts were dropped
+                self.skipped.append(SkippedMethod(identity, "lambda expression in body"))
+            else:
+                self.methods.append(MethodRecord(identity, *body.results(decl_start, name, pnames, is_ctor, frozen)))
         return i + 1
 
     def _parse_enum_constants(self, i: int, chain: tuple[str, ...]) -> int:
@@ -383,19 +414,12 @@ class CompilationUnit:
             raise self._err("unterminated member", start)
         # Constructor: simple name of the enclosing type followed by '('.
         if t == chain[-1] and kinds[i] == "ident" and texts[i + 1] == "(":
-            return self._parse_method(start, i, i + 1, chain, members, is_ctor=True)
-        type_end = skip_type_ref(texts, kinds, i)
-        if type_end is None:
-            j = skip_annotations(texts, kinds, i)
-            if kinds[j] == "ident":  # a named type ends early only at a malformed type-argument list
-                while texts[j] and (texts[j] != "<" or skip_type_arguments(texts, kinds, j) is not None):
-                    j += 1
-                raise self._err("malformed type-argument list", j)
-            raise self._err(f"expected member declaration, found {t!r}", i)
+            return self._parse_method(start, i, chain, members, is_ctor=True)
+        type_end = self._type_end(i, f"expected member declaration, found {t!r}")
         if kinds[type_end] != "ident":
             raise self._err("expected member name", type_end)
         if texts[type_end + 1] == "(":
-            return self._parse_method(start, type_end, type_end + 1, chain, members, is_ctor=False)
+            return self._parse_method(start, type_end, chain, members, is_ctor=False)
         # Field declaration: collect declarator names, scan initializers.
         j = type_end
         while True:
@@ -420,13 +444,12 @@ class CompilationUnit:
         self,
         decl_start: int,
         name_idx: int,
-        paren_idx: int,
         chain: tuple[str, ...],
         members: list,
         is_ctor: bool,
     ) -> int:
         texts = self.texts
-        ptypes, pnames, j = self.parse_params(paren_idx)
+        ptypes, pnames, j = self.parse_params(name_idx + 1)
         while texts[j] == "[" and texts[j + 1] == "]":
             j += 2  # archaic C-style array return brackets
         if texts[j] == "throws":
@@ -455,9 +478,7 @@ class CompilationUnit:
         while True:
             i = self._skip_annotations_and_modifiers(i)
             type_start = i
-            type_end = skip_type_ref(texts, kinds, i)
-            if type_end is None:
-                raise self._err("malformed parameter type", i)
+            type_end = self._type_end(i, "malformed parameter type")
             i = skip_annotations(texts, kinds, type_end)  # as in String @NonNull ... xs
             varargs = texts[i] == "..."
             i = i + 1 if varargs else type_end
@@ -478,8 +499,11 @@ class CompilationUnit:
             raise self._err("malformed parameter list", i)
 
 
-def parse_compilation_unit(source_text: str, file_path: str | None = None) -> CompilationUnit:
-    return CompilationUnit.parse(source_text, file_path)
+def parse_compilation_unit(source_text: str, file_path: str | None = None, project: str = "") -> CompilationUnit:
+    """Parse one source file of a project; its methods' identities name both."""
+    unit = CompilationUnit(tokenize(source_text, file_path), project)
+    unit._parse_top_level()
+    return unit
 
 
 # The reader reads with this module's grammar and calls back into the parser,

@@ -12,13 +12,13 @@ for the leaner join loop (it also checks `rules_mined`, which the
 brute-force oracles do not see). The CSV oracles are the earlier
 field-by-field reader of metric records, kept as the reference for
 read_csv's columnar fast path, and the earlier string-per-field row builder
-(reference_row), kept as the reference for write_csv's rows, and
-map_metrics, the CSV transformation of the learner's metamorphic tests; the
-record-based unification (consolidate_faulty, unify, build_unified_records)
-and the tertile fit over records (fit_records, which sorts and indexes
-through tertile_bounds) are the earlier loader and fit, kept as the
-reference for the method table; classify is the `<=` rule that places a
-value in a tertile class, the reference for itemize's bisection. The eager training oracles
+(reference_row), kept as the reference for write_csv's rows, and map_metrics
+and shuffle_rows, the CSV transformations of the learner's metamorphic
+tests; the record-based unification (consolidate_faulty, unify,
+build_unified_records) and the tertile fit over records (fit_records, which
+sorts and indexes through tertile_bounds) are the earlier loader and fit,
+kept as the reference for the method table; classify is the `<=` rule that
+places a value in a tertile class, the reference for itemize's bisection. The eager training oracles
 (eager_mining_set, eager_train_on) are the earlier pipeline that itemized
 every training method, kept as the reference for the lazily itemized
 majority. Their balance (reference_balance) draws each synthetic
@@ -438,7 +438,6 @@ def read_csv_per_field(path):
                 type_name=col("type_name"),
                 method_name=col("method_name"),
                 param_signature=sig,
-                is_constructor=categories.is_constructor,
             )
             if faulty and snapshot is not Snapshot.FAULTY:
                 raise SchemaError(f"row {row_no}: faulty records carry metrics computed at the faulty state")
@@ -483,6 +482,15 @@ def map_metrics(records, metrics, f):
     ]
 
 
+def shuffle_rows(corpus, seed):
+    """The corpus (project name -> records) with each project's records in a
+    seeded random order, and the projects in another."""
+    rng = random.Random(seed)
+    names = list(corpus)
+    rng.shuffle(names)
+    return {name: rng.sample(corpus[name], len(corpus[name])) for name in names}
+
+
 def consolidate_faulty(records):
     """Collapse multiple faulty occurrences of the same method into one entry.
 
@@ -495,54 +503,41 @@ def consolidate_faulty(records):
     for rec in records:
         if not rec.faulty:
             raise ValueError("consolidate_faulty expects faulty records only")
-        by_key.setdefault(rec.identity.key(), []).append(rec)
+        by_key.setdefault(rec.identity, []).append(rec)
     return [UnifiedMethod(recs[0].identity, True, tuple(recs)) for recs in by_key.values()]
 
 
-def unify(all_methods, faulty_consolidated, warn_unmatched=True):
+def unify(all_methods, faulty_consolidated):
     """The unified dataset: each identity once, faulty entries replacing their
     current-state counterparts, sorted by identity.
 
     Faulty identities absent from the current snapshot (deleted methods) are
-    still included, with a warning when warn_unmatched is set.
+    still included.
     """
-    import warnings
-
     from lowrisk.dataset import MethodRecord, UnifiedMethod
-    from lowrisk.errors import UnmatchedFaultyWarning
 
-    faulty_by_key = {u.identity.key(): u for u in faulty_consolidated}
+    faulty_by_key = {u.identity: u for u in faulty_consolidated}
     out = []
     seen = set()
     for item in all_methods:
         u = UnifiedMethod(item.identity, item.faulty, (item,)) if isinstance(item, MethodRecord) else item
-        key = u.identity.key()
-        if key in seen:
+        if u.identity in seen:
             continue
-        seen.add(key)
-        out.append(faulty_by_key.get(key, u))
+        seen.add(u.identity)
+        out.append(faulty_by_key.get(u.identity, u))
     for u in faulty_consolidated:
-        key = u.identity.key()
-        if key not in seen:
-            seen.add(key)
-            if warn_unmatched:
-                warnings.warn(
-                    f"faulty method {u.identity.type_name}.{u.identity.method_name} "
-                    f"not found in current snapshot (deleted?)",
-                    UnmatchedFaultyWarning,
-                    stacklevel=2,
-                )
+        if u.identity not in seen:
+            seen.add(u.identity)
             out.append(u)
     out.sort(key=lambda u: u.identity)
     return out
 
 
 def build_unified_records(records):
-    """The unified methods of a mixed record list (CSV contents), with the
-    deleted-method warning off."""
+    """The unified methods of a mixed record list (CSV contents)."""
     current = [r for r in records if not r.faulty]
     faulty = consolidate_faulty([r for r in records if r.faulty])
-    return unify(current, faulty, warn_unmatched=False)
+    return unify(current, faulty)
 
 
 def method_sloc(method):

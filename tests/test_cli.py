@@ -210,6 +210,29 @@ class TestExtract:
         states = {row["method_name"]: (row["snapshot"], row["faulty"]) for row in read_csv_rows(out, dicts=True)}
         assert states == {"buggy": ("FaultyState", "true"), "safe": ("CurrentState", "false")}
 
+    def test_methods_that_share_an_identity_are_skipped(self, tmp_path, capsys):
+        """A constructor and a method named after their class, and methods of
+        same-named local classes, share their CSV key: each is listed as
+        skipped and gets no row, and the other methods' rows are written."""
+        root = tmp_path / "src"
+        root.mkdir()
+        (root / "A.java").write_text("class A { A() {} void A() {} int g() { return 1; } }", encoding="utf-8")
+        (root / "B.java").write_text(
+            "class B { void f() { class L { int g() { return 1; } } } void h() { class L { int g() { return 2; } } } }",
+            encoding="utf-8",
+        )
+        out = tmp_path / "m.csv"
+        assert run(["extract", "--root", root, "--project", "p", "--out", out, "--jobs", "1"]) == 0
+        shared = ["A.java:A.A", "A.java:A.A", "B.java:B.L.g", "B.java:B.L.g"]
+        listed = [f"{name}: identity shared with another method" for name in shared]
+        err = capsys.readouterr().err
+        assert [line.removeprefix("skipped (method): ") for line in err.splitlines()
+                if line.startswith("skipped (method): ")] == listed
+        sidecar = json.loads(out.with_name(out.name + ".run.json").read_text())
+        assert sidecar["skipped_methods"] == listed and sidecar["methods"] == 3
+        rows = [(r.identity.file_path, r.identity.type_name, r.identity.method_name) for r in read_csv_per_field(out)]
+        assert rows == [("A.java", "A", "g"), ("B.java", "B", "f"), ("B.java", "B", "h")]
+
     @pytest.mark.parametrize("row, message", [
         ("corpus,A.java\n", "row 2: expected 6 fields, got 2"),
         ("p," + "x" * 131073 + ",A,m,,true\n", "row 2: field larger than field limit (131072)"),

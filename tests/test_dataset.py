@@ -28,7 +28,7 @@ from lowrisk.dataset import (
     write_csv,
 )
 from lowrisk.discretize import ATTRIBUTE_ITEMS, fit_discretization, item_mask, itemize
-from lowrisk.errors import SchemaError, UnmatchedFaultyWarning
+from lowrisk.errors import SchemaError
 from lowrisk.java.metrics import CategoryFlags, ConstructKind
 from lowrisk.synthetic import generate_corpus, generate_project
 
@@ -91,11 +91,10 @@ class TestUnify:
         out = unify(records, [])
         assert [u.identity for u in out] == [r.identity for r in records]
 
-    def test_deleted_method_included_with_warning(self):
+    def test_deleted_method_included(self):
         a = make_record("a")
         z = make_unified(make_record("z", faulty=True))
-        with pytest.warns(UnmatchedFaultyWarning):
-            out = unify([a], [z])
+        out = unify([a], [z])
         assert {u.identity.method_name for u in out} == {"a", "z"}
         assert next(u for u in out if u.identity.method_name == "z").faulty
 
@@ -114,14 +113,10 @@ class TestUnify:
     def test_property_idempotent_and_unique(self, names, faulty_names):
         records = [make_record(n) for n in sorted(names)]
         faulty = [make_unified(make_record(n, faulty=True)) for n in sorted(faulty_names)]
-        import warnings as w
-
-        with w.catch_warnings():
-            w.simplefilter("ignore")
-            once = unify(records, faulty)
-            twice = unify(once, faulty)
+        once = unify(records, faulty)
+        twice = unify(once, faulty)
         assert once == twice
-        keys = [u.identity.key() for u in once]
+        keys = [u.identity for u in once]
         assert len(keys) == len(set(keys))
         assert {u.identity.method_name for u in once} == names | faulty_names
         for u in once:
@@ -444,7 +439,7 @@ def _writer_record(rng):
     identity = make_identity(
         rng.choice(names), project=rng.choice(["p", "p,q"]), file_path=rng.choice(["A.java", "a b/C.java"]),
         type_name=rng.choice(names), params=rng.choice([(), ("int",), ("int", "List<K,V>", "String[]")]),
-    )._replace(is_constructor=flags.is_constructor)
+    )
     metrics = make_metrics(
         sloc=rng.choice(big), cc=rng.choice(big), nesting=rng.choice(big), chaining=rng.choice(big),
         variables=rng.choice(big), **{k.column: rng.choice(big) for k in ConstructKind},
@@ -463,7 +458,7 @@ def _pad_booleans(rng, header, rows):
 def _check_table(table, records):
     """The table holds what the record oracle computes, method by method."""
     expected = build_unified_records(records)
-    assert list(table.keys) == [u.identity.key() for u in expected]
+    assert list(table.keys) == [u.identity for u in expected]
     assert list(table.faulty) == [u.faulty for u in expected]
     assert list(table.sloc) == list(map(method_sloc, expected))
     with warnings.catch_warnings():
@@ -570,7 +565,7 @@ def test_from_methods_metric_columns_read_the_records_in_place(tmp_path):
     # Written in identity order, the methods' records are the CSV's rows in
     # order, so the array columns read back are the materialized columns that
     # the table's views must agree with.
-    methods = sorted(generate_project("p", 5, 2000), key=lambda u: u.identity.key())
+    methods = sorted(generate_project("p", 5, 2000), key=lambda u: u.identity)
     assert any(len(u.occurrences) > 1 for u in methods)
     write_csv((r for u in methods for r in u.occurrences), tmp_path / "p.csv")
     columns = build_unified(read_csv(tmp_path / "p.csv")).metrics

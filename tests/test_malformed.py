@@ -144,6 +144,12 @@ def test_a_type_argument_list_holds_only_type_tokens(name, text, mutant, message
         ("class T { List<Str]ing> f() { return null; } }", "T.java:1:15: malformed type-argument list"),
         ("class T {\n  @B(x < 1) Map<K, List<V>>.Entry<K[> e;\n}", "T.java:2:34: malformed type-argument list"),
         ("class T { <T[> void f() {} }", "T.java:1:11: malformed type-argument list"),
+        # So do a parameter type, a supertype and a thrown type.
+        ("class A { void f(List<S[tring> p) { } }", "T.java:1:22: malformed type-argument list"),
+        ("class A { void f(java.util.Map<String, In]t> p) { } }", "T.java:1:31: malformed type-argument list"),
+        ("class A { void f(java.util.@B(x < 1) List<S[tring> p) { } }", "T.java:1:42: malformed type-argument list"),
+        ("class T implements java.util.List<S[tring> { }", "T.java:1:34: malformed type-argument list"),
+        ("class T { void f() throws X<Str]ing> { } }", "T.java:1:28: malformed type-argument list"),
         ("class T { 3 x; }", "T.java:1:11: expected member declaration, found '3'"),
     ],
 )

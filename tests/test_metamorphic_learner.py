@@ -8,7 +8,12 @@ the mined rules, the chosen prefixes and every prediction. The tertile bounds
 become the mapped bounds. SLOC is also the weight of the SLOC-based report
 columns, so mapping it may change those four columns and nothing else.
 
-Input: generate_corpus(3, seed=11, n_methods=400), with the fast config below.
+Loading sorts rows by identity, so permuting the rows within each CSV, and
+the order of the CSV arguments, keeps every output byte.
+
+Input: generate_corpus(3, seed=11, n_methods=400) for the maps, and
+generate_corpus(3, seed=S, n_methods=300) for S in 3 and 17, shuffled with
+seeds 1 and 4, for the permutations; all with the fast config below.
 """
 
 import csv
@@ -17,7 +22,7 @@ import json
 
 import pytest
 
-from oracles import map_metrics
+from oracles import map_metrics, shuffle_rows
 from lowrisk.cli import main
 from lowrisk.dataset import write_csv
 from lowrisk.discretize import TERTILE_METRICS
@@ -34,15 +39,21 @@ def _square(x):
     return 3 * x * x + 7
 
 
+def _records(seed, n_methods):
+    """The rows of each project of a generated corpus, by project name."""
+    return {name: [r for u in methods for r in u.occurrences]
+            for name, methods in generate_corpus(3, seed=seed, n_methods=n_methods).items()}
+
+
 @pytest.fixture(scope="module")
 def corpus():
-    return {name: [r for u in methods for r in u.occurrences]
-            for name, methods in generate_corpus(3, seed=11, n_methods=400).items()}
+    return _records(11, 400)
 
 
-def _outputs(corpus, work, metrics):
+def _outputs(corpus, work, metrics=()):
     """The report.csv and predictions.csv bytes of both evaluate modes, and
-    the classifier file of train, on the corpus with f applied to the metrics."""
+    the classifier file of train (parsed, and its bytes as "clf"), on the
+    corpus with f applied to the metrics; the CSVs are given in corpus order."""
     work.mkdir()
     paths = []
     for name, records in corpus.items():
@@ -55,7 +66,8 @@ def _outputs(corpus, work, metrics):
         assert main([str(a) for a in argv + _FAST]) == 0
         out[mode] = ((out_dir / "report.csv").read_bytes(), (out_dir / "predictions.csv").read_bytes())
     assert main([str(a) for a in ["train", *paths, "--out", work / "clf.json", *_FAST]]) == 0
-    out["train"] = json.loads((work / "clf.json").read_text(encoding="utf-8"))
+    out["clf"] = (work / "clf.json").read_bytes()
+    out["train"] = json.loads(out["clf"])
     return out
 
 
@@ -108,3 +120,16 @@ def test_a_monotone_map_of_sloc_changes_only_the_sloc_columns(corpus, base, tmp_
 
 def test_the_maps_cover_the_tertile_metrics():
     assert set(_COUNT_METRICS) | {"sloc"} == set(TERTILE_METRICS)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_permuting_rows_and_csv_arguments_keeps_every_byte(seed, tmp_path):
+    corpus = _records(seed, 300)
+    base = _outputs(corpus, tmp_path / "base")
+    for shuffle_seed in (1, 4):  # the projects come rotated, then reversed
+        shuffled = shuffle_rows(corpus, shuffle_seed)
+        assert list(shuffled) != list(corpus) and all(shuffled[n] != corpus[n] for n in corpus)
+        permuted = _outputs(shuffled, tmp_path / f"shuffled{shuffle_seed}")
+        for key in ("within", "cross", "clf"):
+            assert permuted[key] == base[key], key
+    assert base["train"]["rules"]

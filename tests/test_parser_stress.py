@@ -46,7 +46,7 @@ def test_method_set(analyzed):
         "Stress.Direction.SOUTH.flip",
     }
     # the two Stress constructors share the dict key; both were parsed
-    ctors = [m for m in analyzed.values() if m.identity.is_constructor]
+    ctors = [m for m in analyzed.values() if m.categories.is_constructor]
     assert len(ctors) == 2  # Stress(long) + Direction(String); Stress() collapses in dict
 
 

@@ -9,34 +9,33 @@ import pytest
 from helpers import make_identity, make_metrics, make_record, make_unified
 from lowrisk import dataset
 from lowrisk.dataset import MethodRecord, UnifiedMethod
+from lowrisk.java import analyzer, structure
 from lowrisk.java.analyzer import MethodIdentity, SkippedMethod, analyze_source
 from lowrisk.java.metrics import N_CONSTRUCT_KINDS, CategoryFlags, ConstructKind, RawMetrics
 from lowrisk.java.structure import parse_compilation_unit
 
-_FIELDS = ("project", "file_path", "type_name", "method_name", "param_signature", "is_constructor")
+_FIELDS = ("project", "file_path", "type_name", "method_name", "param_signature")
 
 
 def _identities(rng, n):
-    """Identities from small pools, so that they tie on leading fields;
-    every one comes with its twin that differs only in is_constructor."""
-    out = []
-    for _ in range(n):
-        identity = MethodIdentity(
+    """Identities from small pools, so that they tie on leading fields."""
+    return [
+        MethodIdentity(
             rng.choice(["p", "q"]),
             rng.choice(["A.java", "a/B.java", "b.java"]),
             rng.choice(["A", "A.In", "B"]),
             rng.choice(["A", "m", "n"]),
             rng.choice([(), ("int",), ("int", "String"), ("String",)]),
-            rng.random() < 0.5,
         )
-        out += [identity, identity._replace(is_constructor=not identity.is_constructor)]
-    return out
+        for _ in range(n)
+    ]
 
 
 def _one_of_each():
     source = "class A { int f(int x) { return x; } }"
-    decl = parse_compilation_unit(source, "A.java").methods[0]
+    (parsed,) = parse_compilation_unit(source, "A.java", "p").methods
     (analyzed,), _ = analyze_source(source, "A.java", "p")
+    assert parsed == analyzed
     identity = make_identity("f", params=("int",))
     metrics = make_metrics(sloc=3, if_conditions=1, incrementations=2)
     categories = CategoryFlags(is_getter=True)
@@ -48,21 +47,39 @@ def _one_of_each():
         analyzed,
         record,
         make_unified(record),
-        decl,
         SkippedMethod(identity, "lambda expression in body"),
     ]
 
 
 def test_identities_sort_as_their_field_tuples():
     rng = random.Random(5)
-    identities = _identities(rng, 300)
-    rng.shuffle(identities)
+    identities = _identities(rng, 600)
     expected = sorted(identities, key=lambda i: tuple(getattr(i, f) for f in _FIELDS))
     assert sorted(identities) == expected
     assert [tuple(i) for i in expected] == sorted(tuple(getattr(i, f) for f in _FIELDS) for i in identities)
-    method = MethodIdentity("p", "A.java", "A", "A", ())
-    constructor = method._replace(is_constructor=True)
-    assert method < constructor and method.key() == constructor.key() == ("p", "A.java", "A", "A", ())
+    # An identity is its CSV key: equal to, and hashed as, the plain tuple read back.
+    assert all(i == tuple(i) and hash(i) == hash(tuple(i)) for i in identities)
+
+
+_SHARED = "identity shared with another method"
+
+
+@pytest.mark.parametrize("source, kept, skipped", [
+    # javac compiles both shapes; the second writes B$1L.class and B$2L.class.
+    ("class A { A() {} void A() {} int g() { return 1; } }",
+     [("A", "g")], [("A", "A", _SHARED), ("A", "A", _SHARED)]),
+    ("class B { void f() { class L { int g() { return 1; } } } void h() { class L { int g() { return 2; } } } }",
+     [("B", "f"), ("B", "h")], [("B.L", "g", _SHARED), ("B.L", "g", _SHARED)]),
+    # A method skipped for its lambda still shares its identity.
+    ("class A { A() {} void A() { Runnable r = () -> {}; } }",
+     [], [("A", "A", "lambda expression in body"), ("A", "A", _SHARED)]),
+], ids=["constructor-and-method", "local-classes", "lambda"])
+def test_methods_that_share_an_identity_are_skipped(source, kept, skipped):
+    """No row or label can tell such methods apart, so none of them is kept."""
+    methods, skips = analyze_source(source, "A.java", "p")
+    assert [(m.identity.type_name, m.identity.method_name) for m in methods] == kept
+    assert [(s.identity.type_name, s.identity.method_name, s.reason) for s in skips] == skipped
+    assert {s.identity for s in skips} == {MethodIdentity("p", "A.java", *skipped[0][:2], ())}
 
 
 def _name(value):
@@ -98,11 +115,13 @@ def test_records_survive_a_pickle_round_trip(value):
 
 
 def test_fields_keys_and_derived_sums():
-    identity, metrics, categories, analyzed, record, unified, decl, skipped = _one_of_each()
-    assert identity._fields == _FIELDS
+    identity, metrics, categories, analyzed, record, unified, skipped = _one_of_each()
+    assert identity._fields == _FIELDS and dataset.IDENTITY_COLUMNS == list(_FIELDS)
     assert MethodRecord._fields == ("identity", "metrics", "categories", "faulty")
-    # The analyzer's records are the dataset's: extract writes them as they come.
-    assert dataset.MethodRecord is MethodRecord and type(analyzed) is MethodRecord
+    # The parser's records are the dataset's: extract writes them as they come.
+    for name in ("MethodIdentity", "MethodRecord", "SkippedMethod"):
+        assert getattr(analyzer, name) is getattr(structure, name)
+    assert dataset.MethodRecord is MethodRecord is structure.MethodRecord and type(analyzed) is MethodRecord
     assert (analyzed.identity, analyzed.categories, analyzed.faulty) == (identity, CategoryFlags(), False)
     assert RawMetrics._fields == (
         "sloc", "cyclomatic_complexity", "max_nesting", "max_chaining", "unique_variable_ids", "construct_counts"
@@ -114,7 +133,6 @@ def test_fields_keys_and_derived_sums():
     assert MethodRecord(identity, metrics, categories).faulty is False
     assert (metrics.all_conditions, metrics.all_arithmetic) == (1, 2)
     assert unified.occurrences == (record,) and isinstance(unified, UnifiedMethod)
-    assert (decl.name, decl.param_types, decl.param_names) == ("f", ("int",), ("x",))
 
 
 def test_both_construction_checks_still_raise():

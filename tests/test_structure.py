@@ -3,7 +3,7 @@ import pytest
 from lowrisk.errors import JavaParseError
 from lowrisk.java.analyzer import analyze_source
 from lowrisk.java.metrics import ConstructKind
-from lowrisk.java.structure import parse_compilation_unit, skip_annotations
+from lowrisk.java.structure import MethodIdentity, SkippedMethod, parse_compilation_unit, skip_annotations
 from lowrisk.java.tokens import tokenize
 
 
@@ -13,7 +13,7 @@ def methods_of(source, file_path="T.java"):
 
 def names(source):
     """(type name, method name) of every method, in identity order."""
-    return sorted((".".join(d.type_chain), d.name) for d in methods_of(source))
+    return sorted((m.identity.type_name, m.identity.method_name) for m in methods_of(source))
 
 
 def test_getter_and_constructor_enumerated():
@@ -162,7 +162,7 @@ def test_param_signatures():
         <T> T g(T value) { return value; }
     }
     """
-    sigs = {d.name: d.param_types for d in methods_of(src)}
+    sigs = {m.identity.method_name: m.identity.param_signature for m in methods_of(src)}
     assert sigs["f"] == ("int", "Map<String,List<Integer>>", "int[]", "String...")
     assert sigs["g"] == ("T",)
 
@@ -174,7 +174,7 @@ def test_constructor_flag_and_throws():
         void m() throws Exception { }
     }
     """
-    flags = {d.name: d.is_constructor for d in methods_of(src)}
+    flags = {m.identity.method_name: m.categories.is_constructor for m in methods_of(src)}
     assert flags == {"A": True, "m": False}
 
 
@@ -211,7 +211,7 @@ def test_annotations_and_modifiers_skipped():
         public synchronized void f(@Deprecated final int x) { }
     }
     """
-    assert [(d.name, d.param_types) for d in methods_of(src)] == [("f", ("int",))]
+    assert [(m.identity.method_name, m.identity.param_signature) for m in methods_of(src)] == [("f", ("int",))]
 
 
 def test_skip_annotations_reads_a_name_and_balanced_arguments():
@@ -254,25 +254,42 @@ def test_lambda_flag_set():
         void g() { }
     }
     """
-    unit = parse_compilation_unit(src)
-    by_name = {d.name: d for d in unit.methods}
-    assert by_name["f"].has_lambda
-    assert not by_name["g"].has_lambda
+    unit = parse_compilation_unit(src, "T.java", "p")
+    assert [m.identity.method_name for m in unit.methods] == ["g"]
+    assert unit.skipped == [SkippedMethod(MethodIdentity("p", "T.java", "A", "f", ()), "lambda expression in body")]
 
 
 def test_field_names_collected_per_type():
+    """A getter or setter reads a field declared directly in its own type,
+    before or after it."""
     src = """
     class A {
         private int a, b;
+        int getA() { return a; }
+        int getName() { return name; }
+        void setB(int v) { b = v; }
+        int getC() { return c; }
         private String name = "x";
-        void f() { }
         class B {
             int c;
-            void g() { }
+            int getC() { return c; }
+            int getA() { return a; }
+            void setC(int v) { this.c = v; }
+            void setA(int v) { a = v; }
         }
     }
     """
-    unit = parse_compilation_unit(src)
-    by_name = {d.name: d for d in unit.methods}
-    assert by_name["f"].field_names == {"a", "b", "name"}
-    assert by_name["g"].field_names == {"c"}
+    flags = {
+        (m.identity.type_name, m.identity.method_name): (m.categories.is_getter, m.categories.is_setter)
+        for m in parse_compilation_unit(src).methods
+    }
+    assert flags == {
+        ("A", "getA"): (True, False),
+        ("A", "getName"): (True, False),
+        ("A", "setB"): (False, True),
+        ("A", "getC"): (False, False),
+        ("A.B", "getC"): (True, False),
+        ("A.B", "getA"): (False, False),
+        ("A.B", "setC"): (False, True),
+        ("A.B", "setA"): (False, False),
+    }

@@ -273,7 +273,7 @@ LARGE = PipelineConfig(mining=MiningConfig(0.05, 0.95, 3), seed=7)
 def test_a_method_list_trains_as_its_csv_round_trip(tmp_path):
     """The table of a method list reads its records in place; in identity
     order, it trains the model that the same methods read back from a CSV do."""
-    methods = sorted(generate_project("p", 5, 5000), key=lambda u: u.identity.key())
+    methods = sorted(generate_project("p", 5, 5000), key=lambda u: u.identity)
     write_csv((r for u in methods for r in u.occurrences), tmp_path / "p.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -134,6 +134,17 @@ CASES = [
     ("type-arguments-of-array-types",
      "import java.util.*;\n"
      "class T { List<String[]> a; Map<int[][], List<String>[]> b; void f() { List<String[]> c = null; } }\n"),
+    ("parameter-type-argument-with-bracket-inside-name",
+     "import java.util.List;\nclass T { void f(List<S[tring> p) { } }\n"),
+    ("parameter-type-argument-with-closing-bracket", "class T { void f(java.util.Map<String, In]t> p) { } }\n"),
+    ("parameter-type-argument-after-an-annotation-with-a-comparison",
+     "class T { void f(java.util.@B(x < 1) List<S[tring> p) { } }\n"),
+    ("supertype-argument-with-bracket-inside-name", "class T implements java.util.List<S[tring> { }\n"),
+    ("thrown-type-argument-with-closing-bracket", "class T { void f() throws X<Str]ing> { } }\n"),
+    # Two methods of one file with one identity: lowrisk skips both.
+    ("constructor-and-method-named-after-the-class", "class A { A() {} void A() {} }\n"),
+    ("same-named-local-classes",
+     "class B { void f() { class L { int g() { return 1; } } } void h() { class L { int g() { return 2; } } } }\n"),
 ]
 
 
